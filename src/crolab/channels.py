@@ -35,15 +35,16 @@ def unvec_row(v: np.ndarray, dim: int) -> np.ndarray:
 
 
 class Channel:
-    """A CPTP map, stored as its trace-1 Choi state with derived caches.
+    """A CPTP map, stored as its trace-1 Choi state.
 
     The constructor validates the Choi invariants: Hermitian and PSD within
     ``tol``, unit trace, and reference marginal equal to the maximally mixed
-    state (the trace-preservation condition).  Kraus operators and the
-    superoperator matrix are computed once and cached.
+    state (trace preservation); Kraus operators passed in must be complete.
+    ``superop`` is a reshape of the Choi state.  ``kraus`` is computed from
+    the Choi state on first access unless it was passed in.
     """
 
-    __slots__ = ("dim", "choi", "kraus", "superop")
+    __slots__ = ("dim", "choi", "superop", "_kraus")
 
     def __init__(self, choi: np.ndarray, tol: float = DEFAULT_TOL, kraus=None):
         choi = np.asarray(choi, dtype=complex)
@@ -64,17 +65,25 @@ class Channel:
                 "the map is not trace preserving"
             )
         choi = hermitianize(choi)
-        if kraus is None:
-            kraus = kraus_from_choi(choi, tol=tol)
-        else:
+        min_eig = float(np.linalg.eigvalsh(choi)[0])
+        if min_eig < -max(tol, 1e-7):
+            raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
+        if kraus is not None:
             kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-        comp = sum(k.conj().T @ k for k in kraus)
-        if float(np.max(np.abs(comp - np.eye(dim)))) > max(tol, 1e-7):
-            raise ValueError("kraus operators do not satisfy the completeness relation")
+            comp = sum(k.conj().T @ k for k in kraus)
+            if float(np.max(np.abs(comp - np.eye(dim)))) > max(tol, 1e-7):
+                raise ValueError("kraus operators do not satisfy the completeness relation")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "choi", choi)
-        object.__setattr__(self, "kraus", kraus)
-        object.__setattr__(self, "superop", sum(np.kron(k, k.conj()) for k in kraus))
+        object.__setattr__(self, "superop", superop_from_choi(choi, dim))
+        object.__setattr__(self, "_kraus", kraus)
+
+    @property
+    def kraus(self) -> tuple:
+        if self._kraus is None:
+            # positivity was checked at construction, within that tolerance
+            object.__setattr__(self, "_kraus", kraus_from_choi(self.choi, tol=np.inf))
+        return self._kraus
 
     def __setattr__(self, name, value):
         raise AttributeError("Channel is immutable")
@@ -264,11 +273,15 @@ def te_channel(projectors: ProjectorSet | Sequence[np.ndarray], tol: float = DEF
     """
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors, tol=tol)
-    d = projectors.dim
-    superop = np.zeros((d * d, d * d), dtype=complex)
-    for p, rank in zip(projectors.projectors, projectors.ranks):
-        superop += np.outer(vec_row(p) / rank, vec_row(p.T))
-    return channel_from_superop(superop, d, tol=tol)
+    return channel_from_superop(_reprepare_superop(projectors), projectors.dim, tol=tol)
+
+
+def _reprepare_superop(projectors: ProjectorSet) -> np.ndarray:
+    """Superoperator of ``T_E``: the sum of ``|vec E_n> <vec E_n^T| / tr(E_n)``."""
+    return sum(
+        np.outer(vec_row(p) / rank, vec_row(p.T))
+        for p, rank in zip(projectors.projectors, projectors.ranks)
+    )
 
 
 def block_dephasing(projectors: ProjectorSet | Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Channel:
@@ -286,13 +299,16 @@ def pauli_channel_T(index: int, n: int, tol: float = DEFAULT_TOL) -> Channel:
     2^(n-1)``.  Index 0 (the identity string) has a single trivial outcome,
     which makes it the completely depolarizing map.
     """
+    return te_channel(_pauli_pvm(index, n), tol=tol)
+
+
+def _pauli_pvm(index: int, n: int) -> ProjectorSet:
+    """Eigenspace projectors of a Pauli string; the identity has one outcome."""
     p = pauli_matrix(index, n)
-    d = 2**n
+    eye = np.eye(2**n, dtype=complex)
     if index == 0:
-        return te_channel(ProjectorSet([np.eye(d, dtype=complex)]), tol=tol)
-    plus = (np.eye(d, dtype=complex) + p) / 2
-    minus = (np.eye(d, dtype=complex) - p) / 2
-    return te_channel(ProjectorSet([plus, minus]), tol=tol)
+        return ProjectorSet([eye])
+    return ProjectorSet([(eye + p) / 2, (eye - p) / 2])
 
 
 def interpolation_unitary(theta: float) -> np.ndarray:
@@ -378,8 +394,3 @@ def choi_max_diff(a: Channel, b: Channel) -> float:
 def choi_dephase_output(choi: np.ndarray, dim: int) -> np.ndarray:
     """Apply the output-side dephasing to a Choi state (zero k != l blocks)."""
     return dephase(choi, [dim, dim], (1,))
-
-
-def choi_dephase_both(choi: np.ndarray, dim: int) -> np.ndarray:
-    """Apply input- and output-side dephasing to a Choi state (diagonal part)."""
-    return dephase(choi, [dim, dim], (0, 1))

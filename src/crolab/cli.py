@@ -18,9 +18,7 @@ written to stderr.
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import reduce
 
 import numpy as np
@@ -41,7 +39,7 @@ from .cro import (
     is_qqcro,
     vqa_replaceable_set_R,
 )
-from .game import game_from_witness, payoff
+from .game import _witness_game, payoff
 from .linalg import DEFAULT_TOL
 from .measures import relative_entropy_irreplaceability, robustness
 from .paulis import pauli_index, pauli_label
@@ -168,17 +166,6 @@ def load_channel(path, tol):
     return _parse_spec_node(node, path, tol)
 
 
-def _thread_count():
-    raw = os.environ.get("CROLAB_THREADS", "1")
-    try:
-        count = int(raw)
-    except ValueError:
-        raise SpecError(f"CROLAB_THREADS must be an integer, got {raw!r}")
-    if count < 1:
-        raise SpecError(f"CROLAB_THREADS must be at least 1, got {count}")
-    return count
-
-
 def _report_header(args):
     return {
         "tool": "crolab",
@@ -263,14 +250,8 @@ def _cmd_sweep(args):
     if args.points < 2:
         raise SpecError(f"--points must be at least 2, got {args.points}")
     thetas = np.linspace(0.0, np.pi / 2, args.points)
-    threads = _thread_count()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_sweep_row, thetas))
-    else:
-        rows = [_sweep_row(t) for t in thetas]
     lines = ["theta,robustness,relative_entropy_bits,note"]
-    for theta, value, entropy, note in rows:
+    for theta, value, entropy, note in map(_sweep_row, thetas):
         lines.append(f"{theta:.12g},{value:.12g},{entropy:.12g},{note}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -278,11 +259,11 @@ def _cmd_sweep(args):
 
 def _cmd_game(args):
     channel = load_channel(args.spec, args.tol)
-    game = game_from_witness(channel)
+    game, result = _witness_game(channel)
     score = payoff(channel, game)
     qccro_max = game.normalization["max"]
     ratio = score / qccro_max
-    one_plus_r = 1.0 + robustness(channel, want_witness=False).value
+    one_plus_r = 1.0 + result.value
     report = _report_header(args)
     report.update(
         {
@@ -326,12 +307,6 @@ def _build_parser():
         type=float,
         default=DEFAULT_TOL,
         help="membership and validation tolerance (default %(default)g)",
-    )
-    common.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed recorded for reproducibility of sampling workflows",
     )
     common.add_argument(
         "--out",

@@ -9,20 +9,22 @@ in that mode.  Writing compositions right-to-left:
 * qc (quantum in, classical out):  D O = D O D
 * detection-incoherent (DIO):      D O = O D
 
-All four identities are decided on Choi states: the defining equation holds
-iff the largest entrywise deviation between the two sides' trace-1 Choi
-matrices is at most ``tol``.  Members come with the column-stochastic matrix
-that replaces them on classical data; non-members come with a probe state
-witnessing the violated identity.
+On the trace-1 Choi matrix J each identity says that two entry masks agree:
+``linalg.dephase(J, [d, d], S)`` with S = (0,) for O D (input dephased),
+(1,) for D O, (0, 1) for D O D and none for O.  It holds iff the largest
+entrywise deviation between the two masks is at most ``tol``.  Members come
+with the column-stochastic matrix that replaces them on classical data;
+non-members with the probe state on which the two sides differ most.
 
 The PVM generalizations swap D for the measure-and-reprepare channel of a
-projector set, and the replacement matrix is indexed by measurement outcomes
+projector set and decide the identities on products of superoperator
+matrices; the replacement matrix is indexed by measurement outcomes
 instead of basis labels.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -30,16 +32,15 @@ import numpy as np
 from .channels import (
     Channel,
     ProjectorSet,
-    apply,
-    choi_max_diff,
+    _pauli_pvm,
+    _reprepare_superop,
+    choi_from_superop,
     compose,
     dephasing,
-    pauli_channel_T,
     random_channel,
-    te_channel,
-    unitary_channel,
+    superop_from_choi,
 )
-from .linalg import DEFAULT_TOL, hermitianize, is_hermitian, partial_trace
+from .linalg import DEFAULT_TOL, dephase, hermitianize
 
 
 @dataclass(frozen=True)
@@ -81,12 +82,11 @@ def probe_states(dim: int) -> list[np.ndarray]:
     return probes
 
 
-def _stochastic_from_channel(o: Channel, tol: float) -> np.ndarray:
+def _stochastic_from_choi(choi: np.ndarray, d: int, tol: float) -> np.ndarray:
     """T[j, i] = <j| O(|i><i|) |j>, validated column-stochastic."""
-    d = o.dim
     # Diagonal of the output for basis input |i><i| sits in the Choi state:
     # choi[(i,j),(i,j)] = <j|O(|i><i|)|j> / d.
-    t = d * np.real(np.diag(o.choi)).reshape(d, d).T
+    t = d * np.real(np.diag(choi)).reshape(d, d).T
     return _validated_stochastic(t, tol)
 
 
@@ -102,56 +102,70 @@ def _validated_stochastic(t: np.ndarray, tol: float) -> np.ndarray:
     return t
 
 
-def _best_witness(lhs: Channel, rhs: Channel) -> tuple[np.ndarray, float]:
-    best_state, best_defect = None, -1.0
-    for sigma in probe_states(lhs.dim):
-        defect = float(np.max(np.abs(apply(lhs, sigma) - apply(rhs, sigma))))
-        if defect > best_defect:
-            best_state, best_defect = sigma, defect
-    return best_state, best_defect
+def _identity_verdict(lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.ndarray | None, tol: float) -> CroVerdict:
+    """Decide ``lhs = rhs`` between two Choi matrices.
 
-
-def _identity_verdict(lhs: Channel, rhs: Channel, replacement: np.ndarray | None, tol: float) -> CroVerdict:
-    residual = choi_max_diff(lhs, rhs)
+    The witness is the first probe state maximizing the largest entry of
+    the two sides' output difference, found in one product of the
+    difference superoperator with the stacked probes.
+    """
+    diff = lhs - rhs
+    residual = float(np.max(np.abs(diff)))
     if residual <= tol:
         return CroVerdict(is_member=True, residual=residual, replacement=replacement)
-    witness, _ = _best_witness(lhs, rhs)
+    probes = probe_states(d)
+    outputs = superop_from_choi(diff, d) @ np.stack([p.reshape(-1) for p in probes], axis=1)
+    witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=0)))]
     return CroVerdict(is_member=False, residual=residual, witness_state=witness)
+
+
+# Dephased subsystems of the Choi matrix on each side of the defining identity.
+_MASKS = {
+    "cq": ((0,), (0, 1)),
+    "qq": ((), (0, 1)),
+    "qc": ((1,), (0, 1)),
+    "dio": ((1,), (0,)),
+}
+
+
+def _masked_verdict(choi: np.ndarray, d: int, kind: str, tol: float) -> CroVerdict:
+    lhs, rhs = (dephase(choi, [d, d], s) for s in _MASKS[kind])
+    return _identity_verdict(lhs, rhs, d, _stochastic_from_choi(choi, d, tol), tol)
 
 
 def is_cqcro(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
     """Classical-input replaceability: O D = D O D."""
-    d = dephasing(o.dim)
-    od = compose(o, d)
-    return _identity_verdict(od, compose(d, od), _stochastic_from_channel(o, tol), tol)
+    return _masked_verdict(o.choi, o.dim, "cq", tol)
 
 
 def is_qqcro(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
     """Fully classical replaceability: O = D O D."""
-    d = dephasing(o.dim)
-    return _identity_verdict(o, compose(d, compose(o, d)), _stochastic_from_channel(o, tol), tol)
+    return _masked_verdict(o.choi, o.dim, "qq", tol)
 
 
 def is_qccro(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
     """Classical-output replaceability: D O = D O D."""
-    d = dephasing(o.dim)
-    do = compose(d, o)
-    return _identity_verdict(do, compose(do, d), _stochastic_from_channel(o, tol), tol)
+    return _masked_verdict(o.choi, o.dim, "qc", tol)
 
 
 def is_dio(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
     """Detection-incoherence: D O = O D (the cq and qc classes intersected)."""
-    d = dephasing(o.dim)
-    return _identity_verdict(compose(d, o), compose(o, d), _stochastic_from_channel(o, tol), tol)
+    return _masked_verdict(o.choi, o.dim, "dio", tol)
 
 
 def _pvm_stochastic(o: Channel, outcomes: ProjectorSet, inputs: ProjectorSet, tol: float) -> np.ndarray:
-    t = np.zeros((len(outcomes), len(inputs)))
-    for m, (f, rank) in enumerate(zip(inputs.projectors, inputs.ranks)):
-        out = apply(o, f / rank)
-        for n, e in enumerate(outcomes.projectors):
-            t[n, m] = float(np.real(np.trace(e @ out)))
-    return _validated_stochastic(t, tol)
+    """T[n, m] = tr(E_n O(F_m / tr F_m)) = vec(E_n^T) . S vec(F_m) / tr F_m."""
+    e = np.stack([p.T.reshape(-1) for p in outcomes.projectors])
+    f = np.stack([p.reshape(-1) / rank for p, rank in zip(inputs.projectors, inputs.ranks)], axis=1)
+    return _validated_stochastic(np.real(e @ o.superop @ f), tol)
+
+
+def _as_pvm(projectors: ProjectorSet | Sequence[np.ndarray], dim: int, tol: float) -> ProjectorSet:
+    if not isinstance(projectors, ProjectorSet):
+        projectors = ProjectorSet(projectors, tol=tol)
+    if projectors.dim != dim:
+        raise ValueError(f"PVM dim {projectors.dim} does not match channel dim {dim}")
+    return projectors
 
 
 def is_cro_pvm(o: Channel, projectors: ProjectorSet | Sequence[np.ndarray], kind: str, tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -161,20 +175,13 @@ def is_cro_pvm(o: Channel, projectors: ProjectorSet | Sequence[np.ndarray], kind
     replaced by the PVM's measure-and-reprepare channel T_E:
     cq: O T = T O T;  qq: O = T O T;  qc: T O = T O T.
     """
-    if not isinstance(projectors, ProjectorSet):
-        projectors = ProjectorSet(projectors, tol=tol)
-    if projectors.dim != o.dim:
-        raise ValueError(f"PVM dim {projectors.dim} does not match channel dim {o.dim}")
-    t = te_channel(projectors, tol=tol)
+    projectors = _as_pvm(projectors, o.dim, tol)
+    if kind not in ("cq", "qq", "qc"):
+        raise ValueError(f"kind must be one of 'cq', 'qq', 'qc'; got {kind!r}")
+    d, t, s = o.dim, _reprepare_superop(projectors), o.superop
+    lhs = {"cq": s @ t, "qq": s, "qc": t @ s}[kind]
     replacement = _pvm_stochastic(o, projectors, projectors, tol)
-    tot = compose(t, compose(o, t))
-    if kind == "cq":
-        return _identity_verdict(compose(o, t), tot, replacement, tol)
-    if kind == "qq":
-        return _identity_verdict(o, tot, replacement, tol)
-    if kind == "qc":
-        return _identity_verdict(compose(t, o), tot, replacement, tol)
-    raise ValueError(f"kind must be one of 'cq', 'qq', 'qc'; got {kind!r}")
+    return _identity_verdict(choi_from_superop(lhs, d), choi_from_superop(t @ s @ t, d), d, replacement, tol)
 
 
 def is_qccro_two_pvm(
@@ -189,19 +196,12 @@ def is_qccro_two_pvm(
     prepares the input; the replacement matrix maps F-outcome statistics to
     E-outcome statistics.
     """
-    if not isinstance(outcomes, ProjectorSet):
-        outcomes = ProjectorSet(outcomes, tol=tol)
-    if not isinstance(inputs, ProjectorSet):
-        inputs = ProjectorSet(inputs, tol=tol)
-    te = te_channel(outcomes, tol=tol)
-    tf = te_channel(inputs, tol=tol)
-    lhs = compose(te, o)
-    rhs = compose(lhs, tf)
-    residual = choi_max_diff(lhs, rhs)
-    if residual <= tol:
-        return CroVerdict(is_member=True, residual=residual, replacement=_pvm_stochastic(o, outcomes, inputs, tol))
-    witness, _ = _best_witness(lhs, rhs)
-    return CroVerdict(is_member=False, residual=residual, witness_state=witness)
+    d = o.dim
+    outcomes, inputs = _as_pvm(outcomes, d, tol), _as_pvm(inputs, d, tol)
+    lhs = _reprepare_superop(outcomes) @ o.superop
+    rhs = lhs @ _reprepare_superop(inputs)
+    replacement = _pvm_stochastic(o, outcomes, inputs, tol)
+    return _identity_verdict(choi_from_superop(lhs, d), choi_from_superop(rhs, d), d, replacement, tol)
 
 
 def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -214,22 +214,28 @@ def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: f
     """
     if len(unitaries) == 0:
         raise ValueError("need at least one candidate unitary")
+    d = o.dim
     best = None
     for u in unitaries:
-        u = np.asarray(u, dtype=complex)
-        rotated = compose(o, unitary_channel(u.conj().T, tol=tol))
-        verdict = is_qccro(rotated, tol=tol)
+        u = _as_unitary(u, tol)
+        if u.shape != (d, d):
+            raise ValueError(f"unitary shape {u.shape} does not match channel dim {d}")
+        # superoperator of rho -> U^dag rho U is kron(U^dag, U^T)
+        rotated = choi_from_superop(o.superop @ np.kron(u.conj().T, u.T), d)
+        verdict = _masked_verdict(rotated, d, "qc", tol)
         if verdict.is_member:
-            return CroVerdict(
-                is_member=True,
-                residual=verdict.residual,
-                replacement=verdict.replacement,
-                matched_unitary=u,
-            )
-        if best is None or verdict.residual < best[0].residual:
-            best = (verdict, u)
-    verdict, _ = best
-    return CroVerdict(is_member=False, residual=verdict.residual, witness_state=verdict.witness_state)
+            return replace(verdict, matched_unitary=u)
+        if best is None or verdict.residual < best.residual:
+            best = verdict
+    return best
+
+
+def _as_unitary(u: np.ndarray, tol: float) -> np.ndarray:
+    u = np.asarray(u, dtype=complex)
+    d = u.shape[0]
+    if u.shape != (d, d) or float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) > max(tol, 1e-9):
+        raise ValueError("input is not a unitary matrix")
+    return u
 
 
 def is_deterministic_cru(u: np.ndarray, tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -239,10 +245,8 @@ def is_deterministic_cru(u: np.ndarray, tol: float = DEFAULT_TOL) -> CroVerdict:
     phases), equivalently U_ki U*_kj = 0 for all k and i != j; then the
     replacement is the exact 0/1 permutation matrix |U|^2.
     """
-    u = np.asarray(u, dtype=complex)
+    u = _as_unitary(u, tol)
     d = u.shape[0]
-    if u.shape != (d, d) or float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) > max(tol, 1e-9):
-        raise ValueError("input is not a unitary matrix")
     mags = np.abs(u)
     residual = 0.0
     for k in range(d):
@@ -274,15 +278,12 @@ def vqa_replaceable_set_R(
     for i in observables:
         if not 0 <= i < 4**n:
             raise ValueError(f"observable index {i} out of range for n={n}")
-    lhs = [compose(pauli_channel_T(i, n), o) for i in observables]
+    measured = [_reprepare_superop(_pauli_pvm(i, n)) for i in observables]
+    lhs = [t @ o.superop for t in measured]
     for j in range(4**n):
-        oj = compose(o, pauli_channel_T(j, n))
-        ok = True
-        for i_pos, i in enumerate(observables):
-            if choi_max_diff(lhs[i_pos], compose(pauli_channel_T(i, n), oj)) > tol:
-                ok = False
-                break
-        if ok:
+        oj = o.superop @ _reprepare_superop(_pauli_pvm(j, n))
+        # Choi entries are the superoperator entries divided by d
+        if all(np.max(np.abs(side - t @ oj)) / o.dim <= tol for side, t in zip(lhs, measured)):
             return True, j
     return False, None
 

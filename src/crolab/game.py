@@ -155,6 +155,11 @@ def game_from_witness(channel, options=None):
     complete frame of pure states to recover a payoff table.  The returned
     game carries its normalization certificate.
     """
+    return _witness_game(channel, options)[0]
+
+
+def _witness_game(channel, options=None):
+    """The witness game together with the robustness result it came from."""
     if not isinstance(channel, Channel):
         raise TypeError("game_from_witness expects a Channel")
     d = channel.dim
@@ -181,4 +186,4 @@ def game_from_witness(channel, options=None):
         raise RuntimeError(
             f"frame decomposition did not close; residual {residual:.3e}"
         )
-    return certified_game(d, frame, alpha, options=options)
+    return certified_game(d, frame, alpha, options=options), result

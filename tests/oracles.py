@@ -126,3 +126,90 @@ def oracle_relative_entropy_bits(choi, d):
     """Entropy difference between the fully and output-dephased Choi."""
     value = entropy_bits(dephase_both(choi, d)) - entropy_bits(dephase_output(choi, d))
     return max(value, 0.0)
+
+
+# The membership identities by the composition path: every map is an explicit
+# row-major superoperator (``vec(K rho K^dag) = kron(K, conj K) vec(rho)``),
+# the two sides are products of superoperators, and the verdict compares the
+# Choi matrices of the products.
+
+_PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def superop_of_kraus(ops):
+    return sum(np.kron(k, k.conj()) for k in ops)
+
+
+def choi_of_superop(s, d):
+    """Trace-one Choi matrix: choi[(i,k),(j,l)] = <k| N(|i><j|) |l> / d."""
+    return s.reshape(d, d, d, d).transpose(2, 0, 3, 1).reshape(d * d, d * d) / d
+
+
+def apply_superop(s, rho):
+    d = rho.shape[0]
+    return (s @ rho.reshape(-1)).reshape(d, d)
+
+
+def dephasing_superop(d):
+    """The completely dephasing channel D as the diagonal matrix diag(vec(I))."""
+    return np.diag(np.eye(d, dtype=complex).reshape(-1))
+
+
+def reprepare_superop(projectors):
+    """rho -> sum_n tr(E_n rho) E_n / tr(E_n), one rank-one term per outcome."""
+    return sum(
+        np.outer(p.reshape(-1), p.T.reshape(-1)) / np.trace(p).real
+        for p in projectors
+    )
+
+
+def pauli_string(index, n):
+    """Pauli string of an index read as big-endian base-4 digits over IXYZ."""
+    out = np.eye(1, dtype=complex)
+    for q in range(n):
+        out = np.kron(out, _PAULIS[(index >> (2 * (n - 1 - q))) & 3])
+    return out
+
+
+def pauli_reprepare_superop(index, n):
+    eye = np.eye(2**n, dtype=complex)
+    if index == 0:
+        return reprepare_superop([eye])
+    p = pauli_string(index, n)
+    return reprepare_superop([(eye + p) / 2, (eye - p) / 2])
+
+
+def identity_sides(o, t, kind):
+    """Both sides of a defining identity with ``t`` in the role of D.
+
+    cq: O T = T O T;  qq: O = T O T;  qc: T O = T O T;  dio: T O = O T.
+    """
+    return {
+        "cq": (o @ t, t @ o @ t),
+        "qq": (o, t @ o @ t),
+        "qc": (t @ o, t @ o @ t),
+        "dio": (t @ o, o @ t),
+    }[kind]
+
+
+def choi_residual(lhs, rhs, d):
+    """Largest entrywise deviation between the two sides' Choi matrices."""
+    return float(np.max(np.abs(choi_of_superop(lhs, d) - choi_of_superop(rhs, d))))
+
+
+def vqa_first_index(o, observables, n, tol):
+    """First j with T_i O = T_i O T_j for every observable i, else None."""
+    d = 2**n
+    for j in range(4**n):
+        t_j = pauli_reprepare_superop(j, n)
+        if all(
+            choi_residual(t_i @ o, t_i @ o @ t_j, d) <= tol
+            for t_i in (pauli_reprepare_superop(i, n) for i in observables)
+        ):
+            return j
+    return None
