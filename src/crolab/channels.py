@@ -52,6 +52,12 @@ class Channel:
         dim = int(round(np.sqrt(d2)))
         if choi.ndim != 2 or choi.shape != (d2, d2) or dim * dim != d2:
             raise ValueError(f"choi shape {choi.shape} is not a square (d^2, d^2) matrix")
+        if kraus is not None:
+            kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
+            comp = sum(k.conj().T @ k for k in kraus)
+            dev = float(np.max(np.abs(comp - np.eye(dim))))
+            if dev > tol:
+                raise ValueError(f"kraus completeness violated by {dev:.3e} (tol={tol:g})")
         if not is_hermitian(choi, tol):
             raise ValueError(f"choi matrix is not Hermitian within tol={tol:g}")
         tr = float(np.real(np.trace(choi)))
@@ -68,11 +74,6 @@ class Channel:
         min_eig = float(np.linalg.eigvalsh(choi)[0])
         if min_eig < -max(tol, 1e-7):
             raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
-        if kraus is not None:
-            kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-            comp = sum(k.conj().T @ k for k in kraus)
-            if float(np.max(np.abs(comp - np.eye(dim)))) > max(tol, 1e-7):
-                raise ValueError("kraus operators do not satisfy the completeness relation")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "choi", choi)
         object.__setattr__(self, "superop", superop_from_choi(choi, dim))
@@ -116,10 +117,6 @@ def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> C
     for k in ops:
         if k.shape != (dim, dim):
             raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
-    comp = sum(k.conj().T @ k for k in ops)
-    dev = float(np.max(np.abs(comp - np.eye(dim))))
-    if dev > tol:
-        raise ValueError(f"kraus completeness violated by {dev:.3e} (tol={tol:g})")
     choi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for k in ops:
         w = k.T.reshape(-1)

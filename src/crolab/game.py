@@ -2,9 +2,13 @@
 
 A game hands the channel one of a fixed list of input states, measures the
 output in the computational basis, and scores the outcome with a real payoff
-table.  Channels that are classically replaceable can never score above 1 on
-a certified game, while an irreplaceable channel admits a game (built from
-its robustness witness) whose score reaches 1 plus the robustness.
+table.  A classically replaceable channel scores through its stochastic
+matrix alone, so the best and worst replaceable scores have a closed form
+reached by deterministic classical maps (Takagi and Regula, PRX 9, 031053,
+2019); no optimization is needed.  Every certified game carries those two
+scores.  An irreplaceable channel admits a game, built from its robustness
+witness, on which its score divided by the best replaceable score is 1 plus
+the robustness.
 """
 
 from dataclasses import dataclass
@@ -13,9 +17,9 @@ import numpy as np
 
 from .channels import Channel, apply, choi_dephase_output
 from .cro import probe_states
-from .linalg import assert_density_matrix, dephase, hermitianize, partial_trace
+from .linalg import assert_density_matrix, hermitianize
 from .measures import robustness
-from .sdp import SdpProblem, solve, svec
+from .sdp import svec
 
 MAX_GAME_DIM = 4
 
@@ -24,11 +28,13 @@ MAX_GAME_DIM = 4
 class GameSpec:
     """A discrimination game: input states, payoff table, and certificate.
 
-    ``payoffs[i, j]`` is the reward for measuring outcome ``j`` after the
-    channel acted on ``states[i]``.  ``normalization`` records the extreme
-    scores achievable by classically replaceable channels, computed by the
-    certification solves; games built through ``certified_game`` always
-    carry it.
+    ``payoffs[s, j]`` is the reward for measuring outcome ``j`` after the
+    channel acted on ``states[s]``.  ``normalization`` records the worst
+    (``"min"``) and best (``"max"``) scores of classically replaceable
+    channels: ``sum_i min_j c[i, j]`` and ``sum_i max_j c[i, j]`` with
+    ``c[i, j] = sum_s payoffs[s, j] states[s][i, i]``, each reached by a
+    deterministic classical map (Takagi and Regula, PRX 9, 031053, 2019).
+    Games built through ``certified_game`` always carry it.
     """
 
     dim: int
@@ -68,63 +74,36 @@ def witness_operator(game):
     return d * w
 
 
-def _dephase_gap(d):
-    def fn(m):
-        return dephase(m, [d, d], (1,)) - dephase(m, [d, d], (0, 1))
-
-    return fn
-
-
-def _input_marginal(d):
-    def fn(m):
-        return partial_trace(m, [d, d], 0)
-
-    return fn
-
-
-def _channel_from_psi(psi, d):
-    """Clean a solver iterate into a valid Channel."""
-    m = hermitianize(psi)
-    w, v = np.linalg.eigh(m)
-    w = np.clip(w, 0.0, None)
-    m = (v * w) @ v.conj().T
-    m /= np.real(np.trace(m))
-    return Channel(m, tol=1e-6)
-
-
-def extremal_payoff_over_qccro(game, direction="max", options=None):
+def extremal_payoff_over_qccro(game, direction="max"):
     """Best or worst score any classically replaceable channel can reach.
 
-    Optimizes the payoff functional over the cone of replaceable channels
-    intersected with the channel constraints; returns the value and a
-    feasible channel achieving it.
+    A qc-replaceable channel acts on the game only through its stochastic
+    matrix ``T``, so its score is ``sum_ij T[j, i] c[i, j]`` with
+    ``c[i, j] = sum_s payoffs[s, j] sigma_s[i, i]``.  That is linear in
+    ``T``, and its extremes sit at deterministic maps: ``sum_i max_j c[i, j]``
+    and ``sum_i min_j c[i, j]``, the classical bound of Takagi and Regula,
+    PRX 9, 031053 (2019), in closed form.  Returns the value and the
+    deterministic channel reaching it, which sends ``|i><i|`` to
+    ``|j_i><j_i|`` for the first extremal outcome ``j_i`` of each input.
     """
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     d = game.dim
-    n = d * d
-    objective = hermitianize(
-        choi_dephase_output(witness_operator(game), d)
-    )
-    sign = -1.0 if direction == "max" else 1.0
-    problem = SdpProblem()
-    problem.add_var("psi", n)
-    problem.minimize({"psi": sign * objective})
-    problem.add_psd([("psi", None, n)])
-    problem.add_eq([("psi", _dephase_gap(d), n)], np.zeros((n, n)))
-    problem.add_eq([("psi", _input_marginal(d), d)], np.eye(d) / d)
-    solution = solve(problem, options)
-    if solution.status != "optimal":
-        raise RuntimeError(
-            f"extremal payoff solve ended with status {solution.status!r}; "
-            f"residuals {solution.residuals}"
-        )
-    value = sign * solution.primal_value
-    return value, _channel_from_psi(solution.variables["psi"], d)
+    diagonals = np.real([np.diag(s) for s in game.states]).reshape(-1, d)
+    c = diagonals.T @ game.payoffs
+    picks = np.argmax(c, axis=1) if direction == "max" else np.argmin(c, axis=1)
+    inputs = np.arange(d)
+    choi = np.zeros(d * d)
+    choi[inputs * d + picks] = 1.0 / d
+    return float(np.sum(c[inputs, picks])), Channel(np.diag(choi))
 
 
-def certified_game(dim, states, payoffs, options=None):
-    """Validate the ingredients and attach the normalization certificate."""
+def certified_game(dim, states, payoffs):
+    """Validate the ingredients and attach the normalization certificate.
+
+    The certificate holds the worst and best classically replaceable scores
+    from ``extremal_payoff_over_qccro``.
+    """
     states = tuple(np.array(s, dtype=complex) for s in states)
     for s in states:
         assert_density_matrix(s)
@@ -137,13 +116,13 @@ def certified_game(dim, states, payoffs, options=None):
     if not np.all(np.isfinite(payoffs)):
         raise ValueError("payoffs must be finite")
     bare = GameSpec(dim=dim, states=states, payoffs=payoffs)
-    low, _ = extremal_payoff_over_qccro(bare, "min", options)
-    high, _ = extremal_payoff_over_qccro(bare, "max", options)
+    low, _ = extremal_payoff_over_qccro(bare, "min")
+    high, _ = extremal_payoff_over_qccro(bare, "max")
     return GameSpec(
         dim=dim,
         states=states,
         payoffs=payoffs,
-        normalization={"min": float(low), "max": float(high)},
+        normalization={"min": low, "max": high},
     )
 
 
@@ -186,4 +165,4 @@ def _witness_game(channel, options=None):
         raise RuntimeError(
             f"frame decomposition did not close; residual {residual:.3e}"
         )
-    return certified_game(d, frame, alpha, options=options), result
+    return certified_game(d, frame, alpha), result

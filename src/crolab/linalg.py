@@ -68,29 +68,6 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: int | Sequence[int])
     return t.reshape(d_keep, d_keep)
 
 
-def herm_eig(m: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns ``(w, v)`` with eigenvalues ``w`` ascending and eigenvectors in
-    the columns of ``v``, so that ``v @ diag(w) @ v†`` reconstructs ``m``.
-    Raises if ``m`` is not Hermitian within ``tol``.
-    """
-    m = np.asarray(m)
-    if not is_hermitian(m, tol):
-        dev = float(np.max(np.abs(m - m.conj().T))) if m.ndim == 2 else float("nan")
-        raise ValueError(f"matrix is not Hermitian within tol={tol:g} (deviation {dev:.3e})")
-    w, v = np.linalg.eigh(hermitianize(m))
-    return w, v
-
-
-def psd_check(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
-    """True when ``m`` is Hermitian within ``tol`` and its spectrum is >= -tol."""
-    if not is_hermitian(m, tol):
-        return False
-    w = np.linalg.eigvalsh(hermitianize(np.asarray(m)))
-    return bool(w[0] >= -tol)
-
-
 def assert_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Validate a density matrix (Hermitian, PSD within tol, unit trace)."""
     rho = np.asarray(rho)

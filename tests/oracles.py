@@ -7,6 +7,8 @@ mechanism (bisection over alternating projections), so agreement between the
 two is meaningful evidence rather than a tautology.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -213,3 +215,22 @@ def vqa_first_index(o, observables, n, tol):
         ):
             return j
     return None
+
+
+def classical_score_extremes(states, payoffs):
+    """Worst and best game score over every deterministic classical map.
+
+    Enumerates all ``d**d`` maps from measured input digit to prepared output
+    digit; each map is scored through its 0/1 stochastic matrix acting on the
+    diagonal of every game state.
+    """
+    payoffs = np.asarray(payoffs, dtype=float)
+    d = payoffs.shape[1]
+    scores = []
+    for outputs in itertools.product(range(d), repeat=d):
+        t = np.zeros((d, d))
+        t[list(outputs), range(d)] = 1.0
+        scores.append(
+            sum(float(row @ (t @ np.real(np.diag(s)))) for s, row in zip(states, payoffs))
+        )
+    return min(scores), max(scores)

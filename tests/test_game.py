@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
 from crolab.channels import (
     choi_dephase_output,
     identity_channel,
@@ -19,7 +22,54 @@ from crolab.game import (
     payoff,
     witness_operator,
 )
+from crolab.linalg import dephase, hermitianize, partial_trace
 from crolab.measures import robustness
+from crolab.sdp import SdpProblem, solve
+
+
+def sdp_extremal_payoff(game, direction):
+    """The SDP formulation the closed form replaced, kept as a cross-check.
+
+    Optimizes the payoff pairing over PSD Choi matrices whose output
+    dephasing equals their full dephasing (D O = D O D) and whose input
+    marginal is I/d.
+    """
+    d = game.dim
+    n = d * d
+    objective = hermitianize(choi_dephase_output(witness_operator(game), d))
+    sign = -1.0 if direction == "max" else 1.0
+    problem = SdpProblem()
+    problem.add_var("psi", n)
+    problem.minimize({"psi": sign * objective})
+    problem.add_psd([("psi", None, n)])
+    problem.add_eq(
+        [("psi", lambda m: dephase(m, [d, d], (1,)) - dephase(m, [d, d], (0, 1)), n)],
+        np.zeros((n, n)),
+    )
+    problem.add_eq([("psi", lambda m: partial_trace(m, [d, d], 0), d)], np.eye(d) / d)
+    solution = solve(problem)
+    assert solution.status == "optimal", solution.residuals
+    return sign * solution.primal_value
+
+
+@st.composite
+def random_games(draw):
+    """Games at d = 2, 3, 4 with 1 to d^2 random states and payoffs in [-5, 5]."""
+    d = draw(st.sampled_from((2, 3, 4)))
+    count = draw(st.integers(1, d * d))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for _ in range(count):
+        rank = draw(st.integers(1, d))
+        g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+        rho = g @ g.conj().T
+        states.append(rho / np.trace(rho).real)
+    payoffs = draw(
+        st.lists(
+            st.floats(-5.0, 5.0, allow_nan=False), min_size=count * d, max_size=count * d
+        )
+    )
+    return certified_game(d, states, np.reshape(payoffs, (count, d)))
 
 
 def identity_game():
@@ -65,7 +115,7 @@ class TestPayoffEvaluation:
 
 
 class TestExtremalPayoffs:
-    """Optimization over the replaceable channels."""
+    """Closed-form extremes over the replaceable channels."""
 
     def test_identity_game_certificate(self):
         game = identity_game()
@@ -77,6 +127,21 @@ class TestExtremalPayoffs:
         value, channel = extremal_payoff_over_qccro(game, "max")
         assert is_qccro(channel, tol=1e-5).is_member
         assert payoff(channel, game) == pytest.approx(value, abs=1e-5)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=12)
+    @given(random_games())
+    def test_closed_form_matches_enumeration_and_sdp(self, game):
+        brute = dict(zip(("min", "max"), oracles.classical_score_extremes(game.states, game.payoffs)))
+        for direction in ("min", "max"):
+            value, channel = extremal_payoff_over_qccro(game, direction)
+            assert value == game.normalization[direction]
+            assert abs(value - brute[direction]) <= 1e-12
+            assert abs(value - sdp_extremal_payoff(game, direction)) <= 1e-6 * (1 + abs(value))
+            verdict = is_qccro(channel)
+            assert verdict.is_member
+            assert np.all(np.isin(verdict.replacement, (0.0, 1.0)))
+            assert abs(payoff(channel, game) - value) <= 1e-12
+        assert game.normalization["min"] <= game.normalization["max"]
 
     def test_direction_validated(self):
         game = identity_game()

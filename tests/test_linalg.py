@@ -4,12 +4,10 @@ import pytest
 from crolab.linalg import (
     assert_density_matrix,
     dephase,
-    herm_eig,
     hermitianize,
     is_hermitian,
     kron,
     partial_trace,
-    psd_check,
     von_neumann_entropy,
 )
 
@@ -72,44 +70,6 @@ class TestKronAndPartialTrace:
     def test_partial_trace_bad_keep(self):
         with pytest.raises(ValueError, match="keep"):
             partial_trace(np.eye(6), [2, 3], 4)
-
-
-class TestHermEig:
-    def test_ascending_and_reconstruction(self):
-        rng = np.random.default_rng(1)
-        for d in (2, 3, 6):
-            m = random_hermitian(rng, d)
-            w, v = herm_eig(m)
-            assert np.all(np.diff(w) >= 0)
-            rebuilt = v @ np.diag(w) @ v.conj().T
-            assert np.max(np.abs(rebuilt - m)) <= 1e-10
-
-    def test_rejects_non_hermitian(self):
-        m = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(ValueError, match="not Hermitian"):
-            herm_eig(m)
-
-    def test_tol_override(self):
-        m = np.eye(2) + 1e-6 * np.array([[0, 1], [0, 0]])
-        with pytest.raises(ValueError):
-            herm_eig(m)
-        herm_eig(m, tol=1e-4)  # loosened tolerance accepts it
-
-
-class TestPsdCheck:
-    def test_accepts_psd(self):
-        rng = np.random.default_rng(5)
-        rho = random_density(rng, 4)
-        assert psd_check(rho)
-
-    def test_tiny_negative_within_tol(self):
-        assert psd_check(np.diag([1.0, -5e-10]))
-
-    def test_negative_beyond_tol(self):
-        assert not psd_check(np.diag([1.0, -1e-6]))
-
-    def test_non_hermitian_fails(self):
-        assert not psd_check(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestEntropy:
