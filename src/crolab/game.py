@@ -126,7 +126,7 @@ def certified_game(dim, states, payoffs):
     )
 
 
-def game_from_witness(channel, options=None):
+def game_from_witness(channel):
     """Build the game on which the channel's advantage equals 1 + robustness.
 
     Runs the robustness computation, keeps the payoff-relevant part of the
@@ -134,10 +134,10 @@ def game_from_witness(channel, options=None):
     complete frame of pure states to recover a payoff table.  The returned
     game carries its normalization certificate.
     """
-    return _witness_game(channel, options)[0]
+    return _witness_game(channel)[0]
 
 
-def _witness_game(channel, options=None):
+def _witness_game(channel):
     """The witness game together with the robustness result it came from."""
     if not isinstance(channel, Channel):
         raise TypeError("game_from_witness expects a Channel")
@@ -146,7 +146,7 @@ def _witness_game(channel, options=None):
         raise ValueError(
             f"witness games support dimension up to {MAX_GAME_DIM}, got {d}"
         )
-    result = robustness(channel, want_witness=True, options=options)
+    result = robustness(channel, want_witness=True)
     w = choi_dephase_output(result.witness, d)
     frame = probe_states(d)
     frame_matrix = np.column_stack(

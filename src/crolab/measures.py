@@ -37,12 +37,17 @@ NEGATIVE_VALUE_LIMIT = -1e-5
 class RobustnessResult:
     """Outcome of a robustness computation.
 
-    ``value`` is the clamped measure, ``optimal_psi`` the optimizer of the
-    trace-minimization (its trace equals 1 + value up to solver gap),
-    ``witness`` the dual certificate pairing to 1 + value against the
-    output-dephased Choi state (None when not requested), ``residuals`` the
-    solver's feasibility and gap diagnostics, and ``status`` the solver
-    status string.
+    ``value`` is the clamped measure; ``optimal_psi`` optimizes the
+    trace-minimization over structured psi dominating the Choi state J, with
+    trace 1 + value up to solver gap; ``witness`` is the dual certificate
+    pairing to 1 + value against D_out J, the output-dephased Choi state
+    (None when not requested); ``residuals`` and ``status`` are the solver's.
+
+    With a witness, psi is lifted from the optimizer psi' of the D_out J
+    program as ``psi' + J - D_out J``: ``psi - J = psi' - D_out J >= 0``,
+    ``psi = (psi' - D_out J) + J >= 0``, and ``J - D_out J`` has no
+    same-output blocks and no output partial trace, so psi keeps the
+    structure, input marginal and trace of psi'.
     """
 
     value: float
@@ -73,28 +78,26 @@ def _marginal_gap(d):
     return fn
 
 
-def _solve_structured(choi, d, floor_dephased, diagonal, options):
-    """Minimize tr(psi) over structured psi dominating the (dephased) Choi.
+def _solve_structured(floor, d, diagonal):
+    """Minimize tr(psi) over structured psi dominating ``floor``.
 
-    The structure is the cone of output-measured channels: psi is positive,
-    its output dephasing equals its full dephasing (or psi is outright
-    diagonal when ``diagonal`` is set), and its input marginal is uniform.
-    Returns the solution together with the index of the domination
-    constraint, whose dual variable is the witness.
+    ``floor`` is the Choi state or its output dephasing.  The structure is
+    the cone of output-measured channels: psi is positive, its output
+    dephasing equals its full dephasing (or psi is outright diagonal when
+    ``diagonal`` is set), and its input marginal is uniform.  Returns the
+    solution together with the index of the domination constraint, whose
+    dual variable is the witness.
     """
     n = d * d
-    floor = choi_dephase_output(choi, d) if floor_dephased else choi
     problem = SdpProblem()
     problem.add_var("psi", n)
     problem.minimize({"psi": np.eye(n)})
     domination = problem.add_psd([("psi", None, n)], offset=-floor)
     problem.add_psd([("psi", None, n)])
-    if diagonal:
-        problem.add_eq([("psi", _diagonal_gap(d), n)], np.zeros((n, n)))
-    else:
-        problem.add_eq([("psi", _dephase_gap(d), n)], np.zeros((n, n)))
+    gap = _diagonal_gap if diagonal else _dephase_gap
+    problem.add_eq([("psi", gap(d), n)], np.zeros((n, n)))
     problem.add_eq([("psi", _marginal_gap(d), d)], np.zeros((d, d)))
-    return solve(problem, options), domination
+    return solve(problem), domination
 
 
 def _require_optimal(solution, what):
@@ -120,43 +123,43 @@ def _check_dim(d):
         )
 
 
-def robustness(channel, want_witness=True, options=None):
+def robustness(channel, want_witness=True):
     """Least mixing weight that makes the channel classically replaceable.
 
-    Solves the trace-minimization over structured matrices dominating the
-    Choi state.  When ``want_witness`` is set, a second solve against the
-    output-dephased Choi state supplies the dual witness; its pairing error
-    against 1 + value is recorded under ``residuals["witness_pairing"]``.
+    One SDP solve: the trace-minimization over structured matrices
+    dominating the Choi state or, when ``want_witness`` is set, the
+    output-dephased Choi state, whose equal optimum comes with the dual
+    witness (that program takes more iterations, so only then).  The pairing
+    error goes to ``residuals["witness_pairing"]``; ``optimal_psi`` is
+    lifted back to the plain program (see ``RobustnessResult``).
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
     d = channel.dim
     _check_dim(d)
-    solution, _ = _solve_structured(channel.choi, d, False, False, options)
+    choi = channel.choi
+    floor = choi_dephase_output(choi, d) if want_witness else choi
+    solution, domination = _solve_structured(floor, d, False)
     _require_optimal(solution, "robustness")
     value = _clamped(solution.primal_value - 1.0)
     residuals = dict(solution.residuals)
+    psi = solution.variables["psi"]
     witness = None
     if want_witness:
-        dual_solution, domination = _solve_structured(
-            channel.choi, d, True, False, options
-        )
-        _require_optimal(dual_solution, "robustness witness")
-        witness = extract_dual_witness(dual_solution, domination)
-        pairing = np.real(
-            np.trace(witness @ choi_dephase_output(channel.choi, d))
-        )
+        witness = extract_dual_witness(solution, domination)
+        pairing = np.real(np.trace(witness @ floor))
         residuals["witness_pairing"] = abs(pairing - 1.0 - value)
+        psi = psi + choi - floor
     return RobustnessResult(
         value=value,
-        optimal_psi=solution.variables["psi"],
+        optimal_psi=psi,
         witness=witness,
         residuals=residuals,
         status=solution.status,
     )
 
 
-def robustness_equivalents(channel, options=None):
+def robustness_equivalents(channel):
     """The measure through its three equivalent programs, as a list.
 
     The entries are: domination of the plain Choi state by a structured
@@ -168,15 +171,11 @@ def robustness_equivalents(channel, options=None):
         raise TypeError("robustness_equivalents expects a Channel")
     d = channel.dim
     _check_dim(d)
+    dephased = choi_dephase_output(channel.choi, d)
+    programs = ((channel.choi, False), (dephased, True), (dephased, False))
     values = []
-    for floor_dephased, diagonal in (
-        (False, False),
-        (True, True),
-        (True, False),
-    ):
-        solution, _ = _solve_structured(
-            channel.choi, d, floor_dephased, diagonal, options
-        )
+    for floor, diagonal in programs:
+        solution, _ = _solve_structured(floor, d, diagonal)
         _require_optimal(solution, "robustness equivalent")
         values.append(_clamped(solution.primal_value - 1.0))
     return values
@@ -211,7 +210,7 @@ def _random_permutation_unitaries(dim, rng):
     return p, p.conj().T
 
 
-def measure_property_suite(channel, seed=0, options=None):
+def measure_property_suite(channel, seed=0):
     """Empirical check of the measure's structural properties on one channel.
 
     Verifies convexity under mixing, monotonicity under two concrete free
@@ -231,7 +230,7 @@ def measure_property_suite(channel, seed=0, options=None):
     report = {}
 
     def rvalue(ch):
-        return robustness(ch, want_witness=False, options=options).value
+        return robustness(ch, want_witness=False).value
 
     base_value = rvalue(channel)
     base_entropy = relative_entropy_irreplaceability(channel)

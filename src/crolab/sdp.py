@@ -35,9 +35,12 @@ MAX_BLOCK_SIDE = 64
 
 _SQRT2 = np.sqrt(2.0)
 
-
-def _triu_cache(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.triu_indices(n, 1)
+# ADMM: initial penalty, over-relaxation, iterations between residual checks
+# (every fourth rebalances the penalty), feasibility mark of the stall rule.
+_RHO = 1.0
+_OVER_RELAXATION = 1.7
+_CHECK_EVERY = 25
+_STALL_TOLERANCE = 1e-4
 
 
 def svec(m: np.ndarray) -> np.ndarray:
@@ -49,7 +52,7 @@ def svec(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m)
     n = m.shape[0]
-    rows, cols = _triu_cache(n)
+    rows, cols = np.triu_indices(n, 1)
     out = np.empty(n * n)
     out[:n] = np.real(np.diag(m))
     k = n + rows.size
@@ -60,7 +63,7 @@ def svec(m: np.ndarray) -> np.ndarray:
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    rows, cols = _triu_cache(n)
+    rows, cols = np.triu_indices(n, 1)
     m = np.zeros((n, n), dtype=complex)
     m[np.arange(n), np.arange(n)] = v[:n]
     k = n + rows.size
@@ -79,7 +82,6 @@ LinearTerm = tuple[str, "Callable[[np.ndarray], np.ndarray] | None", int]
 class _PsdConstraint:
     terms: list[LinearTerm]
     offset: np.ndarray | None
-    source: tuple[str, object] = ("unset", None)  # filled at canonicalization
 
 
 @dataclass
@@ -153,11 +155,6 @@ class SolverOptions:
     tol_gap: float = 1e-7
     tol_feas: float = 1e-8
     max_iters: int = 200_000
-    rho: float = 1.0
-    over_relaxation: float = 1.7
-    check_every: int = 25
-    adaptive_rho: bool = True
-    stall_tolerance: float = 1e-4
 
 
 @dataclass
@@ -195,7 +192,7 @@ class _Canonical:
         self.block_sides: list[int] = []
         self.block_cone: list[bool] = []  # True = PSD
         self.block_offsets: list[int] = []
-        self.psd_sources: list[tuple[str, int]] = []  # ("block", block index)
+        self.psd_blocks: list[int] = []  # block index of each PSD constraint
 
         offset = 0
         index_of: dict[str, int] = {}
@@ -241,7 +238,7 @@ class _Canonical:
             if bare:
                 b_idx = index_of[psd.terms[0][0]]
                 self.block_cone[b_idx] = True
-                self.psd_sources.append(("block", b_idx))
+                self.psd_blocks.append(b_idx)
             else:
                 side = psd.terms[0][2]
                 b_idx = len(self.block_names)
@@ -250,7 +247,7 @@ class _Canonical:
                 self.block_cone.append(True)
                 self.block_offsets.append(offset_total[0])
                 offset_total[0] += side * side
-                self.psd_sources.append(("block", b_idx))
+                self.psd_blocks.append(b_idx)
                 slack_plan.append((b_idx, psd))
 
         n = offset_total[0]
@@ -374,8 +371,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     projector = _AffineProjector(canon.a, canon.b)
     n = canon.n
     c = canon.c
-    rho = opts.rho
-    alpha = opts.over_relaxation
+    rho = _RHO
 
     x = np.zeros(n)
     z = np.zeros(n)
@@ -388,7 +384,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     stall_counter = 0
     stall_best = np.inf
     stall_obj_start = 0.0
-    stall_limit = max(1, int(0.1 * opts.max_iters / opts.check_every))
+    stall_limit = max(1, int(0.1 * opts.max_iters / _CHECK_EVERY))
 
     status = "max_iters"
     iters_done = opts.max_iters
@@ -397,12 +393,12 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     for it in range(1, opts.max_iters + 1):
         w = z - u - c / rho
         x, mu = projector.project(w)
-        x_rel = alpha * x + (1.0 - alpha) * z
+        x_rel = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
         z_prev = z
         z = _cone_project(canon, x_rel + u)
         u = u + x_rel - z
 
-        if it % opts.check_every != 0 and it != opts.max_iters:
+        if it % _CHECK_EVERY != 0 and it != opts.max_iters:
             continue
 
         y = -rho * mu
@@ -437,7 +433,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
 
         # persistent affine/cone disagreement: infeasible or unbounded ray
         feas_mark = max(primal_feas / b_scale, float(np.max(np.abs(x - z))) if n else 0.0)
-        if feas_mark > opts.stall_tolerance:
+        if feas_mark > _STALL_TOLERANCE:
             if feas_mark > stall_best * (1.0 - 1e-3):
                 stall_counter += 1
             else:
@@ -445,7 +441,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
                 stall_obj_start = obj_p
             stall_best = min(stall_best, feas_mark)
             if stall_counter >= stall_limit:
-                affine_ok = primal_feas <= 1e-2 * opts.stall_tolerance * b_scale
+                affine_ok = primal_feas <= 1e-2 * _STALL_TOLERANCE * b_scale
                 diverging = obj_p < stall_obj_start - 10.0 * c_scale
                 if affine_ok and diverging:
                     status = "unbounded"
@@ -460,7 +456,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
             stall_counter = 0
             stall_obj_start = obj_p
 
-        if opts.adaptive_rho and it % (opts.check_every * 4) == 0:
+        if it % (_CHECK_EVERY * 4) == 0:
             r_prim = float(np.linalg.norm(x - z))
             r_dual = float(np.linalg.norm(rho * (z - z_prev)))
             if r_prim > 10.0 * r_dual and rho < 1e4:
@@ -484,7 +480,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
         variables[name] = unsvec(z_best[col : col + side * side], side)
 
     psd_duals = []
-    for kind, b_idx in canon.psd_sources:
+    for b_idx in canon.psd_blocks:
         col = canon.block_offsets[b_idx]
         side = canon.block_sides[b_idx]
         psd_duals.append(unsvec(s_best[col : col + side * side], side))

@@ -1,9 +1,15 @@
 """Tests for the irreplaceability measures."""
 
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import crolab.measures
 import oracles
+from crolab import cli
 from crolab.channels import (
     Channel,
     compose,
@@ -85,19 +91,25 @@ class TestRobustnessResultInvariants:
     """The returned optimizer and witness satisfy their defining relations."""
 
     def test_optimizer_structure(self):
-        channel = random_channel(2, seed=42)
-        result = robustness(channel)
-        psi = result.optimal_psi
-        assert np.real(np.trace(psi)) - 1.0 == pytest.approx(
-            result.value, abs=1e-6
-        )
-        assert np.linalg.eigvalsh(psi)[0] >= -1e-7
-        assert np.linalg.eigvalsh(psi - channel.choi)[0] >= -1e-7
-        gap = dephase(psi, [2, 2], (1,)) - dephase(psi, [2, 2], (0, 1))
-        assert np.max(np.abs(gap)) < 1e-6
-        marginal = partial_trace(psi, [2, 2], 0)
-        target = np.trace(psi) * np.eye(2) / 2
-        assert np.max(np.abs(marginal - target)) < 1e-6
+        """optimal_psi is feasible for the plain program and has trace 1 + R,
+        also when it is lifted from the output-dephased program."""
+        for d in (2, 3):
+            channel = random_channel(d, seed=42)
+            for want_witness in (True, False):
+                result = robustness(channel, want_witness=want_witness)
+                psi = result.optimal_psi
+                assert np.real(np.trace(psi)) - 1.0 == pytest.approx(
+                    result.value, abs=1e-6
+                )
+                assert np.linalg.eigvalsh(psi)[0] >= -1e-7
+                assert np.linalg.eigvalsh(psi - channel.choi)[0] >= -1e-7
+                gap = dephase(psi, [d, d], (1,)) - dephase(
+                    psi, [d, d], (0, 1)
+                )
+                assert np.max(np.abs(gap)) < 1e-6
+                marginal = partial_trace(psi, [d, d], 0)
+                target = np.trace(psi) * np.eye(d) / d
+                assert np.max(np.abs(marginal - target)) < 1e-6
 
     def test_witness_pairing_and_positivity(self):
         for seed in (1, 7):
@@ -117,6 +129,59 @@ class TestRobustnessResultInvariants:
             robustness(np.eye(4))
         with pytest.raises(ValueError, match="dimension"):
             robustness(identity_channel(16))
+
+
+class TestSolveCount:
+    """Value, witness and optimizer come from a single SDP solve."""
+
+    @pytest.fixture
+    def solve_calls(self, monkeypatch):
+        calls = []
+        real_solve = crolab.measures.solve
+
+        def counting_solve(*args, **kwargs):
+            calls.append(1)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(crolab.measures, "solve", counting_solve)
+        return calls
+
+    @pytest.mark.parametrize("want_witness", [True, False])
+    def test_robustness_solves_once(self, solve_calls, want_witness):
+        robustness(random_channel(2, seed=5), want_witness=want_witness)
+        assert len(solve_calls) == 1
+
+    @pytest.mark.parametrize("command", ["measures", "game"])
+    def test_cli_command_solves_once(
+        self, solve_calls, tmp_path, capsys, command
+    ):
+        spec = tmp_path / "h.json"
+        spec.write_text(json.dumps({"kind": "gate", "name": "H"}))
+        assert cli.main([command, str(spec)]) == 0
+        assert json.loads(capsys.readouterr().out)["tool"] == "crolab"
+        assert len(solve_calls) == 1
+
+
+@st.composite
+def random_channels(draw):
+    d = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, d * d))
+    seed = draw(st.integers(0, 2**31 - 1))
+    return random_channel(d, rank=rank, seed=seed)
+
+
+class TestWitnessPathAgainstValuePath:
+    """The witness-bearing solve (output-dephased program) against the
+    value-only solve (plain program) on random channels."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=8)
+    @given(random_channels())
+    def test_same_value_and_sound_witness(self, channel):
+        with_witness = robustness(channel)
+        value_only = robustness(channel, want_witness=False)
+        assert abs(with_witness.value - value_only.value) <= 1e-5
+        assert with_witness.residuals["witness_pairing"] <= 1e-6
+        assert np.linalg.eigvalsh(with_witness.witness)[0] >= -1e-6
 
 
 class TestEquivalentFormulations:
