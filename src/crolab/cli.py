@@ -235,7 +235,7 @@ def _cmd_measures(args):
 def _sweep_row(theta):
     channel = named_gate("U", theta)
     try:
-        value = robustness(channel, want_witness=False).value
+        value = robustness(channel).value
         entropy = relative_entropy_irreplaceability(channel)
         return theta, value, entropy, ""
     except RuntimeError as exc:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply, choi_dephase_output
+from .channels import Channel, apply
 from .cro import probe_states
 from .linalg import assert_density_matrix, hermitianize
 from .measures import robustness
@@ -129,10 +129,11 @@ def certified_game(dim, states, payoffs):
 def game_from_witness(channel):
     """Build the game on which the channel's advantage equals 1 + robustness.
 
-    Runs the robustness computation, keeps the payoff-relevant part of the
-    dual witness, and decomposes each outcome block over an informationally
-    complete frame of pure states to recover a payoff table.  The returned
-    game carries its normalization certificate.
+    Runs the robustness computation and decomposes each outcome block of
+    its dual witness over an informationally complete frame of pure states
+    to recover a payoff table.  The witness blocks share one diagonal, so
+    every classically replaceable channel scores 1 on the game.  The
+    returned game carries its normalization certificate.
     """
     return _witness_game(channel)[0]
 
@@ -146,13 +147,12 @@ def _witness_game(channel):
         raise ValueError(
             f"witness games support dimension up to {MAX_GAME_DIM}, got {d}"
         )
-    result = robustness(channel, want_witness=True)
-    w = choi_dephase_output(result.witness, d)
+    result = robustness(channel)
     frame = probe_states(d)
     frame_matrix = np.column_stack(
         [svec(np.ascontiguousarray(s.T)) for s in frame]
     )
-    blocks = w.reshape(d, d, d, d)
+    blocks = result.witness.reshape(d, d, d, d)
     targets = np.column_stack(
         [
             svec(hermitianize(np.ascontiguousarray(blocks[:, j, :, j]))) / d

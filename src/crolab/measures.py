@@ -1,8 +1,10 @@
 """Quantitative measures of how far a channel is from classical replaceability.
 
 Two measures are provided.  The robustness is the least amount of channel
-mixing needed to push a channel into the measure-then-postprocess family; it
-is computed by semidefinite programming and comes with a dual witness.  The
+mixing needed to push a channel into the measure-then-postprocess family.  It
+is one semidefinite program over the output blocks of the Choi state, and the
+solver's primal and dual blocks, each repaired to exact feasibility, bracket
+it in a certified interval whose dual end comes with its witness.  The
 relative entropy measure has a closed form: the entropy gap between the fully
 dephased and the output-dephased Choi states.
 """
@@ -35,24 +37,18 @@ NEGATIVE_VALUE_LIMIT = -1e-5
 
 @dataclass(frozen=True)
 class RobustnessResult:
-    """Outcome of a robustness computation.
+    """Outcome of a robustness computation, certified by an interval.
 
-    ``value`` is the clamped measure; ``optimal_psi`` optimizes the
-    trace-minimization over structured psi dominating the Choi state J, with
-    trace 1 + value up to solver gap; ``witness`` is the dual certificate
-    pairing to 1 + value against D_out J, the output-dephased Choi state
-    (None when not requested); ``residuals`` and ``status`` are the solver's.
-
-    With a witness, psi is lifted from the optimizer psi' of the D_out J
-    program as ``psi' + J - D_out J``: ``psi - J = psi' - D_out J >= 0``,
-    ``psi = (psi' - D_out J) + J >= 0``, and ``J - D_out J`` has no
-    same-output blocks and no output partial trace, so psi keeps the
-    structure, input marginal and trace of psi'.
+    ``value`` is the upper end and ``value - residuals["witness_pairing"]``
+    the lower end.  ``optimal_psi`` (trace 1 + value, dominating the Choi
+    state J) and ``witness`` (pairing with J to 1 + the lower end) are
+    exactly feasible points of the primal and dual programs; ``residuals``
+    and ``status`` are the solver's, plus the interval width.
     """
 
     value: float
     optimal_psi: np.ndarray
-    witness: np.ndarray | None
+    witness: np.ndarray
     residuals: dict
     status: str
 
@@ -84,20 +80,18 @@ def _solve_structured(floor, d, diagonal):
     ``floor`` is the Choi state or its output dephasing.  The structure is
     the cone of output-measured channels: psi is positive, its output
     dephasing equals its full dephasing (or psi is outright diagonal when
-    ``diagonal`` is set), and its input marginal is uniform.  Returns the
-    solution together with the index of the domination constraint, whose
-    dual variable is the witness.
+    ``diagonal`` is set), and its input marginal is uniform.
     """
     n = d * d
     problem = SdpProblem()
     problem.add_var("psi", n)
     problem.minimize({"psi": np.eye(n)})
-    domination = problem.add_psd([("psi", None, n)], offset=-floor)
+    problem.add_psd([("psi", None, n)], offset=-floor)
     problem.add_psd([("psi", None, n)])
     gap = _diagonal_gap if diagonal else _dephase_gap
     problem.add_eq([("psi", gap(d), n)], np.zeros((n, n)))
     problem.add_eq([("psi", _marginal_gap(d), d)], np.zeros((d, d)))
-    return solve(problem), domination
+    return solve(problem)
 
 
 def _require_optimal(solution, what):
@@ -123,37 +117,104 @@ def _check_dim(d):
         )
 
 
-def robustness(channel, want_witness=True):
+def _offdiagonal(m):
+    return m - np.diag(np.diag(m))
+
+
+def _row_excess(m):
+    return np.diag(np.diag(m)) - np.trace(m) * np.eye(len(m)) / len(m)
+
+
+def _block_diagonal(stack):
+    """The sum over k of stack[k] (x) |k><k|, in Choi index order."""
+    d = len(stack)
+    return np.einsum("kij,kl->ikjl", stack, np.eye(d)).reshape(d * d, d * d)
+
+
+def _certified_primal(s, blocks):
+    """Repair primal blocks S_k to exact feasibility.
+
+    The off-diagonals are copied from -B_k, each diagonal entry gives up its
+    share of the excess of its row sum over the mean, and block k then takes
+    max(0, -lambda_min) on its diagonal, which keeps the row sums equal.
+    """
+    d = len(blocks)
+    s = s.copy()
+    diagonal = np.arange(d)
+    off = ~np.eye(d, dtype=bool)
+    s[:, off] = -blocks[:, off]
+    rows = np.real(np.einsum("kii->i", s))
+    s[:, diagonal, diagonal] -= (rows - rows.mean()) / d
+    shift = np.maximum(0.0, -np.linalg.eigvalsh(s)[:, 0])
+    s[:, diagonal, diagonal] += shift[:, None]
+    return s
+
+
+def _certified_dual(duals):
+    """Repair dual blocks W_k to exact feasibility.
+
+    Each block is clipped to the PSD cone, its diagonal raised to
+    y_i = max_k W_k[i, i], and all blocks rescaled so that sum_i y_i = d.
+    """
+    d = len(duals)
+    diagonal = np.arange(d)
+    w, v = np.linalg.eigh(duals)
+    w = v @ (np.clip(w, 0.0, None)[..., None] * v.conj().swapaxes(-1, -2))
+    entries = np.real(w[:, diagonal, diagonal])
+    y = entries.max(axis=0)
+    w[:, diagonal, diagonal] += y - entries
+    return w * (d / y.sum())
+
+
+def robustness(channel):
     """Least mixing weight that makes the channel classically replaceable.
 
-    One SDP solve: the trace-minimization over structured matrices
-    dominating the Choi state or, when ``want_witness`` is set, the
-    output-dephased Choi state, whose equal optimum comes with the dual
-    witness (that program takes more iterations, so only then).  The pairing
-    error goes to ``residuals["witness_pairing"]``; ``optimal_psi`` is
-    lifted back to the plain program (see ``RobustnessResult``).
+    One SDP solve over the output blocks B_k of the Choi state (B_k is the
+    d x d matrix over the input at output k): minimize sum_k tr S_k over
+    S_k >= 0 with the off-diagonals of S_k those of -B_k and equal row sums
+    sum_k S_k[i, i].  Its dual maximizes sum_k tr(W_k B_k) - 1 over W_k >= 0
+    sharing one diagonal y with sum_i y_i = d.  The solver's primal and dual
+    blocks are each repaired to exact feasibility, which brackets the value:
+    ``value`` is the primal end, ``value - residuals["witness_pairing"]``
+    the dual end (zero, certified by the identity, when the repaired dual
+    pairs below one).  The witness is the sum over k of W_k (x) |k><k| and
+    ``optimal_psi`` is J plus the sum over k of S_k (x) |k><k|.
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
     d = channel.dim
     _check_dim(d)
     choi = channel.choi
-    floor = choi_dephase_output(choi, d) if want_witness else choi
-    solution, domination = _solve_structured(floor, d, False)
+    blocks = np.einsum("ikjk->kij", choi.reshape(d, d, d, d))
+    names = [f"S{k}" for k in range(d)]
+    problem = SdpProblem()
+    for name, block in zip(names, blocks):
+        problem.add_var(name, d)
+        problem.add_psd([(name, None, d)])
+        problem.add_eq([(name, _offdiagonal, d)], -_offdiagonal(block))
+    problem.minimize({name: np.eye(d) for name in names})
+    problem.add_eq(
+        [(name, _row_excess, d) for name in names], np.zeros((d, d))
+    )
+    solution = solve(problem)
     _require_optimal(solution, "robustness")
-    value = _clamped(solution.primal_value - 1.0)
+
+    primal = _certified_primal(
+        np.stack([solution.variables[name] for name in names]), blocks
+    )
+    upper = float(np.real(np.einsum("kii->", primal)))
+    dual = _certified_dual(
+        np.stack([extract_dual_witness(solution, k) for k in range(d)])
+    )
+    lower = float(np.real(np.einsum("kij,kji->", dual, blocks))) - 1.0
+    if not lower >= 0.0:
+        dual, lower = np.broadcast_to(np.eye(d, dtype=complex), (d, d, d)), 0.0
     residuals = dict(solution.residuals)
-    psi = solution.variables["psi"]
-    witness = None
-    if want_witness:
-        witness = extract_dual_witness(solution, domination)
-        pairing = np.real(np.trace(witness @ floor))
-        residuals["witness_pairing"] = abs(pairing - 1.0 - value)
-        psi = psi + choi - floor
+    residuals["witness_pairing"] = max(upper - lower, 0.0)
     return RobustnessResult(
-        value=value,
-        optimal_psi=psi,
-        witness=witness,
+        value=upper,
+        optimal_psi=choi + _block_diagonal(primal),
+        witness=_block_diagonal(dual),
         residuals=residuals,
         status=solution.status,
     )
@@ -175,7 +236,7 @@ def robustness_equivalents(channel):
     programs = ((channel.choi, False), (dephased, True), (dephased, False))
     values = []
     for floor, diagonal in programs:
-        solution, _ = _solve_structured(floor, d, diagonal)
+        solution = _solve_structured(floor, d, diagonal)
         _require_optimal(solution, "robustness equivalent")
         values.append(_clamped(solution.primal_value - 1.0))
     return values
@@ -230,7 +291,7 @@ def measure_property_suite(channel, seed=0):
     report = {}
 
     def rvalue(ch):
-        return robustness(ch, want_witness=False).value
+        return robustness(ch).value
 
     base_value = rvalue(channel)
     base_entropy = relative_entropy_irreplaceability(channel)

@@ -24,6 +24,7 @@ Everything is dense numpy; intended for matrix blocks up to 64 x 64.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -43,6 +44,15 @@ _CHECK_EVERY = 25
 _STALL_TOLERANCE = 1e-4
 
 
+@functools.lru_cache(maxsize=None)
+def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only row and column indices of the strict upper triangle."""
+    rows, cols = np.triu_indices(n, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
+
+
 def svec(m: np.ndarray) -> np.ndarray:
     """Isometric real coordinates of a Hermitian matrix.
 
@@ -52,7 +62,7 @@ def svec(m: np.ndarray) -> np.ndarray:
     """
     m = np.asarray(m)
     n = m.shape[0]
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _upper_indices(n)
     out = np.empty(n * n)
     out[:n] = np.real(np.diag(m))
     k = n + rows.size
@@ -63,7 +73,7 @@ def svec(m: np.ndarray) -> np.ndarray:
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
-    rows, cols = np.triu_indices(n, 1)
+    rows, cols = _upper_indices(n)
     m = np.zeros((n, n), dtype=complex)
     m[np.arange(n), np.arange(n)] = v[:n]
     k = n + rows.size

@@ -130,6 +130,26 @@ def oracle_relative_entropy_bits(choi, d):
     return max(value, 0.0)
 
 
+def unitary_robustness(u):
+    """Closed-form robustness of conjugation by ``u``: sigma_max(|U|)^2 - 1.
+
+    ``|U|`` is the entrywise modulus.  The output-k block of the Choi state
+    is ``u_k u_k^dag / d`` with ``u_k`` the k-th row of U, and the best dual
+    block with diagonal ``y`` pairs with it to ``(sum_i sqrt(y_i) |U_ki|)^2 /
+    d``.  So ``1 + R`` is the largest ``|| |U| s ||^2 / d`` over ``s >= 0``
+    with ``||s||^2 = d``, which is ``sigma_max(|U|)^2`` because the top
+    singular vector of a nonnegative matrix can be taken nonnegative.
+    """
+    return float(np.linalg.svd(np.abs(u), compute_uv=False)[0] ** 2 - 1.0)
+
+
+def haar_unitary(d, rng):
+    """Haar-random unitary: QR of a complex Gaussian, phases fixed by R."""
+    z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
 # The membership identities by the composition path: every map is an explicit
 # row-major superoperator (``vec(K rho K^dag) = kron(K, conj K) vec(rho)``),
 # the two sides are products of superoperators, and the verdict compares the

@@ -66,7 +66,7 @@ def _report(name, ok, detail):
 
 
 def _rvalue(channel):
-    return robustness(channel, want_witness=False).value
+    return robustness(channel).value
 
 
 def prepare_plus_channel():
@@ -439,7 +439,7 @@ def test_criterion_10_solver_health():
     worst_gap = 0.0
     agreement = True
     for channel in channels:
-        result = robustness(channel, want_witness=False)
+        result = robustness(channel)
         worst_gap = max(worst_gap, result.residuals["gap"])
         zero = result.value <= 1e-6
         member = is_qccro(channel).is_member

@@ -186,7 +186,7 @@ class TestWitnessGames:
         for seed in range(5):
             channel = random_channel(2, seed=seed)
             game = game_from_witness(channel)
-            expected = 1.0 + robustness(channel, want_witness=False).value
+            expected = 1.0 + robustness(channel).value
             ratio = payoff(channel, game) / game.normalization["max"]
             assert ratio == pytest.approx(expected, abs=1e-3)
 

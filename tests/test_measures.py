@@ -19,6 +19,7 @@ from crolab.channels import (
     pauli_channel_T,
     random_channel,
     tensor,
+    unitary_channel,
 )
 from crolab.linalg import dephase, partial_trace
 from crolab.measures import (
@@ -57,19 +58,17 @@ class TestRobustnessValues:
         assert oracle_value == pytest.approx(
             PINNED_HADAMARD_ROBUSTNESS, abs=2e-3
         )
-        solver_value = robustness(named_gate("H"), want_witness=False).value
+        solver_value = robustness(named_gate("H")).value
         assert solver_value == pytest.approx(oracle_value, abs=2e-3)
 
     def test_rotation_family_closed_form(self):
         for theta in (np.pi / 8, np.pi / 6, np.pi / 3):
-            value = robustness(
-                named_gate("U", theta), want_witness=False
-            ).value
+            value = robustness(named_gate("U", theta)).value
             assert value == pytest.approx(np.sin(2 * theta), abs=1e-5)
 
     def test_replaceable_endpoints_are_zero(self):
         for name in ("Z", "X"):
-            value = robustness(named_gate(name), want_witness=False).value
+            value = robustness(named_gate(name)).value
             assert value <= 1e-6
 
     def test_random_free_members_are_zero(self):
@@ -77,7 +76,16 @@ class TestRobustnessValues:
 
         for seed in range(3):
             member = random_qccro(2, seed=seed)
-            assert robustness(member, want_witness=False).value <= 1e-6
+            assert robustness(member).value <= 1e-6
+
+    def test_documented_ceiling(self):
+        """U(pi/8) (x) I (x) I at d = MAX_DIM: the certified interval brackets
+        the closed form sin(pi/4)."""
+        channel = tensor(named_gate("U", np.pi / 8), identity_channel(4))
+        assert channel.dim == crolab.measures.MAX_DIM
+        result = robustness(channel)
+        lower = result.value - result.residuals["witness_pairing"]
+        assert lower - 1e-6 <= np.sin(np.pi / 4) <= result.value + 1e-6
 
     def test_oracle_agrees_on_rotation(self):
         theta = np.pi / 6
@@ -91,25 +99,21 @@ class TestRobustnessResultInvariants:
     """The returned optimizer and witness satisfy their defining relations."""
 
     def test_optimizer_structure(self):
-        """optimal_psi is feasible for the plain program and has trace 1 + R,
-        also when it is lifted from the output-dephased program."""
+        """optimal_psi is feasible for the plain program and has trace 1 + R."""
         for d in (2, 3):
             channel = random_channel(d, seed=42)
-            for want_witness in (True, False):
-                result = robustness(channel, want_witness=want_witness)
-                psi = result.optimal_psi
-                assert np.real(np.trace(psi)) - 1.0 == pytest.approx(
-                    result.value, abs=1e-6
-                )
-                assert np.linalg.eigvalsh(psi)[0] >= -1e-7
-                assert np.linalg.eigvalsh(psi - channel.choi)[0] >= -1e-7
-                gap = dephase(psi, [d, d], (1,)) - dephase(
-                    psi, [d, d], (0, 1)
-                )
-                assert np.max(np.abs(gap)) < 1e-6
-                marginal = partial_trace(psi, [d, d], 0)
-                target = np.trace(psi) * np.eye(d) / d
-                assert np.max(np.abs(marginal - target)) < 1e-6
+            result = robustness(channel)
+            psi = result.optimal_psi
+            assert np.real(np.trace(psi)) - 1.0 == pytest.approx(
+                result.value, abs=1e-6
+            )
+            assert np.linalg.eigvalsh(psi)[0] >= -1e-7
+            assert np.linalg.eigvalsh(psi - channel.choi)[0] >= -1e-7
+            gap = dephase(psi, [d, d], (1,)) - dephase(psi, [d, d], (0, 1))
+            assert np.max(np.abs(gap)) < 1e-6
+            marginal = partial_trace(psi, [d, d], 0)
+            target = np.trace(psi) * np.eye(d) / d
+            assert np.max(np.abs(marginal - target)) < 1e-6
 
     def test_witness_pairing_and_positivity(self):
         for seed in (1, 7):
@@ -118,11 +122,6 @@ class TestRobustnessResultInvariants:
             assert result.witness is not None
             assert np.linalg.eigvalsh(result.witness)[0] >= -1e-6
             assert result.residuals["witness_pairing"] < 1e-5
-
-    def test_witness_skippable(self):
-        result = robustness(named_gate("Z"), want_witness=False)
-        assert result.witness is None
-        assert "witness_pairing" not in result.residuals
 
     def test_type_and_dimension_guards(self):
         with pytest.raises(TypeError, match="Channel"):
@@ -146,9 +145,8 @@ class TestSolveCount:
         monkeypatch.setattr(crolab.measures, "solve", counting_solve)
         return calls
 
-    @pytest.mark.parametrize("want_witness", [True, False])
-    def test_robustness_solves_once(self, solve_calls, want_witness):
-        robustness(random_channel(2, seed=5), want_witness=want_witness)
+    def test_robustness_solves_once(self, solve_calls):
+        robustness(random_channel(2, seed=5))
         assert len(solve_calls) == 1
 
     @pytest.mark.parametrize("command", ["measures", "game"])
@@ -171,17 +169,57 @@ def random_channels(draw):
 
 
 class TestWitnessPathAgainstValuePath:
-    """The witness-bearing solve (output-dephased program) against the
-    value-only solve (plain program) on random channels."""
+    """The certified output-block solve against the plain structured
+    program of ``robustness_equivalents`` on random channels."""
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=8)
     @given(random_channels())
     def test_same_value_and_sound_witness(self, channel):
-        with_witness = robustness(channel)
-        value_only = robustness(channel, want_witness=False)
-        assert abs(with_witness.value - value_only.value) <= 1e-5
-        assert with_witness.residuals["witness_pairing"] <= 1e-6
-        assert np.linalg.eigvalsh(with_witness.witness)[0] >= -1e-6
+        result = robustness(channel)
+        plain = robustness_equivalents(channel)[0]
+        width = result.residuals["witness_pairing"]
+        lower = result.value - width
+        assert 0.0 <= lower <= result.value
+        assert lower - 1e-5 <= plain <= result.value + 1e-5
+        assert width <= 1e-6
+        assert np.linalg.eigvalsh(result.witness)[0] >= -1e-12
+        # dual feasibility: the output blocks share one diagonal summing to d
+        d = channel.dim
+        blocks = result.witness.reshape(d, d, d, d)
+        diagonals = np.real([np.diag(blocks[:, k, :, k]) for k in range(d)])
+        assert np.max(np.abs(diagonals - diagonals[0])) <= 1e-12
+        assert diagonals[0].sum() == pytest.approx(d, abs=1e-12)
+        pairing = np.real(np.trace(result.witness @ channel.choi))
+        assert pairing - 1.0 == pytest.approx(lower, abs=1e-12)
+
+
+@st.composite
+def unitaries(draw):
+    """Haar unitaries at d = 2, 3, 4, 8, tensor products of two Haar
+    unitaries, and phased permutations (robustness zero)."""
+    kind = draw(st.sampled_from(["haar", "tensor", "permutation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    if kind == "haar":
+        return oracles.haar_unitary(draw(st.sampled_from([2, 3, 4, 8])), rng)
+    if kind == "tensor":
+        a, b = draw(st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 4)]))
+        u, v = oracles.haar_unitary(a, rng), oracles.haar_unitary(b, rng)
+        return np.kron(u, v)
+    d = draw(st.sampled_from([2, 3, 4, 8]))
+    phases = np.exp(2j * np.pi * rng.random(d))
+    return np.eye(d)[rng.permutation(d)] * phases
+
+
+class TestUnitaryClosedForm:
+    """The closed form sigma_max(|U|)^2 - 1 lies in the certified interval."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=12)
+    @given(unitaries())
+    def test_closed_form_inside_interval(self, u):
+        result = robustness(unitary_channel(u))
+        lower = result.value - result.residuals["witness_pairing"]
+        closed = oracles.unitary_robustness(u)
+        assert lower - 1e-9 <= closed <= result.value + 1e-9
 
 
 class TestEquivalentFormulations:
@@ -207,10 +245,8 @@ class TestEquivalentFormulations:
     def test_dephasing_the_channel_preserves_value(self):
         for seed in (3, 11):
             channel = random_channel(2, seed=seed)
-            plain = robustness(channel, want_witness=False).value
-            dephased = robustness(
-                compose(dephasing(2), channel), want_witness=False
-            ).value
+            plain = robustness(channel).value
+            dephased = robustness(compose(dephasing(2), channel)).value
             assert plain == pytest.approx(dephased, abs=1e-5)
 
 

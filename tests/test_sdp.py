@@ -7,6 +7,7 @@ from crolab.linalg import dephase, partial_trace
 from crolab.sdp import (
     SdpProblem,
     SolverOptions,
+    _upper_indices,
     extract_dual_witness,
     solve,
     svec,
@@ -18,8 +19,10 @@ class TestSvec:
     """Real coordinate embedding of Hermitian matrices."""
 
     def test_roundtrip_and_isometry(self):
+        """Sides up to 8, each twice, so the second pass reads the per-side
+        cache of read-only triangle indices."""
         rng = np.random.default_rng(5)
-        for side in (1, 2, 3, 5, 8):
+        for side in (1, 2, 3, 4, 5, 8) * 2:
             raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
             m = raw + raw.conj().T
             x = svec(m)
@@ -30,6 +33,8 @@ class TestSvec:
             assert np.linalg.norm(x) == pytest.approx(
                 np.linalg.norm(m), abs=1e-12
             )
+            rows, cols = _upper_indices(side)
+            assert not rows.flags.writeable and not cols.flags.writeable
 
     def test_inner_product_preserved(self):
         rng = np.random.default_rng(6)
