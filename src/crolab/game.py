@@ -149,16 +149,9 @@ def _witness_game(channel):
         )
     result = robustness(channel)
     frame = probe_states(d)
-    frame_matrix = np.column_stack(
-        [svec(np.ascontiguousarray(s.T)) for s in frame]
-    )
-    blocks = result.witness.reshape(d, d, d, d)
-    targets = np.column_stack(
-        [
-            svec(hermitianize(np.ascontiguousarray(blocks[:, j, :, j]))) / d
-            for j in range(d)
-        ]
-    )
+    frame_matrix = svec(np.swapaxes(frame, -1, -2)).T
+    blocks = np.einsum("ikjk->kij", result.witness.reshape(d, d, d, d))
+    targets = svec(hermitianize(blocks)).T / d
     alpha = np.linalg.solve(frame_matrix, targets)
     residual = float(np.max(np.abs(frame_matrix @ alpha - targets)))
     if residual > 1e-9:

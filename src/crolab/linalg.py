@@ -34,9 +34,18 @@ def is_hermitian(m: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
 
 
 def hermitianize(m: np.ndarray) -> np.ndarray:
-    """Project onto the Hermitian part, (m + m†)/2."""
+    """Project onto the Hermitian part, (m + m†)/2, of a matrix or a stack."""
     m = np.asarray(m)
-    return 0.5 * (m + m.conj().T)
+    return 0.5 * (m + m.conj().swapaxes(-1, -2))
+
+
+def psd_part(m: np.ndarray) -> np.ndarray:
+    """Nearest PSD matrix to a Hermitian matrix, or to each of a stack.
+
+    The negative eigenvalues are set to zero.
+    """
+    w, v = np.linalg.eigh(m)
+    return v @ (np.clip(w, 0.0, None)[..., None] * v.conj().swapaxes(-1, -2))
 
 
 def partial_trace(m: np.ndarray, dims: Sequence[int], keep: int | Sequence[int]) -> np.ndarray:

@@ -25,7 +25,7 @@ from .channels import (
     unitary_channel,
 )
 from .cro import is_qccro, random_qccro
-from .linalg import dephase, partial_trace, von_neumann_entropy
+from .linalg import dephase, partial_trace, psd_part, von_neumann_entropy
 from .sdp import SdpProblem, extract_dual_witness, solve
 
 MAX_DIM = 8
@@ -77,17 +77,17 @@ def _marginal_gap(d):
 def _solve_structured(floor, d, diagonal):
     """Minimize tr(psi) over structured psi dominating ``floor``.
 
-    ``floor`` is the Choi state or its output dephasing.  The structure is
-    the cone of output-measured channels: psi is positive, its output
-    dephasing equals its full dephasing (or psi is outright diagonal when
-    ``diagonal`` is set), and its input marginal is uniform.
+    ``floor`` is the Choi state or its output dephasing, both positive, so
+    psi, which dominates floor, is positive too.  The structure is the cone
+    of output-measured channels: psi's output dephasing equals its full
+    dephasing (or psi is outright diagonal when ``diagonal`` is set), and
+    its input marginal is uniform.
     """
     n = d * d
     problem = SdpProblem()
     problem.add_var("psi", n)
     problem.minimize({"psi": np.eye(n)})
     problem.add_psd([("psi", None, n)], offset=-floor)
-    problem.add_psd([("psi", None, n)])
     gap = _diagonal_gap if diagonal else _dephase_gap
     problem.add_eq([("psi", gap(d), n)], np.zeros((n, n)))
     problem.add_eq([("psi", _marginal_gap(d), d)], np.zeros((d, d)))
@@ -158,8 +158,7 @@ def _certified_dual(duals):
     """
     d = len(duals)
     diagonal = np.arange(d)
-    w, v = np.linalg.eigh(duals)
-    w = v @ (np.clip(w, 0.0, None)[..., None] * v.conj().swapaxes(-1, -2))
+    w = psd_part(duals)
     entries = np.real(w[:, diagonal, diagonal])
     y = entries.max(axis=0)
     w[:, diagonal, diagonal] += y - entries

@@ -9,8 +9,9 @@ Problems are stated over Hermitian matrix variables as
 and solved by a consensus ADMM splitting in real ``svec`` coordinates: the
 iteration alternates an exact projection onto the affine constraint set
 (through a cached pseudoinverse factorization) with a projection onto the
-product of semidefinite cones (blockwise eigendecompositions), plus the usual
-scaled dual update, over-relaxation, and residual-balancing penalty updates.
+product of semidefinite cones (the blocks of one side form one stack, with
+one batched eigendecomposition per block side), plus the usual scaled dual
+update, over-relaxation, and residual-balancing penalty updates.
 
 The multiplier of the affine projection furnishes a dual vector ``y`` with
 ``c - A^T y`` exact by construction, so dual feasibility only needs a cone
@@ -30,7 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import hermitianize
+from .linalg import hermitianize, psd_part
 
 MAX_BLOCK_SIDE = 64
 
@@ -54,32 +55,36 @@ def _upper_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def svec(m: np.ndarray) -> np.ndarray:
-    """Isometric real coordinates of a Hermitian matrix.
+    """Isometric real coordinates of a Hermitian matrix, or of a stack of them.
 
-    Layout: the n real diagonal entries, then sqrt(2) * real and sqrt(2) *
-    imaginary parts of the strict upper triangle; the Euclidean inner product
-    of two svecs equals the Hilbert-Schmidt inner product.
+    Maps shape ``(..., n, n)`` to ``(..., n * n)``.  Layout: the n real
+    diagonal entries, then sqrt(2) * real and sqrt(2) * imaginary parts of the
+    strict upper triangle; the Euclidean inner product of two svecs equals the
+    Hilbert-Schmidt inner product.
     """
     m = np.asarray(m)
-    n = m.shape[0]
+    n = m.shape[-1]
     rows, cols = _upper_indices(n)
-    out = np.empty(n * n)
-    out[:n] = np.real(np.diag(m))
+    out = np.empty(m.shape[:-2] + (n * n,))
+    out[..., :n] = np.real(np.diagonal(m, axis1=-2, axis2=-1))
     k = n + rows.size
-    out[n:k] = _SQRT2 * np.real(m[rows, cols])
-    out[k:] = _SQRT2 * np.imag(m[rows, cols])
+    upper = m[..., rows, cols]
+    out[..., n:k] = _SQRT2 * np.real(upper)
+    out[..., k:] = _SQRT2 * np.imag(upper)
     return out
 
 
 def unsvec(v: np.ndarray, n: int) -> np.ndarray:
+    """Inverse of ``svec``: shape ``(..., n * n)`` back to ``(..., n, n)``."""
     v = np.asarray(v, dtype=float)
     rows, cols = _upper_indices(n)
-    m = np.zeros((n, n), dtype=complex)
-    m[np.arange(n), np.arange(n)] = v[:n]
+    m = np.zeros(v.shape[:-1] + (n, n), dtype=complex)
+    diagonal = np.arange(n)
+    m[..., diagonal, diagonal] = v[..., :n]
     k = n + rows.size
-    upper = (v[n:k] + 1j * v[k:]) / _SQRT2
-    m[rows, cols] = upper
-    m[cols, rows] = upper.conj()
+    upper = (v[..., n:k] + 1j * v[..., k:]) / _SQRT2
+    m[..., rows, cols] = upper
+    m[..., cols, rows] = upper.conj()
     return m
 
 
@@ -184,154 +189,100 @@ def _materialize(fn, in_side: int, out_side: int) -> np.ndarray:
         if in_side != out_side:
             raise ValueError("identity term needs equal input and output sides")
         return np.eye(in_side * in_side)
-    mat = np.empty((out_side * out_side, in_side * in_side))
-    basis_vec = np.zeros(in_side * in_side)
-    for k in range(in_side * in_side):
-        basis_vec[k] = 1.0
-        image = fn(unsvec(basis_vec, in_side))
-        mat[:, k] = svec(hermitianize(np.asarray(image, dtype=complex)))
-        basis_vec[k] = 0.0
-    return mat
+    basis = unsvec(np.eye(in_side * in_side), in_side)
+    images = np.array([fn(m) for m in basis], dtype=complex)
+    return svec(hermitianize(images)).T
 
 
 class _Canonical:
-    """Flattened conic form: min c.x s.t. A x = b, blocks of x free or PSD."""
+    """Flattened conic form: min c.x s.t. A x = b, x split into PSD blocks
+    and free entries.
+
+    ``columns`` maps each variable name to its slice of x; every PSD
+    constraint that is not a bare variable gets a slack block after the
+    variables.  ``psd`` holds the (slice, side) of each PSD constraint's
+    block, in constraint order.  ``cones`` maps each block side to the
+    (blocks, side**2) array of column indices of its blocks, and ``free``
+    indexes every other column.
+    """
 
     def __init__(self, problem: SdpProblem):
-        self.block_names: list[str] = []
-        self.block_sides: list[int] = []
-        self.block_cone: list[bool] = []  # True = PSD
-        self.block_offsets: list[int] = []
-        self.psd_blocks: list[int] = []  # block index of each PSD constraint
+        sides = problem.var_sides
+        self.columns: dict[str, slice] = {}
+        width = 0
+        for name, side in sides.items():
+            self.columns[name] = slice(width, width + side * side)
+            width += side * side
 
-        offset = 0
-        index_of: dict[str, int] = {}
-        for name, side in problem.var_sides.items():
-            index_of[name] = len(self.block_names)
-            self.block_names.append(name)
-            self.block_sides.append(side)
-            self.block_cone.append(False)
-            self.block_offsets.append(offset)
-            offset += side * side
+        # equality rows first, then one row block per slack: L(X) - S = -F
+        plan = [(eq.terms, eq.target, None) for eq in problem.equalities]
+        self.psd: list[tuple[slice, int]] = []
+        in_cone: set[str] = set()
+        for psd in problem.psd_constraints:
+            name, fn, side = psd.terms[0]
+            if len(psd.terms) == 1 and fn is None and psd.offset is None and name not in in_cone:
+                in_cone.add(name)
+                self.psd.append((self.columns[name], sides[name]))
+            else:
+                block = slice(width, width + side * side)
+                width += side * side
+                self.psd.append((block, side))
+                target = -psd.offset if psd.offset is not None else np.zeros((side, side))
+                plan.append((psd.terms, target, block))
+        self.n = width
 
-        rows: list[np.ndarray] = []
-        rhs: list[np.ndarray] = []
-
-        def add_rows(terms, target, extra_block=None):
+        rows, rhs = [np.zeros((0, width))], [np.zeros(0)]
+        for terms, target, slack in plan:
             out = terms[0][2]
-            n_rows = out * out
-            block = np.zeros((n_rows, offset_total[0]))
+            block = np.zeros((out * out, width))
             for name, fn, term_out in terms:
                 if term_out != out:
                     raise ValueError("mixed output sides inside one constraint")
-                b_idx = index_of[name]
-                side = self.block_sides[b_idx]
-                col = self.block_offsets[b_idx]
-                block[:, col : col + side * side] += _materialize(fn, side, out)
-            if extra_block is not None:
-                col, side = extra_block
-                block[:, col : col + side * side] -= np.eye(side * side)
+                block[:, self.columns[name]] += _materialize(fn, sides[name], out)
+            if slack is not None:
+                block[:, slack] -= np.eye(out * out)
             rows.append(block)
             rhs.append(svec(target))
-
-        # slacks may extend the x vector, so track total width mutably
-        offset_total = [offset]
-
-        slack_plan: list[tuple[int, _PsdConstraint]] = []
-        for idx, psd in enumerate(problem.psd_constraints):
-            bare = (
-                len(psd.terms) == 1
-                and psd.terms[0][1] is None
-                and psd.offset is None
-                and not self.block_cone[index_of[psd.terms[0][0]]]
-            )
-            if bare:
-                b_idx = index_of[psd.terms[0][0]]
-                self.block_cone[b_idx] = True
-                self.psd_blocks.append(b_idx)
-            else:
-                side = psd.terms[0][2]
-                b_idx = len(self.block_names)
-                self.block_names.append(f"_slack{idx}")
-                self.block_sides.append(side)
-                self.block_cone.append(True)
-                self.block_offsets.append(offset_total[0])
-                offset_total[0] += side * side
-                self.psd_blocks.append(b_idx)
-                slack_plan.append((b_idx, psd))
-
-        n = offset_total[0]
-        self.n = n
-
-        # equality rows need the final width, so pad-as-we-go via offset_total
-        for eq in problem.equalities:
-            add_rows(eq.terms, eq.target)
-        for b_idx, psd in slack_plan:
-            side = self.block_sides[b_idx]
-            target = -psd.offset if psd.offset is not None else np.zeros((side, side))
-            add_rows(psd.terms, target, extra_block=(self.block_offsets[b_idx], side))
-
-        if rows:
-            a = np.zeros((sum(r.shape[0] for r in rows), n))
-            b = np.concatenate(rhs)
-            at = 0
-            for r in rows:
-                a[at : at + r.shape[0], : r.shape[1]] = r
-                at += r.shape[0]
-        else:
-            a = np.zeros((0, n))
-            b = np.zeros(0)
+        a = np.concatenate(rows)
+        b = np.concatenate(rhs)
 
         # prune identically zero rows; a zero row with nonzero target is
         # an immediate certificate of infeasibility
-        norms = np.max(np.abs(a), axis=1) if a.shape[0] else np.zeros(0)
-        zero_rows = norms < 1e-12
+        zero_rows = np.max(np.abs(a), axis=1, initial=0.0) < 1e-12
         self.trivially_infeasible = bool(np.any(zero_rows & (np.abs(b) > 1e-9)))
         keep = ~zero_rows
         self.a = a[keep]
         self.b = b[keep]
 
-        self.c = np.zeros(n)
+        self.c = np.zeros(width)
         for name, coeff in problem.objective.items():
-            b_idx = index_of[name]
-            col = self.block_offsets[b_idx]
-            side = self.block_sides[b_idx]
-            self.c[col : col + side * side] = svec(coeff)
+            self.c[self.columns[name]] = svec(coeff)
         self.c_offset = problem.objective_offset
 
-    def block_slices(self):
-        for side, cone, col in zip(self.block_sides, self.block_cone, self.block_offsets):
-            yield slice(col, col + side * side), side, cone
+        by_side: dict[int, list[np.ndarray]] = {}
+        for block, side in self.psd:
+            by_side.setdefault(side, []).append(np.arange(block.start, block.stop))
+        self.cones = {side: np.array(cols) for side, cols in by_side.items()}
+        free = np.ones(width, dtype=bool)
+        for cols in self.cones.values():
+            free[cols] = False
+        self.free = np.flatnonzero(free)
 
 
 def _cone_project(canon: _Canonical, v: np.ndarray) -> np.ndarray:
-    """Project onto the product cone (free blocks pass through)."""
+    """Project onto the product cone (free entries pass through)."""
     out = v.copy()
-    by_side: dict[int, list[slice]] = {}
-    for sl, side, cone in canon.block_slices():
-        if cone:
-            by_side.setdefault(side, []).append(sl)
-    for side, slices in by_side.items():
-        stack = np.stack([unsvec(v[sl], side) for sl in slices])
-        w, vecs = np.linalg.eigh(stack)
-        w = np.clip(w, 0.0, None)
-        rebuilt = vecs @ (w[..., None] * vecs.conj().swapaxes(-1, -2))
-        for sl, m in zip(slices, rebuilt):
-            out[sl] = svec(hermitianize(m))
+    for side, cols in canon.cones.items():
+        out[cols] = svec(hermitianize(psd_part(unsvec(v[cols], side))))
     return out
 
 
 def _cone_dual_distance(canon: _Canonical, s: np.ndarray) -> float:
-    """Max-norm distance of s from the dual cone (zero for free blocks)."""
-    worst = 0.0
-    for sl, side, cone in canon.block_slices():
-        if cone:
-            w = np.linalg.eigvalsh(unsvec(s[sl], side))
-            worst = max(worst, max(0.0, float(-w[0])))
-        else:
-            block = s[sl]
-            if block.size:
-                worst = max(worst, float(np.max(np.abs(block))))
+    """Max-norm distance of s from the dual cone (zero for free entries)."""
+    worst = float(np.max(np.abs(s[canon.free]), initial=0.0))
+    for side, cols in canon.cones.items():
+        w = np.linalg.eigvalsh(unsvec(s[cols], side))
+        worst = max(worst, float(-np.min(w[:, 0])))
     return worst
 
 
@@ -366,6 +317,8 @@ class _AffineProjector:
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
     """Solve an SdpProblem; deterministic for fixed inputs and options."""
     opts = options or SolverOptions()
+    if opts.max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {opts.max_iters}")
     canon = _Canonical(problem)
     if canon.trivially_infeasible:
         empty = {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()}
@@ -374,7 +327,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
             primal_value=float("nan"),
             dual_value=float("nan"),
             variables=empty,
-            psd_duals=[np.zeros((p.terms[0][2],) * 2, dtype=complex) for p in problem.psd_constraints],
+            psd_duals=[np.zeros((side, side), dtype=complex) for _, side in canon.psd],
             residuals={"primal_feas": float("inf"), "dual_feas": float("inf"), "gap": float("inf")},
         )
 
@@ -383,7 +336,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     c = canon.c
     rho = _RHO
 
-    x = np.zeros(n)
     z = np.zeros(n)
     u = np.zeros(n)
 
@@ -398,7 +350,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
 
     status = "max_iters"
     iters_done = opts.max_iters
-    mu = np.zeros(canon.a.shape[0])
 
     for it in range(1, opts.max_iters + 1):
         w = z - u - c / rho
@@ -420,7 +371,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
         gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
 
         score = max(primal_feas / b_scale, dual_feas / c_scale, gap)
-        snapshot = (z.copy(), s_tilde.copy(), y.copy(), obj_p, obj_d, primal_feas, dual_feas, gap, it)
+        snapshot = (z.copy(), s_tilde.copy(), obj_p, obj_d, primal_feas, dual_feas, gap)
         if best is None or score < best[0]:
             best = (score, snapshot)
 
@@ -476,31 +427,16 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
                 rho /= 2.0
                 u *= 2.0
 
-    if best is None:
-        y = -rho * mu
-        s_tilde = c - canon.a.T @ y if canon.a.shape[0] else c.copy()
-        best = (np.inf, (z, s_tilde, y, float(c @ z), 0.0, np.inf, np.inf, np.inf, iters_done))
-
-    z_best, s_best, y_best, obj_p, obj_d, primal_feas, dual_feas, gap, it_best = best[1]
-
-    variables = {}
-    for name, side in problem.var_sides.items():
-        b_idx = canon.block_names.index(name)
-        col = canon.block_offsets[b_idx]
-        variables[name] = unsvec(z_best[col : col + side * side], side)
-
-    psd_duals = []
-    for b_idx in canon.psd_blocks:
-        col = canon.block_offsets[b_idx]
-        side = canon.block_sides[b_idx]
-        psd_duals.append(unsvec(s_best[col : col + side * side], side))
-
+    z_best, s_best, obj_p, obj_d, primal_feas, dual_feas, gap = best[1]
     return SdpSolution(
         status=status,
         primal_value=obj_p,
         dual_value=obj_d,
-        variables=variables,
-        psd_duals=psd_duals,
+        variables={
+            name: unsvec(z_best[canon.columns[name]], side)
+            for name, side in problem.var_sides.items()
+        },
+        psd_duals=[unsvec(s_best[block], side) for block, side in canon.psd],
         residuals={"primal_feas": primal_feas, "dual_feas": dual_feas, "gap": gap},
         iterations=iters_done,
     )
@@ -514,4 +450,4 @@ def extract_dual_witness(solution: SdpSolution, psd_index: int = 0) -> np.ndarra
     """
     if not 0 <= psd_index < len(solution.psd_duals):
         raise ValueError(f"no psd constraint with index {psd_index}")
-    return hermitianize(solution.psd_duals[psd_index])
+    return solution.psd_duals[psd_index]

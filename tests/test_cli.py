@@ -16,8 +16,10 @@ from crolab.channels import apply, named_gate
 SRC = str(Path(crolab.__file__).resolve().parents[1])
 
 
-def run_cli(*argv):
-    env = dict(os.environ)
+def run_cli(*argv, env=None):
+    """Run ``crolab argv`` in a subprocess, with ``env`` added to the
+    inherited environment."""
+    env = {**os.environ, **(env or {})}
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "crolab", *argv],
@@ -295,3 +297,19 @@ class TestSpecParsing:
         first = run_cli("measures", path)
         second = run_cli("measures", path)
         assert first.stdout == second.stdout
+
+        # A d = 4 game, H (x) U(0.4), under one and two BLAS threads.
+        spec = {
+            "kind": "tensor",
+            "children": [
+                {"kind": "gate", "name": "H"},
+                {"kind": "gate", "name": "U", "params": {"theta": 0.4}},
+            ],
+        }
+        path = write_spec(tmp_path, "h_u.json", spec)
+        outputs = [
+            run_cli("game", path, env={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        ]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout

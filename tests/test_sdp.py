@@ -7,6 +7,8 @@ from crolab.linalg import dephase, partial_trace
 from crolab.sdp import (
     SdpProblem,
     SolverOptions,
+    _Canonical,
+    _cone_project,
     _upper_indices,
     extract_dual_witness,
     solve,
@@ -20,7 +22,8 @@ class TestSvec:
 
     def test_roundtrip_and_isometry(self):
         """Sides up to 8, each twice, so the second pass reads the per-side
-        cache of read-only triangle indices."""
+        cache of read-only triangle indices.  A stack of three matrices maps
+        row by row to the single-matrix svecs and back exactly."""
         rng = np.random.default_rng(5)
         for side in (1, 2, 3, 4, 5, 8) * 2:
             raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
@@ -36,6 +39,15 @@ class TestSvec:
             rows, cols = _upper_indices(side)
             assert not rows.flags.writeable and not cols.flags.writeable
 
+            # one matrix at a time: unsvec images round-trip exactly
+            raw = rng.normal(size=(3, side, side)) + 1j * rng.normal(size=(3, side, side))
+            stack = np.array([unsvec(svec(h + h.conj().T), side) for h in raw])
+            xs = svec(stack)
+            assert xs.shape == (3, side * side)
+            for row, single in zip(xs, stack):
+                assert np.array_equal(row, svec(single))
+            assert np.array_equal(unsvec(xs, side), stack)
+
     def test_inner_product_preserved(self):
         rng = np.random.default_rng(6)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
@@ -44,6 +56,33 @@ class TestSvec:
         b = b + b.conj().T
         direct = np.real(np.trace(a @ b))
         assert float(svec(a) @ svec(b)) == pytest.approx(direct, abs=1e-10)
+
+
+class TestConeProjection:
+    """The stacked projection onto the product cone."""
+
+    def test_each_block_clipped_free_untouched(self):
+        # A free side-1 variable, a bare side-2 block and a side-3 slack:
+        # the projection acts on the two PSD blocks only.
+        problem = SdpProblem()
+        problem.add_var("t", 1)
+        problem.add_var("x", 2)
+        problem.minimize({"t": np.eye(1), "x": np.eye(2)})
+        problem.add_psd([("x", None, 2)])
+        problem.add_psd(
+            [("t", lambda s: s[0, 0] * np.eye(3), 3)], offset=np.eye(3)
+        )
+        canon = _Canonical(problem)
+        assert sorted(canon.cones) == [2, 3]
+        assert canon.free.tolist() == [0]
+        v = np.random.default_rng(8).normal(size=canon.n)
+        projected = _cone_project(canon, v)
+        assert np.array_equal(projected[canon.free], v[canon.free])
+        for block, side in canon.psd:
+            w, vecs = np.linalg.eigh(unsvec(v[block], side))
+            clipped = (vecs * np.clip(w, 0.0, None)) @ vecs.conj().T
+            assert np.max(np.abs(projected[block] - svec(clipped))) < 1e-12
+            assert np.linalg.eigvalsh(unsvec(projected[block], side))[0] > -1e-12
 
 
 class TestSmallProblems:
@@ -219,6 +258,15 @@ class TestChannelShapedProblem:
         assert solution.primal_value - 1 == pytest.approx(
             np.sin(2 * theta), abs=1e-6
         )
+
+    def test_rejects_no_iterations(self):
+        problem = SdpProblem()
+        problem.add_var("x", 1)
+        problem.minimize({"x": np.eye(1)})
+        problem.add_psd([("x", None, 1)])
+        with pytest.raises(ValueError, match="max_iters"):
+            solve(problem, SolverOptions(max_iters=0))
+        assert solve(problem, SolverOptions(max_iters=1)).iterations == 1
 
     def test_tight_tolerances_reached(self):
         options = SolverOptions(tol_gap=1e-9, tol_feas=1e-9, max_iters=400000)
