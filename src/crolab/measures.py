@@ -77,20 +77,23 @@ def _marginal_gap(d):
 def _solve_structured(floor, d, diagonal):
     """Minimize tr(psi) over structured psi dominating ``floor``.
 
-    ``floor`` is the Choi state or its output dephasing, both positive, so
-    psi, which dominates floor, is positive too.  The structure is the cone
-    of output-measured channels: psi's output dephasing equals its full
-    dephasing (or psi is outright diagonal when ``diagonal`` is set), and
-    its input marginal is uniform.
+    ``floor`` is the Choi state or its output dephasing.  The structure is
+    the cone of output-measured channels: psi's output dephasing equals its
+    full dephasing (or psi is outright diagonal when ``diagonal`` is set),
+    and its input marginal is uniform.  The program's variable is the bare
+    PSD matrix X = psi - floor: the objective is tr X + tr floor and each
+    structure map L takes L(X) = -L(floor).  ``floor`` is positive, so psi
+    is positive too.
     """
     n = d * d
+    gap = (_diagonal_gap if diagonal else _dephase_gap)(d)
+    marginal = _marginal_gap(d)
     problem = SdpProblem()
-    problem.add_var("psi", n)
-    problem.minimize({"psi": np.eye(n)})
-    problem.add_psd([("psi", None, n)], offset=-floor)
-    gap = _diagonal_gap if diagonal else _dephase_gap
-    problem.add_eq([("psi", gap(d), n)], np.zeros((n, n)))
-    problem.add_eq([("psi", _marginal_gap(d), d)], np.zeros((d, d)))
+    problem.add_var("x", n)
+    problem.add_psd([("x", None, n)])
+    problem.minimize({"x": np.eye(n)}, offset=float(np.real(np.trace(floor))))
+    problem.add_eq([("x", gap, n)], -gap(floor))
+    problem.add_eq([("x", marginal, d)], -marginal(floor))
     return solve(problem)
 
 

@@ -8,17 +8,22 @@ Problems are stated over Hermitian matrix variables as
 
 and solved by a consensus ADMM splitting in real ``svec`` coordinates: the
 iteration alternates an exact projection onto the affine constraint set
-(through a cached pseudoinverse factorization) with a projection onto the
-product of semidefinite cones (the blocks of one side form one stack, with
-one batched eigendecomposition per block side), plus the usual scaled dual
-update, over-relaxation, and residual-balancing penalty updates.
+{x : A x = b} with a projection onto the product of semidefinite cones (the
+blocks of one side form one stack, with one batched eigendecomposition per
+block side), plus the usual scaled dual update, over-relaxation, and
+residual-balancing penalty updates.
 
-The multiplier of the affine projection furnishes a dual vector ``y`` with
-``c - A^T y`` exact by construction, so dual feasibility only needs a cone
-distance; the reported ``dual_value`` is ``b^T y``, and the Hermitian dual
-block attached to each semidefinite constraint is available through
-``extract_dual_witness`` (for the constraint ``X >= F`` this is the PSD
-matrix pairing with ``F`` in the dual objective).
+The affine step is ``x = w - Q (Q^T w - t)``, with Q an orthonormal basis
+of A's row space and ``Q t`` the least-norm solution of ``A x = b``; both
+come from one eigendecomposition of ``A A^T`` before the first iteration,
+which also decides whether ``A x = b`` is consistent at all.  Since
+``w - x`` lies in the row space, the dual is read off the step at penalty
+rho: the dual slack ``s = c + rho (w - x)`` equals ``c - A^T y`` for a dual
+vector y, so dual feasibility only needs a cone distance, and the reported
+``dual_value`` ``b^T y + offset`` equals ``offset - rho x.(w - x)``.  The
+Hermitian dual block attached to each semidefinite constraint is available
+through ``extract_dual_witness`` (for the constraint ``X >= F`` this is the
+PSD matrix pairing with ``F`` in the dual objective).
 
 Everything is dense numpy; intended for matrix blocks up to 64 x 64.
 """
@@ -203,7 +208,9 @@ class _Canonical:
     variables.  ``psd`` holds the (slice, side) of each PSD constraint's
     block, in constraint order.  ``cones`` maps each block side to the
     (blocks, side**2) array of column indices of its blocks, and ``free``
-    indexes every other column.
+    indexes every other column.  A and b keep every row the constraints
+    produce, identically zero rows included: ``solve`` steps within A's row
+    space and tests once whether A x = b is consistent.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -243,16 +250,8 @@ class _Canonical:
                 block[:, slack] -= np.eye(out * out)
             rows.append(block)
             rhs.append(svec(target))
-        a = np.concatenate(rows)
-        b = np.concatenate(rhs)
-
-        # prune identically zero rows; a zero row with nonzero target is
-        # an immediate certificate of infeasibility
-        zero_rows = np.max(np.abs(a), axis=1, initial=0.0) < 1e-12
-        self.trivially_infeasible = bool(np.any(zero_rows & (np.abs(b) > 1e-9)))
-        keep = ~zero_rows
-        self.a = a[keep]
-        self.b = b[keep]
+        self.a = np.concatenate(rows)
+        self.b = np.concatenate(rhs)
 
         self.c = np.zeros(width)
         for name, coeff in problem.objective.items():
@@ -286,32 +285,17 @@ def _cone_dual_distance(canon: _Canonical, s: np.ndarray) -> float:
     return worst
 
 
-class _AffineProjector:
-    """Cached least-squares projector onto {x : A x = b}."""
+def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal basis Q of A's row space, and t with Q t = A^+ b.
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = a
-        self.b = b
-        if a.shape[0] == 0:
-            self.empty = True
-            return
-        self.empty = False
-        gram = a @ a.T
-        w, u = np.linalg.eigh(gram)
-        cutoff = max(w[-1], 0.0) * 1e-12 + 1e-300
-        inv = np.where(w > cutoff, 1.0 / np.maximum(w, cutoff), 0.0)
-        self.u = u
-        self.inv = inv
-
-    def solve_gram(self, r: np.ndarray) -> np.ndarray:
-        return self.u @ (self.inv * (self.u.T @ r))
-
-    def project(self, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Return (projection, gram multiplier mu) with x = w - A^T mu."""
-        if self.empty:
-            return w, np.zeros(0)
-        mu = self.solve_gram(self.a @ w - self.b)
-        return w - self.a.T @ mu, mu
+    Both come from the eigendecomposition A A^T = U diag(w) U^T, keeping
+    the eigenvalues above 1e-12 of the largest: Q = A^T U diag(w^-1/2) and
+    t = diag(w^-1/2) U^T b.
+    """
+    w, u = np.linalg.eigh(a @ a.T)
+    keep = w > np.max(w, initial=0.0) * 1e-12 + 1e-300
+    scale = 1.0 / np.sqrt(w[keep])
+    return (a.T @ u[:, keep]) * scale, scale * (u[:, keep].T @ b)
 
 
 def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
@@ -320,7 +304,9 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     if opts.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {opts.max_iters}")
     canon = _Canonical(problem)
-    if canon.trivially_infeasible:
+    q, t = _row_space(canon.a, canon.b)
+    b_scale = 1.0 + float(np.max(np.abs(canon.b), initial=0.0))
+    if np.max(np.abs(canon.a @ (q @ t) - canon.b), initial=0.0) > 1e-9 * b_scale:
         empty = {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()}
         return SdpSolution(
             status="infeasible",
@@ -331,7 +317,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
             residuals={"primal_feas": float("inf"), "dual_feas": float("inf"), "gap": float("inf")},
         )
 
-    projector = _AffineProjector(canon.a, canon.b)
     n = canon.n
     c = canon.c
     rho = _RHO
@@ -339,7 +324,6 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     z = np.zeros(n)
     u = np.zeros(n)
 
-    b_scale = 1.0 + (float(np.max(np.abs(canon.b))) if canon.b.size else 0.0)
     c_scale = 1.0 + (float(np.max(np.abs(c))) if c.size else 0.0)
 
     best = None  # (score, snapshot)
@@ -353,7 +337,7 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
 
     for it in range(1, opts.max_iters + 1):
         w = z - u - c / rho
-        x, mu = projector.project(w)
+        x = w - q @ (q.T @ w - t)
         x_rel = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
         z_prev = z
         z = _cone_project(canon, x_rel + u)
@@ -362,12 +346,11 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
         if it % _CHECK_EVERY != 0 and it != opts.max_iters:
             continue
 
-        y = -rho * mu
-        s_tilde = c - canon.a.T @ y if canon.a.shape[0] else c.copy()
-        primal_feas = float(np.max(np.abs(canon.a @ z - canon.b))) if canon.a.shape[0] else 0.0
+        s_tilde = c + rho * (w - x)
+        primal_feas = float(np.max(np.abs(canon.a @ z - canon.b), initial=0.0))
         dual_feas = _cone_dual_distance(canon, s_tilde)
         obj_p = float(c @ z) + canon.c_offset
-        obj_d = float(canon.b @ y) + canon.c_offset if canon.b.size else canon.c_offset
+        obj_d = canon.c_offset - rho * float(x @ (w - x))
         gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
 
         score = max(primal_feas / b_scale, dual_feas / c_scale, gap)

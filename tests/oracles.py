@@ -254,3 +254,19 @@ def classical_score_extremes(states, payoffs):
             sum(float(row @ (t @ np.real(np.diag(s)))) for s, row in zip(states, payoffs))
         )
     return min(scores), max(scores)
+
+
+def gram_affine_projection(a, b, w):
+    """Projection of ``w`` onto ``{x : a x = b}`` through the Gram matrix.
+
+    Returns ``(x, mu)`` with ``mu = G^+ (a w - b)`` and ``x = w - a^T mu``,
+    where ``G = a a^T`` and its eigenvalues at or below 1e-12 of the largest
+    count as zero in the pseudoinverse.  At penalty ``rho`` the multiplier
+    gives the dual vector ``y = -rho mu`` of an ADMM affine step, with dual
+    slack ``c - a^T y`` and dual objective ``b^T y``.
+    """
+    evals, vecs = np.linalg.eigh(a @ a.T)
+    cutoff = np.max(evals, initial=0.0) * 1e-12 + 1e-300
+    inv = np.where(evals > cutoff, 1.0 / np.maximum(evals, cutoff), 0.0)
+    mu = vecs @ (inv * (vecs.T @ (a @ w - b)))
+    return w - a.T @ mu, mu

@@ -3,12 +3,16 @@
 import numpy as np
 import pytest
 
+import oracles
+from crolab import measures
+from crolab.channels import choi_dephase_output, random_channel
 from crolab.linalg import dephase, partial_trace
 from crolab.sdp import (
     SdpProblem,
     SolverOptions,
     _Canonical,
     _cone_project,
+    _row_space,
     _upper_indices,
     extract_dual_witness,
     solve,
@@ -85,6 +89,66 @@ class TestConeProjection:
             assert np.linalg.eigvalsh(unsvec(projected[block], side))[0] > -1e-12
 
 
+class _Captured(Exception):
+    pass
+
+
+def _captured_problem(monkeypatch, build):
+    """The SdpProblem that ``build()`` hands to ``measures.solve``, unsolved."""
+    captured = []
+
+    def capture(problem, options=None):
+        captured.append(problem)
+        raise _Captured
+
+    monkeypatch.setattr(measures, "solve", capture)
+    with pytest.raises(_Captured):
+        build()
+    return captured[0]
+
+
+class TestRowSpaceStep:
+    """The row-space affine step against the Gram projection it replaced."""
+
+    def test_step_and_dual_match_gram_oracle(self, monkeypatch):
+        """On the canonical forms of the robustness block program (d = 2, 3,
+        4) and of both structured cross-check programs (d = 2), the step
+        x = w - Q(Q^T w - t), the slack c + rho (w - x) and the dual value
+        offset - rho x.(w - x) equal the oracle's projection, c - A^T y and
+        b^T y + offset with y = -rho mu, for random w and rho."""
+        rng = np.random.default_rng(31)
+        builds = [
+            lambda d=d: measures.robustness(random_channel(d, seed=d))
+            for d in (2, 3, 4)
+        ]
+        channel = random_channel(2, seed=7)
+        for floor, diagonal in (
+            (channel.choi, False),
+            (choi_dephase_output(channel.choi, 2), True),
+        ):
+            builds.append(
+                lambda f=floor, g=diagonal: measures._solve_structured(f, 2, g)
+            )
+        for build in builds:
+            canon = _Canonical(_captured_problem(monkeypatch, build))
+            q, t = _row_space(canon.a, canon.b)
+            assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
+            for _ in range(3):
+                w = rng.normal(size=canon.n)
+                rho = 10.0 ** rng.uniform(-3, 3)
+                x = w - q @ (q.T @ w - t)
+                s = canon.c + rho * (w - x)
+                dual = canon.c_offset - rho * float(x @ (w - x))
+
+                x_ref, mu = oracles.gram_affine_projection(canon.a, canon.b, w)
+                y = -rho * mu
+                s_ref = canon.c - canon.a.T @ y
+                dual_ref = float(canon.b @ y) + canon.c_offset
+                assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
+                assert np.max(np.abs(s - s_ref)) <= 1e-10 * np.max(np.abs(s_ref))
+                assert abs(dual - dual_ref) <= 1e-10 * abs(dual_ref)
+
+
 class TestSmallProblems:
     """Closed-form problems the solver must reproduce."""
 
@@ -148,6 +212,18 @@ class TestSmallProblems:
         assert abs(solution.primal_value - solution.dual_value) < 1e-6
         assert solution.residuals["gap"] < 1e-6
 
+    def test_no_equality_rows(self):
+        # minimize tr(x) over x >= 0 alone: A has no rows, the affine step
+        # is the identity, and both values are 0.
+        problem = SdpProblem()
+        problem.add_var("x", 2)
+        problem.minimize({"x": np.eye(2)})
+        problem.add_psd([("x", None, 2)])
+        solution = solve(problem)
+        assert solution.status == "optimal"
+        assert solution.primal_value == pytest.approx(0.0, abs=1e-9)
+        assert solution.dual_value == pytest.approx(0.0, abs=1e-9)
+
 
 class TestStatusDetection:
     """Infeasible and unbounded problems are labeled, not mislabeled."""
@@ -185,6 +261,23 @@ class TestStatusDetection:
         )
         solution = solve(problem)
         assert solution.status == "infeasible"
+
+    def test_contradictory_equalities(self):
+        # tr(x) = 1 and tr(x) = 2: no row is zero, but the two rows are
+        # equal with different targets, so the set A x = b is empty and the
+        # solve stops before its first iteration.
+        problem = SdpProblem()
+        problem.add_var("x", 2)
+        problem.minimize({"x": np.eye(2)})
+        problem.add_psd([("x", None, 2)])
+        for target in (1.0, 2.0):
+            problem.add_eq(
+                [("x", lambda m: np.array([[np.real(np.trace(m))]]), 1)],
+                np.array([[target]]),
+            )
+        solution = solve(problem)
+        assert solution.status == "infeasible"
+        assert solution.iterations == 0
 
 
 class TestDeterminism:
