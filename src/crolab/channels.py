@@ -391,3 +391,8 @@ def choi_max_diff(a: Channel, b: Channel) -> float:
 def choi_dephase_output(choi: np.ndarray, dim: int) -> np.ndarray:
     """Apply the output-side dephasing to a Choi state (zero k != l blocks)."""
     return dephase(choi, [dim, dim], (1,))
+
+
+def choi_output_blocks(m: np.ndarray, dim: int) -> np.ndarray:
+    """The stack of output blocks ``B_k[i, j] = m[i*d + k, j*d + k]``."""
+    return np.einsum("ikjk->kij", np.asarray(m).reshape(dim, dim, dim, dim))

@@ -288,6 +288,8 @@ def _cmd_vqa_check(args):
             indices.append(pauli_index(label))
         except ValueError as exc:
             raise SpecError(f"observable {label!r}: {exc}") from exc
+        if len(label.strip()) != n:
+            raise SpecError(f"observable {label!r}: expected {n} letters")
     member, j = vqa_replaceable_set_R(channel, indices, tol=args.tol)
     report = _report_header(args)
     report.update(

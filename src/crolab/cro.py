@@ -35,8 +35,6 @@ from .channels import (
     _pauli_pvm,
     _reprepare_superop,
     choi_from_superop,
-    compose,
-    dephasing,
     random_channel,
     superop_from_choi,
 )
@@ -312,14 +310,14 @@ def random_qccro(dim: int, seed=None, qq_weight: float = 0.0, tol: float = DEFAU
 
     Pre-composes a random channel with the dephasing (which lands in the qc
     class for any front factor), optionally mixed with a fully classical
-    D M D sample with weight ``qq_weight``.
+    D M D sample with weight ``qq_weight``.  On Choi states, N D is N's Choi
+    state dephased on the input and D M D is M's dephased on both sides.
     """
     rng = np.random.default_rng(seed)
-    d = dephasing(dim)
-    base = compose(random_channel(dim, seed=rng), d, tol=tol)
+    base = dephase(random_channel(dim, seed=rng).choi, [dim, dim], (0,))
     if qq_weight == 0.0:
-        return base
+        return Channel(base, tol=tol)
     if not 0.0 <= qq_weight <= 1.0:
         raise ValueError(f"qq_weight must sit in [0, 1], got {qq_weight}")
-    qq = compose(d, compose(random_channel(dim, seed=rng), d), tol=tol)
-    return Channel((1.0 - qq_weight) * base.choi + qq_weight * qq.choi, tol=tol)
+    qq = dephase(random_channel(dim, seed=rng).choi, [dim, dim], (0, 1))
+    return Channel((1.0 - qq_weight) * base + qq_weight * qq, tol=tol)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply
+from .channels import Channel, apply, choi_output_blocks
 from .cro import probe_states
 from .linalg import assert_density_matrix, hermitianize
 from .measures import robustness
@@ -150,7 +150,7 @@ def _witness_game(channel):
     result = robustness(channel)
     frame = probe_states(d)
     frame_matrix = svec(np.swapaxes(frame, -1, -2)).T
-    blocks = np.einsum("ikjk->kij", result.witness.reshape(d, d, d, d))
+    blocks = choi_output_blocks(result.witness, d)
     targets = svec(hermitianize(blocks)).T / d
     alpha = np.linalg.solve(frame_matrix, targets)
     residual = float(np.max(np.abs(frame_matrix @ alpha - targets)))

@@ -13,8 +13,6 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
-LOG2 = np.log(2.0)
-
 
 def kron(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, left factor slowest."""
@@ -89,19 +87,6 @@ def assert_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarr
     if w[0] < -tol:
         raise ValueError(f"state has negative eigenvalue {w[0]:.3e} below -tol={-tol:g}")
     return rho
-
-
-def von_neumann_entropy(rho: np.ndarray, tol: float = DEFAULT_TOL) -> float:
-    """Von Neumann entropy of a density matrix, in bits.
-
-    Eigenvalues in ``[-tol, 0)`` are clamped to zero (and to 1 from above);
-    anything below ``-tol`` is an error.  ``0 log 0`` counts as zero.
-    """
-    rho = assert_density_matrix(rho, tol)
-    w = np.linalg.eigvalsh(hermitianize(rho))
-    w = np.clip(w, 0.0, 1.0)
-    w = w[w > 0.0]
-    return float(-np.sum(w * np.log(w)) / LOG2)
 
 
 def dephase(m: np.ndarray, dims: Sequence[int], subsystems: Sequence[int]) -> np.ndarray:

@@ -6,7 +6,9 @@ is one semidefinite program over the output blocks of the Choi state, and the
 solver's primal and dual blocks, each repaired to exact feasibility, bracket
 it in a certified interval whose dual end comes with its witness.  The
 relative entropy measure has a closed form: the entropy gap between the fully
-dephased and the output-dephased Choi states.
+dephased and the output-dephased Choi states, read off the same output blocks
+(``channels.choi_output_blocks``).  The property suite applies its free
+transformations as linear maps on Choi arrays, not by composing channels.
 """
 
 from dataclasses import dataclass
@@ -16,23 +18,17 @@ import numpy as np
 from .channels import (
     Channel,
     choi_dephase_output,
-    compose,
-    dephasing,
+    choi_output_blocks,
     identity_channel,
     mix,
     random_channel,
     tensor,
-    unitary_channel,
 )
-from .cro import is_qccro, random_qccro
-from .linalg import dephase, partial_trace, psd_part, von_neumann_entropy
+from .cro import _stochastic_from_choi, is_qccro, random_qccro
+from .linalg import DEFAULT_TOL, dephase, partial_trace, psd_part
 from .sdp import SdpProblem, extract_dual_witness, solve
 
 MAX_DIM = 8
-
-# Raw optima this far below zero indicate the solver missed its tolerances;
-# anything milder is first-order noise and gets clamped to zero.
-NEGATIVE_VALUE_LIMIT = -1e-5
 
 
 @dataclass(frozen=True)
@@ -103,14 +99,6 @@ def _require_optimal(solution, what):
             f"{what} solve ended with status {solution.status!r} after "
             f"{solution.iterations} iterations; residuals {solution.residuals}"
         )
-
-
-def _clamped(raw):
-    if raw < NEGATIVE_VALUE_LIMIT:
-        raise RuntimeError(
-            f"robustness optimum {raw:.3e} is negative beyond solver noise"
-        )
-    return max(float(raw), 0.0)
 
 
 def _check_dim(d):
@@ -187,7 +175,7 @@ def robustness(channel):
     d = channel.dim
     _check_dim(d)
     choi = channel.choi
-    blocks = np.einsum("ikjk->kij", choi.reshape(d, d, d, d))
+    blocks = choi_output_blocks(choi, d)
     names = [f"S{k}" for k in range(d)]
     problem = SdpProblem()
     for name, block in zip(names, blocks):
@@ -228,7 +216,8 @@ def robustness_equivalents(channel):
     The entries are: domination of the plain Choi state by a structured
     matrix; domination of the output-dephased Choi state by a diagonal
     matrix; domination of the output-dephased Choi state by a structured
-    matrix.  All three agree up to solver accuracy.
+    matrix.  All three agree up to solver accuracy; each is the raw optimum
+    minus one, below zero by rounding noise at most (X = psi - floor is PSD).
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness_equivalents expects a Channel")
@@ -240,37 +229,51 @@ def robustness_equivalents(channel):
     for floor, diagonal in programs:
         solution = _solve_structured(floor, d, diagonal)
         _require_optimal(solution, "robustness equivalent")
-        values.append(_clamped(solution.primal_value - 1.0))
+        values.append(solution.primal_value - 1.0)
     return values
+
+
+def _entropy_bits(p):
+    """Shannon entropy in bits of values clipped to [0, 1]; 0 log 0 is 0."""
+    p = np.clip(p, 0.0, 1.0)
+    p = p[p > 0.0]
+    return float(-np.sum(p * np.log2(p)))
 
 
 def relative_entropy_irreplaceability(channel):
     """Entropy of the fully dephased Choi minus the output-dephased one.
 
-    Measured in bits.  Dephasing more can only raise entropy, so the value
-    is nonnegative; rounding noise below zero is clamped.
+    Measured in bits.  The output-dephased Choi state is the direct sum of
+    the output blocks B_k, so the value is the entropy of the Choi diagonal
+    minus that of the spectra of the B_k, from one batched ``eigvalsh``.
+    Dephasing more can only raise entropy, so the value is nonnegative;
+    rounding noise below zero is clamped.
     """
     if not isinstance(channel, Channel):
         raise TypeError("relative_entropy_irreplaceability expects a Channel")
-    d = channel.dim
-    partially = choi_dephase_output(channel.choi, d)
-    fully = np.diag(np.diag(partially))
-    value = von_neumann_entropy(fully) - von_neumann_entropy(partially)
-    return max(float(value), 0.0)
+    spectra = np.linalg.eigvalsh(choi_output_blocks(channel.choi, channel.dim))
+    value = _entropy_bits(np.diag(channel.choi).real) - _entropy_bits(spectra)
+    return max(value, 0.0)
 
 
-def _random_qq_member(dim, rng):
-    """Random channel sandwiched between dephasings: a fully classical map."""
-    inner = random_channel(dim, seed=int(rng.integers(2**31)))
-    return compose(dephasing(dim), compose(inner, dephasing(dim)))
+def _postcompose(choi, t):
+    """Choi state of the classical map T after the channel.
+
+    ``J'[(a, j), (b, l)] = delta_jl sum_i T[j, i] J[(a, i), (b, i)]``: output
+    block j is the T-weighted sum of the channel's output blocks.
+    """
+    return _block_diagonal(np.tensordot(t, choi_output_blocks(choi, len(t)), 1))
 
 
-def _random_permutation_unitaries(dim, rng):
-    perm = rng.permutation(dim)
-    p = np.zeros((dim, dim), dtype=complex)
-    for col, row in enumerate(perm):
-        p[row, col] = 1.0
-    return p, p.conj().T
+def _permute(choi, perm):
+    """Choi state of P N(P^dag rho P) P^dag, where P|c> = |perm[c]>.
+
+    Every input and output digit is relabelled by the inverse permutation.
+    """
+    d = len(perm)
+    inv = np.argsort(perm)
+    j4 = choi.reshape(d, d, d, d)[np.ix_(inv, inv, inv, inv)]
+    return j4.reshape(d * d, d * d)
 
 
 def measure_property_suite(channel, seed=0):
@@ -280,10 +283,10 @@ def measure_property_suite(channel, seed=0):
     transformation families (post-composition with a classical map, and
     conjugation by a basis permutation), invariance under attaching an idle
     qubit, and the same convexity and extension properties for the entropic
-    measure.  Each sampled free transformation is itself validated by
-    checking that it maps random replaceable channels to replaceable
-    channels.  Returns a report dict with one entry per check and an
-    overall ``passed`` flag.
+    measure.  Each family is a linear map on Choi states, and each sampled
+    one is validated first: it must map random replaceable channels to
+    replaceable channels and commute with output dephasing.  Returns a
+    report dict with one entry per check and an overall ``passed`` flag.
     """
     if not isinstance(channel, Channel):
         raise TypeError("measure_property_suite expects a Channel")
@@ -295,29 +298,21 @@ def measure_property_suite(channel, seed=0):
     def rvalue(ch):
         return robustness(ch).value
 
-    base_value = rvalue(channel)
-    base_entropy = relative_entropy_irreplaceability(channel)
-
-    partner_a = random_channel(d, seed=int(rng.integers(2**31)))
-    partner_b = random_channel(d, seed=int(rng.integers(2**31)))
-    pair_values = {
-        id(channel): base_value,
-        id(partner_a): rvalue(partner_a),
-        id(partner_b): rvalue(partner_b),
-    }
+    channels = [channel] + [
+        random_channel(d, seed=int(rng.integers(2**31))) for _ in range(2)
+    ]
+    pair_values = [rvalue(ch) for ch in channels]
+    entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
+    base_value, base_entropy = pair_values[0], entropies[0]
 
     robustness_gaps = []
     entropy_gaps = []
-    for first, second in ((channel, partner_a), (partner_a, partner_b)):
-        weight = float(rng.uniform(0.2, 0.8))
-        mixed = mix([first, second], [weight, 1.0 - weight])
-        bound = weight * pair_values[id(first)] + (1.0 - weight) * pair_values[
-            id(second)
-        ]
+    for first, second in ((0, 1), (1, 2)):
+        w = float(rng.uniform(0.2, 0.8))
+        mixed = mix([channels[first], channels[second]], [w, 1.0 - w])
+        bound = w * pair_values[first] + (1.0 - w) * pair_values[second]
         robustness_gaps.append(bound - rvalue(mixed))
-        entropy_bound = weight * relative_entropy_irreplaceability(first) + (
-            1.0 - weight
-        ) * relative_entropy_irreplaceability(second)
+        entropy_bound = w * entropies[first] + (1.0 - w) * entropies[second]
         entropy_gaps.append(
             entropy_bound - relative_entropy_irreplaceability(mixed)
         )
@@ -330,21 +325,13 @@ def measure_property_suite(channel, seed=0):
         "margin": float(min(entropy_gaps)),
     }
 
-    # Two concrete families of free transformations.
-    post = _random_qq_member(d, rng)
-    p, p_dagger = _random_permutation_unitaries(d, rng)
-    p_channel = unitary_channel(p)
-    p_dagger_channel = unitary_channel(p_dagger)
-
-    def post_family(ch):
-        return compose(post, ch)
-
-    def permutation_family(ch):
-        return compose(p_channel, compose(ch, p_dagger_channel))
-
+    # Two concrete families of free transformations, as maps on Choi states.
+    inner = random_channel(d, seed=int(rng.integers(2**31)))
+    t = _stochastic_from_choi(inner.choi, d, DEFAULT_TOL)
+    perm = rng.permutation(d)
     families = {
-        "monotonicity_postcompose": post_family,
-        "monotonicity_permutation": permutation_family,
+        "monotonicity_postcompose": lambda m: _postcompose(m, t),
+        "monotonicity_permutation": lambda m: _permute(m, perm),
     }
 
     # Each family must map replaceable channels to replaceable channels and
@@ -352,15 +339,13 @@ def measure_property_suite(channel, seed=0):
     # meaningful.
     worst_membership = 0.0
     worst_commutation = 0.0
-    delta = dephasing(d)
     for family in families.values():
         for _ in range(5):
             member = random_qccro(d, seed=int(rng.integers(2**31)))
-            worst_membership = max(
-                worst_membership, is_qccro(family(member)).residual
-            )
-        left = compose(delta, family(channel)).choi
-        right = family(compose(delta, channel)).choi
+            image = Channel(family(member.choi))
+            worst_membership = max(worst_membership, is_qccro(image).residual)
+        left = choi_dephase_output(family(channel.choi), d)
+        right = family(choi_dephase_output(channel.choi, d))
         worst_commutation = max(
             worst_commutation, float(np.max(np.abs(left - right)))
         )
@@ -371,7 +356,7 @@ def measure_property_suite(channel, seed=0):
     }
 
     for name, family in families.items():
-        drop = base_value - rvalue(family(channel))
+        drop = base_value - rvalue(Channel(family(channel.choi)))
         report[name] = {"passed": drop >= -1e-5, "margin": float(drop)}
 
     if d <= 4:

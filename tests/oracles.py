@@ -219,6 +219,39 @@ def identity_sides(o, t, kind):
     }[kind]
 
 
+def postcompose_choi(inner_kraus, kraus):
+    """Choi matrix of the fully classical D M D after N, by superoperators.
+
+    M and N are given by their Kraus operators; D is the dephasing.
+    """
+    d = kraus[0].shape[0]
+    dd = dephasing_superop(d)
+    s = dd @ superop_of_kraus(inner_kraus) @ dd @ superop_of_kraus(kraus)
+    return choi_of_superop(s, d)
+
+
+def permutation_conjugate_choi(perm, kraus):
+    """Choi matrix of rho -> P N(P^dag rho P) P^dag with P|c> = |perm[c]>."""
+    d = len(perm)
+    p = np.zeros((d, d), dtype=complex)
+    p[perm, np.arange(d)] = 1.0
+    s = superop_of_kraus([p]) @ superop_of_kraus(kraus) @ superop_of_kraus([p.conj().T])
+    return choi_of_superop(s, d)
+
+
+def qccro_sample_choi(front_kraus, classical_kraus, qq_weight):
+    """Choi matrix of the mixture (1 - w) N D + w D M D, by superoperators.
+
+    N is given by ``front_kraus``, M by ``classical_kraus`` and w is
+    ``qq_weight``.
+    """
+    d = front_kraus[0].shape[0]
+    dd = dephasing_superop(d)
+    s = (1.0 - qq_weight) * superop_of_kraus(front_kraus) @ dd
+    s = s + qq_weight * dd @ superop_of_kraus(classical_kraus) @ dd
+    return choi_of_superop(s, d)
+
+
 def choi_residual(lhs, rhs, d):
     """Largest entrywise deviation between the two sides' Choi matrices."""
     return float(np.max(np.abs(choi_of_superop(lhs, d) - choi_of_superop(rhs, d))))

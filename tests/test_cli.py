@@ -190,6 +190,23 @@ class TestVqaCheckCommand:
     def test_bad_observable_label(self, tmp_path):
         proc = run_cli("vqa-check", gate_spec(tmp_path, "Z"), "Q")
         assert proc.returncode == 2
+        # A label of the wrong length is a parse error, not another string.
+        pair = write_spec(
+            tmp_path,
+            "ih.json",
+            {
+                "kind": "tensor",
+                "children": [
+                    {"kind": "gate", "name": "I"},
+                    {"kind": "gate", "name": "H"},
+                ],
+            },
+        )
+        for label in ("Z", "ZZZ"):
+            proc = run_cli("vqa-check", pair, label)
+            assert proc.returncode == 2
+            assert json.loads(proc.stderr)["kind"] == "parse"
+        assert run_cli("vqa-check", pair, "IZ").returncode == 0
 
 
 class TestSpecParsing:

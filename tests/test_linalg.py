@@ -8,7 +8,6 @@ from crolab.linalg import (
     is_hermitian,
     kron,
     partial_trace,
-    von_neumann_entropy,
 )
 
 
@@ -70,41 +69,6 @@ class TestKronAndPartialTrace:
     def test_partial_trace_bad_keep(self):
         with pytest.raises(ValueError, match="keep"):
             partial_trace(np.eye(6), [2, 3], 4)
-
-
-class TestEntropy:
-    def test_pure_state_zero(self):
-        assert von_neumann_entropy(np.diag([1.0, 0.0])) == pytest.approx(0.0, abs=1e-12)
-
-    def test_maximally_mixed(self):
-        for d in (2, 3, 8):
-            assert von_neumann_entropy(np.eye(d) / d) == pytest.approx(np.log2(d), abs=1e-12)
-
-    def test_binary_entropy(self):
-        p = 0.3
-        rho = np.diag([p, 1 - p])
-        expected = -p * np.log2(p) - (1 - p) * np.log2(1 - p)
-        assert von_neumann_entropy(rho) == pytest.approx(expected, abs=1e-12)
-
-    def test_clamps_tiny_negative_eigenvalue(self):
-        rho = np.diag([1.0 + 5e-10, -5e-10])
-        assert von_neumann_entropy(rho) == pytest.approx(0.0, abs=1e-8)
-
-    def test_rejects_negative_eigenvalue(self):
-        with pytest.raises(ValueError, match="negative eigenvalue"):
-            von_neumann_entropy(np.diag([1.001, -0.001]))
-
-    def test_rejects_wrong_trace(self):
-        with pytest.raises(ValueError, match="trace"):
-            von_neumann_entropy(np.eye(2))
-
-    def test_invariant_under_basis_change(self):
-        rng = np.random.default_rng(9)
-        rho = random_density(rng, 4)
-        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
-        assert von_neumann_entropy(q @ rho @ q.conj().T) == pytest.approx(
-            von_neumann_entropy(rho), abs=1e-9
-        )
 
 
 class TestDephase:

@@ -21,6 +21,7 @@ from crolab.channels import (
     tensor,
     unitary_channel,
 )
+from crolab.cro import _stochastic_from_choi, random_qccro
 from crolab.linalg import dephase, partial_trace
 from crolab.measures import (
     RobustnessResult,
@@ -72,8 +73,6 @@ class TestRobustnessValues:
             assert value <= 1e-6
 
     def test_random_free_members_are_zero(self):
-        from crolab.cro import random_qccro
-
         for seed in range(3):
             member = random_qccro(2, seed=seed)
             assert robustness(member).value <= 1e-6
@@ -236,6 +235,7 @@ class TestEquivalentFormulations:
     def test_replaceable_channel_all_zero(self):
         values = robustness_equivalents(named_gate("Z"))
         assert max(values) <= 1e-6
+        assert min(values) >= -1e-9
 
     def test_random_channels_pairwise_spread(self):
         for seed in range(5):
@@ -293,12 +293,61 @@ class TestRelativeEntropy:
             assert plain == pytest.approx(dephased, abs=1e-9)
 
     def test_bounds_and_oracle_agreement(self):
-        for seed in range(4):
-            channel = random_channel(3, seed=seed)
+        # The unitary's output blocks have rank one, so their spectra carry
+        # rounding-level eigenvalues through the clip and 0 log 0.
+        rng = np.random.default_rng(5)
+        channels = [
+            random_channel(d, seed=seed) for d in (2, 3, 4, 8) for seed in range(4)
+        ]
+        channels.append(unitary_channel(oracles.haar_unitary(4, rng)))
+        for channel in channels:
+            d = channel.dim
             value = relative_entropy_irreplaceability(channel)
-            assert 0.0 <= value <= np.log2(3) + 1e-12
-            reference = oracles.oracle_relative_entropy_bits(channel.choi, 3)
+            assert 0.0 <= value <= np.log2(d) + 1e-12
+            reference = oracles.oracle_relative_entropy_bits(channel.choi, d)
             assert value == pytest.approx(reference, abs=1e-9)
+
+
+class TestChoiMapsAgainstComposition:
+    """The suite's free maps and the qc sampler, on Choi arrays, against
+    the superoperator products of ``oracles``."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_free_families(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(3):
+            channel = random_channel(d, seed=rng)
+            inner = random_channel(d, seed=rng)
+            t = _stochastic_from_choi(inner.choi, d, 1e-9)
+            np.testing.assert_allclose(
+                crolab.measures._postcompose(channel.choi, t),
+                oracles.postcompose_choi(inner.kraus, channel.kraus),
+                rtol=0,
+                atol=1e-12,
+            )
+            for perm in (rng.permutation(d), np.roll(np.arange(d), 1)):
+                np.testing.assert_allclose(
+                    crolab.measures._permute(channel.choi, perm),
+                    oracles.permutation_conjugate_choi(perm, channel.kraus),
+                    rtol=0,
+                    atol=1e-12,
+                )
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("qq_weight", [0.0, 0.4])
+    def test_qccro_sampler(self, d, qq_weight):
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            front = random_channel(d, seed=rng)
+            classical = random_channel(d, seed=rng)
+            np.testing.assert_allclose(
+                random_qccro(d, seed=seed, qq_weight=qq_weight).choi,
+                oracles.qccro_sample_choi(
+                    front.kraus, classical.kraus, qq_weight
+                ),
+                rtol=0,
+                atol=1e-12,
+            )
 
 
 class TestPropertySuite:
