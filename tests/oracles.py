@@ -1,10 +1,12 @@
 """Independent reference computations used to pin expected values in tests.
 
 Everything in this module is built from numpy alone and deliberately avoids
-importing the package under test.  The robustness oracle solves the same
-feasibility question as the production solver but through a different
-mechanism (bisection over alternating projections), so agreement between the
-two is meaningful evidence rather than a tautology.
+importing the package under test, with one exception: ``admm_block_robustness``
+keeps the replaced ADMM path of the robustness and states it to the package's
+generic solver ``crolab.sdp``.  The robustness oracles solve the same
+question as the production solver but through different mechanisms
+(bisection over alternating projections, the ADMM), so agreement between
+them is meaningful evidence rather than a tautology.
 """
 
 import itertools
@@ -303,3 +305,72 @@ def gram_affine_projection(a, b, w):
     inv = np.where(evals > cutoff, 1.0 / np.maximum(evals, cutoff), 0.0)
     mu = vecs @ (inv * (vecs.T @ (a @ w - b)))
     return w - a.T @ mu, mu
+
+
+# The robustness path that the interior-point solver replaced: the output-block
+# program stated to the package's generic ADMM (``crolab.sdp``, imported where
+# it is used), with its solver blocks repaired to an interval as before.  The
+# cross-check then runs a different algorithm from the value it checks.
+
+
+def _offdiagonal(m):
+    return m - np.diag(np.diag(m))
+
+
+def _row_excess(m):
+    return np.diag(np.diag(m)) - np.trace(m) * np.eye(len(m)) / len(m)
+
+
+def admm_block_problem(choi, d):
+    """The output-block program as an ``SdpProblem`` with variables S0..S{d-1}.
+
+    Minimize sum_k tr S_k over S_k >= 0 with offdiag S_k = -offdiag B_k and
+    equal row sums sum_k S_k[i, i], where ``B_k[i, j] = choi[i*d+k, j*d+k]``.
+    """
+    from crolab.sdp import SdpProblem
+
+    blocks = choi.reshape(d, d, d, d)
+    names = [f"S{k}" for k in range(d)]
+    problem = SdpProblem()
+    for k, name in enumerate(names):
+        problem.add_var(name, d)
+        problem.add_psd([(name, None, d)])
+        problem.add_eq([(name, _offdiagonal, d)], -_offdiagonal(blocks[:, k, :, k]))
+    problem.minimize({name: np.eye(d) for name in names})
+    problem.add_eq([(name, _row_excess, d) for name in names], np.zeros((d, d)))
+    return problem
+
+
+def admm_block_robustness(channel):
+    """Certified interval ``(lower, upper)`` of the robustness by the ADMM.
+
+    The primal blocks get -B_k's off-diagonals, equal row sums and
+    max(0, -lambda_min) on each diagonal; the dual blocks are PSD-clipped,
+    their diagonals raised to the largest across k and rescaled to sum d.
+    A dual pairing below one gives way to the identity at zero.
+    """
+    from crolab.sdp import extract_dual_witness, solve
+
+    d = channel.dim
+    blocks = np.stack([channel.choi.reshape(d, d, d, d)[:, k, :, k] for k in range(d)])
+    solution = solve(admm_block_problem(channel.choi, d))
+    if solution.status != "optimal":
+        raise RuntimeError(f"robustness ADMM ended with status {solution.status!r}")
+
+    s = np.stack([solution.variables[f"S{k}"] for k in range(d)])
+    off = ~np.eye(d, dtype=bool)
+    s[:, off] = -blocks[:, off]
+    rows = np.real(np.einsum("kii->i", s))
+    s[:, range(d), range(d)] -= (rows - rows.mean()) / d
+    s[:, range(d), range(d)] += np.maximum(0.0, -np.linalg.eigvalsh(s)[:, :1])
+    upper = float(np.real(np.einsum("kii->", s)))
+
+    w = np.stack([extract_dual_witness(solution, k) for k in range(d)])
+    evals, vecs = np.linalg.eigh(w)
+    w = (vecs * np.clip(evals, 0.0, None)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
+    entries = np.real(w[:, range(d), range(d)])
+    y = entries.max(axis=0)
+    w[:, range(d), range(d)] += y - entries
+    w *= d / y.sum()
+    lower = float(np.real(np.einsum("kij,kji->", w, blocks))) - 1.0
+    return max(lower, 0.0), upper

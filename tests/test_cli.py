@@ -330,3 +330,23 @@ class TestSpecParsing:
         ]
         assert [p.returncode for p in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
+
+        # d = 8 measures, H (x) U(0.4) (x) amplitude damping: the batched
+        # inv, cholesky and solve of the interior-point steps.
+        spec["children"].append(
+            {
+                "kind": "kraus",
+                "dim": 2,
+                "operators": [
+                    [[[1, 0], [0, 0]], [[0, 0], [0.8, 0]]],
+                    [[[0, 0], [0.6, 0]], [[0, 0], [0, 0]]],
+                ],
+            }
+        )
+        path = write_spec(tmp_path, "h_u_damp.json", spec)
+        outputs = [
+            run_cli("measures", path, env={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        ]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout

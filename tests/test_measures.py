@@ -12,6 +12,7 @@ import oracles
 from crolab import cli
 from crolab.channels import (
     Channel,
+    choi_output_blocks,
     compose,
     dephasing,
     identity_channel,
@@ -130,33 +131,158 @@ class TestRobustnessResultInvariants:
 
 
 class TestSolveCount:
-    """Value, witness and optimizer come from a single SDP solve."""
+    """Value, witness and optimizer come from one interior-point solve, and
+    the generic ADMM of ``sdp`` is not called on these paths."""
 
     @pytest.fixture
-    def solve_calls(self, monkeypatch):
-        calls = []
+    def calls(self, monkeypatch):
+        calls = {"blocks": 0, "solve": 0}
+        real_blocks = crolab.measures._solve_blocks
         real_solve = crolab.measures.solve
 
+        def counting_blocks(*args, **kwargs):
+            calls["blocks"] += 1
+            return real_blocks(*args, **kwargs)
+
         def counting_solve(*args, **kwargs):
-            calls.append(1)
+            calls["solve"] += 1
             return real_solve(*args, **kwargs)
 
+        monkeypatch.setattr(crolab.measures, "_solve_blocks", counting_blocks)
         monkeypatch.setattr(crolab.measures, "solve", counting_solve)
         return calls
 
-    def test_robustness_solves_once(self, solve_calls):
+    def test_robustness_solves_once(self, calls):
         robustness(random_channel(2, seed=5))
-        assert len(solve_calls) == 1
+        assert calls == {"blocks": 1, "solve": 0}
 
     @pytest.mark.parametrize("command", ["measures", "game"])
-    def test_cli_command_solves_once(
-        self, solve_calls, tmp_path, capsys, command
-    ):
+    def test_cli_command_solves_once(self, calls, tmp_path, capsys, command):
         spec = tmp_path / "h.json"
         spec.write_text(json.dumps({"kind": "gate", "name": "H"}))
         assert cli.main([command, str(spec)]) == 0
         assert json.loads(capsys.readouterr().out)["tool"] == "crolab"
-        assert len(solve_calls) == 1
+        assert calls == {"blocks": 1, "solve": 0}
+
+
+def _interval(result):
+    return result.value - result.residuals["witness_pairing"], result.value
+
+
+def _assert_sound_witness(result, d):
+    """The witness is PSD and its output blocks share one diagonal of sum d."""
+    assert np.linalg.eigvalsh(result.witness)[0] >= -1e-12
+    blocks = result.witness.reshape(d, d, d, d)
+    diagonals = np.real([np.diag(blocks[:, k, :, k]) for k in range(d)])
+    assert np.max(np.abs(diagonals - diagonals[0])) <= 1e-12
+    assert diagonals[0].sum() == pytest.approx(d, abs=1e-12)
+
+
+@st.composite
+def block_programs(draw):
+    """A channel at d = 1 to 8 with its closed-form robustness, or None.
+
+    Random channels of Kraus rank 1, 2 and d^2 (no closed form); random qc
+    members and phased permutations (zero); Haar unitaries
+    (sigma_max(|U|)^2 - 1)."""
+    d = draw(st.integers(1, 8))
+    kind = draw(st.sampled_from(["random", "qccro", "permutation", "haar"]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "random":
+        rank = draw(st.sampled_from([1, 2, d * d]))
+        return random_channel(d, rank=rank, seed=seed), None
+    if kind == "qccro":
+        return random_qccro(d, seed=seed), 0.0
+    rng = np.random.default_rng(seed)
+    if kind == "permutation":
+        phases = np.exp(2j * np.pi * rng.random(d))
+        return unitary_channel(np.eye(d)[rng.permutation(d)] * phases), 0.0
+    u = oracles.haar_unitary(d, rng)
+    return unitary_channel(u), oracles.unitary_robustness(u)
+
+
+class TestInteriorPointSolver:
+    """The certified interval of ``_solve_blocks`` on every kind of channel."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(block_programs())
+    def test_narrow_interval_holds_closed_form(self, case):
+        channel, closed = case
+        result = robustness(channel)
+        lower, upper = _interval(result)
+        assert result.residuals["witness_pairing"] <= 1e-7
+        assert 0.0 <= lower <= upper
+        if closed is not None:
+            assert lower - 1e-9 <= closed <= upper + 1e-9
+        _assert_sound_witness(result, channel.dim)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_step_closes_dual_residual(self, d):
+        """From the primal start and a dual W whose diagonals miss the
+        shared-diagonal constraint, one step keeps the row sums of p equal
+        and shrinks the dual residual f - N^T diag(W) by the factor
+        1 - alpha: the residual is part of the right-hand side."""
+        blocks = choi_output_blocks(random_channel(d, rank=2, seed=3).choi, d)
+        basis = crolab.measures._row_sum_basis(d)
+        f = basis.sum(axis=0)
+        diagonal = np.arange(d)
+        p = np.full((d, d), np.linalg.eigvalsh(blocks)[:, -1].max() + 1.0)
+        s = -blocks.copy()
+        s[:, diagonal, diagonal] += p
+        w = np.broadcast_to(np.eye(d, dtype=complex), (d, d, d)).copy()
+        w[:, diagonal, diagonal] += 0.1 * np.random.default_rng(d).random((d, d))
+
+        def residual(w):
+            return np.linalg.norm(f - basis.T @ np.real(w[:, diagonal, diagonal]).ravel())
+
+        dp, dw = crolab.measures._hkm_step(s, w, basis, f)
+        assert np.ptp((p + dp).sum(axis=0)) <= 1e-12
+        assert residual(w + dw) <= 0.5 * residual(w)
+
+    def test_one_dimension_is_exactly_zero(self):
+        """At d = 1 the row-sum basis is the whole space and the start
+        already pins the program: value 0, width 0."""
+        assert crolab.measures._row_sum_basis(1).shape == (1, 1)
+        result = robustness(identity_channel(1))
+        assert result.value == 0.0
+        assert result.residuals["witness_pairing"] == 0.0
+
+    def test_random_d8_inside_admm_interval(self):
+        """random_channel(8, seed=0), which took the ADMM seconds: a narrow
+        interval overlapping the ADMM's [0.46993861474387,
+        0.4699388148766206] (pinned with ``oracles.admm_block_robustness``)."""
+        channel = random_channel(8, seed=0)
+        result = robustness(channel)
+        lower, upper = _interval(result)
+        assert upper - lower <= 1e-7
+        assert lower <= 0.4699388148766206 and 0.46993861474387 <= upper
+        _assert_sound_witness(result, 8)
+
+    def test_step_cap_failure(self, monkeypatch, tmp_path, capsys):
+        """One step leaves the interval wide: RuntimeError, and ``measures``
+        exits 4 with a solver diagnostic."""
+        monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 1)
+        with pytest.raises(RuntimeError, match="certified interval"):
+            robustness(named_gate("H"))
+        spec = tmp_path / "h.json"
+        spec.write_text(json.dumps({"kind": "gate", "name": "H"}))
+        assert cli.main(["measures", str(spec)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "solver"
+
+
+class TestAdmmOracle:
+    """The interior-point interval against the replaced ADMM path."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_intervals_overlap(self, d):
+        for rank in (1, 2, d * d):
+            for seed in range(3):
+                channel = random_channel(d, rank=rank, seed=seed)
+                lower, upper = _interval(robustness(channel))
+                admm_lower, admm_upper = oracles.admm_block_robustness(channel)
+                assert max(lower, admm_lower) <= min(upper, admm_upper) + 1e-12
 
 
 @st.composite
@@ -181,13 +307,7 @@ class TestWitnessPathAgainstValuePath:
         assert 0.0 <= lower <= result.value
         assert lower - 1e-5 <= plain <= result.value + 1e-5
         assert width <= 1e-6
-        assert np.linalg.eigvalsh(result.witness)[0] >= -1e-12
-        # dual feasibility: the output blocks share one diagonal summing to d
-        d = channel.dim
-        blocks = result.witness.reshape(d, d, d, d)
-        diagonals = np.real([np.diag(blocks[:, k, :, k]) for k in range(d)])
-        assert np.max(np.abs(diagonals - diagonals[0])) <= 1e-12
-        assert diagonals[0].sum() == pytest.approx(d, abs=1e-12)
+        _assert_sound_witness(result, channel.dim)
         pairing = np.real(np.trace(result.witness @ channel.choi))
         assert pairing - 1.0 == pytest.approx(lower, abs=1e-12)
 

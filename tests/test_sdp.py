@@ -111,14 +111,15 @@ class TestRowSpaceStep:
     """The row-space affine step against the Gram projection it replaced."""
 
     def test_step_and_dual_match_gram_oracle(self, monkeypatch):
-        """On the canonical forms of the robustness block program (d = 2, 3,
-        4) and of both structured cross-check programs (d = 2), the step
+        """On the canonical forms of the ADMM robustness block program of
+        ``oracles`` (d = 2, 3, 4) and of both structured cross-check programs
+        (d = 2), the step
         x = w - Q(Q^T w - t), the slack c + rho (w - x) and the dual value
         offset - rho x.(w - x) equal the oracle's projection, c - A^T y and
         b^T y + offset with y = -rho mu, for random w and rho."""
         rng = np.random.default_rng(31)
-        builds = [
-            lambda d=d: measures.robustness(random_channel(d, seed=d))
+        problems = [
+            oracles.admm_block_problem(random_channel(d, seed=d).choi, d)
             for d in (2, 3, 4)
         ]
         channel = random_channel(2, seed=7)
@@ -126,11 +127,14 @@ class TestRowSpaceStep:
             (channel.choi, False),
             (choi_dephase_output(channel.choi, 2), True),
         ):
-            builds.append(
-                lambda f=floor, g=diagonal: measures._solve_structured(f, 2, g)
+            problems.append(
+                _captured_problem(
+                    monkeypatch,
+                    lambda: measures._solve_structured(floor, 2, diagonal),
+                )
             )
-        for build in builds:
-            canon = _Canonical(_captured_problem(monkeypatch, build))
+        for problem in problems:
+            canon = _Canonical(problem)
             q, t = _row_space(canon.a, canon.b)
             assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
             for _ in range(3):
