@@ -8,20 +8,19 @@ reached by deterministic classical maps (Takagi and Regula, PRX 9, 031053,
 2019); no optimization is needed.  Every certified game carries those two
 scores.  An irreplaceable channel admits a game, built from its robustness
 witness, on which its score divided by the best replaceable score is 1 plus
-the robustness.
+the robustness.  That game is read off the witness's block spectra: each
+eigenpair of a witness block ``W_k`` is one pure input state paying on
+outcome k alone (Takagi, Regula, Bu, Liu and Adesso, PRL 122, 140402, 2019;
+Takagi and Regula, PRX 9, 031053, 2019).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, apply, choi_output_blocks
-from .cro import probe_states
-from .linalg import assert_density_matrix, hermitianize
-from .measures import robustness
-from .sdp import svec
-
-MAX_GAME_DIM = 4
+from .channels import Channel, choi_output_blocks
+from .linalg import assert_density_matrix
+from .measures import _block_diagonal, robustness
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,7 +33,10 @@ class GameSpec:
     channels: ``sum_i min_j c[i, j]`` and ``sum_i max_j c[i, j]`` with
     ``c[i, j] = sum_s payoffs[s, j] states[s][i, i]``, each reached by a
     deterministic classical map (Takagi and Regula, PRX 9, 031053, 2019).
-    Games built through ``certified_game`` always carry it.
+    Games built through ``certified_game`` always carry it.  In a witness
+    game (``game_from_witness``) the states are the eigenstates of the
+    witness blocks, one per positive eigenvalue, and every payoff is
+    nonnegative.
     """
 
     dim: int
@@ -43,8 +45,19 @@ class GameSpec:
     normalization: dict | None = None
 
 
+def _witness_blocks(game):
+    """The game's witness blocks ``W_k = d sum_s payoffs[s, k] sigma_s^T``."""
+    d = game.dim
+    states = np.reshape(game.states, (-1, d, d))
+    return d * np.einsum("sk,sji->kij", game.payoffs, states)
+
+
 def payoff(channel, game):
-    """Expected score of the channel on the game."""
+    """Expected score of the channel on the game.
+
+    The score is ``sum_k tr(W_k B_k)`` over the game's witness blocks and
+    the output blocks ``B_k`` of the channel's Choi state.
+    """
     if not isinstance(channel, Channel):
         raise TypeError("payoff expects a Channel")
     if channel.dim != game.dim:
@@ -52,26 +65,14 @@ def payoff(channel, game):
             f"channel dimension {channel.dim} does not match game dimension "
             f"{game.dim}"
         )
-    total = 0.0
-    for sigma, row in zip(game.states, game.payoffs):
-        outcome_probabilities = np.real(np.diag(apply(channel, sigma)))
-        total += float(row @ outcome_probabilities)
-    return total
+    blocks = choi_output_blocks(channel.choi, game.dim)
+    return float(np.real(np.einsum("kij,kji->", _witness_blocks(game), blocks)))
 
 
 def witness_operator(game):
-    """The block-diagonal operator whose pairing with the output-dephased
-    Choi state reproduces the payoff."""
-    d = game.dim
-    w = np.zeros((d * d, d * d), dtype=complex)
-    for sigma, row in zip(game.states, game.payoffs):
-        for j in range(d):
-            if row[j] == 0.0:
-                continue
-            marker = np.zeros((d, d), dtype=complex)
-            marker[j, j] = 1.0
-            w += row[j] * np.kron(sigma.T, marker)
-    return d * w
+    """The block-diagonal operator ``sum_k W_k (x) |k><k|`` whose pairing with
+    the output-dephased Choi state reproduces the payoff."""
+    return _block_diagonal(_witness_blocks(game))
 
 
 def extremal_payoff_over_qccro(game, direction="max"):
@@ -129,11 +130,14 @@ def certified_game(dim, states, payoffs):
 def game_from_witness(channel):
     """Build the game on which the channel's advantage equals 1 + robustness.
 
-    Runs the robustness computation and decomposes each outcome block of
-    its dual witness over an informationally complete frame of pure states
-    to recover a payoff table.  The witness blocks share one diagonal, so
-    every classically replaceable channel scores 1 on the game.  The
-    returned game carries its normalization certificate.
+    Runs the robustness computation and reads the game off the spectra of
+    its witness blocks ``W_k``: every eigenpair ``(lambda, v)`` of ``W_k``
+    with ``lambda > 0`` gives the pure state ``conj(v) conj(v)^dagger``,
+    which pays ``lambda / d`` on outcome k and 0 elsewhere (Takagi, Regula,
+    Bu, Liu and Adesso, PRL 122, 140402, 2019; Takagi and Regula, PRX 9,
+    031053, 2019).  The witness blocks share one diagonal, so every
+    classically replaceable channel scores 1 on the game.  The returned
+    game carries its normalization certificate.
     """
     return _witness_game(channel)[0]
 
@@ -143,19 +147,11 @@ def _witness_game(channel):
     if not isinstance(channel, Channel):
         raise TypeError("game_from_witness expects a Channel")
     d = channel.dim
-    if d > MAX_GAME_DIM:
-        raise ValueError(
-            f"witness games support dimension up to {MAX_GAME_DIM}, got {d}"
-        )
     result = robustness(channel)
-    frame = probe_states(d)
-    frame_matrix = svec(np.swapaxes(frame, -1, -2)).T
-    blocks = choi_output_blocks(result.witness, d)
-    targets = svec(hermitianize(blocks)).T / d
-    alpha = np.linalg.solve(frame_matrix, targets)
-    residual = float(np.max(np.abs(frame_matrix @ alpha - targets)))
-    if residual > 1e-9:
-        raise RuntimeError(
-            f"frame decomposition did not close; residual {residual:.3e}"
-        )
-    return certified_game(d, frame, alpha), result
+    lam, vecs = np.linalg.eigh(choi_output_blocks(result.witness, d))
+    outcome, index = np.nonzero(lam > 0)
+    v = vecs[outcome, :, index].conj()
+    states = v[:, :, None] * v[:, None, :].conj()
+    payoffs = np.zeros((len(outcome), d))
+    payoffs[np.arange(len(outcome)), outcome] = lam[outcome, index] / d
+    return certified_game(d, states, payoffs), result

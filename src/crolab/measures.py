@@ -466,7 +466,7 @@ def measure_property_suite(channel, seed=0):
         drop = base_value - rvalue(Channel(family(channel.choi)))
         report[name] = {"passed": drop >= -1e-5, "margin": float(drop)}
 
-    if d <= 4:
+    if 2 * d <= MAX_DIM:
         extended = tensor(channel, identity_channel(2))
         gap = abs(rvalue(extended) - base_value)
         report["extension_robustness"] = {

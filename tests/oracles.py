@@ -291,6 +291,74 @@ def classical_score_extremes(states, payoffs):
     return min(scores), max(scores)
 
 
+def probe_frame(d):
+    """The d^2 pure states |k><k| and (|k> + p |l>)(<k| + p* <l|) / 2 for
+    k < l and p in (1, i): an informationally complete frame."""
+    eye = np.eye(d, dtype=complex)
+    vectors = list(eye)
+    for k in range(d):
+        for l in range(k + 1, d):
+            vectors += [(eye[k] + phase * eye[l]) / np.sqrt(2.0) for phase in (1.0, 1.0j)]
+    return np.array([np.outer(v, v.conj()) for v in vectors])
+
+
+def _hermitian_coordinates(m):
+    """The d^2 real coordinates of each Hermitian matrix in a stack: the
+    diagonal, then the real and imaginary parts of the strict upper triangle."""
+    rows, cols = np.triu_indices(m.shape[-1], 1)
+    upper = m[..., rows, cols]
+    diagonal = np.real(np.diagonal(m, axis1=-2, axis2=-1))
+    return np.concatenate([diagonal, np.real(upper), np.imag(upper)], axis=-1)
+
+
+def frame_witness_game(witness, d):
+    """States and payoffs of the witness game by frame decomposition.
+
+    Solves sum_s payoffs[s, k] sigma_s^T = W_k / d over the ``probe_frame``
+    states sigma_s, for each output block ``W_k[i, j] = witness[i*d+k, j*d+k]``;
+    the replaced construction of ``game_from_witness``.
+    """
+    frame = probe_frame(d)
+    blocks = np.stack([witness.reshape(d, d, d, d)[:, k, :, k] for k in range(d)])
+    frame_matrix = _hermitian_coordinates(np.swapaxes(frame, -1, -2)).T
+    targets = _hermitian_coordinates(blocks).T / d
+    payoffs = np.linalg.solve(frame_matrix, targets)
+    residual = float(np.max(np.abs(frame_matrix @ payoffs - targets)))
+    if residual > 1e-9:
+        raise RuntimeError(f"frame decomposition did not close; residual {residual:.3e}")
+    return frame, payoffs
+
+
+def loop_payoff(choi, states, payoffs):
+    """Expected game score, one channel output per state.
+
+    The output of sigma is d sum_ij sigma[i, j] J_ij, with J_ij the (i, j)
+    block of the trace-one Choi matrix.
+    """
+    d = len(states[0])
+    total = 0.0
+    for sigma, row in zip(states, payoffs):
+        output = sum(
+            d * sigma[i, j] * choi[i * d:(i + 1) * d, j * d:(j + 1) * d]
+            for i in range(d)
+            for j in range(d)
+        )
+        total += float(row @ np.real(np.diag(output)))
+    return total
+
+
+def loop_witness_operator(states, payoffs):
+    """d sum_s sum_j payoffs[s, j] sigma_s^T (x) |j><j|, one term at a time."""
+    d = len(states[0])
+    w = np.zeros((d * d, d * d), dtype=complex)
+    for sigma, row in zip(states, payoffs):
+        for j in range(d):
+            marker = np.zeros((d, d))
+            marker[j, j] = 1.0
+            w += row[j] * np.kron(sigma.T, marker)
+    return d * w
+
+
 def gram_affine_projection(a, b, w):
     """Projection of ``w`` onto ``{x : a x = b}`` through the Gram matrix.
 

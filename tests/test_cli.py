@@ -164,6 +164,15 @@ class TestGameCommand:
         )
         assert report["qccro_max"] <= 1.0 + 1e-6
 
+    def test_three_qubit_hadamard_game(self, tmp_path):
+        spec = {"kind": "tensor", "children": [{"kind": "gate", "name": "H"}] * 3}
+        proc = run_cli("game", write_spec(tmp_path, "hhh.json", spec))
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["gap"] <= 1e-6
+        # sigma_max(|H (x) H (x) H|)^2 = 8
+        assert report["one_plus_R"] == pytest.approx(8.0, abs=1e-6)
+
 
 class TestVqaCheckCommand:
     """Pauli-observable replaceability checks."""
@@ -331,8 +340,9 @@ class TestSpecParsing:
         assert [p.returncode for p in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
 
-        # d = 8 measures, H (x) U(0.4) (x) amplitude damping: the batched
-        # inv, cholesky and solve of the interior-point steps.
+        # d = 8 measures and game, H (x) U(0.4) (x) amplitude damping: the
+        # batched inv, cholesky and solve of the interior-point steps, and
+        # the batched eigh of the witness blocks.
         spec["children"].append(
             {
                 "kind": "kraus",
@@ -344,9 +354,10 @@ class TestSpecParsing:
             }
         )
         path = write_spec(tmp_path, "h_u_damp.json", spec)
-        outputs = [
-            run_cli("measures", path, env={"OPENBLAS_NUM_THREADS": threads})
-            for threads in ("1", "2")
-        ]
-        assert [p.returncode for p in outputs] == [0, 0]
-        assert outputs[0].stdout == outputs[1].stdout
+        for command in ("measures", "game"):
+            outputs = [
+                run_cli(command, path, env={"OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")
+            ]
+            assert [p.returncode for p in outputs] == [0, 0]
+            assert outputs[0].stdout == outputs[1].stdout

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import oracles
 from crolab.channels import (
     choi_dephase_output,
+    choi_output_blocks,
     identity_channel,
     named_gate,
     pauli_channel_T,
@@ -16,6 +17,7 @@ from crolab.channels import (
 from crolab.cro import is_qccro
 from crolab.game import (
     GameSpec,
+    _witness_game,
     certified_game,
     extremal_payoff_over_qccro,
     game_from_witness,
@@ -183,20 +185,57 @@ class TestWitnessGames:
         assert game.normalization["max"] == pytest.approx(1.0, abs=1e-6)
 
     def test_random_channels_realize_robustness_ratio(self):
-        for seed in range(5):
-            channel = random_channel(2, seed=seed)
-            game = game_from_witness(channel)
-            expected = 1.0 + robustness(channel).value
-            ratio = payoff(channel, game) / game.normalization["max"]
-            assert ratio == pytest.approx(expected, abs=1e-3)
+        for d in (2, 3, 4, 8):
+            for seed in range(5):
+                channel = random_channel(d, seed=seed)
+                game = game_from_witness(channel)
+                expected = 1.0 + robustness(channel).value
+                ratio = payoff(channel, game) / game.normalization["max"]
+                assert ratio == pytest.approx(expected, abs=1e-8)
 
-    def test_frame_states_are_reused(self):
-        game = game_from_witness(named_gate("H"))
-        assert len(game.states) == 4
-        assert game.payoffs.shape == (4, 2)
+    def test_states_are_witness_eigenstates(self):
+        channels = [named_gate("H"), named_gate("Z")] + [
+            random_channel(d, seed=seed) for d in (2, 3, 4, 8) for seed in range(2)
+        ]
+        for channel in channels:
+            d = channel.dim
+            game, result = _witness_game(channel)
+            spectra = np.linalg.eigvalsh(choi_output_blocks(result.witness, d))
+            assert len(game.states) == np.count_nonzero(spectra > 0) <= d * d
+            assert np.all(game.payoffs >= 0.0)
+            assert np.all(np.count_nonzero(game.payoffs, axis=1) == 1)
+            assert np.max(np.abs(witness_operator(game) - result.witness)) <= 1e-12
+            assert abs(game.normalization["min"] - 1.0) <= 1e-12
+            assert abs(game.normalization["max"] - 1.0) <= 1e-12
 
     def test_dimension_guard(self):
+        channel = identity_channel(5)
+        game = game_from_witness(channel)
+        ratio = payoff(channel, game) / game.normalization["max"]
+        assert ratio == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="dimension"):
-            game_from_witness(identity_channel(5))
+            game_from_witness(identity_channel(9))
         with pytest.raises(TypeError, match="Channel"):
             game_from_witness(np.eye(4))
+
+
+class TestFrameOracle:
+    """The spectral witness game against the frame decomposition it replaced."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_spectral_and_frame_games_agree(self, d):
+        for seed in range(3):
+            channel = random_channel(d, seed=seed)
+            spectral, result = _witness_game(channel)
+            frame = certified_game(d, *oracles.frame_witness_game(result.witness, d))
+            ratios = []
+            for game in (spectral, frame):
+                w = witness_operator(game)
+                assert np.max(np.abs(w - result.witness)) <= 1e-9
+                loop_w = oracles.loop_witness_operator(game.states, game.payoffs)
+                assert np.max(np.abs(loop_w - w)) <= 1e-12
+                score = payoff(channel, game)
+                loop = oracles.loop_payoff(channel.choi, game.states, game.payoffs)
+                assert abs(loop - score) <= 1e-12
+                ratios.append(score / game.normalization["max"])
+            assert abs(ratios[0] - ratios[1]) <= 1e-9
