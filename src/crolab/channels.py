@@ -291,21 +291,20 @@ def block_dephasing(projectors: ProjectorSet | Sequence[np.ndarray], tol: float 
 def pauli_channel_T(index: int, n: int, tol: float = DEFAULT_TOL) -> Channel:
     """Measure-and-reprepare channel of a single Pauli-string observable.
 
-    For a non-identity string P this is the ``te_channel`` of the eigenspace
-    projectors (I +- P)/2, i.e. ``rho -> (tr(P+ rho) P+ + tr(P- rho) P-) /
-    2^(n-1)``.  Index 0 (the identity string) has a single trivial outcome,
-    which makes it the completely depolarizing map.
+    For a non-identity string P, measuring the eigenspace projectors
+    (I +- P)/2 and repreparing the normalized outcome projector is
+    ``rho -> (tr(rho) I + tr(P rho) P) / 2^n``, with superoperator
+    ``(|I>><<I| + |P>><<P^T|) / 2^n``.  Index 0 (the identity string) has a
+    single trivial outcome, which makes it the completely depolarizing map
+    ``rho -> tr(rho) I / 2^n``.
     """
-    return te_channel(_pauli_pvm(index, n), tol=tol)
-
-
-def _pauli_pvm(index: int, n: int) -> ProjectorSet:
-    """Eigenspace projectors of a Pauli string; the identity has one outcome."""
     p = pauli_matrix(index, n)
-    eye = np.eye(2**n, dtype=complex)
-    if index == 0:
-        return ProjectorSet([eye])
-    return ProjectorSet([(eye + p) / 2, (eye - p) / 2])
+    d = 2**n
+    eye = vec_row(np.eye(d, dtype=complex))
+    superop = np.outer(eye, eye)
+    if index != 0:
+        superop = superop + np.outer(vec_row(p), vec_row(p.T))
+    return channel_from_superop(superop / d, d, tol=tol)
 
 
 def interpolation_unitary(theta: float) -> np.ndarray:

@@ -322,58 +322,35 @@ def _build_parser():
         "and quantify irreplaceability.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser(
-        "classify",
-        parents=[common],
-        help="membership in the four replaceability classes",
-    )
-    p.add_argument("spec", help="channel specification JSON file")
-    p.set_defaults(handler=_cmd_classify)
-
-    p = sub.add_parser(
-        "measures",
-        parents=[common],
-        help="robustness and relative-entropy measures",
-    )
-    p.add_argument("spec", help="channel specification JSON file")
-    p.set_defaults(handler=_cmd_measures)
-
-    p = sub.add_parser(
-        "sweep",
-        parents=[common],
-        help="CSV sweep of both measures over a gate family",
-    )
-    p.add_argument("family", help=f"family name (only {SWEEP_FAMILY!r})")
-    p.add_argument(
+    commands = {
+        "classify": (_cmd_classify, "membership in the four replaceability classes"),
+        "measures": (_cmd_measures, "robustness and relative-entropy measures"),
+        "sweep": (_cmd_sweep, "CSV sweep of both measures over a gate family"),
+        "game": (_cmd_game, "witness game construction and advantage check"),
+        "vqa-check": (
+            _cmd_vqa_check,
+            "replaceability before a fixed Pauli-observable measurement",
+        ),
+    }
+    parsers = {}
+    for name, (handler, summary) in commands.items():
+        parsers[name] = p = sub.add_parser(name, parents=[common], help=summary)
+        p.set_defaults(handler=handler)
+        if name != "sweep":
+            p.add_argument("spec", help="channel specification JSON file")
+    parsers["sweep"].add_argument("family", help=f"family name (only {SWEEP_FAMILY!r})")
+    parsers["sweep"].add_argument(
         "--points",
         type=int,
         default=50,
         help="number of grid points (default %(default)s)",
     )
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser(
-        "game",
-        parents=[common],
-        help="witness game construction and advantage check",
-    )
-    p.add_argument("spec", help="channel specification JSON file")
-    p.set_defaults(handler=_cmd_game)
-
-    p = sub.add_parser(
-        "vqa-check",
-        parents=[common],
-        help="replaceability before a fixed Pauli-observable measurement",
-    )
-    p.add_argument("spec", help="channel specification JSON file")
-    p.add_argument(
+    parsers["vqa-check"].add_argument(
         "observables",
         nargs="+",
         metavar="PAULI",
         help="Pauli string labels such as Z, XX, ZZZ",
     )
-    p.set_defaults(handler=_cmd_vqa_check)
     return parser
 
 

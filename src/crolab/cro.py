@@ -19,7 +19,9 @@ non-members with the probe state on which the two sides differ most.
 The PVM generalizations swap D for the measure-and-reprepare channel of a
 projector set and decide the identities on products of superoperator
 matrices; the replacement matrix is indexed by measurement outcomes
-instead of basis labels.
+instead of basis labels.  The Pauli-observable identity T_i O = T_i O T_j
+holds iff the pulled-back observable O^dag(P_i) lies in the span of I and
+P_j, so j is read off the Pauli expansion of O^dag(P_i).
 """
 
 from __future__ import annotations
@@ -32,13 +34,13 @@ import numpy as np
 from .channels import (
     Channel,
     ProjectorSet,
-    _pauli_pvm,
     _reprepare_superop,
     choi_from_superop,
     random_channel,
     superop_from_choi,
 )
 from .linalg import DEFAULT_TOL, dephase, hermitianize
+from .paulis import pauli_stack
 
 
 @dataclass(frozen=True)
@@ -266,6 +268,11 @@ def vqa_replaceable_set_R(
     is a member iff one index j in [0, 4^n) satisfies T_i O = T_i O T_j for
     every i in ``observables``.  Returns (True, first such j) or (False,
     None).  The channel dimension must be 2^n with n <= 3.
+
+    For trace-preserving O, ``T_i O - T_i O T_j`` is ``rho -> tr(R rho) P_i
+    / d`` where R is ``A_i = O^dag(P_i)`` less its I and P_j terms in the
+    Pauli expansion ``A_i = sum_c tr(P_c A_i) P_c / d``; its largest Choi
+    entry is ``max|R| / d^2``, the residual compared with ``tol``.
     """
     n = int(round(np.log2(o.dim)))
     if 2**n != o.dim or n > 3:
@@ -276,14 +283,15 @@ def vqa_replaceable_set_R(
     for i in observables:
         if not 0 <= i < 4**n:
             raise ValueError(f"observable index {i} out of range for n={n}")
-    measured = [_reprepare_superop(_pauli_pvm(i, n)) for i in observables]
-    lhs = [t @ o.superop for t in measured]
-    for j in range(4**n):
-        oj = o.superop @ _reprepare_superop(_pauli_pvm(j, n))
-        # Choi entries are the superoperator entries divided by d
-        if all(np.max(np.abs(side - t @ oj)) / o.dim <= tol for side, t in zip(lhs, measured)):
-            return True, j
-    return False, None
+    d, paulis = o.dim, pauli_stack(n)
+    # A_i[b, a] = tr(P_i O(|a><b|)) = d sum_kl J[(a,k),(b,l)] P_i[l,k]
+    pulled = d * np.einsum("akbl,ilk->iba", o.choi.reshape(d, d, d, d), paulis[observables])
+    coeffs = np.einsum("cxy,iyx->ic", paulis, pulled) / d
+    rest = pulled[:, None] - coeffs[:, :, None, None] * paulis  # A_i - a_i[j] P_j
+    rest[:, 1:] -= coeffs[:, :1, None, None] * paulis[0]  # and a_i[0] I for j > 0
+    residuals = np.max(np.abs(rest), axis=(0, 2, 3)) / d**2
+    matches = np.flatnonzero(residuals <= tol)
+    return (True, int(matches[0])) if matches.size else (False, None)
 
 
 def eb_ppt_test(o: Channel, tol: float = DEFAULT_TOL) -> EbVerdict:

@@ -75,6 +75,12 @@ def witness_operator(game):
     return _block_diagonal(_witness_blocks(game))
 
 
+def _classical_scores(dim, states, payoffs):
+    """``c[i, j] = sum_s payoffs[s, j] sigma_s[i, i]``, for |i><i| -> |j><j|."""
+    diagonals = np.real(np.diagonal(np.reshape(states, (-1, dim, dim)), axis1=1, axis2=2))
+    return diagonals.T @ payoffs
+
+
 def extremal_payoff_over_qccro(game, direction="max"):
     """Best or worst score any classically replaceable channel can reach.
 
@@ -90,8 +96,7 @@ def extremal_payoff_over_qccro(game, direction="max"):
     if direction not in ("min", "max"):
         raise ValueError(f"direction must be 'min' or 'max', got {direction!r}")
     d = game.dim
-    diagonals = np.real([np.diag(s) for s in game.states]).reshape(-1, d)
-    c = diagonals.T @ game.payoffs
+    c = _classical_scores(d, game.states, game.payoffs)
     picks = np.argmax(c, axis=1) if direction == "max" else np.argmin(c, axis=1)
     inputs = np.arange(d)
     choi = np.zeros(d * d)
@@ -102,12 +107,16 @@ def extremal_payoff_over_qccro(game, direction="max"):
 def certified_game(dim, states, payoffs):
     """Validate the ingredients and attach the normalization certificate.
 
-    The certificate holds the worst and best classically replaceable scores
-    from ``extremal_payoff_over_qccro``.
+    Every state must be a ``(dim, dim)`` density matrix.  The certificate
+    holds the worst and best classically replaceable scores,
+    ``sum_i min_j c[i, j]`` and ``sum_i max_j c[i, j]``, the values
+    ``extremal_payoff_over_qccro`` returns.
     """
     states = tuple(np.array(s, dtype=complex) for s in states)
-    for s in states:
-        assert_density_matrix(s)
+    for k, s in enumerate(states):
+        if s.shape != (dim, dim):
+            raise ValueError(f"state {k} has shape {s.shape}, expected ({dim}, {dim})")
+    stack = assert_density_matrix(np.reshape(states, (-1, dim, dim)))
     payoffs = np.array(payoffs, dtype=float)
     if payoffs.shape != (len(states), dim):
         raise ValueError(
@@ -116,14 +125,12 @@ def certified_game(dim, states, payoffs):
         )
     if not np.all(np.isfinite(payoffs)):
         raise ValueError("payoffs must be finite")
-    bare = GameSpec(dim=dim, states=states, payoffs=payoffs)
-    low, _ = extremal_payoff_over_qccro(bare, "min")
-    high, _ = extremal_payoff_over_qccro(bare, "max")
+    c = _classical_scores(dim, stack, payoffs)
     return GameSpec(
         dim=dim,
         states=states,
         payoffs=payoffs,
-        normalization={"min": low, "max": high},
+        normalization={"min": float(c.min(axis=1).sum()), "max": float(c.max(axis=1).sum())},
     )
 
 

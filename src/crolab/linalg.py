@@ -7,6 +7,7 @@ slow (leftmost) Kronecker factor: a bipartite index is ``i0 * d1 + i1``.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 import numpy as np
@@ -76,16 +77,24 @@ def partial_trace(m: np.ndarray, dims: Sequence[int], keep: int | Sequence[int])
 
 
 def assert_density_matrix(rho: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Validate a density matrix (Hermitian, PSD within tol, unit trace)."""
+    """Validate a density matrix, or each of a stack: Hermitian (which NaN
+    fails), unit trace, PSD within tol.  A stack's error names the state."""
     rho = np.asarray(rho)
-    if not is_hermitian(rho, tol):
+    if rho.ndim < 2 or rho.shape[-1] != rho.shape[-2]:
         raise ValueError(f"state is not Hermitian within tol={tol:g}")
-    tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > max(tol, 1e3 * np.finfo(float).eps * rho.shape[0]):
-        raise ValueError(f"state trace {tr:.12g} is not 1 within tol={tol:g}")
-    w = np.linalg.eigvalsh(hermitianize(rho))
-    if w[0] < -tol:
-        raise ValueError(f"state has negative eigenvalue {w[0]:.3e} below -tol={-tol:g}")
+    stack = rho.reshape(-1, *rho.shape[-2:])
+    asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
+    tr = np.trace(stack, axis1=1, axis2=2)
+    tr_dev = np.abs(tr - 1.0)
+    tr_tol = max(tol, 1e3 * np.finfo(float).eps * rho.shape[-1])
+    w = np.linalg.eigvalsh(hermitianize(stack))[:, 0]
+    for k in np.flatnonzero(~(asym <= tol) | (tr_dev > tr_tol) | (w < -tol))[:1]:
+        state = f"state {k}" if rho.ndim > 2 else "state"
+        if not asym[k] <= tol:
+            raise ValueError(f"{state} is not Hermitian within tol={tol:g}")
+        if tr_dev[k] > tr_tol:
+            raise ValueError(f"{state} trace {complex(tr[k]):.12g} is not 1 within tol={tol:g}")
+        raise ValueError(f"{state} has negative eigenvalue {w[k]:.3e} below -tol={-tol:g}")
     return rho
 
 
@@ -105,14 +114,10 @@ def dephase(m: np.ndarray, dims: Sequence[int], subsystems: Sequence[int]) -> np
     return m * mask
 
 
-_MASK_CACHE: dict[tuple[tuple[int, ...], tuple[int, ...]], np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _dephase_mask(dims: tuple[int, ...], subsystems: tuple[int, ...]) -> np.ndarray:
-    key = (dims, subsystems)
-    cached = _MASK_CACHE.get(key)
-    if cached is not None:
-        return cached
+    """Read-only 0/1 mask keeping the entries whose indices agree on
+    ``subsystems``."""
     if not set(subsystems).issubset(range(len(dims))):
         raise ValueError(f"subsystems {subsystems} out of range for dims {dims}")
     total = int(np.prod(dims))
@@ -126,5 +131,5 @@ def _dephase_mask(dims: tuple[int, ...], subsystems: tuple[int, ...]) -> np.ndar
     mask = np.ones((total, total), dtype=float)
     for s in subsystems:
         mask *= (digits[s][:, None] == digits[s][None, :]).astype(float)
-    _MASK_CACHE[key] = mask
+    mask.flags.writeable = False
     return mask

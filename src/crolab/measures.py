@@ -60,27 +60,6 @@ class RobustnessResult:
     status: str
 
 
-def _dephase_gap(d):
-    def fn(m):
-        return dephase(m, [d, d], (1,)) - dephase(m, [d, d], (0, 1))
-
-    return fn
-
-
-def _diagonal_gap(d):
-    def fn(m):
-        return m - dephase(m, [d, d], (0, 1))
-
-    return fn
-
-
-def _marginal_gap(d):
-    def fn(m):
-        return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
-
-    return fn
-
-
 def _solve_structured(floor, d, diagonal):
     """Minimize tr(psi) over structured psi dominating ``floor``.
 
@@ -93,8 +72,14 @@ def _solve_structured(floor, d, diagonal):
     is positive too.
     """
     n = d * d
-    gap = (_diagonal_gap if diagonal else _dephase_gap)(d)
-    marginal = _marginal_gap(d)
+    dephased = () if diagonal else (1,)
+
+    def gap(m):
+        return dephase(m, [d, d], dephased) - dephase(m, [d, d], (0, 1))
+
+    def marginal(m):
+        return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
+
     problem = SdpProblem()
     problem.add_var("x", n)
     problem.add_psd([("x", None, n)])

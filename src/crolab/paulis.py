@@ -48,6 +48,21 @@ def pauli_matrix(index: int, n: int) -> np.ndarray:
     return out
 
 
+def pauli_stack(n: int) -> np.ndarray:
+    """All 4^n Pauli strings as a (4^n, 2^n, 2^n) stack, in index order.
+
+    Each of the n steps takes the Kronecker product of every string so far
+    with every single-qubit Pauli, the new factor the fastest.
+    """
+    singles = np.stack(_SINGLE)
+    stack = np.ones((1, 1, 1), dtype=complex)
+    for _ in range(int(n)):
+        m, side = stack.shape[:2]
+        stack = stack[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
+        stack = stack.reshape(4 * m, 2 * side, 2 * side)
+    return stack
+
+
 def pauli_index(label: str) -> int:
     """Index of a Pauli string written as letters, e.g. ``"ZIZ"``."""
     label = label.strip().upper()

@@ -259,17 +259,20 @@ def choi_residual(lhs, rhs, d):
     return float(np.max(np.abs(choi_of_superop(lhs, d) - choi_of_superop(rhs, d))))
 
 
+def vqa_residuals(o, observables, n):
+    """Per candidate j, the largest Choi residual of T_i O = T_i O T_j over
+    the observables i."""
+    d = 2**n
+    sides = [pauli_reprepare_superop(i, n) @ o for i in observables]
+    return [
+        max(choi_residual(side, side @ pauli_reprepare_superop(j, n), d) for side in sides)
+        for j in range(4**n)
+    ]
+
+
 def vqa_first_index(o, observables, n, tol):
     """First j with T_i O = T_i O T_j for every observable i, else None."""
-    d = 2**n
-    for j in range(4**n):
-        t_j = pauli_reprepare_superop(j, n)
-        if all(
-            choi_residual(t_i @ o, t_i @ o @ t_j, d) <= tol
-            for t_i in (pauli_reprepare_superop(i, n) for i in observables)
-        ):
-            return j
-    return None
+    return next((j for j, r in enumerate(vqa_residuals(o, observables, n)) if r <= tol), None)
 
 
 def classical_score_extremes(states, payoffs):

@@ -30,7 +30,7 @@ from crolab.channels import (
     vec_row,
 )
 from crolab.linalg import kron, partial_trace
-from crolab.paulis import PAULI_X, PAULI_Z, pauli_index, pauli_matrix
+from crolab.paulis import PAULI_X, PAULI_Z, pauli_index, pauli_matrix, pauli_stack
 
 
 def random_density(rng, d):
@@ -278,6 +278,20 @@ class TestPauliChannelT:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             pauli_channel_T(16, 2)
+
+    def test_closed_form_pieces_match_the_pvm_construction(self):
+        """Every string of the stack is the Kronecker product, and every
+        closed-form T is the te_channel of (I +- P)/2 (of [I] at index 0),
+        both bit for bit."""
+        for n in (1, 2, 3):
+            eye = np.eye(2**n, dtype=complex)
+            stack = pauli_stack(n)
+            assert stack.shape == (4**n, 2**n, 2**n)
+            for i in range(4**n):
+                p = pauli_matrix(i, n)
+                np.testing.assert_array_equal(stack[i], p)
+                pvm = [eye] if i == 0 else [(eye + p) / 2, (eye - p) / 2]
+                np.testing.assert_array_equal(pauli_channel_T(i, n).choi, te_channel(pvm).choi)
 
 
 class TestNamedGates:

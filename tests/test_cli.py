@@ -217,6 +217,25 @@ class TestVqaCheckCommand:
             assert json.loads(proc.stderr)["kind"] == "parse"
         assert run_cli("vqa-check", pair, "IZ").returncode == 0
 
+    def test_three_qubit_gates_with_zzz(self, tmp_path):
+        """CCZ = (I I H) CCX (I I H) commutes with ZZZ; CCX maps it to a sum
+        of four strings, so no single ZZZ-type measurement replaces it."""
+        ih = [{"kind": "gate", "name": "I"}] * 2 + [{"kind": "gate", "name": "H"}]
+        sandwich = {"kind": "tensor", "children": ih}
+        ccx = {"kind": "gate", "name": "CCX"}
+        ccz = {"kind": "composition", "children": [sandwich, ccx, sandwich]}
+        proc = run_cli("vqa-check", write_spec(tmp_path, "ccz.json", ccz), "ZZZ")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert report["member"]
+        assert report["replacing_pauli_j"] == "ZZZ"
+
+        proc = run_cli("vqa-check", gate_spec(tmp_path, "CCX"), "ZZZ")
+        assert proc.returncode == 0
+        report = json.loads(proc.stdout)
+        assert not report["member"]
+        assert report["replacing_pauli_j"] is None
+
 
 class TestSpecParsing:
     """Specification file handling and error codes."""
@@ -340,9 +359,10 @@ class TestSpecParsing:
         assert [p.returncode for p in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
 
-        # d = 8 measures and game, H (x) U(0.4) (x) amplitude damping: the
-        # batched inv, cholesky and solve of the interior-point steps, and
-        # the batched eigh of the witness blocks.
+        # d = 8 measures, game and vqa-check, H (x) U(0.4) (x) amplitude
+        # damping: the batched inv, cholesky and solve of the interior-point
+        # steps, the batched eigh of the witness blocks, and the Pauli
+        # pull-back.
         spec["children"].append(
             {
                 "kind": "kraus",
@@ -354,9 +374,9 @@ class TestSpecParsing:
             }
         )
         path = write_spec(tmp_path, "h_u_damp.json", spec)
-        for command in ("measures", "game"):
+        for command in (["measures"], ["game"], ["vqa-check", "ZZZ"]):
             outputs = [
-                run_cli(command, path, env={"OPENBLAS_NUM_THREADS": threads})
+                run_cli(command[0], path, *command[1:], env={"OPENBLAS_NUM_THREADS": threads})
                 for threads in ("1", "2")
             ]
             assert [p.returncode for p in outputs] == [0, 0]

@@ -1,8 +1,8 @@
 """The membership tests against the composition path in ``oracles.py``.
 
 The package decides the basis identities on dephasing masks of the Choi
-matrix and the PVM and Pauli identities on products of its reshaped
-superoperators.  The oracle builds every map's superoperator from Kraus
+matrix, the PVM identities on products of its reshaped superoperators, and
+the Pauli identities on the pulled-back observables O^dag(P_i).  The oracle builds every map's superoperator from Kraus
 operators, writes D as ``diag(vec(I))`` and compares the Choi matrices of the
 composed products.  Both must agree on membership, on the residual to 1e-12
 and, for the Pauli set, on the replacing index; a reported witness must
@@ -18,8 +18,10 @@ from crolab.channels import (
     basis_pvm,
     compose,
     dephasing,
+    mix,
     named_gate,
     random_channel,
+    unitary_channel,
 )
 from crolab.cro import (
     is_cqcro,
@@ -52,6 +54,7 @@ def sample_channels():
 
 
 CHANNELS = sample_channels()
+CCZ = unitary_channel(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex))
 
 
 def random_unitary(d, rng):
@@ -150,7 +153,16 @@ def vqa_cases():
         ("random d=2", CHANNELS["random d=2 seed=1"], ["Z"]),
         ("random d=4", CHANNELS["random d=4 seed=1"], ["ZI", "XX"]),
         ("qq member d=4", CHANNELS["qq member d=4"], ["ZZ", "IZ"]),
+        ("CCZ", CCZ, ["ZZZ"]),
+        ("CCZ", CCZ, ["III", "ZIZ"]),
+        ("CCZ", CCZ, ["XII", "XII"]),
+        ("H", named_gate("H"), ["I"]),
+        ("CNOT", named_gate("CNOT"), ["XI", "II", "XI"]),
     ]
+    for s in (1, 2, 3):
+        cases.append((f"random d=8 seed={s}", random_channel(8, seed=s), ["ZZZ", "III"]))
+        cases.append((f"qc member d=8 seed={s}", random_qccro(8, seed=s), ["III"]))
+        cases.append((f"qc member d=8 seed={s}", random_qccro(8, seed=s), ["ZIZ", "ZIZ"]))
     return [pytest.param(o, labels, id=f"{name} {'+'.join(labels)}") for name, o, labels in cases]
 
 
@@ -162,6 +174,20 @@ def test_vqa_matches_composition(channel, observables):
     member, j = vqa_replaceable_set_R(channel, indices, TOL)
     assert member == (expected is not None)
     assert j == expected
+
+
+def test_vqa_tolerance_edges_match_composition():
+    """Set tol just above and just below every candidate's residual on a
+    CCX/CCZ mixture: the decision and the index must follow the oracle's
+    scan, which pins the residual's scale to within a part in 10^6."""
+    channel = mix([named_gate("CCX"), CCZ], [0.3, 0.7])
+    zzz = pauli_index("ZZZ")
+    residuals = oracles.vqa_residuals(oracles.superop_of_kraus(channel.kraus), [zzz], 3)
+    assert min(residuals) > 1e-3
+    for r in residuals:
+        for tol in (r * (1 + 1e-6), r * (1 - 1e-6)):
+            expected = next((j for j, rj in enumerate(residuals) if rj <= tol), None)
+            assert vqa_replaceable_set_R(channel, [zzz], tol) == (expected is not None, expected)
 
 
 def test_ccx_zzz_residual_is_three_over_128():

@@ -167,6 +167,15 @@ class TestCertifiedGameValidation:
     def test_states_must_be_density_matrices(self):
         with pytest.raises(ValueError):
             certified_game(2, [np.eye(2, dtype=complex)], np.array([[0.5, 0.5]]))
+        # the batched check names the first failing state
+        states = [np.eye(2) / 2, np.diag([1.5, -0.5])]
+        with pytest.raises(ValueError, match="state 1 has negative eigenvalue"):
+            certified_game(2, states, np.eye(2))
+
+    def test_state_shape_must_match(self):
+        states = [np.eye(3) / 3, np.eye(2) / 2]
+        with pytest.raises(ValueError, match="state 0"):
+            certified_game(2, states, np.eye(2))
 
 
 class TestWitnessGames:

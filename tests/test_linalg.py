@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crolab.linalg import (
+    _dephase_mask,
     assert_density_matrix,
     dephase,
     hermitianize,
@@ -106,6 +107,12 @@ class TestDephase:
         with pytest.raises(ValueError, match="out of range"):
             dephase(np.eye(4), [2, 2], (3,))
 
+    def test_mask_is_cached_and_read_only(self):
+        mask = _dephase_mask((2, 2), (1,))
+        assert mask is _dephase_mask((2, 2), (1,))
+        assert not mask.flags.writeable
+        assert dephase(np.eye(4), [2, 2], (1,)).flags.writeable
+
 
 class TestDensityValidation:
     def test_accepts_valid(self):
@@ -115,6 +122,17 @@ class TestDensityValidation:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             assert_density_matrix(np.array([[0.5, 0.5], [0.0, 0.5]]))
+
+    def test_stack_names_the_failing_state(self):
+        rng = np.random.default_rng(11)
+        stack = np.array([random_density(rng, 3) for _ in range(3)])
+        assert_density_matrix(stack)
+        stack[2, 0, 1] += 0.1
+        with pytest.raises(ValueError, match="state 2 is not Hermitian"):
+            assert_density_matrix(stack)
+        stack[1] *= 2.0
+        with pytest.raises(ValueError, match="state 1 trace"):
+            assert_density_matrix(stack)
 
     def test_hermitianize(self):
         m = np.array([[1.0, 2.0], [0.0, 1.0]])
