@@ -3,7 +3,6 @@
 Conventions used throughout:
 
 * States and operators are row-major complex numpy arrays.
-* ``vec`` is row-major flattening, so ``vec(A @ rho @ B) = kron(A, B.T) @ vec(rho)``.
 * The Choi state of a channel N is ``(id (x) N)`` applied to the maximally
   entangled state, normalized to unit trace.  Subsystem 0 (the slow Kronecker
   index) is the input/reference side, subsystem 1 (fast) is the output:
@@ -11,7 +10,10 @@ Conventions used throughout:
 * ``compose(a, b)`` is ``a`` after ``b``; ``tensor(a, b)`` puts ``a`` on the
   slow factor.
 
-Only square channels (equal input and output dimension) are supported.
+The Choi array is the only representation of a channel: ``choi_apply`` maps
+operators through it and ``choi_measure`` composes it with a PVM's
+measure-and-reprepare map.  Only square channels (equal input and output
+dimension) are supported.
 """
 
 from __future__ import annotations
@@ -26,31 +28,22 @@ from .paulis import CNOT_01, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PHASE
 KRAUS_DROP = 1e-12
 
 
-def vec_row(m: np.ndarray) -> np.ndarray:
-    return np.asarray(m).reshape(-1)
-
-
-def unvec_row(v: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(v).reshape(dim, dim)
-
-
 class Channel:
     """A CPTP map, stored as its trace-1 Choi state.
 
     The constructor validates the Choi invariants: Hermitian and PSD within
     ``tol``, unit trace, and reference marginal equal to the maximally mixed
     state (trace preservation); Kraus operators passed in must be complete.
-    ``superop`` is a reshape of the Choi state.  ``kraus`` is computed from
-    the Choi state on first access unless it was passed in.
+    ``kraus`` is computed from the Choi state on first access unless it was
+    passed in.
     """
 
-    __slots__ = ("dim", "choi", "superop", "_kraus")
+    __slots__ = ("dim", "choi", "_kraus")
 
     def __init__(self, choi: np.ndarray, tol: float = DEFAULT_TOL, kraus=None):
         choi = np.asarray(choi, dtype=complex)
-        d2 = choi.shape[0]
-        dim = int(round(np.sqrt(d2)))
-        if choi.ndim != 2 or choi.shape != (d2, d2) or dim * dim != d2:
+        dim = int(round(np.sqrt(choi.shape[0]))) if choi.ndim == 2 else 0
+        if dim == 0 or choi.shape != (dim * dim, dim * dim):
             raise ValueError(f"choi shape {choi.shape} is not a square (d^2, d^2) matrix")
         if kraus is not None:
             kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
@@ -76,7 +69,6 @@ class Channel:
             raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "choi", choi)
-        object.__setattr__(self, "superop", superop_from_choi(choi, dim))
         object.__setattr__(self, "_kraus", kraus)
 
     @property
@@ -129,18 +121,39 @@ def unitary_channel(u: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
     return channel_from_kraus([u], tol=tol)
 
 
-def choi_from_superop(superop: np.ndarray, dim: int) -> np.ndarray:
-    t = np.asarray(superop).reshape(dim, dim, dim, dim)
-    return t.transpose(2, 0, 3, 1).reshape(dim * dim, dim * dim) / dim
+def _realign(m: np.ndarray, dim: int) -> np.ndarray:
+    """Swap the middle two indices: ``out[(i,j),(k,l)] = m[(i,k),(j,l)]``."""
+    return np.asarray(m).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3).reshape(dim * dim, dim * dim)
 
 
-def superop_from_choi(choi: np.ndarray, dim: int) -> np.ndarray:
-    t = np.asarray(choi).reshape(dim, dim, dim, dim)
-    return dim * t.transpose(1, 3, 0, 2).reshape(dim * dim, dim * dim)
+def choi_apply(m: np.ndarray, rhos: np.ndarray) -> np.ndarray:
+    """Images of one operator, or of a stack of them, under the map with
+    Choi array ``m``: ``N(rho)[k,l] = d sum_ij rho[i,j] m[(i,k),(j,l)]``."""
+    rhos = np.asarray(rhos)
+    d = rhos.shape[-1]
+    return (d * (rhos.reshape(-1, d * d) @ _realign(m, d))).reshape(rhos.shape)
 
 
-def channel_from_superop(superop: np.ndarray, dim: int, tol: float = DEFAULT_TOL) -> Channel:
-    return Channel(choi_from_superop(superop, dim), tol=tol)
+def choi_measure(m: np.ndarray, projectors: ProjectorSet, sides: Sequence[int]) -> np.ndarray:
+    """Apply a PVM's measure-and-reprepare map T_E to the listed sides of the
+    Choi array ``m``, as ``dephase`` does for the basis.  Side 1 (T_E N) is
+    ``sum_n tr_1[(I (x) E_n) m] (x) E_n / r_n``; side 0 (N T_E) is
+    ``sum_n E_n^T / r_n (x) tr_0[(E_n^T (x) I) m]``."""
+    d = projectors.dim
+    e = np.stack(projectors.projectors).reshape(-1, d * d)
+    e_t = e.reshape(-1, d, d).swapaxes(1, 2).reshape(-1, d * d)
+    scaled = e / np.asarray(projectors.ranks, dtype=float)[:, None]
+    # In the realigned frame r[(i,j),(k,l)], T_E acts on side 0 from the
+    # left and on side 1 from the right.
+    r = _realign(m, d)
+    for side in sorted(set(sides)):
+        if side == 0:
+            r = e_t.T @ (scaled @ r)
+        elif side == 1:
+            r = (r @ e_t.T) @ scaled
+        else:
+            raise ValueError(f"side {side!r} is not 0 or 1")
+    return _realign(r, d)
 
 
 def apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
@@ -149,14 +162,16 @@ def apply(channel: Channel, rho: np.ndarray) -> np.ndarray:
     d = channel.dim
     if rho.shape != (d, d):
         raise ValueError(f"operator shape {rho.shape} does not match channel dim {d}")
-    return unvec_row(channel.superop @ vec_row(rho), d)
+    return choi_apply(channel.choi, rho)
 
 
 def compose(a: Channel, b: Channel, tol: float = DEFAULT_TOL) -> Channel:
-    """The channel ``a`` after ``b`` (``b`` acts first)."""
+    """The channel ``a`` after ``b`` (``b`` acts first): ``a`` applied to
+    b's realigned Choi array, the stack of images ``b(|i><j|) / d``."""
     if a.dim != b.dim:
         raise ValueError(f"cannot compose channels of dims {a.dim} and {b.dim}")
-    return channel_from_superop(a.superop @ b.superop, a.dim, tol=tol)
+    images = choi_apply(a.choi, _realign(b.choi, a.dim).reshape(-1, a.dim, a.dim))
+    return Channel(_realign(images, a.dim), tol=tol)
 
 
 def tensor(a: Channel, b: Channel, tol: float = DEFAULT_TOL) -> Channel:
@@ -266,19 +281,13 @@ def te_channel(projectors: ProjectorSet | Sequence[np.ndarray], tol: float = DEF
     """Measure-and-reprepare channel of a PVM.
 
     ``T_E(rho) = sum_n tr(rho E_n) E_n / tr(E_n)``: measure the PVM, then
-    output the normalized projector of the observed outcome.
+    output the normalized projector of the observed outcome.  Its Choi
+    state is ``sum_n E_n^T (x) E_n / (tr(E_n) d)``.
     """
     if not isinstance(projectors, ProjectorSet):
         projectors = ProjectorSet(projectors, tol=tol)
-    return channel_from_superop(_reprepare_superop(projectors), projectors.dim, tol=tol)
-
-
-def _reprepare_superop(projectors: ProjectorSet) -> np.ndarray:
-    """Superoperator of ``T_E``: the sum of ``|vec E_n> <vec E_n^T| / tr(E_n)``."""
-    return sum(
-        np.outer(vec_row(p) / rank, vec_row(p.T))
-        for p, rank in zip(projectors.projectors, projectors.ranks)
-    )
+    d = projectors.dim
+    return Channel(sum(np.kron(p.T, p) / (r * d) for p, r in zip(projectors.projectors, projectors.ranks)), tol=tol)
 
 
 def block_dephasing(projectors: ProjectorSet | Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Channel:
@@ -293,18 +302,16 @@ def pauli_channel_T(index: int, n: int, tol: float = DEFAULT_TOL) -> Channel:
 
     For a non-identity string P, measuring the eigenspace projectors
     (I +- P)/2 and repreparing the normalized outcome projector is
-    ``rho -> (tr(rho) I + tr(P rho) P) / 2^n``, with superoperator
-    ``(|I>><<I| + |P>><<P^T|) / 2^n``.  Index 0 (the identity string) has a
+    ``rho -> (tr(rho) I + tr(P rho) P) / 2^n``, with Choi state
+    ``(I (x) I + P^T (x) P) / 4^n``.  Index 0 (the identity string) has a
     single trivial outcome, which makes it the completely depolarizing map
-    ``rho -> tr(rho) I / 2^n``.
+    ``rho -> tr(rho) I / 2^n`` with Choi state ``I (x) I / 4^n``.
     """
-    p = pauli_matrix(index, n)
-    d = 2**n
-    eye = vec_row(np.eye(d, dtype=complex))
-    superop = np.outer(eye, eye)
+    d, p = 2**n, pauli_matrix(index, n)
+    choi = np.eye(d * d, dtype=complex)  # I (x) I
     if index != 0:
-        superop = superop + np.outer(vec_row(p), vec_row(p.T))
-    return channel_from_superop(superop / d, d, tol=tol)
+        choi = choi + np.kron(p.T, p)
+    return Channel(choi / d**2, tol=tol)
 
 
 def interpolation_unitary(theta: float) -> np.ndarray:

@@ -16,12 +16,13 @@ entrywise deviation between the two masks is at most ``tol``.  Members come
 with the column-stochastic matrix that replaces them on classical data;
 non-members with the probe state on which the two sides differ most.
 
-The PVM generalizations swap D for the measure-and-reprepare channel of a
-projector set and decide the identities on products of superoperator
-matrices; the replacement matrix is indexed by measurement outcomes
-instead of basis labels.  The Pauli-observable identity T_i O = T_i O T_j
-holds iff the pulled-back observable O^dag(P_i) lies in the span of I and
-P_j, so j is read off the Pauli expansion of O^dag(P_i).
+The PVM generalizations swap D for the measure-and-reprepare channel T_E of
+a projector set and state each identity with the same side table, applying
+``channels.choi_measure(J, E, S)`` in place of ``dephase``; the replacement
+matrix is indexed by measurement outcomes instead of basis labels.  The
+Pauli-observable identity T_i O = T_i O T_j holds iff the pulled-back
+observable O^dag(P_i) lies in the span of I and P_j, so j is read off the
+Pauli expansion of O^dag(P_i).
 """
 
 from __future__ import annotations
@@ -31,14 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import (
-    Channel,
-    ProjectorSet,
-    _reprepare_superop,
-    choi_from_superop,
-    random_channel,
-    superop_from_choi,
-)
+from .channels import Channel, ProjectorSet, choi_apply, choi_measure, random_channel
 from .linalg import DEFAULT_TOL, dephase, hermitianize
 from .paulis import pauli_stack
 
@@ -106,20 +100,21 @@ def _identity_verdict(lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.
     """Decide ``lhs = rhs`` between two Choi matrices.
 
     The witness is the first probe state maximizing the largest entry of
-    the two sides' output difference, found in one product of the
-    difference superoperator with the stacked probes.
+    the two sides' output difference, found by applying the difference's
+    Choi array to the stacked probes at once.
     """
     diff = lhs - rhs
     residual = float(np.max(np.abs(diff)))
     if residual <= tol:
         return CroVerdict(is_member=True, residual=residual, replacement=replacement)
     probes = probe_states(d)
-    outputs = superop_from_choi(diff, d) @ np.stack([p.reshape(-1) for p in probes], axis=1)
-    witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=0)))]
+    outputs = choi_apply(diff, np.stack(probes))
+    witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=(1, 2))))]
     return CroVerdict(is_member=False, residual=residual, witness_state=witness)
 
 
-# Dephased subsystems of the Choi matrix on each side of the defining identity.
+# Subsystems of the Choi matrix that D (or T_E) acts on, on each side of the
+# defining identity: 0 is the input, 1 the output.
 _MASKS = {
     "cq": ((0,), (0, 1)),
     "qq": ((), (0, 1)),
@@ -154,10 +149,9 @@ def is_dio(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
 
 
 def _pvm_stochastic(o: Channel, outcomes: ProjectorSet, inputs: ProjectorSet, tol: float) -> np.ndarray:
-    """T[n, m] = tr(E_n O(F_m / tr F_m)) = vec(E_n^T) . S vec(F_m) / tr F_m."""
-    e = np.stack([p.T.reshape(-1) for p in outcomes.projectors])
-    f = np.stack([p.reshape(-1) / rank for p, rank in zip(inputs.projectors, inputs.ranks)], axis=1)
-    return _validated_stochastic(np.real(e @ o.superop @ f), tol)
+    """T[n, m] = tr(E_n O(F_m)) / tr F_m, on the stack of images O(F_m)."""
+    t = np.einsum("nlk,mkl->nm", np.stack(outcomes.projectors), choi_apply(o.choi, np.stack(inputs.projectors)))
+    return _validated_stochastic(np.real(t) / np.asarray(inputs.ranks), tol)
 
 
 def _as_pvm(projectors: ProjectorSet | Sequence[np.ndarray], dim: int, tol: float) -> ProjectorSet:
@@ -178,10 +172,9 @@ def is_cro_pvm(o: Channel, projectors: ProjectorSet | Sequence[np.ndarray], kind
     projectors = _as_pvm(projectors, o.dim, tol)
     if kind not in ("cq", "qq", "qc"):
         raise ValueError(f"kind must be one of 'cq', 'qq', 'qc'; got {kind!r}")
-    d, t, s = o.dim, _reprepare_superop(projectors), o.superop
-    lhs = {"cq": s @ t, "qq": s, "qc": t @ s}[kind]
+    lhs, rhs = (choi_measure(o.choi, projectors, s) for s in _MASKS[kind])
     replacement = _pvm_stochastic(o, projectors, projectors, tol)
-    return _identity_verdict(choi_from_superop(lhs, d), choi_from_superop(t @ s @ t, d), d, replacement, tol)
+    return _identity_verdict(lhs, rhs, o.dim, replacement, tol)
 
 
 def is_qccro_two_pvm(
@@ -198,10 +191,10 @@ def is_qccro_two_pvm(
     """
     d = o.dim
     outcomes, inputs = _as_pvm(outcomes, d, tol), _as_pvm(inputs, d, tol)
-    lhs = _reprepare_superop(outcomes) @ o.superop
-    rhs = lhs @ _reprepare_superop(inputs)
+    lhs = choi_measure(o.choi, outcomes, (1,))
+    rhs = choi_measure(lhs, inputs, (0,))
     replacement = _pvm_stochastic(o, outcomes, inputs, tol)
-    return _identity_verdict(choi_from_superop(lhs, d), choi_from_superop(rhs, d), d, replacement, tol)
+    return _identity_verdict(lhs, rhs, d, replacement, tol)
 
 
 def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -220,8 +213,8 @@ def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: f
         u = _as_unitary(u, tol)
         if u.shape != (d, d):
             raise ValueError(f"unitary shape {u.shape} does not match channel dim {d}")
-        # superoperator of rho -> U^dag rho U is kron(U^dag, U^T)
-        rotated = choi_from_superop(o.superop @ np.kron(u.conj().T, u.T), d)
+        # Choi state of rho -> O(U^dag rho U): (conj U (x) I) J (U^T (x) I)
+        rotated = (u @ (u.conj() @ o.choi.reshape(d, -1)).reshape(d * d, d, d)).reshape(d * d, d * d)
         verdict = _masked_verdict(rotated, d, "qc", tol)
         if verdict.is_member:
             return replace(verdict, matched_unitary=u)

@@ -8,9 +8,7 @@ from crolab.channels import (
     basis_pvm,
     block_dephasing,
     channel_from_kraus,
-    channel_from_superop,
     channel_partial_trace,
-    choi_from_superop,
     choi_max_diff,
     compose,
     dephasing,
@@ -22,12 +20,9 @@ from crolab.channels import (
     named_gate,
     pauli_channel_T,
     random_channel,
-    superop_from_choi,
     te_channel,
     tensor,
     unitary_channel,
-    unvec_row,
-    vec_row,
 )
 from crolab.linalg import kron, partial_trace
 from crolab.paulis import PAULI_X, PAULI_Z, pauli_index, pauli_matrix, pauli_stack
@@ -37,21 +32,6 @@ def random_density(rng, d):
     g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     rho = g @ g.conj().T
     return rho / np.trace(rho)
-
-
-class TestVecConvention:
-    def test_sandwich_identity(self):
-        """vec(A rho B) = (A (x) B^T) vec(rho) in the row-major convention."""
-        rng = np.random.default_rng(0)
-        a, b, rho = (rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)) for _ in range(3))
-        lhs = vec_row(a @ rho @ b)
-        rhs = np.kron(a, b.T) @ vec_row(rho)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_unvec_roundtrip(self):
-        rng = np.random.default_rng(1)
-        m = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(unvec_row(vec_row(m), 4), m)
 
 
 class TestChannelConstruction:
@@ -77,6 +57,10 @@ class TestChannelConstruction:
         bad = np.diag([0.5, 0.25, 0.25, 0.0])
         with pytest.raises(ValueError, match="marginal"):
             Channel(bad)
+
+    def test_rejects_zero_dim_array(self):
+        with pytest.raises(ValueError, match=r"choi shape \(\) is not a square"):
+            Channel(np.array(1.0))
 
     def test_immutable(self):
         c = identity_channel(2)
@@ -177,19 +161,6 @@ class TestChannelPartialTrace:
     def test_dims_validation(self):
         with pytest.raises(ValueError, match="factor"):
             channel_partial_trace(random_channel(4, seed=1), [3, 2], 0)
-
-
-class TestReshuffle:
-    def test_roundtrip(self):
-        c = random_channel(3, seed=30)
-        s = superop_from_choi(c.choi, 3)
-        np.testing.assert_allclose(s, c.superop, atol=1e-12)
-        np.testing.assert_allclose(choi_from_superop(s, 3), c.choi, atol=1e-12)
-
-    def test_channel_from_superop(self):
-        c = random_channel(2, seed=31)
-        rebuilt = channel_from_superop(c.superop, 2)
-        assert choi_max_diff(c, rebuilt) < 1e-12
 
 
 class TestDephasingAndPvm:

@@ -381,3 +381,11 @@ class TestSpecParsing:
             ]
             assert [p.returncode for p in outputs] == [0, 0]
             assert outputs[0].stdout == outputs[1].stdout
+
+        # d = 8 classify of that tensor followed by CCX: compose through
+        # choi_apply and the non-members' probe witnesses.
+        composed = {"kind": "composition", "children": [spec, {"kind": "gate", "name": "CCX"}]}
+        path = write_spec(tmp_path, "h_u_damp_ccx.json", composed)
+        outputs = [run_cli("classify", path, env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout

@@ -1,8 +1,9 @@
 """The membership tests against the composition path in ``oracles.py``.
 
 The package decides the basis identities on dephasing masks of the Choi
-matrix, the PVM identities on products of its reshaped superoperators, and
-the Pauli identities on the pulled-back observables O^dag(P_i).  The oracle builds every map's superoperator from Kraus
+matrix, the PVM identities on the same side table with ``choi_measure`` in
+place of the masks, and the Pauli identities on the pulled-back observables
+O^dag(P_i).  The oracle builds every map's superoperator from Kraus
 operators, writes D as ``diag(vec(I))`` and compares the Choi matrices of the
 composed products.  Both must agree on membership, on the residual to 1e-12
 and, for the Pauli set, on the replacing index; a reported witness must
@@ -16,6 +17,8 @@ import oracles
 from crolab.channels import (
     ProjectorSet,
     basis_pvm,
+    choi_apply,
+    choi_measure,
     compose,
     dephasing,
     mix,
@@ -34,6 +37,7 @@ from crolab.cro import (
     random_qccro,
     vqa_replaceable_set_R,
 )
+from crolab.linalg import dephase
 from crolab.paulis import pauli_index
 
 TOL = 1e-9
@@ -106,6 +110,56 @@ def test_pvm_classes_match_composition(name):
         for kind in ("cq", "qq", "qc"):
             lhs, rhs = oracles.identity_sides(s, t, kind)
             assert_agrees(is_cro_pvm(o, pvm, kind, TOL), lhs, rhs, d)
+
+
+def measure_pvms(d):
+    """A random rank-one PVM and, at d = 4, the mixed-rank (I +- ZZ)/2 and a
+    rank-1/rank-2/rank-1 PVM in a random basis."""
+    u = random_unitary(d, np.random.default_rng(20 + d))
+    rank_one = [np.outer(u[:, k], u[:, k].conj()) for k in range(d)]
+    out = {"rank-one": rank_one}
+    if d == 4:
+        zz = np.diag([1, -1, -1, 1]).astype(complex)
+        out["(I +- ZZ)/2"] = [(np.eye(4) + zz) / 2, (np.eye(4) - zz) / 2]
+        out["ranks 1-2-1"] = [rank_one[0], rank_one[1] + rank_one[2], rank_one[3]]
+    return out
+
+
+MAP_CHANNELS = [pytest.param(d, seed, id=f"d={d} seed={seed}") for d in (2, 3, 4) for seed in (1, 2)]
+
+
+@pytest.mark.parametrize("d,seed", MAP_CHANNELS)
+def test_choi_measure_matches_reprepare_products(d, seed):
+    o = random_channel(d, seed=seed)
+    s = oracles.superop_of_kraus(o.kraus)
+    for projectors in measure_pvms(d).values():
+        t = oracles.reprepare_superop(projectors)
+        expected = {(): s, (0,): s @ t, (1,): t @ s, (0, 1): t @ s @ t}
+        for sides, product in expected.items():
+            got = choi_measure(o.choi, ProjectorSet(projectors), sides)
+            np.testing.assert_allclose(got, oracles.choi_of_superop(product, d), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("d,seed", MAP_CHANNELS)
+def test_choi_measure_of_the_basis_is_the_dephasing_mask(d, seed):
+    choi = random_channel(d, seed=seed).choi
+    for sides in ((), (0,), (1,), (0, 1)):
+        got = choi_measure(choi, basis_pvm(d), sides)
+        np.testing.assert_allclose(got, dephase(choi, [d, d], sides), rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("d,seed", MAP_CHANNELS)
+def test_choi_apply_and_compose_match_superops(d, seed):
+    a, b = random_channel(d, seed=seed), random_channel(d, seed=seed + 10)
+    s = oracles.superop_of_kraus(a.kraus)
+    rng = np.random.default_rng(seed)
+    ops = rng.normal(size=(5, d, d)) + 1j * rng.normal(size=(5, d, d))
+    images = choi_apply(a.choi, ops)
+    assert images.shape == ops.shape
+    for op, image in zip(ops, images):
+        np.testing.assert_allclose(image, oracles.apply_superop(s, op), rtol=0, atol=1e-12)
+    expected = oracles.choi_of_superop(s @ oracles.superop_of_kraus(b.kraus), d)
+    np.testing.assert_allclose(compose(a, b).choi, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("name", sorted(CHANNELS))
