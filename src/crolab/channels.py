@@ -105,7 +105,7 @@ def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> C
     ops = [np.asarray(k, dtype=complex) for k in ops]
     if not ops:
         raise ValueError("need at least one Kraus operator")
-    dim = ops[0].shape[0]
+    dim = ops[0].shape[0] if ops[0].ndim else 0
     for k in ops:
         if k.shape != (dim, dim):
             raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
@@ -241,7 +241,7 @@ class ProjectorSet:
         ops = tuple(np.asarray(p, dtype=complex) for p in projectors)
         if not ops:
             raise ValueError("a projector set needs at least one element")
-        dim = ops[0].shape[0]
+        dim = ops[0].shape[0] if ops[0].ndim else 0
         for idx, p in enumerate(ops):
             if p.shape != (dim, dim):
                 raise ValueError(f"projector {idx} has shape {p.shape}, expected ({dim}, {dim})")

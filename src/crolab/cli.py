@@ -11,15 +11,17 @@ Channel specifications are JSON files.  Complex numbers are written as
   first)
 - ``{"kind": "tensor", "children": [spec, ...]}``
 
-Exit codes: 0 success, 2 unparseable specification, 3 channel invariant
-violation, 4 solver failure.  On failure a single JSON diagnostic object is
-written to stderr.
+``--tol`` must be finite and nonnegative.  Exit codes: 0 success, 2
+unparseable specification or arguments, 3 channel invariant violation, 4
+solver failure.  On failure a single JSON diagnostic object is written to
+stderr.
 """
 
 import argparse
 import json
+import math
 import sys
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -28,8 +30,10 @@ from .channels import (
     Channel,
     channel_from_kraus,
     compose,
+    gate_matrix,
     named_gate,
     tensor,
+    unitary_channel,
 )
 from .cro import (
     eb_ppt_test,
@@ -140,9 +144,10 @@ def _parse_spec_node(node, where, tol):
         if theta is not None and not isinstance(theta, (int, float)):
             raise SpecError(f"{where}: 'theta' must be a number")
         try:
-            return named_gate(name, theta, tol=tol)
+            u = gate_matrix(name, theta)
         except ValueError as exc:
             raise SpecError(f"{where}: {exc}") from exc
+        return unitary_channel(u, tol=tol)
     if kind == "composition":
         children = _parse_children(node, where, tol, minimum=1)
         return reduce(lambda acc, nxt: compose(nxt, acc, tol=tol), children)
@@ -166,32 +171,11 @@ def load_channel(path, tol):
     return _parse_spec_node(node, path, tol)
 
 
-def _report_header(args):
-    return {
-        "tool": "crolab",
-        "version": __version__,
-        "tolerance": args.tol,
-    }
-
-
-def _emit(text, out_path):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
-
-
-def _emit_json(report, out_path):
-    _emit(json.dumps(report, indent=2) + "\n", out_path)
-
-
 def _verdict_entry(verdict):
     return {"member": bool(verdict.is_member), "residual": float(verdict.residual)}
 
 
-def _cmd_classify(args):
-    channel = load_channel(args.spec, args.tol)
+def _classify(channel, args):
     verdicts = {
         "cqcro": is_cqcro(channel, args.tol),
         "qqcro": is_qqcro(channel, args.tol),
@@ -201,35 +185,22 @@ def _cmd_classify(args):
     replacement = None
     for verdict in verdicts.values():
         if verdict.is_member and verdict.replacement is not None:
-            replacement = [
-                [float(x) for x in row] for row in verdict.replacement
-            ]
+            replacement = [[float(x) for x in row] for row in verdict.replacement]
             break
     eb = eb_ppt_test(channel, args.tol)
-    report = _report_header(args)
-    report.update({k: _verdict_entry(v) for k, v in verdicts.items()})
-    report["eb_ppt"] = {
-        "status": eb.status,
-        "min_eigenvalue": float(eb.min_eigenvalue),
-    }
+    report = {k: _verdict_entry(v) for k, v in verdicts.items()}
+    report["eb_ppt"] = {"status": eb.status, "min_eigenvalue": float(eb.min_eigenvalue)}
     report["replacement"] = replacement
-    _emit_json(report, args.out)
-    return 0
+    return report
 
 
-def _cmd_measures(args):
-    channel = load_channel(args.spec, args.tol)
+def _measures(channel, args):
     result = robustness(channel)
-    report = _report_header(args)
-    report.update(
-        {
-            "robustness": result.value,
-            "relative_entropy_bits": relative_entropy_irreplaceability(channel),
-            "witness_trace_check": result.residuals["witness_pairing"],
-        }
-    )
-    _emit_json(report, args.out)
-    return 0
+    return {
+        "robustness": result.value,
+        "relative_entropy_bits": relative_entropy_irreplaceability(channel),
+        "witness_trace_check": result.residuals["witness_pairing"],
+    }
 
 
 def _sweep_row(theta):
@@ -242,7 +213,7 @@ def _sweep_row(theta):
         return theta, float("nan"), float("nan"), str(exc)
 
 
-def _cmd_sweep(args):
+def _sweep(args):
     if args.family != SWEEP_FAMILY:
         raise SpecError(
             f"unknown sweep family {args.family!r} (only {SWEEP_FAMILY!r})"
@@ -253,34 +224,26 @@ def _cmd_sweep(args):
     lines = ["theta,robustness,relative_entropy_bits,note"]
     for theta, value, entropy, note in map(_sweep_row, thetas):
         lines.append(f"{theta:.12g},{value:.12g},{entropy:.12g},{note}")
-    _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_game(args):
-    channel = load_channel(args.spec, args.tol)
+def _game(channel, args):
     game, result = _witness_game(channel)
     score = payoff(channel, game)
     qccro_max = game.normalization["max"]
     ratio = score / qccro_max
     one_plus_r = 1.0 + result.value
-    report = _report_header(args)
-    report.update(
-        {
-            "payoff": score,
-            "qccro_max": qccro_max,
-            "qccro_min": game.normalization["min"],
-            "advantage_ratio": ratio,
-            "one_plus_R": one_plus_r,
-            "gap": abs(ratio - one_plus_r),
-        }
-    )
-    _emit_json(report, args.out)
-    return 0
+    return {
+        "payoff": score,
+        "qccro_max": qccro_max,
+        "qccro_min": game.normalization["min"],
+        "advantage_ratio": ratio,
+        "one_plus_R": one_plus_r,
+        "gap": abs(ratio - one_plus_r),
+    }
 
 
-def _cmd_vqa_check(args):
-    channel = load_channel(args.spec, args.tol)
+def _vqa_check(channel, args):
     n = max(channel.dim.bit_length() - 1, 1)
     indices = []
     for label in args.observables:
@@ -291,17 +254,24 @@ def _cmd_vqa_check(args):
         if len(label.strip()) != n:
             raise SpecError(f"observable {label!r}: expected {n} letters")
     member, j = vqa_replaceable_set_R(channel, indices, tol=args.tol)
-    report = _report_header(args)
-    report.update(
-        {
-            "member": member,
-            "replacing_pauli_j": pauli_label(j, n) if member else None,
-        }
-    )
-    _emit_json(report, args.out)
-    return 0
+    return {
+        "member": member,
+        "replacing_pauli_j": pauli_label(j, n) if member else None,
+    }
 
 
+def _run(args):
+    """Report text: a sweep's CSV, or the JSON header and the command's fields."""
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise SpecError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if args.command == "sweep":
+        return args.handler(args)
+    report = {"tool": "crolab", "version": __version__, "tolerance": args.tol}
+    report.update(args.handler(load_channel(args.spec, args.tol), args))
+    return json.dumps(report, indent=2) + "\n"
+
+
+@cache
 def _build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -323,12 +293,12 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands = {
-        "classify": (_cmd_classify, "membership in the four replaceability classes"),
-        "measures": (_cmd_measures, "robustness and relative-entropy measures"),
-        "sweep": (_cmd_sweep, "CSV sweep of both measures over a gate family"),
-        "game": (_cmd_game, "witness game construction and advantage check"),
+        "classify": (_classify, "membership in the four replaceability classes"),
+        "measures": (_measures, "robustness and relative-entropy measures"),
+        "sweep": (_sweep, "CSV sweep of both measures over a gate family"),
+        "game": (_game, "witness game construction and advantage check"),
         "vqa-check": (
-            _cmd_vqa_check,
+            _vqa_check,
             "replaceability before a fixed Pauli-observable measurement",
         ),
     }
@@ -359,10 +329,15 @@ def _diagnostic(kind, message):
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        text = _run(args)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        return 0
     except SpecError as exc:
         _diagnostic("parse", str(exc))
         return 2

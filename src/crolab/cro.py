@@ -60,20 +60,17 @@ class EbVerdict(NamedTuple):
     min_eigenvalue: float
 
 
-def probe_states(dim: int) -> list[np.ndarray]:
-    """An informationally complete family of pure probe states.
+def probe_states(dim: int) -> np.ndarray:
+    """An informationally complete family of pure probe states, stacked.
 
-    Computational basis projectors plus, for every pair k < l, the real and
-    imaginary superposition projectors; d^2 states in total.
+    Computational basis projectors, then, for every pair k < l in order, the
+    real and imaginary superposition projectors; shape (d^2, d, d).
     """
     eye = np.eye(dim, dtype=complex)
-    probes = [np.outer(eye[k], eye[k]) for k in range(dim)]
-    for k in range(dim):
-        for l in range(k + 1, dim):
-            for phase in (1.0, 1.0j):
-                v = (eye[k] + phase * eye[l]) / np.sqrt(2.0)
-                probes.append(np.outer(v, v.conj()))
-    return probes
+    k, l = np.triu_indices(dim, 1)
+    pairs = (eye[k, None] + np.array([1.0, 1.0j])[:, None] * eye[l, None]) / np.sqrt(2.0)
+    vectors = np.concatenate([eye, pairs.reshape(-1, dim)])
+    return vectors[:, :, None] * vectors[:, None, :].conj()
 
 
 def _stochastic_from_choi(choi: np.ndarray, d: int, tol: float) -> np.ndarray:
@@ -108,8 +105,8 @@ def _identity_verdict(lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.
     if residual <= tol:
         return CroVerdict(is_member=True, residual=residual, replacement=replacement)
     probes = probe_states(d)
-    outputs = choi_apply(diff, np.stack(probes))
-    witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=(1, 2))))]
+    outputs = choi_apply(diff, probes)
+    witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=(1, 2))))].copy()
     return CroVerdict(is_member=False, residual=residual, witness_state=witness)
 
 
@@ -225,7 +222,7 @@ def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: f
 
 def _as_unitary(u: np.ndarray, tol: float) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
-    d = u.shape[0]
+    d = u.shape[0] if u.ndim == 2 else 0
     if u.shape != (d, d) or float(np.max(np.abs(u.conj().T @ u - np.eye(d)))) > max(tol, 1e-9):
         raise ValueError("input is not a unitary matrix")
     return u

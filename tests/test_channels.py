@@ -71,6 +71,10 @@ class TestChannelConstruction:
         with pytest.raises(ValueError, match="completeness"):
             channel_from_kraus([np.diag([1.0, 0.5])])
 
+    def test_kraus_rejects_zero_dim_array(self):
+        with pytest.raises(ValueError, match=r"kraus operator shape \(\) is not"):
+            channel_from_kraus([np.array(1.0)])
+
     def test_kraus_roundtrip(self):
         rng_seed = 17
         c = random_channel(3, seed=rng_seed)
@@ -182,6 +186,10 @@ class TestDephasingAndPvm:
             ProjectorSet([p, p])
         with pytest.raises(ValueError, match="sum to the identity"):
             ProjectorSet([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+
+    def test_projector_set_rejects_zero_dim_array(self):
+        with pytest.raises(ValueError, match=r"projector 0 has shape \(\)"):
+            ProjectorSet([np.array(1.0)])
 
     def test_te_channel_formula(self):
         rng = np.random.default_rng(11)

@@ -1,4 +1,5 @@
-"""Tests for the command-line interface, run through subprocesses."""
+"""Tests for the command-line interface, run through subprocesses, and in
+this process where a test pins the shared command pipeline."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import crolab
+from crolab import cli
 from crolab.channels import apply, named_gate
 
 # The subprocess imports the same crolab sources as this test session.
@@ -272,6 +274,13 @@ class TestSpecParsing:
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["kind"] == "invalid-channel"
 
+    def test_gate_failing_validation_exits_3(self, tmp_path):
+        """A known gate whose channel fails validation is an invalid
+        channel, as the same unitary given as a Kraus spec would be."""
+        proc = run_cli("classify", gate_spec(tmp_path, "H"), "--tol", "1e-18")
+        assert proc.returncode == 3
+        assert json.loads(proc.stderr)["kind"] == "invalid-channel"
+
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("classify", str(tmp_path / "absent.json"))
         assert proc.returncode == 2
@@ -389,3 +398,42 @@ class TestSpecParsing:
         outputs = [run_cli("classify", path, env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
         assert [p.returncode for p in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
+
+
+class TestPipeline:
+    """The load-report-write path that every command shares, in process."""
+
+    def test_repeated_calls_agree_and_build_the_parser_once(self, tmp_path):
+        spec = gate_spec(tmp_path, "S")
+        cli._build_parser.cache_clear()
+        for argv in (["classify", spec], ["vqa-check", spec, "X"]):
+            texts = []
+            for k in range(2):
+                out = tmp_path / f"{argv[0]}-{k}.json"
+                assert cli.main([*argv, "--out", str(out)]) == 0
+                texts.append(out.read_bytes())
+            assert texts[0] == texts[1]
+        assert cli._build_parser.cache_info().misses == 1
+
+    def test_out_into_missing_directory_is_an_io_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "report.json"
+        assert cli.main(["classify", gate_spec(tmp_path, "Z"), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["kind"] == "io"
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+    def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        spec = gate_spec(tmp_path, "Z")
+        commands = (
+            ["classify", spec],
+            ["measures", spec],
+            ["sweep", "u-theta"],
+            ["game", spec],
+            ["vqa-check", spec, "Z"],
+        )
+        for argv in commands:
+            assert cli.main([*argv, "--tol", tol]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["kind"] == "parse"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import oracles
 from crolab.channels import (
     ProjectorSet,
     apply,
@@ -163,6 +164,12 @@ class TestVerdictContents:
             stacked = np.stack([p.reshape(-1) for p in probes])
             assert np.linalg.matrix_rank(stacked) == d * d
 
+    def test_probe_states_match_the_oracle_frame(self):
+        for d in range(1, 9):
+            probes = probe_states(d)
+            assert probes.shape == (d * d, d, d)
+            assert np.max(np.abs(probes - oracles.probe_frame(d))) <= 1e-15
+
 
 class TestPvmVariants:
     def test_rank_one_pvm_reduces_to_basis_classes(self):
@@ -262,6 +269,10 @@ class TestUnderUnitaries:
         v = is_qccro_under_unitaries(o, [np.eye(2)])
         assert v.is_member
 
+    def test_rejects_zero_dim_candidate(self):
+        with pytest.raises(ValueError, match="not a unitary"):
+            is_qccro_under_unitaries(named_gate("H"), [np.array(1.0)])
+
 
 class TestDeterministicCru:
     def test_bit_flip(self):
@@ -296,6 +307,10 @@ class TestDeterministicCru:
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             is_deterministic_cru(np.diag([1.0, 0.5]))
+
+    def test_rejects_zero_dim_array(self):
+        with pytest.raises(ValueError, match="not a unitary"):
+            is_deterministic_cru(np.array(1.0))
 
 
 class TestVqaSet:
