@@ -45,7 +45,11 @@ from .cro import (
 )
 from .game import _witness_game, payoff
 from .linalg import DEFAULT_TOL
-from .measures import relative_entropy_irreplaceability, robustness
+from .measures import (
+    _robustness_stack,
+    relative_entropy_irreplaceability,
+    robustness,
+)
 from .paulis import pauli_index, pauli_label
 
 SWEEP_FAMILY = "u-theta"
@@ -203,16 +207,6 @@ def _measures(channel, args):
     }
 
 
-def _sweep_row(theta):
-    channel = named_gate("U", theta)
-    try:
-        value = robustness(channel).value
-        entropy = relative_entropy_irreplaceability(channel)
-        return theta, value, entropy, ""
-    except RuntimeError as exc:
-        return theta, float("nan"), float("nan"), str(exc)
-
-
 def _sweep(args):
     if args.family != SWEEP_FAMILY:
         raise SpecError(
@@ -221,8 +215,16 @@ def _sweep(args):
     if args.points < 2:
         raise SpecError(f"--points must be at least 2, got {args.points}")
     thetas = np.linspace(0.0, np.pi / 2, args.points)
+    channels = [named_gate("U", theta) for theta in thetas]
     lines = ["theta,robustness,relative_entropy_bits,note"]
-    for theta, value, entropy, note in map(_sweep_row, thetas):
+    for theta, channel, result in zip(thetas, channels, _robustness_stack(channels)):
+        if isinstance(result, RuntimeError):
+            value = entropy = float("nan")
+            note = str(result)
+        else:
+            value = result.value
+            entropy = relative_entropy_irreplaceability(channel)
+            note = ""
         lines.append(f"{theta:.12g},{value:.12g},{entropy:.12g},{note}")
     return "\n".join(lines) + "\n"
 

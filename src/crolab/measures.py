@@ -7,7 +7,12 @@ real unknowns, solved here by a primal-dual interior-point method (HKM
 direction, Mehrotra predictor-corrector) rather than by the generic ADMM of
 ``sdp``, which serves only the cross-check ``robustness_equivalents``.  Its
 primal and dual iterates, each repaired to exact feasibility, bracket the
-value in a certified interval whose dual end comes with its witness.  The
+value in a certified interval whose dual end comes with its witness.  One
+interior-point run solves a whole stack of channels of one dimension: each
+problem has its own centring, step length and stop rule, leaves the stack
+when its interval closes, and gets the same result, bit for bit, in a stack
+of any size.  ``robustness`` is a stack of one; the CLI sweep and the
+property suite solve their channels in one stack per dimension.  The
 relative entropy measure has a closed form: the entropy gap between the fully
 dephased and the output-dephased Choi states, read off the same output blocks
 (``channels.choi_output_blocks``).  The property suite applies its free
@@ -110,38 +115,65 @@ def _block_diagonal(stack):
     return np.einsum("kij,kl->ikjl", stack, np.eye(d)).reshape(d * d, d * d)
 
 
-def _certified_primal(s, blocks):
-    """Repair primal blocks S_k to exact feasibility.
+def _diagonals(x):
+    """Writable view of the diagonals of the trailing square axes, several
+    times cheaper than fancy indexing on small blocks."""
+    return np.einsum("...ii->...i", x)
 
-    The off-diagonals are copied from -B_k, each diagonal entry gives up its
-    share of the excess of its row sum over the mean, and block k then takes
-    -lambda_min on its diagonal, which keeps the row sums equal: every block
-    ends PSD and singular, so no feasible shift of it lowers the trace.
+
+def _running_sum(x):
+    """Sum over the last axis strictly from left to right."""
+    return np.add.accumulate(x, axis=-1)[..., -1]
+
+
+def _pairing(a, b, rows="bki"):
+    """Re sum_k tr(A_k B_k) for each problem of two stacks of blocks.
+
+    The products A_k[i, j] B_k[j, i] are summed by an einsum over the one
+    index that ``rows`` leaves out, and the resulting rows from left to
+    right: an einsum that also summed over the rows would choose its order
+    from the shape of the whole stack, so a problem's pairing would depend
+    on the stack around it.
     """
-    d = len(blocks)
+    partial = np.real(np.einsum(f"bkij,bkji->{rows}", a, b))
+    return _running_sum(partial.reshape(len(a), -1))
+
+
+def _certified_primal(s):
+    """Repair primal blocks S_k = diag(p_k) - B_k to exact feasibility, for
+    each problem.
+
+    Each diagonal entry gives up its share of the excess of its row sum
+    over the mean, and block k then takes -lambda_min on its diagonal, which
+    keeps the row sums equal: every block ends PSD and singular, so no
+    feasible shift of it lowers the trace.
+    """
+    d = s.shape[1]
     s = s.copy()
-    diagonal = np.arange(d)
-    off = ~np.eye(d, dtype=bool)
-    s[:, off] = -blocks[:, off]
-    rows = np.real(np.einsum("kii->i", s))
-    s[:, diagonal, diagonal] -= (rows - rows.mean()) / d
-    s[:, diagonal, diagonal] -= np.linalg.eigvalsh(s)[:, :1]
+    diagonals = _diagonals(s)
+    rows = np.einsum("bkii->bi", s.real)
+    mean = rows.sum(axis=-1, keepdims=True) / d
+    diagonals -= ((rows - mean) / d)[:, None]
+    diagonals -= np.linalg.eigvalsh(s)[..., :1]
     return s
 
 
 def _certified_dual(duals):
-    """Repair dual blocks W_k to exact feasibility.
+    """Repair dual blocks W_k to exact feasibility, for each problem.
 
     Each block is clipped to the PSD cone, its diagonal raised to
     y_i = max_k W_k[i, i], and all blocks rescaled so that sum_i y_i = d.
     """
-    d = len(duals)
-    diagonal = np.arange(d)
+    d = duals.shape[1]
     w = psd_part(duals)
-    entries = np.real(w[:, diagonal, diagonal])
-    y = entries.max(axis=0)
-    w[:, diagonal, diagonal] += y - entries
-    return w * (d / y.sum())
+    diagonals = _diagonals(w)
+    entries = np.real(diagonals)
+    # numpy sums the rows of an array that is not C-contiguous in an order
+    # that can depend on their number, and a max over a strided view need
+    # not come out C-contiguous.
+    y = np.ascontiguousarray(entries.max(axis=-2))
+    diagonals += y[:, None] - entries
+    return w * (d / y.sum(axis=-1))[:, None, None, None]
 
 
 @functools.lru_cache(maxsize=None)
@@ -162,7 +194,8 @@ def _row_sum_basis(d):
 
 
 def _hkm_step(s, w, basis, f):
-    """One Mehrotra predictor-corrector step along the HKM direction.
+    """One Mehrotra predictor-corrector step along the HKM direction, for
+    each problem of a stack.
 
     The primal slack is S_k = diag(p_k) - B_k with p = N z, the dual W is a
     stack of d blocks with N^T diag(W) = f.  A direction with target T (a
@@ -173,94 +206,198 @@ def _hkm_step(s, w, basis, f):
     Both sides take one step length, 0.98 of the way to the boundary of
     the PSD cones (at most 1), which keeps the iterates centred enough for
     the interval to close to about 1e-9.  One Cholesky factorization of the
-    stacked S and W gives S^-1 and the scaling of both ratio tests.
-    Returns the steps of p and of W.
+    stacked S and W gives S^-1 and the scaling of both ratio tests.  Each
+    problem has its own mu, sigma and step length.  Returns the steps of p
+    and of W.
     """
-    d = len(s)
-    roots = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, w])))
+    n, d = s.shape[:2]
+    roots = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, w], axis=1)))
     roots_h = roots.conj().swapaxes(-1, -2)
-    s_inv = roots_h[:d] @ roots[:d]
+    s_inv = roots_h[:, :d] @ roots[:, :d]
     h = np.real(s_inv * w.swapaxes(-1, -2))
     columns = basis.reshape(d, d, -1)
-    schur = basis.T @ np.einsum("kil,klm->kim", h, columns).reshape(d * d, -1)
-    diagonal = np.arange(d)
+    schur = basis.T @ np.einsum("bkil,klm->bkim", h, columns).reshape(n, d * d, -1)
+    eye = np.eye(d)
 
     def direction(target):
-        rhs = basis.T @ np.real(target[:, diagonal, diagonal]).ravel() - f
-        dp = (basis @ np.linalg.solve(schur, rhs)).reshape(d, d)
-        dw = target - w - hermitianize(w * dp[:, None, :] @ s_inv)
-        ds = dp[:, :, None] * np.eye(d)
-        ratios = roots @ np.concatenate([ds, dw]) @ roots_h
-        lowest = np.linalg.eigvalsh(ratios).min()
-        alpha = 1.0 if lowest >= 0.0 else min(1.0, -_TO_BOUNDARY / lowest)
-        return dp, ds, dw, alpha
+        diag = np.real(_diagonals(target)).reshape(n, d * d, 1)
+        rhs = basis.T @ diag - f[:, None]
+        dp = (basis @ np.linalg.solve(schur, rhs)).reshape(n, d, d)
+        dw = target - w - hermitianize(w * dp[:, :, None, :] @ s_inv)
+        ds = dp[..., None] * eye
+        ratios = roots @ np.concatenate([ds, dw], axis=1) @ roots_h
+        lowest = np.linalg.eigvalsh(ratios).min(axis=(1, 2))
+        # 1 when lowest >= -0.98, else -0.98 / lowest.
+        alpha = -_TO_BOUNDARY / np.minimum(lowest, -_TO_BOUNDARY)
+        return dp, ds, dw, alpha[:, None, None, None]
 
-    def pairing(a, b):
-        return float(np.real(np.einsum("kij,kji->", a, b))) / (d * d)
-
-    mu = pairing(s, w)
+    mu = _pairing(s, w) / (d * d)
     _, ds, dw, alpha = direction(np.zeros_like(w))
-    sigma = (pairing(s + alpha * ds, w + alpha * dw) / mu) ** 3
+    ratio = _pairing(s + alpha * ds, w + alpha * dw) / (d * d) / mu
+    # sigma = ratio^3 by Python's float power, not numpy's vectorized one,
+    # so that each problem's sigma does not depend on its place in the stack.
+    sigma_mu = [r**3 * m for r, m in zip(ratio.tolist(), mu.tolist())]
     dp, _, dw, alpha = direction(
-        sigma * mu * s_inv - hermitianize(dw @ ds @ s_inv)
+        np.array(sigma_mu).reshape(n, 1, 1, 1) * s_inv - hermitianize(dw @ ds @ s_inv)
     )
-    return alpha * dp, alpha * dw
+    return alpha[..., 0] * dp, alpha * dw
+
+
+def _hkm_steps(s, w, basis, f):
+    """``_hkm_step`` on a stack, and which problems' factorizations failed
+    (None when none did).
+
+    A ``LinAlgError`` names no problem, so the stack is then stepped one
+    problem at a time: a failed problem gets a zero step, the others the
+    step they get in any stack.
+    """
+    try:
+        return (*_hkm_step(s, w, basis, f), None)
+    except np.linalg.LinAlgError:
+        pass
+    dp, dw = np.zeros(s.shape[:3]), np.zeros_like(w)
+    failed = np.zeros(len(s), dtype=bool)
+    for b in range(len(s)):
+        try:
+            dp[b : b + 1], dw[b : b + 1] = _hkm_step(s[b : b + 1], w[b : b + 1], basis, f)
+        except np.linalg.LinAlgError:
+            failed[b] = True
+    return dp, dw, failed
 
 
 def _solve_blocks(blocks):
-    """Certified interval of the output-block program, by interior points.
+    """Certified intervals of a stack of output-block programs, by interior
+    points.
 
-    The unknowns are the diagonals p[k, i] of S_k = diag(p_k) - B_k, kept in
-    the span of ``_row_sum_basis`` so the row sums stay equal; the start
-    p = (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on both
-    sides.  Each iterate is repaired to exact feasibility and the best
-    upper and lower ends seen are kept.  The loop stops when the interval
-    is at most 1e-9 (1 + upper) wide, when a factorization fails, or after
-    ``_MAX_STEPS`` steps.  A lower end below zero gives way to the
-    identity witness at zero.  Returns (upper, primal, dual, residuals):
-    the residuals are the equality residuals of the iterates behind the two
-    ends (the spread of the row sums of p, and f - N^T diag(W); both
+    ``blocks`` is a (batch, d, d, d) stack: problem b's output blocks are
+    blocks[b].  Its unknowns are the diagonals p[k, i] of S_k = diag(p_k) -
+    B_k, kept in the span of ``_row_sum_basis`` so the row sums stay equal;
+    the start p = (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on
+    both sides.  One HKM predictor-corrector runs over the whole stack, and
+    each problem keeps its own mu, sigma, step length, best ends and stop
+    flag.  Each iterate is repaired to exact feasibility and the best upper
+    and lower ends seen are kept.  A problem stops when its interval is at
+    most 1e-9 (1 + upper) wide, when a factorization of its own fails (it
+    keeps its iterate and stops at the next check), or after ``_MAX_STEPS``
+    steps; only the problems still running take a step, and the working
+    stack is compacted only when one stops.  Every operation acts on each
+    problem alone, in an order that does not depend on the stack, so a
+    problem's result is the same, bit for bit, in any stack and at any
+    place in it.  A lower end below zero gives way to the identity witness
+    at zero.  Returns (upper, primal, dual, residuals), one entry per
+    problem: the residuals are the equality residuals of the iterates behind
+    the two ends (the spread of the row sums of p, and f - N^T diag(W); both
     iterates are strictly inside their cones), the relative gap and the
     width ``witness_pairing`` of the interval.
     """
-    d = len(blocks)
+    n, d = blocks.shape[:2]
     basis = _row_sum_basis(d)
     f = basis.sum(axis=0)
-    diagonal = np.arange(d)
-    p = np.full((d, d), np.linalg.eigvalsh(blocks)[:, -1].max() + 1.0)
+    top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
+    p = np.repeat(top, d * d).reshape(n, d, d)
     w = np.broadcast_to(np.eye(d, dtype=complex), blocks.shape).copy()
-    upper, lower = np.inf, -np.inf
-    for step in range(_MAX_STEPS + 1):
-        s = -blocks.copy()
-        s[:, diagonal, diagonal] += p
-        repaired = _certified_primal(s, blocks)
-        value = float(np.real(np.einsum("kii->", repaired)))
-        if value < upper:
-            upper, primal = value, repaired
-            primal_feas = float(np.ptp(p.sum(axis=0)))
-        repaired = _certified_dual(w)
-        value = float(np.real(np.einsum("kij,kji->", repaired, blocks))) - 1.0
-        if value > lower:
-            lower, dual = value, repaired
-            residual = f - basis.T @ np.real(w[:, diagonal, diagonal]).ravel()
-            dual_feas = float(np.max(np.abs(residual)))
-        if upper - lower <= _TARGET_WIDTH * (1.0 + upper) or step == _MAX_STEPS:
-            break
-        try:
-            dp, dw = _hkm_step(s, w, basis, f)
-        except np.linalg.LinAlgError:
-            break
-        p, w = p + dp, w + dw
-    if not lower >= 0.0:
-        dual, lower = np.broadcast_to(np.eye(d, dtype=complex), (d, d, d)), 0.0
-    width = max(upper - lower, 0.0)
-    residuals = {
-        "primal_feas": primal_feas,
-        "dual_feas": dual_feas,
-        "gap": width / (1.0 + abs(upper) + abs(lower)),
-        "witness_pairing": width,
+    # The best ends of the running problems, their certificates and the
+    # iterates behind them; ``results`` takes a problem's entries when it
+    # stops.
+    best = {
+        "upper": np.full(n, np.inf),
+        "lower": np.full(n, -np.inf),
+        "primal": np.zeros_like(w),
+        "dual": np.zeros_like(w),
+        "p": p,
+        "w": w,
     }
-    return upper, primal, dual, residuals
+    results = {key: np.empty_like(value) for key, value in best.items()}
+    index = np.arange(n)
+    failed = None
+    for step in range(_MAX_STEPS + 1):
+        s = -blocks
+        _diagonals(s)[...] += p
+        repaired = _certified_primal(s)
+        value = _running_sum(np.einsum("bkii->bk", repaired.real))
+        better = value < best["upper"]
+        best["upper"] = np.where(better, value, best["upper"])
+        best["primal"] = np.where(better[:, None, None, None], repaired, best["primal"])
+        best["p"] = np.where(better[:, None, None], p, best["p"])
+        repaired = _certified_dual(w)
+        # Summed over k first: the order of the one-channel solver's einsum
+        # over the strided block view, so lower ends and witnesses are the
+        # ones earlier versions report, bit for bit.
+        value = _pairing(repaired, blocks, rows="bij") - 1.0
+        better = value > best["lower"]
+        best["lower"] = np.where(better, value, best["lower"])
+        best["dual"] = np.where(better[:, None, None, None], repaired, best["dual"])
+        best["w"] = np.where(better[:, None, None, None], w, best["w"])
+        stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
+        if failed is not None:
+            stop |= failed
+        if step == _MAX_STEPS:
+            stop[:] = True
+        if stop.any():
+            for key, value in best.items():
+                results[key][index[stop]] = value[stop]
+            if stop.all():
+                break
+            keep = ~stop
+            best = {key: value[keep] for key, value in best.items()}
+            index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
+        dp, dw, failed = _hkm_steps(s, w, basis, f)
+        p, w = p + dp, w + dw
+
+    upper, lower, dual = results["upper"], results["lower"], results["dual"]
+    below = ~(lower >= 0.0)
+    lower = np.where(below, 0.0, lower)
+    dual = np.where(below[:, None, None, None], np.eye(d), dual)
+    width = np.maximum(upper - lower, 0.0)
+    gap = width / (1.0 + np.abs(upper) + np.abs(lower))
+    row_sums = _running_sum(results["p"].swapaxes(-1, -2))
+    primal_feas = row_sums.max(axis=-1) - row_sums.min(axis=-1)
+    w_diagonals = np.real(_diagonals(results["w"])).reshape(n, -1, 1)
+    dual_feas = np.abs(f - (basis.T @ w_diagonals)[..., 0]).max(axis=-1)
+    residuals = [
+        {"primal_feas": pf, "dual_feas": df, "gap": g, "witness_pairing": wp}
+        for pf, df, g, wp in zip(
+            primal_feas.tolist(), dual_feas.tolist(), gap.tolist(), width.tolist()
+        )
+    ]
+    return upper, results["primal"], dual, residuals
+
+
+def _robustness_stack(channels):
+    """``robustness`` of channels of one dimension, from one stacked solve.
+
+    Entry b is channel b's ``RobustnessResult``, or the RuntimeError that
+    ``robustness`` raises for it when its interval stays wider than
+    ``_ACCEPT_WIDTH``; one channel's failure leaves the others' results as
+    they are in any other stack.
+    """
+    d = channels[0].dim
+    _check_dim(d)
+    chois = [channel.choi for channel in channels]
+    blocks = np.stack([choi_output_blocks(choi, d) for choi in chois])
+    upper, primal, dual, residuals = _solve_blocks(blocks)
+    results = []
+    for choi, value, s, w, record in zip(chois, upper, primal, dual, residuals):
+        width = record["witness_pairing"]
+        if width > _ACCEPT_WIDTH:
+            results.append(
+                RuntimeError(
+                    f"robustness solve stopped with a certified interval of "
+                    f"width {width:.3e}, above {_ACCEPT_WIDTH:g}; residuals "
+                    f"{record}"
+                )
+            )
+            continue
+        results.append(
+            RobustnessResult(
+                value=float(value),
+                optimal_psi=choi + _block_diagonal(s),
+                witness=_block_diagonal(w),
+                residuals=record,
+                status="optimal",
+            )
+        )
+    return results
 
 
 def robustness(channel):
@@ -273,33 +410,26 @@ def robustness(channel):
     sharing one diagonal y with sum_i y_i = d.  It has d^2 real unknowns,
     the diagonals of the S_k, and ``_solve_blocks`` follows the central
     path by a primal-dual interior-point method (HKM direction, Mehrotra
-    predictor-corrector).  Its primal and dual iterates, each repaired to
-    exact feasibility, bracket the value: ``value`` is the primal end,
-    ``value - residuals["witness_pairing"]`` the dual end (zero, certified
-    by the identity, when the repaired dual pairs below one).  The witness
-    is the sum over k of W_k (x) |k><k| and ``optimal_psi`` is J plus the
-    sum over k of S_k (x) |k><k|.  Raises RuntimeError when the interval
-    stays wider than 1e-6.
+    predictor-corrector), here on a stack of one.  Its primal and dual
+    iterates, each repaired to exact feasibility, bracket the value:
+    ``value`` is the primal end, ``value - residuals["witness_pairing"]``
+    the dual end (zero, certified by the identity, when the repaired dual
+    pairs below one).  The witness is the sum over k of W_k (x) |k><k| and
+    ``optimal_psi`` is J plus the sum over k of S_k (x) |k><k|.  Raises
+    RuntimeError when the interval stays wider than 1e-6.
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
-    d = channel.dim
-    _check_dim(d)
-    choi = channel.choi
-    upper, primal, dual, residuals = _solve_blocks(choi_output_blocks(choi, d))
-    width = residuals["witness_pairing"]
-    if width > _ACCEPT_WIDTH:
-        raise RuntimeError(
-            f"robustness solve stopped with a certified interval of width "
-            f"{width:.3e}, above {_ACCEPT_WIDTH:g}; residuals {residuals}"
-        )
-    return RobustnessResult(
-        value=upper,
-        optimal_psi=choi + _block_diagonal(primal),
-        witness=_block_diagonal(dual),
-        residuals=residuals,
-        status="optimal",
-    )
+    return _checked(_robustness_stack([channel]))[0]
+
+
+def _checked(results):
+    """Entries of ``_robustness_stack``, once none of them is a failure:
+    the first RuntimeError among them, in order, is raised."""
+    for result in results:
+        if isinstance(result, RuntimeError):
+            raise result
+    return results
 
 
 def robustness_equivalents(channel):
@@ -387,35 +517,15 @@ def measure_property_suite(channel, seed=0):
     rng = np.random.default_rng(seed)
     report = {}
 
-    def rvalue(ch):
-        return robustness(ch).value
-
     channels = [channel] + [
         random_channel(d, seed=int(rng.integers(2**31))) for _ in range(2)
     ]
-    pair_values = [rvalue(ch) for ch in channels]
-    entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
-    base_value, base_entropy = pair_values[0], entropies[0]
-
-    robustness_gaps = []
-    entropy_gaps = []
-    for first, second in ((0, 1), (1, 2)):
-        w = float(rng.uniform(0.2, 0.8))
-        mixed = mix([channels[first], channels[second]], [w, 1.0 - w])
-        bound = w * pair_values[first] + (1.0 - w) * pair_values[second]
-        robustness_gaps.append(bound - rvalue(mixed))
-        entropy_bound = w * entropies[first] + (1.0 - w) * entropies[second]
-        entropy_gaps.append(
-            entropy_bound - relative_entropy_irreplaceability(mixed)
-        )
-    report["convexity_robustness"] = {
-        "passed": min(robustness_gaps) >= -1e-5,
-        "margin": float(min(robustness_gaps)),
-    }
-    report["convexity_relative_entropy"] = {
-        "passed": min(entropy_gaps) >= -1e-6,
-        "margin": float(min(entropy_gaps)),
-    }
+    pairs = ((0, 1), (1, 2))
+    weights = [float(rng.uniform(0.2, 0.8)) for _ in pairs]
+    mixtures = [
+        mix([channels[first], channels[second]], [w, 1.0 - w])
+        for (first, second), w in zip(pairs, weights)
+    ]
 
     # Two concrete families of free transformations, as maps on Choi states.
     inner = random_channel(d, seed=int(rng.integers(2**31)))
@@ -441,19 +551,44 @@ def measure_property_suite(channel, seed=0):
         worst_commutation = max(
             worst_commutation, float(np.max(np.abs(left - right)))
         )
+    images = [Channel(family(channel.choi)) for family in families.values()]
+
+    # The base channels, the mixtures and the images share one solve.
+    values = [r.value for r in _checked(_robustness_stack(channels + mixtures + images))]
+    pair_values, mixture_values, image_values = values[:3], values[3:5], values[5:]
+    entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
+    base_value, base_entropy = pair_values[0], entropies[0]
+
+    robustness_gaps = []
+    entropy_gaps = []
+    for (first, second), w, mixed, value in zip(pairs, weights, mixtures, mixture_values):
+        bound = w * pair_values[first] + (1.0 - w) * pair_values[second]
+        robustness_gaps.append(bound - value)
+        entropy_bound = w * entropies[first] + (1.0 - w) * entropies[second]
+        entropy_gaps.append(
+            entropy_bound - relative_entropy_irreplaceability(mixed)
+        )
+    report["convexity_robustness"] = {
+        "passed": min(robustness_gaps) >= -1e-5,
+        "margin": float(min(robustness_gaps)),
+    }
+    report["convexity_relative_entropy"] = {
+        "passed": min(entropy_gaps) >= -1e-6,
+        "margin": float(min(entropy_gaps)),
+    }
     report["free_family_verified"] = {
         "passed": worst_membership <= 1e-9 and worst_commutation <= 1e-9,
         "membership_residual": float(worst_membership),
         "commutation_residual": float(worst_commutation),
     }
 
-    for name, family in families.items():
-        drop = base_value - rvalue(Channel(family(channel.choi)))
+    for name, value in zip(families, image_values):
+        drop = base_value - value
         report[name] = {"passed": drop >= -1e-5, "margin": float(drop)}
 
     if 2 * d <= MAX_DIM:
         extended = tensor(channel, identity_channel(2))
-        gap = abs(rvalue(extended) - base_value)
+        gap = abs(robustness(extended).value - base_value)
         report["extension_robustness"] = {
             "passed": gap <= 1e-5,
             "margin": float(gap),

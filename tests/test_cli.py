@@ -138,6 +138,15 @@ class TestSweepCommand:
         assert entropies.argmax() == middle
         assert np.max(np.abs(values - values[::-1])) < 1e-5
 
+    @pytest.mark.parametrize("points", [50, 11])
+    def test_csv_matches_stored_reference(self, tmp_path, points):
+        """Byte for byte the CSV that solving the grid one channel at a
+        time wrote (``tests/data``)."""
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "u-theta", "--points", str(points), "--out", str(out)]) == 0
+        reference = Path(__file__).parent / "data" / f"sweep_u_theta_{points}.csv"
+        assert out.read_bytes() == reference.read_bytes()
+
     def test_bad_family_and_points(self, tmp_path):
         proc = run_cli("sweep", "nonsense")
         assert proc.returncode == 2
@@ -390,6 +399,14 @@ class TestSpecParsing:
             ]
             assert [p.returncode for p in outputs] == [0, 0]
             assert outputs[0].stdout == outputs[1].stdout
+
+        # The stacked solve of a 50-point sweep.
+        outputs = [
+            run_cli("sweep", "u-theta", "--points", "50", env={"OPENBLAS_NUM_THREADS": threads})
+            for threads in ("1", "2")
+        ]
+        assert [p.returncode for p in outputs] == [0, 0]
+        assert outputs[0].stdout == outputs[1].stdout
 
         # d = 8 classify of that tensor followed by CCX: compose through
         # choi_apply and the non-members' probe witnesses.

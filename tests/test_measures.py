@@ -164,6 +164,19 @@ class TestSolveCount:
         assert json.loads(capsys.readouterr().out)["tool"] == "crolab"
         assert calls == {"blocks": 1, "solve": 0}
 
+    def test_sweep_solves_its_grid_once(self, calls, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "u-theta", "--points", "50", "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 51
+        assert calls == {"blocks": 1, "solve": 0}
+
+    @pytest.mark.parametrize("d, stacks", [(2, 2), (8, 1)])
+    def test_property_suite_solves_one_stack_per_dimension(self, calls, d, stacks):
+        """Base channels, mixtures and family images in one stack; the
+        extension, at twice the dimension, in a second one."""
+        measure_property_suite(random_channel(d, seed=1), seed=0)
+        assert calls == {"blocks": stacks, "solve": 0}
+
 
 def _interval(result):
     return result.value - result.residuals["witness_pairing"], result.value
@@ -178,14 +191,12 @@ def _assert_sound_witness(result, d):
     assert diagonals[0].sum() == pytest.approx(d, abs=1e-12)
 
 
-@st.composite
-def block_programs(draw):
-    """A channel at d = 1 to 8 with its closed-form robustness, or None.
+def _block_program(draw, d):
+    """A channel of dimension d with its closed-form robustness, or None.
 
     Random channels of Kraus rank 1, 2 and d^2 (no closed form); random qc
     members and phased permutations (zero); Haar unitaries
     (sigma_max(|U|)^2 - 1)."""
-    d = draw(st.integers(1, 8))
     kind = draw(st.sampled_from(["random", "qccro", "permutation", "haar"]))
     seed = draw(st.integers(0, 2**31 - 1))
     if kind == "random":
@@ -201,43 +212,72 @@ def block_programs(draw):
     return unitary_channel(u), oracles.unitary_robustness(u)
 
 
+@st.composite
+def block_programs(draw):
+    """A stack of 1 to 6 channels of one dimension d = 1 to 8, each with its
+    closed-form robustness or None (see ``_block_program``)."""
+    d = draw(st.integers(1, 8))
+    size = draw(st.integers(1, 6))
+    return [_block_program(draw, d) for _ in range(size)]
+
+
 class TestInteriorPointSolver:
     """The certified interval of ``_solve_blocks`` on every kind of channel."""
 
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(block_programs())
-    def test_narrow_interval_holds_closed_form(self, case):
-        channel, closed = case
-        result = robustness(channel)
-        lower, upper = _interval(result)
-        assert result.residuals["witness_pairing"] <= 1e-7
-        assert 0.0 <= lower <= upper
-        if closed is not None:
-            assert lower - 1e-9 <= closed <= upper + 1e-9
-        _assert_sound_witness(result, channel.dim)
+    def test_narrow_interval_holds_closed_form(self, stack):
+        results = crolab.measures._robustness_stack([ch for ch, _ in stack])
+        for (channel, closed), result in zip(stack, results):
+            lower, upper = _interval(result)
+            assert result.residuals["witness_pairing"] <= 1e-7
+            assert 0.0 <= lower <= upper
+            if closed is not None:
+                assert lower - 1e-9 <= closed <= upper + 1e-9
+            _assert_sound_witness(result, channel.dim)
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(block_programs(), st.randoms(use_true_random=False))
+    def test_stack_entries_equal_batch_of_one(self, stack, shuffle):
+        """Each entry of a stacked solve, at any place in a stack of any
+        size, is its batch-of-one solve bit for bit: both ends, the witness,
+        the optimizer and the residuals."""
+        channels = [channel for channel, _ in stack]
+        shuffle.shuffle(channels)
+        for channel, result in zip(channels, crolab.measures._robustness_stack(channels)):
+            single = robustness(channel)
+            assert result.value == single.value
+            assert result.residuals == single.residuals
+            assert np.array_equal(result.witness, single.witness)
+            assert np.array_equal(result.optimal_psi, single.optimal_psi)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_step_closes_dual_residual(self, d):
-        """From the primal start and a dual W whose diagonals miss the
-        shared-diagonal constraint, one step keeps the row sums of p equal
-        and shrinks the dual residual f - N^T diag(W) by the factor
-        1 - alpha: the residual is part of the right-hand side."""
-        blocks = choi_output_blocks(random_channel(d, rank=2, seed=3).choi, d)
+        """From the primal start and duals W whose diagonals miss the
+        shared-diagonal constraint, one step on a stack of two problems
+        keeps each problem's row sums of p equal and shrinks its dual
+        residual f - N^T diag(W) by the factor 1 - alpha: the residual is
+        part of the right-hand side."""
+        blocks = np.stack(
+            [choi_output_blocks(random_channel(d, rank=2, seed=seed).choi, d) for seed in (3, 4)]
+        )
         basis = crolab.measures._row_sum_basis(d)
         f = basis.sum(axis=0)
         diagonal = np.arange(d)
-        p = np.full((d, d), np.linalg.eigvalsh(blocks)[:, -1].max() + 1.0)
-        s = -blocks.copy()
-        s[:, diagonal, diagonal] += p
-        w = np.broadcast_to(np.eye(d, dtype=complex), (d, d, d)).copy()
-        w[:, diagonal, diagonal] += 0.1 * np.random.default_rng(d).random((d, d))
+        top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
+        p = np.broadcast_to(top[:, None, None], (2, d, d))
+        s = -blocks
+        s[..., diagonal, diagonal] += p
+        w = np.broadcast_to(np.eye(d, dtype=complex), blocks.shape).copy()
+        w[..., diagonal, diagonal] += 0.1 * np.random.default_rng(d).random((2, d, d))
 
         def residual(w):
-            return np.linalg.norm(f - basis.T @ np.real(w[:, diagonal, diagonal]).ravel())
+            return np.linalg.norm(f - np.real(w[:, diagonal, diagonal]).ravel() @ basis)
 
         dp, dw = crolab.measures._hkm_step(s, w, basis, f)
-        assert np.ptp((p + dp).sum(axis=0)) <= 1e-12
-        assert residual(w + dw) <= 0.5 * residual(w)
+        for b in range(2):
+            assert np.ptp((p[b] + dp[b]).sum(axis=0)) <= 1e-12
+            assert residual(w[b] + dw[b]) <= 0.5 * residual(w[b])
 
     def test_one_dimension_is_exactly_zero(self):
         """At d = 1 the row-sum basis is the whole space and the start
@@ -270,6 +310,86 @@ class TestInteriorPointSolver:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "solver"
+
+
+def _fail_on(monkeypatch, targets):
+    """Make ``_hkm_step`` raise LinAlgError on any stack that holds one of
+    the problems whose output blocks are in ``targets``, the way a failed
+    factorization does: the error names no problem."""
+    real_step = crolab.measures._hkm_step
+    d = targets[0].shape[0]
+    off = ~np.eye(d, dtype=bool)
+
+    def failing(s, w, basis, f):
+        for row in s:
+            if any(np.array_equal(row[:, off], -t[:, off]) for t in targets):
+                raise np.linalg.LinAlgError("injected failure")
+        return real_step(s, w, basis, f)
+
+    monkeypatch.setattr(crolab.measures, "_hkm_step", failing)
+
+
+class TestFailureIsolation:
+    """A problem that fails in a stack fails alone."""
+
+    def test_failed_factorization_stops_only_its_problem(self, monkeypatch):
+        channels = [
+            random_channel(2, seed=1),
+            random_channel(2, rank=2, seed=7),
+            named_gate("H"),
+            random_qccro(2, seed=0),
+        ]
+        singles = [robustness(channel) for channel in channels]
+        _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 2)])
+        results = crolab.measures._robustness_stack(channels)
+        assert isinstance(results[1], RuntimeError)
+        assert "certified interval" in str(results[1])
+        for k in (0, 2, 3):
+            assert results[k].value == singles[k].value
+            assert results[k].residuals == singles[k].residuals
+            assert np.array_equal(results[k].witness, singles[k].witness)
+        with pytest.raises(RuntimeError, match="certified interval"):
+            robustness(channels[1])
+
+    def test_step_cap_fails_each_wide_problem(self, monkeypatch):
+        """After four steps the intervals of Z, the identity and a qc member
+        have closed and those of H and U(0.3) have not: only H and U(0.3)
+        fail, and the others keep their batch-of-one intervals."""
+        monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 4)
+        channels = [
+            named_gate("Z"),
+            named_gate("H"),
+            identity_channel(2),
+            named_gate("U", 0.3),
+            random_qccro(2, seed=0),
+        ]
+        results = crolab.measures._robustness_stack(channels)
+        failed = [isinstance(r, RuntimeError) for r in results]
+        assert failed == [False, True, False, True, False]
+        for channel, result in zip(channels, results):
+            if not isinstance(result, RuntimeError):
+                assert _interval(result) == _interval(robustness(channel))
+
+    def test_sweep_notes_only_the_failing_rows(self, monkeypatch, tmp_path):
+        out = tmp_path / "plain.csv"
+        assert cli.main(["sweep", "u-theta", "--points", "11", "--out", str(out)]) == 0
+        plain = out.read_text().splitlines()
+        # U(theta) and U(pi/2 - theta) have the same off-diagonal blocks, so
+        # the failure injected at grid point 3 also hits point 7.
+        theta = np.linspace(0.0, np.pi / 2, 11)[3]
+        _fail_on(monkeypatch, [choi_output_blocks(named_gate("U", theta).choi, 2)])
+        failing = (3, 7)
+        assert cli.main(["sweep", "u-theta", "--points", "11", "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        assert len(lines) == len(plain) == 12
+        for k, (line, reference) in enumerate(zip(lines[1:], plain[1:])):
+            if k in failing:
+                theta = reference.split(",")[0]
+                assert line.startswith(
+                    f"{theta},nan,nan,robustness solve stopped with a certified interval"
+                )
+            else:
+                assert line == reference and line.endswith(",")
 
 
 class TestAdmmOracle:
@@ -482,6 +602,23 @@ class TestPropertySuite:
     def test_random_channel_report_passes(self):
         report = measure_property_suite(random_channel(2, seed=9), seed=5)
         assert report["passed"]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_stacked_report_equals_one_by_one(self, monkeypatch, d):
+        """Seeds 0 to 4: the report from stacked solves equals, key for key
+        and bit for bit, the report from solving each channel alone."""
+        channel = random_channel(d, seed=d)
+        stacked = [measure_property_suite(channel, seed=seed) for seed in range(5)]
+        real_stack = crolab.measures._robustness_stack
+        monkeypatch.setattr(
+            crolab.measures,
+            "_robustness_stack",
+            lambda channels: [r for ch in channels for r in real_stack([ch])],
+        )
+        alone = [measure_property_suite(channel, seed=seed) for seed in range(5)]
+        for a, b in zip(stacked, alone):
+            assert list(a) == list(b)
+            assert a == b
 
     def test_permutation_family_is_exactly_invariant(self):
         report = measure_property_suite(named_gate("H"), seed=12)
