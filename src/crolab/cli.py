@@ -6,14 +6,18 @@ Channel specifications are JSON files.  Complex numbers are written as
 - ``{"kind": "kraus", "dim": d, "operators": [matrix, ...]}``
 - ``{"kind": "choi", "dim": d, "matrix": matrix}`` (trace-one convention)
 - ``{"kind": "gate", "name": "H"}`` or ``{"kind": "gate", "name": "U",
-  "params": {"theta": 0.785}}``
+  "params": {"theta": 0.785}}`` (``theta`` a finite number)
 - ``{"kind": "composition", "children": [spec, ...]}`` (first child acts
   first)
 - ``{"kind": "tensor", "children": [spec, ...]}``
 
-``--tol`` must be finite and nonnegative.  Exit codes: 0 success, 2
-unparseable specification or arguments, 3 channel invariant violation, 4
-solver failure.  On failure a single JSON diagnostic object is written to
+A matrix (or a whole ``operators`` list) is read as one numpy array of
+int64, uint64 or float64 numbers, ``[re, im]`` on its last axis, each pair
+becoming ``complex(re, im)`` bit for bit.  ``--tol`` must be finite and
+nonnegative.  Exit codes: 0 success, 2 unparseable specification or
+arguments (a malformed matrix, a bad ``theta`` or ``--points``, nesting too
+deep), 3 channel invariant violation (also a spec above ``MAX_SPEC_DIM``),
+4 solver failure.  On failure a single JSON diagnostic object is written to
 stderr.
 """
 
@@ -53,46 +57,35 @@ from .measures import (
 from .paulis import pauli_index, pauli_label
 
 SWEEP_FAMILY = "u-theta"
+MAX_SPEC_DIM = 32  # largest channel dimension a spec may describe
+MAX_SWEEP_POINTS = 10_000
 
 
 class SpecError(Exception):
     """A channel specification file that cannot be interpreted."""
 
 
-def _as_complex_entry(node, where):
-    if (
-        not isinstance(node, list)
-        or len(node) != 2
-        or not all(isinstance(x, (int, float)) for x in node)
-    ):
-        raise SpecError(
-            f"{where}: complex entries must be [re, im] number pairs"
-        )
-    return complex(node[0], node[1])
+def _as_complex_array(node, where, ndim):
+    """Nested ``[re, im]`` number pairs as a complex array of ``ndim`` axes."""
+    try:
+        pairs = np.array(node)
+    except ValueError as exc:
+        raise SpecError(f"{where}: ragged nested array") from exc
+    if pairs.dtype.kind not in "iuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
+        raise SpecError(f"{where}: expected a {ndim}-axis array of [re, im] number pairs")
+    return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
 
 
-def _as_complex_matrix(node, where):
-    if not isinstance(node, list) or not node:
-        raise SpecError(f"{where}: expected a non-empty nested array")
-    rows = []
-    width = None
-    for r, row in enumerate(node):
-        if not isinstance(row, list) or not row:
-            raise SpecError(f"{where}: row {r} is not a non-empty array")
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise SpecError(f"{where}: row {r} has ragged width")
-        rows.append(
-            [_as_complex_entry(e, f"{where}[{r}]") for e in row]
-        )
-    return np.array(rows, dtype=complex)
+def _check_spec_dim(dim, where):
+    if dim > MAX_SPEC_DIM:
+        raise ValueError(f"{where}: dimension {dim} exceeds the limit of {MAX_SPEC_DIM}")
 
 
 def _expect_dim(node, where):
     dim = node.get("dim")
     if not isinstance(dim, int) or dim < 1:
         raise SpecError(f"{where}: 'dim' must be a positive integer")
+    _check_spec_dim(dim, where)
     return dim
 
 
@@ -114,23 +107,13 @@ def _parse_spec_node(node, where, tol):
     kind = node.get("kind")
     if kind == "kraus":
         dim = _expect_dim(node, where)
-        raw = node.get("operators")
-        if not isinstance(raw, list) or not raw:
-            raise SpecError(f"{where}: 'operators' must be a non-empty array")
-        ops = [
-            _as_complex_matrix(m, f"{where}.operators[{k}]")
-            for k, m in enumerate(raw)
-        ]
-        for k, op in enumerate(ops):
-            if op.shape != (dim, dim):
-                raise SpecError(
-                    f"{where}.operators[{k}]: shape {op.shape} does not "
-                    f"match dim {dim}"
-                )
+        ops = _as_complex_array(node.get("operators"), f"{where}.operators", 3)
+        if ops.shape[1:] != (dim, dim):
+            raise SpecError(f"{where}.operators: shape {ops.shape[1:]} does not match dim {dim}")
         return channel_from_kraus(ops, tol=tol)
     if kind == "choi":
         dim = _expect_dim(node, where)
-        matrix = _as_complex_matrix(node.get("matrix"), f"{where}.matrix")
+        matrix = _as_complex_array(node.get("matrix"), f"{where}.matrix", 2)
         if matrix.shape != (dim * dim, dim * dim):
             raise SpecError(
                 f"{where}.matrix: shape {matrix.shape} does not match "
@@ -145,8 +128,10 @@ def _parse_spec_node(node, where, tol):
         if not isinstance(params, dict):
             raise SpecError(f"{where}: 'params' must be an object")
         theta = params.get("theta")
-        if theta is not None and not isinstance(theta, (int, float)):
-            raise SpecError(f"{where}: 'theta' must be a number")
+        # False for NaN, infinities and ints beyond the float range alike.
+        finite = isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max
+        if theta is not None and not finite:
+            raise SpecError(f"{where}: 'theta' must be a finite number")
         try:
             u = gate_matrix(name, theta)
         except ValueError as exc:
@@ -157,6 +142,7 @@ def _parse_spec_node(node, where, tol):
         return reduce(lambda acc, nxt: compose(nxt, acc, tol=tol), children)
     if kind == "tensor":
         children = _parse_children(node, where, tol, minimum=2)
+        _check_spec_dim(math.prod(c.dim for c in children), where)
         return reduce(lambda acc, nxt: tensor(acc, nxt, tol=tol), children)
     raise SpecError(
         f"{where}: unknown kind {kind!r} (expected kraus, choi, gate, "
@@ -166,13 +152,16 @@ def _parse_spec_node(node, where, tol):
 
 def load_channel(path, tol):
     try:
-        with open(path, encoding="utf-8") as handle:
-            node = json.load(handle)
-    except OSError as exc:
-        raise SpecError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise SpecError(f"{path} is not valid JSON: {exc}") from exc
-    return _parse_spec_node(node, path, tol)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                node = json.load(handle)
+        except OSError as exc:
+            raise SpecError(f"cannot read {path}: {exc}") from exc
+        except json.JSONDecodeError as exc:
+            raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+        return _parse_spec_node(node, path, tol)
+    except RecursionError as exc:  # from the JSON decoder or the spec walk
+        raise SpecError(f"{path}: specification nested too deeply") from exc
 
 
 def _verdict_entry(verdict):
@@ -212,8 +201,8 @@ def _sweep(args):
         raise SpecError(
             f"unknown sweep family {args.family!r} (only {SWEEP_FAMILY!r})"
         )
-    if args.points < 2:
-        raise SpecError(f"--points must be at least 2, got {args.points}")
+    if not 2 <= args.points <= MAX_SWEEP_POINTS:
+        raise SpecError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
     thetas = np.linspace(0.0, np.pi / 2, args.points)
     channels = [named_gate("U", theta) for theta in thetas]
     lines = ["theta,robustness,relative_entropy_bits,note"]

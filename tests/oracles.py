@@ -445,3 +445,25 @@ def admm_block_robustness(channel):
     w *= d / y.sum()
     lower = float(np.real(np.einsum("kij,kji->", w, blocks))) - 1.0
     return max(lower, 0.0), upper
+
+
+def decode_pair_matrix(node):
+    """The replaced spec decoder: a matrix of ``[re, im]`` number pairs read
+    one ``complex(re, im)`` at a time, rows checked for equal width."""
+    if not isinstance(node, list) or not node:
+        raise ValueError("expected a non-empty nested array")
+    rows = []
+    for row in node:
+        if not isinstance(row, list) or not row or len(row) != len(node[0]):
+            raise ValueError("rows must be non-empty arrays of one width")
+        entries = []
+        for pair in row:
+            if (
+                not isinstance(pair, list)
+                or len(pair) != 2
+                or not all(isinstance(x, (int, float)) for x in pair)
+            ):
+                raise ValueError("complex entries must be [re, im] number pairs")
+            entries.append(complex(pair[0], pair[1]))
+        rows.append(entries)
+    return np.array(rows, dtype=complex)

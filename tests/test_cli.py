@@ -5,12 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import crolab
+import oracles
 from crolab import cli
 from crolab.channels import apply, named_gate
 
@@ -454,3 +459,159 @@ class TestPipeline:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert json.loads(captured.err)["kind"] == "parse"
+
+
+def _kraus_spec(operators, dim=2):
+    return {"kind": "kraus", "dim": dim, "operators": operators}
+
+
+def _nested_text(depth):
+    """A composition ``depth`` levels deep around one H gate, as JSON text."""
+    head = '{"kind": "composition", "children": ['
+    return head * depth + '{"kind": "gate", "name": "H"}' + "]}" * depth
+
+
+def _theta_text(value):
+    return '{"kind": "gate", "name": "U", "params": {"theta": %s}}' % value
+
+
+MALFORMED_SPECS = {
+    "ragged-row": json.dumps(_kraus_spec([[[[1, 0], [0, 0]], [[0, 0]]]])),
+    "string-entry": json.dumps(_kraus_spec([[[[1, 0], ["0", 0]], [[0, 0], [1, 0]]]])),
+    "null-operators": json.dumps(_kraus_spec(None)),
+    "three-number-pair": json.dumps(
+        _kraus_spec([[[[1, 0, 0], [0, 0, 0]], [[0, 0, 0], [1, 0, 0]]]])
+    ),
+    "empty-matrix": json.dumps({"kind": "choi", "dim": 2, "matrix": []}),
+    "dict-operators": json.dumps(_kraus_spec({})),
+    "integer-beyond-float": json.dumps(
+        _kraus_spec([[[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]])
+    ),
+    "all-boolean": json.dumps(
+        _kraus_spec([[[[True, False], [False, False]], [[False, False], [True, False]]]])
+    ),
+    "shape-not-dim": json.dumps(_kraus_spec([[[[1, 0], [0, 0]], [[0, 0], [1, 0]]]], dim=3)),
+    "nested-5000": _nested_text(5000),
+    "theta-nan": _theta_text("NaN"),
+    "theta-infinity": _theta_text("-Infinity"),
+    "theta-beyond-float": _theta_text(10**400),
+}
+
+
+def _main(capsys, *argv):
+    """Exit code, stdout and stderr of ``crolab argv`` run in this process."""
+    code = cli.main(list(argv))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _one_diagnostic(err):
+    assert err.count("\n") == 1, err
+    return json.loads(err)["kind"]
+
+
+_PAIR_ENTRIES = st.one_of(
+    st.integers(-(2**63), 2**63 - 1), st.floats(), st.sampled_from([0, 0.0, -0.0])
+)
+
+
+@st.composite
+def _pair_stacks(draw):
+    """``count`` matrices of one shape, as nested ``[re, im]`` lists."""
+    count, rows, cols = (draw(st.integers(1, 3)) for _ in range(3))
+    return [
+        [[[draw(_PAIR_ENTRIES), draw(_PAIR_ENTRIES)] for _ in range(cols)] for _ in range(rows)]
+        for _ in range(count)
+    ]
+
+
+class TestSpecDecoding:
+    """Spec matrices read as whole arrays, against the per-entry decoder."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(_pair_stacks())
+    def test_matches_per_entry_decoder_bit_for_bit(self, stack):
+        expected = np.array([oracles.decode_pair_matrix(m) for m in stack])
+        ops = cli._as_complex_array(stack, "ops", 3)
+        first = cli._as_complex_array(stack[0], "m", 2)
+        assert ops.shape == expected.shape and ops.tobytes() == expected.tobytes()
+        assert first.shape == expected[0].shape and first.tobytes() == expected[0].tobytes()
+
+    def test_signed_zeros_and_integers(self):
+        node = [[[-0.0, 0], [0, -0.0]], [[-1, 2**62 + 1], [0.5, -3]]]
+        got = cli._as_complex_array(node, "m", 2)
+        assert got.tobytes() == oracles.decode_pair_matrix(node).tobytes()
+        assert np.signbit(got[0, 0].real) and np.signbit(got[0, 1].imag)
+        assert not np.signbit(got[0, 0].imag)
+
+    @pytest.mark.parametrize("name", sorted(MALFORMED_SPECS))
+    def test_malformed_spec_is_a_parse_error(self, tmp_path, capsys, name):
+        path = tmp_path / "spec.json"
+        path.write_text(MALFORMED_SPECS[name], encoding="utf-8")
+        code, out, err = _main(capsys, "classify", str(path))
+        assert (code, out, _one_diagnostic(err)) == (2, "", "parse")
+
+    def test_recursion_in_the_spec_walk_is_a_parse_error(self, tmp_path, capsys, monkeypatch):
+        def overflow(node, where, tol):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "_parse_spec_node", overflow)
+        code, out, err = _main(capsys, "classify", gate_spec(tmp_path, "H"))
+        assert (code, out, _one_diagnostic(err)) == (2, "", "parse")
+
+
+class TestSpecLimits:
+    """The spec dimension cap and the sweep point bound, at and past the edge."""
+
+    @pytest.mark.parametrize("kind, key", [("kraus", "operators"), ("choi", "matrix")])
+    def test_leaf_dim_is_refused_before_decoding(self, tmp_path, capsys, kind, key):
+        # The matrix is null: at the cap it is decoded and refused as a parse
+        # error; past the cap the dimension is refused first.
+        for dim, code, diagnostic in (
+            (cli.MAX_SPEC_DIM, 2, "parse"),
+            (cli.MAX_SPEC_DIM + 1, 3, "invalid-channel"),
+        ):
+            spec = write_spec(tmp_path, "leaf.json", {"kind": kind, "dim": dim, key: None})
+            got = _main(capsys, "classify", spec)
+            assert (got[0], got[1], _one_diagnostic(got[2])) == (code, "", diagnostic)
+
+    def test_tensor_is_refused_before_any_product(self, tmp_path, monkeypatch):
+        calls = []
+
+        def fake_tensor(a, b, tol):
+            calls.append((a.dim, b.dim))
+            return SimpleNamespace(dim=a.dim * b.dim)
+
+        monkeypatch.setattr(cli, "tensor", fake_tensor)
+        h = {"kind": "gate", "name": "H"}
+        five = write_spec(tmp_path, "h5.json", {"kind": "tensor", "children": [h] * 5})
+        assert cli.load_channel(five, 1e-9).dim == cli.MAX_SPEC_DIM
+        assert len(calls) == 4
+        calls.clear()
+        six = write_spec(tmp_path, "h6.json", {"kind": "tensor", "children": [h] * 6})
+        with pytest.raises(ValueError, match="dimension 64 exceeds"):
+            cli.load_channel(six, 1e-9)
+        assert calls == []
+
+    def test_six_hadamard_tensor_is_refused_quickly(self, tmp_path, capsys):
+        h = {"kind": "gate", "name": "H"}
+        spec = write_spec(tmp_path, "h6.json", {"kind": "tensor", "children": [h] * 6})
+        start = time.perf_counter()
+        code, out, err = _main(capsys, "classify", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, _one_diagnostic(err)) == (3, "", "invalid-channel")
+
+    def test_sweep_points_bound(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "named_gate", lambda name, theta: built.append(theta) or name)
+        monkeypatch.setattr(
+            cli, "_robustness_stack", lambda channels: [RuntimeError("stub")] * len(channels)
+        )
+        out = tmp_path / "sweep.csv"
+        edge = cli.MAX_SWEEP_POINTS
+        assert cli.main(["sweep", "u-theta", "--points", str(edge), "--out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == edge + 1 == len(built) + 1
+        built.clear()
+        code, stdout, err = _main(capsys, "sweep", "u-theta", "--points", str(edge + 1))
+        assert (code, stdout, _one_diagnostic(err)) == (2, "", "parse")
+        assert built == []
