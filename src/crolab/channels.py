@@ -18,6 +18,9 @@ dimension) are supported.
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -42,34 +45,14 @@ class Channel:
 
     def __init__(self, choi: np.ndarray, tol: float = DEFAULT_TOL, kraus=None):
         choi = np.asarray(choi, dtype=complex)
-        dim = int(round(np.sqrt(choi.shape[0]))) if choi.ndim == 2 else 0
-        if dim == 0 or choi.shape != (dim * dim, dim * dim):
-            raise ValueError(f"choi shape {choi.shape} is not a square (d^2, d^2) matrix")
+        if choi.ndim != 2:
+            raise ValueError(_shape_message(choi.shape))
         if kraus is not None:
-            kraus = tuple(np.asarray(k, dtype=complex) for k in kraus)
-            comp = sum(k.conj().T @ k for k in kraus)
-            dev = float(np.max(np.abs(comp - np.eye(dim))))
-            if dev > tol:
-                raise ValueError(f"kraus completeness violated by {dev:.3e} (tol={tol:g})")
-        if not is_hermitian(choi, tol):
-            raise ValueError(f"choi matrix is not Hermitian within tol={tol:g}")
-        tr = float(np.real(np.trace(choi)))
-        if abs(tr - 1.0) > tol:
-            raise ValueError(f"choi trace {tr:.12g} is not 1 within tol={tol:g}")
-        marginal = partial_trace(choi, [dim, dim], 0)
-        dev = float(np.max(np.abs(marginal - np.eye(dim) / dim)))
-        if dev > tol:
-            raise ValueError(
-                f"reference marginal deviates from I/d by {dev:.3e} (tol={tol:g}); "
-                "the map is not trace preserving"
-            )
-        choi = hermitianize(choi)
-        min_eig = float(np.linalg.eigvalsh(choi)[0])
-        if min_eig < -max(tol, 1e-7):
-            raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
-        object.__setattr__(self, "dim", dim)
+            kraus = np.asarray(kraus, dtype=complex)
+        choi = validate_choi_stack(choi[None], tol, None if kraus is None else kraus[None])[0]
+        object.__setattr__(self, "dim", math.isqrt(choi.shape[0]))
         object.__setattr__(self, "choi", choi)
-        object.__setattr__(self, "_kraus", kraus)
+        object.__setattr__(self, "_kraus", None if kraus is None else tuple(kraus))
 
     @property
     def kraus(self) -> tuple:
@@ -83,6 +66,83 @@ class Channel:
 
     def __repr__(self):
         return f"Channel(dim={self.dim}, kraus_rank={len(self.kraus)})"
+
+
+def _shape_message(shape) -> str:
+    return f"choi shape {shape} is not a square (d^2, d^2) matrix"
+
+
+def validate_choi_stack(chois: np.ndarray, tol: float = DEFAULT_TOL, kraus=None) -> np.ndarray:
+    """The Hermitian part of a (..., d^2, d^2) stack of Choi arrays, once
+    every entry passes ``Channel``'s checks.
+
+    The checks, in order: Kraus completeness, when ``kraus`` (a (..., r, d,
+    d) stack, one list per entry) is given; Hermitian within ``tol`` (which
+    NaN fails); unit trace; reference marginal I/d (trace preservation);
+    and, on the Hermitian part of the entries that pass those, smallest
+    eigenvalue at least -max(tol, 1e-7).  The first failing entry raises
+    the ValueError that ``Channel`` raises for it alone.
+    """
+    chois = np.asarray(chois, dtype=complex)
+    n = chois.shape[-1] if chois.ndim >= 2 else 0
+    dim = math.isqrt(n)
+    if dim == 0 or chois.shape[-2:] != (dim * dim, dim * dim):
+        raise ValueError(_shape_message(chois.shape[-2:]))
+    stack = chois.reshape(-1, n, n)
+    # (failing entries, the value each message reports, message template)
+    checks = []
+    if kraus is not None:
+        ops = np.asarray(kraus, dtype=complex).reshape(len(stack), -1, dim, dim)
+        products = ops.conj().swapaxes(-1, -2) @ ops
+        completeness = products[:, 0]
+        for k in range(1, products.shape[1]):
+            completeness = completeness + products[:, k]
+        dev = np.max(np.abs(completeness - np.eye(dim)), axis=(1, 2))
+        checks.append((dev > tol, dev, "kraus completeness violated by {:.3e} (tol={tol:g})"))
+    asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
+    checks.append((~(asym <= tol), asym, "choi matrix is not Hermitian within tol={tol:g}"))
+    tr = np.real(np.trace(stack, axis1=1, axis2=2))
+    checks.append((np.abs(tr - 1.0) > tol, tr, "choi trace {:.12g} is not 1 within tol={tol:g}"))
+    marginal = np.trace(stack.reshape(-1, dim, dim, dim, dim), axis1=2, axis2=4)
+    dev = np.max(np.abs(marginal - np.eye(dim) / dim), axis=(1, 2))
+    checks.append((
+        dev > tol,
+        dev,
+        "reference marginal deviates from I/d by {:.3e} (tol={tol:g}); "
+        "the map is not trace preserving",
+    ))
+    failing = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
+    hermitian = hermitianize(stack)
+    if failing.any():
+        # NaN and other failed entries never reach LAPACK.
+        min_eig = np.full(len(stack), np.inf)
+        min_eig[~failing] = np.linalg.eigvalsh(hermitian[~failing])[:, 0]
+    else:
+        min_eig = np.linalg.eigvalsh(hermitian)[:, 0]
+    negative = min_eig < -max(tol, 1e-7)
+    checks.append((negative, min_eig, "choi matrix has negative eigenvalue {:.3e}"))
+    failing = failing | negative
+    if failing.any():
+        b = int(np.argmax(failing))
+        _, values, template = next(check for check in checks if check[0][b])
+        raise ValueError(template.format(values[b], tol=tol))
+    return hermitian.reshape(chois.shape)
+
+
+def choi_stack_from_kraus(ops: np.ndarray) -> np.ndarray:
+    """Trace-1 Choi arrays of a (..., r, d, d) stack of Kraus lists.
+
+    Each is the sum, over its r operators K in order and starting from
+    zero, of the outer product of vec(K^T) with itself, divided by d.
+    """
+    ops = np.asarray(ops, dtype=complex)
+    d = ops.shape[-1]
+    vecs = ops.swapaxes(-1, -2).reshape(*ops.shape[:-2], d * d)
+    choi = np.zeros((*ops.shape[:-3], d * d, d * d), dtype=complex)
+    for k in range(ops.shape[-3]):
+        w = vecs[..., k, :]
+        choi += w[..., :, None] * w[..., None, :].conj()
+    return choi / d
 
 
 def kraus_from_choi(choi: np.ndarray, tol: float = DEFAULT_TOL, drop: float = KRAUS_DROP):
@@ -109,11 +169,8 @@ def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> C
     for k in ops:
         if k.shape != (dim, dim):
             raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for k in ops:
-        w = k.T.reshape(-1)
-        choi += np.outer(w, w.conj())
-    return Channel(choi / dim, tol=tol, kraus=tuple(ops))
+    ops = np.stack(ops)
+    return Channel(choi_stack_from_kraus(ops), tol=tol, kraus=ops)
 
 
 def unitary_channel(u: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
@@ -314,8 +371,10 @@ def pauli_channel_T(index: int, n: int, tol: float = DEFAULT_TOL) -> Channel:
     return Channel(choi / d**2, tol=tol)
 
 
-def interpolation_unitary(theta: float) -> np.ndarray:
-    """The Hermitian unitary ``cos(theta) Z + sin(theta) X``."""
+def interpolation_unitary(theta) -> np.ndarray:
+    """The Hermitian unitary ``cos(theta) Z + sin(theta) X``; for an array
+    of theta, the stack of them, shape (n, 2, 2)."""
+    theta = np.asarray(theta)[..., None, None]
     return np.cos(theta) * PAULI_Z + np.sin(theta) * PAULI_X
 
 
@@ -400,5 +459,7 @@ def choi_dephase_output(choi: np.ndarray, dim: int) -> np.ndarray:
 
 
 def choi_output_blocks(m: np.ndarray, dim: int) -> np.ndarray:
-    """The stack of output blocks ``B_k[i, j] = m[i*d + k, j*d + k]``."""
-    return np.einsum("ikjk->kij", np.asarray(m).reshape(dim, dim, dim, dim))
+    """The stack of output blocks ``B_k[i, j] = m[i*d + k, j*d + k]``, of a
+    Choi array or of each of a stack of them (shape (..., d, d, d))."""
+    m = np.asarray(m)
+    return np.einsum("...ikjk->...kij", m.reshape(*m.shape[:-2], dim, dim, dim, dim))

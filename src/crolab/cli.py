@@ -16,16 +16,20 @@ int64, uint64 or float64 numbers, ``[re, im]`` on its last axis, each pair
 becoming ``complex(re, im)`` bit for bit.  ``--tol`` must be finite and
 nonnegative.  Exit codes: 0 success, 2 unparseable specification or
 arguments (a malformed matrix, a bad ``theta`` or ``--points``, nesting too
-deep), 3 channel invariant violation (also a spec above ``MAX_SPEC_DIM``),
-4 solver failure.  On failure a single JSON diagnostic object is written to
-stderr.
+deep, a ``dim`` or ``theta`` that is a JSON boolean), 3 channel invariant
+violation (also a spec above ``MAX_SPEC_DIM``, or one whose loading would
+cost more than ``MAX_SPEC_WORK``, both refused before any matrix is
+decoded), 4 solver failure.  On failure a single JSON diagnostic object is
+written to stderr.
 """
 
 import argparse
 import json
 import math
+import operator
 import sys
 from functools import cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -33,11 +37,13 @@ from . import __version__
 from .channels import (
     Channel,
     channel_from_kraus,
+    choi_stack_from_kraus,
     compose,
     gate_matrix,
-    named_gate,
+    interpolation_unitary,
     tensor,
     unitary_channel,
+    validate_choi_stack,
 )
 from .cro import (
     eb_ppt_test,
@@ -50,7 +56,8 @@ from .cro import (
 from .game import _witness_game, payoff
 from .linalg import DEFAULT_TOL
 from .measures import (
-    _robustness_stack,
+    _entropy_gaps,
+    _solve_chois,
     relative_entropy_irreplaceability,
     robustness,
 )
@@ -58,6 +65,11 @@ from .paulis import pauli_index, pauli_label
 
 SWEEP_FAMILY = "u-theta"
 MAX_SPEC_DIM = 32  # largest channel dimension a spec may describe
+# Building or composing a channel of dimension d takes about d^6 operations
+# (an eigendecomposition or a product of d^2 x d^2 matrices); a spec may
+# cost as much as eight channels of the largest dimension (about 4 s on one
+# core).
+MAX_SPEC_WORK = 8 * MAX_SPEC_DIM**6
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -83,36 +95,83 @@ def _check_spec_dim(dim, where):
 
 def _expect_dim(node, where):
     dim = node.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    # bool is an int subclass, but JSON true is not a dimension
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise SpecError(f"{where}: 'dim' must be a positive integer")
     _check_spec_dim(dim, where)
     return dim
 
 
-def _parse_children(node, where, tol, minimum):
-    children = node.get("children")
-    if not isinstance(children, list) or len(children) < minimum:
-        raise SpecError(
-            f"{where}: 'children' must be an array of at least {minimum} specs"
-        )
-    return [
-        _parse_spec_node(child, f"{where}.children[{k}]", tol)
-        for k, child in enumerate(children)
-    ]
+def _gate_unitary(node, where):
+    name = node.get("name")
+    if not isinstance(name, str):
+        raise SpecError(f"{where}: gate 'name' must be a string")
+    params = node.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecError(f"{where}: 'params' must be an object")
+    theta = params.get("theta")
+    # False for booleans, NaN, infinities and ints beyond the float range.
+    finite = (
+        isinstance(theta, (int, float))
+        and not isinstance(theta, bool)
+        and abs(theta) <= sys.float_info.max
+    )
+    if theta is not None and not finite:
+        raise SpecError(f"{where}: 'theta' must be a finite number")
+    try:
+        return gate_matrix(name, theta)
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from exc
 
 
-def _parse_spec_node(node, where, tol):
+def _spec_work(node, where):
+    """(dimension, work) of a spec node, read from its kinds, dims, gate
+    names and children alone, with every check that needs no matrix.
+
+    The work sums d^6 over the channels that loading builds: each leaf,
+    each composition step and each partial tensor product.
+    """
     if not isinstance(node, dict):
         raise SpecError(f"{where}: expected an object")
     kind = node.get("kind")
-    if kind == "kraus":
+    if kind in ("kraus", "choi"):
         dim = _expect_dim(node, where)
+        return dim, dim**6
+    if kind == "gate":
+        dim = len(_gate_unitary(node, where))
+        return dim, dim**6
+    if kind in ("composition", "tensor"):
+        minimum = 1 if kind == "composition" else 2
+        children = node.get("children")
+        if not isinstance(children, list) or len(children) < minimum:
+            raise SpecError(
+                f"{where}: 'children' must be an array of at least {minimum} specs"
+            )
+        dims, works = zip(
+            *(_spec_work(child, f"{where}.children[{k}]") for k, child in enumerate(children))
+        )
+        if kind == "composition":
+            return dims[0], sum(works) + (len(dims) - 1) * max(dims) ** 6
+        products = list(accumulate(dims, operator.mul))[1:]
+        _check_spec_dim(products[-1], where)
+        return products[-1], sum(works) + sum(d**6 for d in products)
+    raise SpecError(
+        f"{where}: unknown kind {kind!r} (expected kraus, choi, gate, "
+        f"composition, or tensor)"
+    )
+
+
+def _parse_spec_node(node, where, tol):
+    """The channel of a spec node that ``_spec_work`` has checked."""
+    kind = node["kind"]
+    if kind == "kraus":
+        dim = node["dim"]
         ops = _as_complex_array(node.get("operators"), f"{where}.operators", 3)
         if ops.shape[1:] != (dim, dim):
             raise SpecError(f"{where}.operators: shape {ops.shape[1:]} does not match dim {dim}")
         return channel_from_kraus(ops, tol=tol)
     if kind == "choi":
-        dim = _expect_dim(node, where)
+        dim = node["dim"]
         matrix = _as_complex_array(node.get("matrix"), f"{where}.matrix", 2)
         if matrix.shape != (dim * dim, dim * dim):
             raise SpecError(
@@ -121,33 +180,14 @@ def _parse_spec_node(node, where, tol):
             )
         return Channel(matrix, tol=tol)
     if kind == "gate":
-        name = node.get("name")
-        if not isinstance(name, str):
-            raise SpecError(f"{where}: gate 'name' must be a string")
-        params = node.get("params", {})
-        if not isinstance(params, dict):
-            raise SpecError(f"{where}: 'params' must be an object")
-        theta = params.get("theta")
-        # False for NaN, infinities and ints beyond the float range alike.
-        finite = isinstance(theta, (int, float)) and abs(theta) <= sys.float_info.max
-        if theta is not None and not finite:
-            raise SpecError(f"{where}: 'theta' must be a finite number")
-        try:
-            u = gate_matrix(name, theta)
-        except ValueError as exc:
-            raise SpecError(f"{where}: {exc}") from exc
-        return unitary_channel(u, tol=tol)
+        return unitary_channel(_gate_unitary(node, where), tol=tol)
+    children = [
+        _parse_spec_node(child, f"{where}.children[{k}]", tol)
+        for k, child in enumerate(node["children"])
+    ]
     if kind == "composition":
-        children = _parse_children(node, where, tol, minimum=1)
         return reduce(lambda acc, nxt: compose(nxt, acc, tol=tol), children)
-    if kind == "tensor":
-        children = _parse_children(node, where, tol, minimum=2)
-        _check_spec_dim(math.prod(c.dim for c in children), where)
-        return reduce(lambda acc, nxt: tensor(acc, nxt, tol=tol), children)
-    raise SpecError(
-        f"{where}: unknown kind {kind!r} (expected kraus, choi, gate, "
-        f"composition, or tensor)"
-    )
+    return reduce(lambda acc, nxt: tensor(acc, nxt, tol=tol), children)
 
 
 def load_channel(path, tol):
@@ -159,6 +199,13 @@ def load_channel(path, tol):
             raise SpecError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecError(f"{path} is not valid JSON: {exc}") from exc
+        _, work = _spec_work(node, path)
+        if work > MAX_SPEC_WORK:
+            unit = MAX_SPEC_DIM**6
+            raise ValueError(
+                f"{path}: loading builds the work of {work / unit:.4g} channels of "
+                f"dimension {MAX_SPEC_DIM}, above the limit of {MAX_SPEC_WORK // unit}"
+            )
         return _parse_spec_node(node, path, tol)
     except RecursionError as exc:  # from the JSON decoder or the spec walk
         raise SpecError(f"{path}: specification nested too deeply") from exc
@@ -196,6 +243,27 @@ def _measures(channel, args):
     }
 
 
+def _sweep_grid(points):
+    """The u-theta grid and, per point, its robustness, entropy measure in
+    bits and note, as lists.
+
+    The grid's unitaries, Choi arrays, validation, solve and entropies are
+    one stack each.  A point whose solve fails has NaN values and the
+    failure's message as its note; the others have an empty note.
+    """
+    thetas = np.linspace(0.0, np.pi / 2, points)
+    kraus = interpolation_unitary(thetas)[:, None]
+    chois = validate_choi_stack(choi_stack_from_kraus(kraus), kraus=kraus)
+    upper, _, _, _, failures = _solve_chois(chois)
+    nan = float("nan")
+    values, entropies, notes = [], [], []
+    for value, entropy, failure in zip(upper.tolist(), _entropy_gaps(chois), failures):
+        values.append(nan if failure else value)
+        entropies.append(nan if failure else entropy)
+        notes.append(failure or "")
+    return thetas.tolist(), values, entropies, notes
+
+
 def _sweep(args):
     if args.family != SWEEP_FAMILY:
         raise SpecError(
@@ -203,18 +271,9 @@ def _sweep(args):
         )
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise SpecError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
-    thetas = np.linspace(0.0, np.pi / 2, args.points)
-    channels = [named_gate("U", theta) for theta in thetas]
     lines = ["theta,robustness,relative_entropy_bits,note"]
-    for theta, channel, result in zip(thetas, channels, _robustness_stack(channels)):
-        if isinstance(result, RuntimeError):
-            value = entropy = float("nan")
-            note = str(result)
-        else:
-            value = result.value
-            entropy = relative_entropy_irreplaceability(channel)
-            note = ""
-        lines.append(f"{theta:.12g},{value:.12g},{entropy:.12g},{note}")
+    for row in zip(*_sweep_grid(args.points)):
+        lines.append("{:.12g},{:.12g},{:.12g},{}".format(*row))
     return "\n".join(lines) + "\n"
 
 

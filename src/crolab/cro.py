@@ -27,6 +27,7 @@ Pauli expansion of O^dag(P_i).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -60,8 +61,10 @@ class EbVerdict(NamedTuple):
     min_eigenvalue: float
 
 
+@functools.lru_cache(maxsize=None)
 def probe_states(dim: int) -> np.ndarray:
-    """An informationally complete family of pure probe states, stacked.
+    """An informationally complete family of pure probe states, stacked,
+    read-only and built once per dimension.
 
     Computational basis projectors, then, for every pair k < l in order, the
     real and imaginary superposition projectors; shape (d^2, d, d).
@@ -70,7 +73,9 @@ def probe_states(dim: int) -> np.ndarray:
     k, l = np.triu_indices(dim, 1)
     pairs = (eye[k, None] + np.array([1.0, 1.0j])[:, None] * eye[l, None]) / np.sqrt(2.0)
     vectors = np.concatenate([eye, pairs.reshape(-1, dim)])
-    return vectors[:, :, None] * vectors[:, None, :].conj()
+    probes = vectors[:, :, None] * vectors[:, None, :].conj()
+    probes.flags.writeable = False
+    return probes
 
 
 def _stochastic_from_choi(choi: np.ndarray, d: int, tol: float) -> np.ndarray:

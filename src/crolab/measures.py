@@ -11,15 +11,20 @@ value in a certified interval whose dual end comes with its witness.  One
 interior-point run solves a whole stack of channels of one dimension: each
 problem has its own centring, step length and stop rule, leaves the stack
 when its interval closes, and gets the same result, bit for bit, in a stack
-of any size.  ``robustness`` is a stack of one; the CLI sweep and the
-property suite solve their channels in one stack per dimension.  The
-relative entropy measure has a closed form: the entropy gap between the fully
-dephased and the output-dephased Choi states, read off the same output blocks
+of any size.  ``robustness`` is a stack of one, and the property suite
+solves its channels in one stack per dimension.  The CLI sweep builds,
+validates and measures its whole grid as one stack: one array of Choi
+states, checked by ``channels.validate_choi_stack``, one solve
+(``_solve_chois``) and one batched entropy (``_entropy_gaps``), with no
+per-point ``Channel`` or ``RobustnessResult``.  The relative entropy
+measure has a closed form: the entropy gap between the fully dephased and
+the output-dephased Choi states, read off the same output blocks
 (``channels.choi_output_blocks``).  The property suite applies its free
 transformations as linear maps on Choi arrays, not by composing channels.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -110,9 +115,11 @@ def _check_dim(d):
 
 
 def _block_diagonal(stack):
-    """The sum over k of stack[k] (x) |k><k|, in Choi index order."""
-    d = len(stack)
-    return np.einsum("kij,kl->ikjl", stack, np.eye(d)).reshape(d * d, d * d)
+    """The sum over k of stack[k] (x) |k><k|, in Choi index order, for a
+    (..., d, d, d) stack of blocks."""
+    d = stack.shape[-3]
+    blocks = np.einsum("...kij,kl->...ikjl", stack, np.eye(d))
+    return blocks.reshape(*stack.shape[:-3], d * d, d * d)
 
 
 def _diagonals(x):
@@ -363,41 +370,52 @@ def _solve_blocks(blocks):
     return upper, results["primal"], dual, residuals
 
 
-def _robustness_stack(channels):
-    """``robustness`` of channels of one dimension, from one stacked solve.
+def _width_failure(record):
+    """The message of a solve whose certified interval stays wider than
+    ``_ACCEPT_WIDTH``, or None when it is narrow enough."""
+    width = record["witness_pairing"]
+    if width <= _ACCEPT_WIDTH:
+        return None
+    return (
+        f"robustness solve stopped with a certified interval of width "
+        f"{width:.3e}, above {_ACCEPT_WIDTH:g}; residuals {record}"
+    )
 
-    Entry b is channel b's ``RobustnessResult``, or the RuntimeError that
+
+def _solve_chois(chois):
+    """One ``_solve_blocks`` run on the output blocks of a validated
+    (batch, d^2, d^2) Choi stack: its (upper, primal, dual, residuals) and
+    each problem's ``_width_failure``."""
+    d = math.isqrt(chois.shape[-1])
+    _check_dim(d)
+    solved = _solve_blocks(np.ascontiguousarray(choi_output_blocks(chois, d)))
+    return (*solved, [_width_failure(record) for record in solved[3]])
+
+
+def _robustness_stack(chois):
+    """``robustness`` of a validated (batch, d^2, d^2) Choi stack, from one
+    stacked solve.
+
+    Entry b is entry b's ``RobustnessResult``, or the RuntimeError that
     ``robustness`` raises for it when its interval stays wider than
-    ``_ACCEPT_WIDTH``; one channel's failure leaves the others' results as
+    ``_ACCEPT_WIDTH``; one entry's failure leaves the others' results as
     they are in any other stack.
     """
-    d = channels[0].dim
-    _check_dim(d)
-    chois = [channel.choi for channel in channels]
-    blocks = np.stack([choi_output_blocks(choi, d) for choi in chois])
-    upper, primal, dual, residuals = _solve_blocks(blocks)
-    results = []
-    for choi, value, s, w, record in zip(chois, upper, primal, dual, residuals):
-        width = record["witness_pairing"]
-        if width > _ACCEPT_WIDTH:
-            results.append(
-                RuntimeError(
-                    f"robustness solve stopped with a certified interval of "
-                    f"width {width:.3e}, above {_ACCEPT_WIDTH:g}; residuals "
-                    f"{record}"
-                )
-            )
-            continue
-        results.append(
-            RobustnessResult(
-                value=float(value),
-                optimal_psi=choi + _block_diagonal(s),
-                witness=_block_diagonal(w),
-                residuals=record,
-                status="optimal",
-            )
+    upper, primal, dual, residuals, failures = _solve_chois(chois)
+    psi = chois + _block_diagonal(primal)
+    witness = _block_diagonal(dual)
+    return [
+        RuntimeError(failure)
+        if failure is not None
+        else RobustnessResult(
+            value=float(upper[b]),
+            optimal_psi=psi[b],
+            witness=witness[b],
+            residuals=residuals[b],
+            status="optimal",
         )
-    return results
+        for b, failure in enumerate(failures)
+    ]
 
 
 def robustness(channel):
@@ -420,7 +438,7 @@ def robustness(channel):
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
-    return _checked(_robustness_stack([channel]))[0]
+    return _checked(_robustness_stack(channel.choi[None]))[0]
 
 
 def _checked(results):
@@ -462,6 +480,18 @@ def _entropy_bits(p):
     return float(-np.sum(p * np.log2(p)))
 
 
+def _entropy_gaps(chois):
+    """``relative_entropy_irreplaceability`` of each of a (batch, d^2, d^2)
+    Choi stack, as a list: the spectra of all output blocks come from one
+    batched ``eigvalsh``, and each entry's entropies are summed alone."""
+    spectra = np.linalg.eigvalsh(choi_output_blocks(chois, math.isqrt(chois.shape[-1])))
+    diagonals = chois.diagonal(axis1=1, axis2=2).real
+    return [
+        max(_entropy_bits(diagonal) - _entropy_bits(spectrum), 0.0)
+        for diagonal, spectrum in zip(diagonals, spectra)
+    ]
+
+
 def relative_entropy_irreplaceability(channel):
     """Entropy of the fully dephased Choi minus the output-dephased one.
 
@@ -469,13 +499,12 @@ def relative_entropy_irreplaceability(channel):
     the output blocks B_k, so the value is the entropy of the Choi diagonal
     minus that of the spectra of the B_k, from one batched ``eigvalsh``.
     Dephasing more can only raise entropy, so the value is nonnegative;
-    rounding noise below zero is clamped.
+    rounding noise below zero is clamped.  This is ``_entropy_gaps`` on a
+    stack of one.
     """
     if not isinstance(channel, Channel):
         raise TypeError("relative_entropy_irreplaceability expects a Channel")
-    spectra = np.linalg.eigvalsh(choi_output_blocks(channel.choi, channel.dim))
-    value = _entropy_bits(np.diag(channel.choi).real) - _entropy_bits(spectra)
-    return max(value, 0.0)
+    return _entropy_gaps(channel.choi[None])[0]
 
 
 def _postcompose(choi, t):
@@ -554,7 +583,8 @@ def measure_property_suite(channel, seed=0):
     images = [Channel(family(channel.choi)) for family in families.values()]
 
     # The base channels, the mixtures and the images share one solve.
-    values = [r.value for r in _checked(_robustness_stack(channels + mixtures + images))]
+    stack = np.stack([ch.choi for ch in channels + mixtures + images])
+    values = [r.value for r in _checked(_robustness_stack(stack))]
     pair_values, mixture_values, image_values = values[:3], values[3:5], values[5:]
     entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
     base_value, base_entropy = pair_values[0], entropies[0]

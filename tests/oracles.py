@@ -1,9 +1,10 @@
 """Independent reference computations used to pin expected values in tests.
 
 Everything in this module is built from numpy alone and deliberately avoids
-importing the package under test, with one exception: ``admm_block_robustness``
-keeps the replaced ADMM path of the robustness and states it to the package's
-generic solver ``crolab.sdp``.  The robustness oracles solve the same
+importing the package under test, with two exceptions that keep replaced
+paths: ``admm_block_robustness`` states the robustness to the package's
+generic solver ``crolab.sdp``, and ``sweep_per_point`` runs the sweep one
+``Channel`` at a time.  The robustness oracles solve the same
 question as the production solver but through different mechanisms
 (bisection over alternating projections, the ADMM), so agreement between
 them is meaningful evidence rather than a tautology.
@@ -467,3 +468,83 @@ def decode_pair_matrix(node):
             entries.append(complex(pair[0], pair[1]))
         rows.append(entries)
     return np.array(rows, dtype=complex)
+
+
+def choi_of_kraus(ops):
+    """The replaced Kraus-to-Choi accumulation: starting from zero, add the
+    outer product of vec(K^T) with itself for each operator in order, then
+    divide by d."""
+    d = ops[0].shape[0]
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for k in ops:
+        w = k.T.reshape(-1)
+        choi += np.outer(w, w.conj())
+    return choi / d
+
+
+def validate_choi_one(choi, tol, kraus=None):
+    """The replaced ``Channel`` checks, on one Choi array at a time: its
+    Hermitian part, or the ValueError of the first check it fails."""
+    choi = np.asarray(choi, dtype=complex)
+    dim = int(round(np.sqrt(choi.shape[0])))
+    if kraus is not None:
+        comp = sum(k.conj().T @ k for k in kraus)
+        dev = float(np.max(np.abs(comp - np.eye(dim))))
+        if dev > tol:
+            raise ValueError(f"kraus completeness violated by {dev:.3e} (tol={tol:g})")
+    if not np.max(np.abs(choi - choi.conj().T)) <= tol:
+        raise ValueError(f"choi matrix is not Hermitian within tol={tol:g}")
+    tr = float(np.real(np.trace(choi)))
+    if abs(tr - 1.0) > tol:
+        raise ValueError(f"choi trace {tr:.12g} is not 1 within tol={tol:g}")
+    marginal = np.trace(choi.reshape(dim, dim, dim, dim), axis1=1, axis2=3)
+    dev = float(np.max(np.abs(marginal - np.eye(dim) / dim)))
+    if dev > tol:
+        raise ValueError(
+            f"reference marginal deviates from I/d by {dev:.3e} (tol={tol:g}); "
+            "the map is not trace preserving"
+        )
+    choi = 0.5 * (choi + choi.conj().T)
+    min_eig = float(np.linalg.eigvalsh(choi)[0])
+    if min_eig < -max(tol, 1e-7):
+        raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
+    return choi
+
+
+def entropy_gap_one(choi, d):
+    """The replaced per-channel entropy measure: the entropy in bits of the
+    Choi diagonal minus that of the output blocks' spectra, each summed as
+    one flat array of its positive entries, clamped at zero."""
+
+    def bits(p):
+        p = np.clip(p, 0.0, 1.0)
+        p = p[p > 0.0]
+        return float(-np.sum(p * np.log2(p)))
+
+    blocks = np.einsum("ikjk->kij", choi.reshape(d, d, d, d))
+    return max(bits(np.diag(choi).real) - bits(np.linalg.eigvalsh(blocks)), 0.0)
+
+
+def sweep_per_point(points):
+    """The replaced ``crolab sweep u-theta`` path: one ``named_gate``
+    channel per grid point, their robustness from one ``_robustness_stack``
+    and each one's ``relative_entropy_irreplaceability``.  Returns lists of
+    theta, robustness, entropy and note, NaN values and the error message
+    for a failed point."""
+    from crolab.channels import named_gate
+    from crolab.measures import _robustness_stack, relative_entropy_irreplaceability
+
+    thetas = np.linspace(0.0, np.pi / 2, points)
+    channels = [named_gate("U", theta) for theta in thetas]
+    results = _robustness_stack(np.stack([channel.choi for channel in channels]))
+    values, entropies, notes = [], [], []
+    for channel, result in zip(channels, results):
+        if isinstance(result, RuntimeError):
+            values.append(float("nan"))
+            entropies.append(float("nan"))
+            notes.append(str(result))
+        else:
+            values.append(result.value)
+            entropies.append(relative_entropy_irreplaceability(channel))
+            notes.append("")
+    return thetas.tolist(), values, entropies, notes

@@ -10,6 +10,7 @@ from crolab.channels import (
     channel_from_kraus,
     channel_partial_trace,
     choi_max_diff,
+    choi_stack_from_kraus,
     compose,
     dephasing,
     gate_matrix,
@@ -23,8 +24,11 @@ from crolab.channels import (
     te_channel,
     tensor,
     unitary_channel,
+    validate_choi_stack,
 )
 from crolab.linalg import kron, partial_trace
+
+import oracles
 from crolab.paulis import PAULI_X, PAULI_Z, pauli_index, pauli_matrix, pauli_stack
 
 
@@ -84,6 +88,97 @@ class TestChannelConstruction:
     def test_kraus_from_choi_drops_null_directions(self):
         ops = kraus_from_choi(dephasing(3).choi)
         assert len(ops) == 3
+
+
+def _corrupt(kind, choi, ops):
+    """A Choi array and Kraus list that fail exactly one check, ``kind``."""
+    n = len(choi)
+    if kind == "completeness":
+        return choi, ops * 1.01
+    if kind == "hermitian":
+        return choi + 1e-6 * np.triu(np.ones((n, n)), 1), ops
+    if kind == "nan":
+        return np.where(np.eye(n) > 0, np.nan, choi), ops
+    if kind == "trace":
+        return choi * 1.001, ops
+    if kind == "marginal":
+        return choi + 1e-3 * np.diag(np.r_[1.0, np.zeros(n - 2), -1.0]), ops
+    if kind == "negative":
+        # trace and marginal kept, the rank-one Choi array shifted below zero
+        return 1.001 * choi - 1e-3 * np.eye(n) / n, ops
+    # every check fails but the last; the order decides the message
+    return 1.001 * choi + 1e-6 * np.triu(np.ones((n, n)), 1), ops * 1.01
+
+
+INVALID_KINDS = ("completeness", "hermitian", "nan", "trace", "marginal", "negative", "several")
+
+
+class TestStackedValidation:
+    """``validate_choi_stack`` against the replaced one-at-a-time checks."""
+
+    @staticmethod
+    def _unitary_stack(d, size, seed):
+        rng = np.random.default_rng(seed)
+        ops = np.stack([oracles.haar_unitary(d, rng) for _ in range(size)])[:, None]
+        return choi_stack_from_kraus(ops), ops
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("position", [0, 2, 4])
+    @pytest.mark.parametrize("kind", INVALID_KINDS)
+    def test_invalid_entry_gives_the_channel_message(self, d, position, kind):
+        chois, ops = self._unitary_stack(d, 5, seed=10 * d + position)
+        bad_choi, bad_ops = _corrupt(kind, chois[position], ops[position])
+        chois[position], ops[position] = bad_choi, bad_ops
+        with pytest.raises(ValueError) as expected:
+            oracles.validate_choi_one(bad_choi, 1e-9, bad_ops)
+        with pytest.raises(ValueError) as alone:
+            Channel(bad_choi, kraus=bad_ops)
+        with pytest.raises(ValueError) as stacked:
+            validate_choi_stack(chois, kraus=ops)
+        assert str(stacked.value) == str(alone.value) == str(expected.value)
+        if kind != "completeness":
+            with pytest.raises(ValueError) as expected:
+                oracles.validate_choi_one(bad_choi, 1e-9)
+            with pytest.raises(ValueError) as plain:
+                validate_choi_stack(chois)
+            assert str(plain.value) == str(expected.value)
+
+    def test_first_failing_entry_wins(self):
+        chois, _ = self._unitary_stack(2, 4, seed=3)
+        chois[1] = _corrupt("trace", chois[1], None)[0]
+        chois[3] = _corrupt("hermitian", chois[3], None)[0]
+        with pytest.raises(ValueError, match="choi trace 1.001 is not 1"):
+            validate_choi_stack(chois)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_valid_stack_equals_one_at_a_time(self, d):
+        ranks = (1 + (d > 1), d * d)
+        chois = np.stack([random_channel(d, rank=r, seed=s).choi for r in ranks for s in range(3)])
+        chois = chois + 1e-12j * np.triu(np.ones(chois.shape[1:]), 1)  # within tol
+        got = validate_choi_stack(chois.reshape(2, 3, *chois.shape[1:]))
+        assert got.shape == (2, 3, d * d, d * d)
+        for choi, entry in zip(chois, got.reshape(chois.shape)):
+            assert entry.tobytes() == oracles.validate_choi_one(choi, 1e-9).tobytes()
+            assert entry.tobytes() == Channel(choi).choi.tobytes()
+
+    @pytest.mark.parametrize("d, rank", [(1, 1), (2, 1), (2, 3), (3, 2), (4, 5)])
+    def test_kraus_stack_equals_the_replaced_accumulation(self, d, rank):
+        rng = np.random.default_rng(d * rank)
+        g = rng.normal(size=(6, rank, d, d)) + 1j * rng.normal(size=(6, rank, d, d))
+        g[0, 0, 0, 0] = -0.0  # signed zeros survive the accumulation
+        chois = choi_stack_from_kraus(g)
+        for ops, choi in zip(g, chois):
+            assert choi.tobytes() == oracles.choi_of_kraus(list(ops)).tobytes()
+
+    @pytest.mark.parametrize("points", [2, 50, 257])
+    def test_interpolation_stack_equals_scalar_calls(self, points):
+        thetas = np.r_[np.linspace(0.0, np.pi / 2, points), [-3.0, 7.5, 1e-300]]
+        stack = interpolation_unitary(thetas)
+        assert stack.shape == (len(thetas), 2, 2)
+        for theta, u in zip(thetas, stack):
+            assert u.tobytes() == interpolation_unitary(float(theta)).tobytes()
+            assert u.tobytes() == gate_matrix("U", theta).tobytes()
+        assert interpolation_unitary(0.3).shape == (2, 2)
 
 
 class TestApplyComposeTensor:

@@ -152,6 +152,27 @@ class TestSweepCommand:
         reference = Path(__file__).parent / "data" / f"sweep_u_theta_{points}.csv"
         assert out.read_bytes() == reference.read_bytes()
 
+    @pytest.mark.parametrize("points", [2, 9, 50, 257])
+    def test_stacked_grid_equals_per_point_path(self, points):
+        """Every theta, robustness and entropy of the stacked grid is the
+        per-point path's float bit for bit, and every note is equal."""
+        got = cli._sweep_grid(points)
+        expected = oracles.sweep_per_point(points)
+        for column, reference in zip(got[:3], expected[:3]):
+            assert np.array(column).tobytes() == np.array(reference).tobytes()
+        assert got[3] == expected[3] == [""] * points
+
+    def test_grid_builds_no_channel_or_result(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sweep built a per-point object")
+
+        monkeypatch.setattr(crolab.channels.Channel, "__init__", refuse)
+        monkeypatch.setattr(crolab.measures, "RobustnessResult", refuse)
+        out = tmp_path / "sweep.csv"
+        assert cli.main(["sweep", "u-theta", "--points", "11", "--out", str(out)]) == 0
+        reference = Path(__file__).parent / "data" / "sweep_u_theta_11.csv"
+        assert out.read_bytes() == reference.read_bytes()
+
     def test_bad_family_and_points(self, tmp_path):
         proc = run_cli("sweep", "nonsense")
         assert proc.returncode == 2
@@ -561,7 +582,8 @@ class TestSpecDecoding:
 
 
 class TestSpecLimits:
-    """The spec dimension cap and the sweep point bound, at and past the edge."""
+    """The spec dimension cap, the spec work bound and the sweep point
+    bound, at and past the edge."""
 
     @pytest.mark.parametrize("kind, key", [("kraus", "operators"), ("choi", "matrix")])
     def test_leaf_dim_is_refused_before_decoding(self, tmp_path, capsys, kind, key):
@@ -601,12 +623,69 @@ class TestSpecLimits:
         assert time.perf_counter() - start < 1.0
         assert (code, out, _one_diagnostic(err)) == (3, "", "invalid-channel")
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "kraus", "dim": True, "operators": [[[[1, 0]]]]},
+            {"kind": "kraus", "dim": False, "operators": [[[[1, 0]]]]},
+            {"kind": "choi", "dim": True, "matrix": [[[1, 0]]]},
+            {"kind": "gate", "name": "U", "params": {"theta": True}},
+        ],
+        ids=["kraus-dim-true", "kraus-dim-false", "choi-dim-true", "theta-true"],
+    )
+    def test_json_booleans_are_parse_errors(self, tmp_path, capsys, spec):
+        path = write_spec(tmp_path, "bool.json", spec)
+        code, out, err = _main(capsys, "classify", path)
+        assert (code, out, _one_diagnostic(err)) == (2, "", "parse")
+
+    def test_spec_work_bound_at_its_edge(self, tmp_path, capsys, monkeypatch):
+        """A composition of four H gates costs 4 + 3 channels of d^6 = 64:
+        with the bound at that work it loads, one below it is refused."""
+        h = {"kind": "gate", "name": "H"}
+        spec = write_spec(tmp_path, "h4.json", {"kind": "composition", "children": [h] * 4})
+        monkeypatch.setattr(cli, "MAX_SPEC_WORK", 7 * 2**6)
+        assert cli.load_channel(spec, 1e-9).dim == 2
+        monkeypatch.setattr(cli, "MAX_SPEC_WORK", 7 * 2**6 - 1)
+        code, out, err = _main(capsys, "classify", spec)
+        assert (code, out, _one_diagnostic(err)) == (3, "", "invalid-channel")
+
+    @pytest.mark.parametrize("kind, key", [("kraus", "operators"), ("choi", "matrix")])
+    def test_spec_work_is_bounded_before_decoding(self, tmp_path, capsys, kind, key):
+        """Four d = 32 children cost 4 + 3 channels of the largest dimension
+        and reach the decoder (a null matrix is a parse error); a fifth
+        child costs 9, above the bound of 8, and is refused first."""
+        leaf = {"kind": kind, "dim": cli.MAX_SPEC_DIM, key: None}
+        for children, code, diagnostic in ((4, 2, "parse"), (5, 3, "invalid-channel")):
+            spec = write_spec(
+                tmp_path, "wide.json", {"kind": "composition", "children": [leaf] * children}
+            )
+            got = _main(capsys, "classify", spec)
+            assert (got[0], got[1], _one_diagnostic(got[2])) == (code, "", diagnostic)
+
+    def test_eight_five_hadamard_composition_is_refused_quickly(self, tmp_path, capsys):
+        h = {"kind": "gate", "name": "H"}
+        five = {"kind": "tensor", "children": [h] * 5}
+        spec = write_spec(tmp_path, "wide.json", {"kind": "composition", "children": [five] * 8})
+        start = time.perf_counter()
+        code, out, err = _main(capsys, "classify", spec)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, _one_diagnostic(err)) == (3, "", "invalid-channel")
+        assert "above the limit of 8" in json.loads(err)["error"]
+
     def test_sweep_points_bound(self, tmp_path, capsys, monkeypatch):
         built = []
-        monkeypatch.setattr(cli, "named_gate", lambda name, theta: built.append(theta) or name)
-        monkeypatch.setattr(
-            cli, "_robustness_stack", lambda channels: [RuntimeError("stub")] * len(channels)
-        )
+        real_unitaries = cli.interpolation_unitary
+
+        def unitaries(thetas):
+            built.extend(thetas)
+            return real_unitaries(thetas)
+
+        def failing_solve(chois):
+            n = len(chois)
+            return np.zeros(n), None, None, [{}] * n, ["stub"] * n
+
+        monkeypatch.setattr(cli, "interpolation_unitary", unitaries)
+        monkeypatch.setattr(cli, "_solve_chois", failing_solve)
         out = tmp_path / "sweep.csv"
         edge = cli.MAX_SWEEP_POINTS
         assert cli.main(["sweep", "u-theta", "--points", str(edge), "--out", str(out)]) == 0

@@ -164,6 +164,16 @@ class TestVerdictContents:
             stacked = np.stack([p.reshape(-1) for p in probes])
             assert np.linalg.matrix_rank(stacked) == d * d
 
+    def test_probe_states_are_cached_read_only(self):
+        probes = probe_states(3)
+        assert probe_states(3) is probes
+        assert not probes.flags.writeable
+        with pytest.raises(ValueError):
+            probes[0, 0, 0] = 1.0
+        witness = is_qccro(named_gate("H")).witness_state
+        assert witness.flags.writeable
+        assert not np.shares_memory(witness, probe_states(2))
+
     def test_probe_states_match_the_oracle_frame(self):
         for d in range(1, 9):
             probes = probe_states(d)

@@ -42,6 +42,11 @@ def binary_entropy_bits(p):
     return -sum(terms)
 
 
+def robustness_stack(channels):
+    """``measures._robustness_stack`` on the Choi stack of ``channels``."""
+    return crolab.measures._robustness_stack(np.stack([ch.choi for ch in channels]))
+
+
 class TestRobustnessValues:
     """Solver output against analytic and oracle references."""
 
@@ -227,7 +232,7 @@ class TestInteriorPointSolver:
     @settings(derandomize=True, deadline=None, database=None, max_examples=60)
     @given(block_programs())
     def test_narrow_interval_holds_closed_form(self, stack):
-        results = crolab.measures._robustness_stack([ch for ch, _ in stack])
+        results = robustness_stack([ch for ch, _ in stack])
         for (channel, closed), result in zip(stack, results):
             lower, upper = _interval(result)
             assert result.residuals["witness_pairing"] <= 1e-7
@@ -244,7 +249,7 @@ class TestInteriorPointSolver:
         the optimizer and the residuals."""
         channels = [channel for channel, _ in stack]
         shuffle.shuffle(channels)
-        for channel, result in zip(channels, crolab.measures._robustness_stack(channels)):
+        for channel, result in zip(channels, robustness_stack(channels)):
             single = robustness(channel)
             assert result.value == single.value
             assert result.residuals == single.residuals
@@ -341,7 +346,7 @@ class TestFailureIsolation:
         ]
         singles = [robustness(channel) for channel in channels]
         _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 2)])
-        results = crolab.measures._robustness_stack(channels)
+        results = robustness_stack(channels)
         assert isinstance(results[1], RuntimeError)
         assert "certified interval" in str(results[1])
         for k in (0, 2, 3):
@@ -363,7 +368,7 @@ class TestFailureIsolation:
             named_gate("U", 0.3),
             random_qccro(2, seed=0),
         ]
-        results = crolab.measures._robustness_stack(channels)
+        results = robustness_stack(channels)
         failed = [isinstance(r, RuntimeError) for r in results]
         assert failed == [False, True, False, True, False]
         for channel, result in zip(channels, results):
@@ -493,6 +498,18 @@ class TestEquivalentFormulations:
 class TestRelativeEntropy:
     """Closed-form entropy gap measure."""
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_stacked_gaps_equal_the_per_channel_path(self, d):
+        ranks = (1 + (d > 1), d * d)
+        channels = [random_channel(d, rank=r, seed=s) for r in ranks for s in range(4)]
+        channels += [named_gate("U", t) for t in (0.0, 0.3, np.pi / 4)] if d == 2 else []
+        stack = np.stack([channel.choi for channel in channels])
+        gaps = crolab.measures._entropy_gaps(stack)
+        expected = [oracles.entropy_gap_one(channel.choi, d) for channel in channels]
+        assert np.array(gaps).tobytes() == np.array(expected).tobytes()
+        for channel, gap in zip(channels, gaps):
+            assert relative_entropy_irreplaceability(channel) == gap
+
     def test_hadamard_is_one_bit(self):
         assert relative_entropy_irreplaceability(named_gate("H")) == (
             pytest.approx(1.0, abs=1e-9)
@@ -613,7 +630,7 @@ class TestPropertySuite:
         monkeypatch.setattr(
             crolab.measures,
             "_robustness_stack",
-            lambda channels: [r for ch in channels for r in real_stack([ch])],
+            lambda chois: [r for choi in chois for r in real_stack(choi[None])],
         )
         alone = [measure_property_suite(channel, seed=seed) for seed in range(5)]
         for a, b in zip(stacked, alone):
