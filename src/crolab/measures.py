@@ -4,7 +4,7 @@ Two measures are provided.  The robustness is the least amount of channel
 mixing needed to push a channel into the measure-then-postprocess family.  It
 is one semidefinite program over the output blocks of the Choi state with d^2
 real unknowns, solved here by a primal-dual interior-point method (HKM
-direction, Mehrotra predictor-corrector) rather than by the generic ADMM of
+direction, Mehrotra predictor-corrector) rather than by the generic solver of
 ``sdp``, which serves only the cross-check ``robustness_equivalents``.  Its
 primal and dual iterates, each repaired to exact feasibility, bracket the
 value in a certified interval whose dual end comes with its witness.  One
@@ -40,16 +40,15 @@ from .channels import (
 )
 from .cro import _stochastic_from_choi, is_qccro, random_qccro
 from .linalg import DEFAULT_TOL, dephase, hermitianize, partial_trace, psd_part
-from .sdp import SdpProblem, solve
+from .sdp import _TO_BOUNDARY, SdpProblem, solve
 
 MAX_DIM = 8
 
-# Interior-point robustness: step cap, target and accepted interval widths,
-# fraction of the way to the cone boundary taken by each step.
+# Interior-point robustness: step cap, target and accepted interval widths.
+# Each step goes ``sdp._TO_BOUNDARY`` of the way to the cone boundary.
 _MAX_STEPS = 60
 _TARGET_WIDTH = 1e-9
 _ACCEPT_WIDTH = 1e-6
-_TO_BOUNDARY = 0.98
 
 
 @dataclass(frozen=True)
@@ -456,8 +455,9 @@ def robustness_equivalents(channel):
     The entries are: domination of the plain Choi state by a structured
     matrix; domination of the output-dephased Choi state by a diagonal
     matrix; domination of the output-dephased Choi state by a structured
-    matrix.  All three agree up to solver accuracy; each is the raw optimum
-    minus one, below zero by rounding noise at most (X = psi - floor is PSD).
+    matrix.  Each is the primal value of ``sdp.solve`` minus one, at X = psi
+    - floor strictly inside the PSD cone: never below zero but for the
+    rounding of tr(floor), and the three agree to the solver's tolerances.
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness_equivalents expects a Channel")

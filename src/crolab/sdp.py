@@ -6,24 +6,34 @@ Problems are stated over Hermitian matrix variables as
     subject to  linear operator equalities   sum_v L(X_v) = B
                 semidefinite constraints     sum_v L(X_v) + F >= 0
 
-and solved by a consensus ADMM splitting in real ``svec`` coordinates: the
-iteration alternates an exact projection onto the affine constraint set
-{x : A x = b} with a projection onto the product of semidefinite cones (the
-blocks of one side form one stack, with one batched eigendecomposition per
-block side), plus the usual scaled dual update, over-relaxation, and
-residual-balancing penalty updates.
+and flattened to real ``svec`` coordinates: min c.x s.t. A x = b, x split
+into PSD blocks (stacked by side) and free entries.  One eigendecomposition
+of A A^T over A's nonzero rows gives an orthonormal basis Q of its row
+space and t with Q t the least-norm solution of A x = b; when A (Q t) misses
+b the program is "infeasible" after 0 iterations.  Otherwise a primal-dual
+interior-point method solves Q^T x = t on the homogeneous self-dual
+embedding (Ye, Todd & Mizuno, Math. Oper. Res. 19, 1994) from x = s =
+identity blocks, y = 0, tau = kappa = 1: HKM directions with Mehrotra's
+predictor-corrector, as in SDPT3 (Toh, Todd & Tutuncu, Optim. Methods
+Softw. 11, 1999).  A direction solves the Schur matrix Q_K^T E Q_K, E(V) =
+sym(X V S^-1) on the blocks, bordered by the free columns, for two
+right-hand sides, then one scalar equation for d tau; both sides take one
+step, 0.98 of the way to the cone boundary (at most 1).
 
-The affine step is ``x = w - Q (Q^T w - t)``, with Q an orthonormal basis
-of A's row space and ``Q t`` the least-norm solution of ``A x = b``; both
-come from one eigendecomposition of ``A A^T`` before the first iteration,
-which also decides whether ``A x = b`` is consistent at all.  Since
-``w - x`` lies in the row space, the dual is read off the step at penalty
-rho: the dual slack ``s = c + rho (w - x)`` equals ``c - A^T y`` for a dual
-vector y, so dual feasibility only needs a cone distance, and the reported
-``dual_value`` ``b^T y + offset`` equals ``offset - rho x.(w - x)``.  The
-Hermitian dual block attached to each semidefinite constraint is available
-through ``extract_dual_witness`` (for the constraint ``X >= F`` this is the
-PSD matrix pairing with ``F`` in the dual objective).
+Before each step the point x/tau, y/tau, s/tau is tested.  It is "optimal"
+when A x = b holds to ``tol_feas`` (1 + max|b|), c - Q y = s to
+``tol_feas`` (1 + max|c|), and the two values differ by at most
+``tol_gap`` (1 + |c.x| + |t.y|), a scale without the objective offset.
+It is "infeasible" when t.y > 0 and |Q y + s| <= ``tol_feas`` t.y, and
+"unbounded" when c.x < 0 and |Q^T x| <= ``tol_feas`` |c.x|: rays the
+embedding reaches as tau -> 0.  Otherwise it is "max_iters", after
+``max_iters`` steps or a failed factorization.  ``iterations`` counts
+interior-point steps.  Each late step cuts the gap about fifty-fold, so
+the default ``tol_gap`` of 1e-9 costs a step over 1e-7 and puts a zero
+optimum within 1e-9.  The variables are the blocks of x/tau; the dual
+block of each semidefinite constraint, from s/tau, comes through
+``extract_dual_witness`` (for ``X >= F`` it is the PSD matrix pairing with
+``F`` in the dual objective).
 
 Everything is dense numpy; intended for matrix blocks up to 64 x 64.
 """
@@ -36,18 +46,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import hermitianize, psd_part
+from .linalg import hermitianize
 
 MAX_BLOCK_SIDE = 64
 
 _SQRT2 = np.sqrt(2.0)
 
-# ADMM: initial penalty, over-relaxation, iterations between residual checks
-# (every fourth rebalances the penalty), feasibility mark of the stall rule.
-_RHO = 1.0
-_OVER_RELAXATION = 1.7
-_CHECK_EVERY = 25
-_STALL_TOLERANCE = 1e-4
+# Fraction of the way to the cone boundary that an interior-point step takes
+# (at most a full step); the robustness solver of ``measures`` shares it.
+_TO_BOUNDARY = 0.98
 
 
 @functools.lru_cache(maxsize=None)
@@ -172,7 +179,7 @@ class SdpProblem:
 
 @dataclass
 class SolverOptions:
-    tol_gap: float = 1e-7
+    tol_gap: float = 1e-9
     tol_feas: float = 1e-8
     max_iters: int = 200_000
 
@@ -209,8 +216,8 @@ class _Canonical:
     block, in constraint order.  ``cones`` maps each block side to the
     (blocks, side**2) array of column indices of its blocks, and ``free``
     indexes every other column.  A and b keep every row the constraints
-    produce, identically zero rows included: ``solve`` steps within A's row
-    space and tests once whether A x = b is consistent.
+    produce, identically zero rows included: ``solve`` reduces them to A's
+    row space and tests once whether A x = b is consistent.
     """
 
     def __init__(self, problem: SdpProblem):
@@ -268,30 +275,16 @@ class _Canonical:
         self.free = np.flatnonzero(free)
 
 
-def _cone_project(canon: _Canonical, v: np.ndarray) -> np.ndarray:
-    """Project onto the product cone (free entries pass through)."""
-    out = v.copy()
-    for side, cols in canon.cones.items():
-        out[cols] = svec(hermitianize(psd_part(unsvec(v[cols], side))))
-    return out
-
-
-def _cone_dual_distance(canon: _Canonical, s: np.ndarray) -> float:
-    """Max-norm distance of s from the dual cone (zero for free entries)."""
-    worst = float(np.max(np.abs(s[canon.free]), initial=0.0))
-    for side, cols in canon.cones.items():
-        w = np.linalg.eigvalsh(unsvec(s[cols], side))
-        worst = max(worst, float(-np.min(w[:, 0])))
-    return worst
-
-
 def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis Q of A's row space, and t with Q t = A^+ b.
 
-    Both come from the eigendecomposition A A^T = U diag(w) U^T, keeping
-    the eigenvalues above 1e-12 of the largest: Q = A^T U diag(w^-1/2) and
-    t = diag(w^-1/2) U^T b.
+    Both come from the eigendecomposition A A^T = U diag(w) U^T over A's
+    nonzero rows, keeping the eigenvalues above 1e-12 of the largest:
+    Q = A^T U diag(w^-1/2) and t = diag(w^-1/2) U^T b.  A zero row with a
+    nonzero target is left to the caller's consistency test of Q t.
     """
+    rows = np.flatnonzero(np.any(a != 0.0, axis=1))
+    a, b = a[rows], b[rows]
     w, u = np.linalg.eigh(a @ a.T)
     keep = w > np.max(w, initial=0.0) * 1e-12 + 1e-300
     scale = 1.0 / np.sqrt(w[keep])
@@ -307,122 +300,128 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
     q, t = _row_space(canon.a, canon.b)
     b_scale = 1.0 + float(np.max(np.abs(canon.b), initial=0.0))
     if np.max(np.abs(canon.a @ (q @ t) - canon.b), initial=0.0) > 1e-9 * b_scale:
-        empty = {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()}
         return SdpSolution(
-            status="infeasible",
-            primal_value=float("nan"),
-            dual_value=float("nan"),
-            variables=empty,
-            psd_duals=[np.zeros((side, side), dtype=complex) for _, side in canon.psd],
-            residuals={"primal_feas": float("inf"), "dual_feas": float("inf"), "gap": float("inf")},
+            "infeasible", float("nan"), float("nan"),
+            {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()},
+            [np.zeros((side, side), dtype=complex) for _, side in canon.psd],
+            dict.fromkeys(("primal_feas", "dual_feas", "gap"), float("inf")),
         )
 
-    n = canon.n
-    c = canon.c
-    rho = _RHO
-
-    z = np.zeros(n)
-    u = np.zeros(n)
-
-    c_scale = 1.0 + (float(np.max(np.abs(c))) if c.size else 0.0)
-
-    best = None  # (score, snapshot)
-    stall_counter = 0
-    stall_best = np.inf
-    stall_obj_start = 0.0
-    stall_limit = max(1, int(0.1 * opts.max_iters / _CHECK_EVERY))
-
+    c, offset = canon.c, canon.c_offset
+    c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
+    x = np.zeros(canon.n)
+    for side, cols in canon.cones.items():
+        x[cols] = svec(np.eye(side))
+    y, s, tau, kappa = np.zeros(t.size), x.copy(), 1.0, 1.0
     status = "max_iters"
-    iters_done = opts.max_iters
-
-    for it in range(1, opts.max_iters + 1):
-        w = z - u - c / rho
-        x = w - q @ (q.T @ w - t)
-        x_rel = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
-        z_prev = z
-        z = _cone_project(canon, x_rel + u)
-        u = u + x_rel - z
-
-        if it % _CHECK_EVERY != 0 and it != opts.max_iters:
-            continue
-
-        s_tilde = c + rho * (w - x)
-        primal_feas = float(np.max(np.abs(canon.a @ z - canon.b), initial=0.0))
-        dual_feas = _cone_dual_distance(canon, s_tilde)
-        obj_p = float(c @ z) + canon.c_offset
-        obj_d = canon.c_offset - rho * float(x @ (w - x))
-        gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
-
-        score = max(primal_feas / b_scale, dual_feas / c_scale, gap)
-        snapshot = (z.copy(), s_tilde.copy(), obj_p, obj_d, primal_feas, dual_feas, gap)
-        if best is None or score < best[0]:
-            best = (score, snapshot)
-
-        if (
-            primal_feas <= opts.tol_feas * b_scale
-            and dual_feas <= opts.tol_feas * c_scale * 10
-            and gap <= opts.tol_gap
-        ):
+    for it in range(opts.max_iters + 1):
+        cx, ty = float(c @ x), float(t @ y)
+        primal_value, dual_value = cx / tau + offset, ty / tau + offset
+        primal_feas = float(np.max(np.abs(canon.a @ x - tau * canon.b), initial=0.0)) / tau
+        dual_feas = float(np.max(np.abs(tau * c - q @ y - s), initial=0.0)) / tau
+        gap = abs(cx - ty) / (tau + abs(cx) + abs(ty))
+        if max(primal_feas / b_scale, dual_feas / c_scale) <= opts.tol_feas and gap <= opts.tol_gap:
             status = "optimal"
-            iters_done = it
-            best = (score, snapshot)
-            break
-
-        # objective diverging to -inf along feasible iterates: unbounded
-        if obj_p < -1e9 * c_scale:
+        elif ty > 0 and np.max(np.abs(q @ y + s), initial=0.0) <= opts.tol_feas * ty:
+            status = "infeasible"
+        elif cx < 0 and np.max(np.abs(q.T @ x), initial=0.0) <= opts.tol_feas * -cx:
             status = "unbounded"
-            iters_done = it
-            best = (score, snapshot)
+        if status != "max_iters" or it == opts.max_iters:
+            break
+        try:
+            x, y, s, tau, kappa = _step(canon, q, t, x, y, s, tau, kappa)
+        except np.linalg.LinAlgError:
             break
 
-        # persistent affine/cone disagreement: infeasible or unbounded ray
-        feas_mark = max(primal_feas / b_scale, float(np.max(np.abs(x - z))) if n else 0.0)
-        if feas_mark > _STALL_TOLERANCE:
-            if feas_mark > stall_best * (1.0 - 1e-3):
-                stall_counter += 1
-            else:
-                stall_counter = 0
-                stall_obj_start = obj_p
-            stall_best = min(stall_best, feas_mark)
-            if stall_counter >= stall_limit:
-                affine_ok = primal_feas <= 1e-2 * _STALL_TOLERANCE * b_scale
-                diverging = obj_p < stall_obj_start - 10.0 * c_scale
-                if affine_ok and diverging:
-                    status = "unbounded"
-                    iters_done = it
-                    break
-                if not affine_ok:
-                    status = "infeasible"
-                    iters_done = it
-                    break
-                stall_counter = 0  # slow but apparently convergent; keep going
-        else:
-            stall_counter = 0
-            stall_obj_start = obj_p
-
-        if it % (_CHECK_EVERY * 4) == 0:
-            r_prim = float(np.linalg.norm(x - z))
-            r_dual = float(np.linalg.norm(rho * (z - z_prev)))
-            if r_prim > 10.0 * r_dual and rho < 1e4:
-                rho *= 2.0
-                u /= 2.0
-            elif r_dual > 10.0 * r_prim and rho > 1e-4:
-                rho /= 2.0
-                u *= 2.0
-
-    z_best, s_best, obj_p, obj_d, primal_feas, dual_feas, gap = best[1]
+    x, s = x / tau, s / tau
     return SdpSolution(
-        status=status,
-        primal_value=obj_p,
-        dual_value=obj_d,
-        variables={
-            name: unsvec(z_best[canon.columns[name]], side)
-            for name, side in problem.var_sides.items()
-        },
-        psd_duals=[unsvec(s_best[block], side) for block, side in canon.psd],
-        residuals={"primal_feas": primal_feas, "dual_feas": dual_feas, "gap": gap},
-        iterations=iters_done,
+        status, primal_value, dual_value,
+        {name: unsvec(x[canon.columns[name]], side) for name, side in problem.var_sides.items()},
+        [unsvec(s[block], side) for block, side in canon.psd],
+        {"primal_feas": primal_feas, "dual_feas": dual_feas, "gap": gap}, it,
     )
+
+
+def _step(canon, q, t, x, y, s, tau, kappa):
+    """The next (x, y, s, tau, kappa) after one HKM predictor-corrector step
+    on Q^T x = tau t, tau c - Q y = s, t.y - c.x = kappa from an interior
+    point (x, s in the cone, s zero on the free columns, tau, kappa > 0)."""
+    c, free = canon.c, canon.free
+    n, m = q.shape
+    r_p, r_d, r_g = q.T @ x - tau * t, tau * c - q @ y - s, float(t @ y - c @ x) - kappa
+    # Per block side: its columns, X, L^H for X = L L^H, the inverses of the
+    # Cholesky factors of X and S (one stack) and their adjoints, and S^-1.
+    blocks = []
+    for side, cols in canon.cones.items():
+        pair = unsvec(np.concatenate([x[cols], s[cols]]), side)
+        chol = np.linalg.cholesky(pair)
+        root = np.linalg.inv(chol)
+        chol_h, root_h, k = chol.conj().swapaxes(-1, -2), root.conj().swapaxes(-1, -2), len(cols)
+        blocks.append((side, cols, pair[:k], chol_h[:k], root, root_h, root_h[k:] @ root[k:]))
+
+    def scale(v):
+        """E(V) = sym(X V S^-1) on each block, zero on the free columns."""
+        out = np.zeros(n)
+        for side, cols, xs, _, _, _, s_inv in blocks:
+            out[cols] = svec(hermitianize(xs @ unsvec(v[cols], side) @ s_inv))
+        return out
+
+    # The Schur matrix Q_K^T E Q_K.  With X = L L^H and S^-1 = R^H R,
+    # <U, E(V)> = Re <L^H U R^H, L^H V R^H>: a Gram matrix of real rows.
+    schur = np.zeros((m, m))
+    for side, cols, _, chol_h, _, root_h, _ in blocks:
+        rows = chol_h @ unsvec(np.moveaxis(q[cols], -1, 0), side) @ root_h[len(cols):]
+        rows = rows.reshape(m, chol_h.size).view(float)
+        schur += rows @ rows.T
+    kkt = np.block([[schur, q[free].T], [q[free], np.zeros((free.size, free.size))]])
+    c_scaled = scale(c)
+    per_dtau = np.concatenate([t + q.T @ c_scaled, c[free]])
+    mu = (float(x @ s) + tau * kappa) / (sum(side * len(cols) for side, cols, *_ in blocks) + 1)
+
+    def direction(eta, targets, tk):
+        """Step length and step towards the HKM targets T (dX = T - X -
+        sym(X dS S^-1)) and tau kappa = tk that cuts the residuals by the
+        fraction eta of a full step."""
+        r = np.zeros(n)
+        for (side, cols, *_), target in zip(blocks, targets):
+            r[cols] = svec(target) - x[cols]
+        # the second column is the part of [dy; dx_F] per unit of dtau
+        rhs = np.concatenate([q.T @ (eta * scale(r_d) - r) - eta * r_p, eta * r_d[free]])
+        rhs = np.stack([rhs, per_dtau], axis=1)
+        try:
+            sol = np.linalg.solve(kkt, rhs)
+        except np.linalg.LinAlgError:  # singular at a degenerate optimum
+            sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
+        dy, dx_free, ds = sol[:m], sol[m:], -(q @ sol[:m])
+        ds[:, 0] += eta * r_d
+        ds[:, 1] += c
+        ds[free] = 0.0
+        # t.dy - c.dx - dkappa = -eta r_g and kappa dtau + tau dkappa = tk -
+        # tau kappa fix dtau, with c.dx = c.r - E(c).ds + c_F.dx_F.
+        tk -= tau * kappa
+        dot = t @ dy + c_scaled @ ds - c[free] @ dx_free
+        dtau = float((tk / tau - eta * r_g + c @ r - dot[0]) / (dot[1] + kappa / tau))
+        dkappa = (tk - kappa * dtau) / tau
+        ds = ds[:, 0] + dtau * ds[:, 1]
+        dx = r - scale(ds)
+        dx[free] = dx_free[:, 0] + dtau * dx_free[:, 1]
+        lowest = min(dtau / tau, dkappa / kappa)
+        for side, cols, _, _, root, root_h, _ in blocks:
+            ratios = root @ unsvec(np.concatenate([dx[cols], ds[cols]]), side) @ root_h
+            lowest = min(lowest, float(np.linalg.eigvalsh(ratios).min()))
+        # 1 when lowest >= -0.98, else -0.98 / lowest.
+        alpha = -_TO_BOUNDARY / min(lowest, -_TO_BOUNDARY)
+        return alpha, dx, dy[:, 0] + dtau * dy[:, 1], ds, dtau, dkappa
+
+    alpha, dx, _, ds, dtau, dkappa = direction(1.0, [np.zeros_like(b[2]) for b in blocks], 0.0)
+    reached = (x + alpha * dx) @ (s + alpha * ds) + (tau + alpha * dtau) * (kappa + alpha * dkappa)
+    sigma = float(reached / (x @ s + tau * kappa)) ** 3
+    targets = [
+        sigma * mu * s_inv - hermitianize(unsvec(dx[cols], side) @ unsvec(ds[cols], side) @ s_inv)
+        for side, cols, *_, s_inv in blocks
+    ]
+    alpha, dx, dy, ds, dtau, dkappa = direction(1.0 - sigma, targets, sigma * mu - dtau * dkappa)
+    return x + alpha * dx, y + alpha * dy, s + alpha * ds, tau + alpha * dtau, kappa + alpha * dkappa
 
 
 def extract_dual_witness(solution: SdpSolution, psd_index: int = 0) -> np.ndarray:

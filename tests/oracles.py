@@ -1,13 +1,15 @@
 """Independent reference computations used to pin expected values in tests.
 
 Everything in this module is built from numpy alone and deliberately avoids
-importing the package under test, with two exceptions that keep replaced
-paths: ``admm_block_robustness`` states the robustness to the package's
-generic solver ``crolab.sdp``, and ``sweep_per_point`` runs the sweep one
-``Channel`` at a time.  The robustness oracles solve the same
-question as the production solver but through different mechanisms
-(bisection over alternating projections, the ADMM), so agreement between
-them is meaningful evidence rather than a tautology.
+importing the package under test, with exceptions that keep replaced paths:
+``admm_solve`` is the consensus ADMM that ``crolab.sdp.solve`` ran before
+its interior-point method, over the package's canonical form;
+``admm_block_robustness`` states the robustness to that ADMM; and
+``sweep_per_point`` runs the sweep one ``Channel`` at a time.  The
+robustness oracles solve the same question as the production solvers but
+through different mechanisms (bisection over alternating projections, the
+ADMM), so agreement between them is meaningful evidence rather than a
+tautology.
 """
 
 import itertools
@@ -379,10 +381,193 @@ def gram_affine_projection(a, b, w):
     return w - a.T @ mu, mu
 
 
-# The robustness path that the interior-point solver replaced: the output-block
-# program stated to the package's generic ADMM (``crolab.sdp``, imported where
-# it is used), with its solver blocks repaired to an interval as before.  The
-# cross-check then runs a different algorithm from the value it checks.
+# The consensus ADMM that ``crolab.sdp.solve`` ran before its interior-point
+# method, kept as a second algorithm over the same canonical form (imported
+# from ``crolab.sdp`` where it is used).  It alternates the affine step
+# ``x = w - Q (Q^T w - t)`` onto {x : A x = b} with a projection onto the
+# product of PSD cones (one batched eigendecomposition per block side), plus
+# the scaled dual update, over-relaxation and residual-balancing penalty
+# updates.  The dual slack ``c + rho (w - x)`` equals ``c - A^T y`` for a dual
+# vector y, so dual feasibility is a cone distance and the dual value is
+# ``offset - rho x.(w - x)``.  A best-snapshot score, a stall rule and an
+# objective bound label the infeasible and unbounded programs.
+
+# initial penalty, over-relaxation, iterations between residual checks
+# (every fourth rebalances the penalty), feasibility mark of the stall rule
+_RHO = 1.0
+_OVER_RELAXATION = 1.7
+_CHECK_EVERY = 25
+_STALL_TOLERANCE = 1e-4
+
+
+def _cone_project(canon, v):
+    """Project onto the product cone (free entries pass through)."""
+    from crolab.linalg import hermitianize, psd_part
+    from crolab.sdp import svec, unsvec
+
+    out = v.copy()
+    for side, cols in canon.cones.items():
+        out[cols] = svec(hermitianize(psd_part(unsvec(v[cols], side))))
+    return out
+
+
+def _cone_dual_distance(canon, s):
+    """Max-norm distance of s from the dual cone (zero for free entries)."""
+    from crolab.sdp import unsvec
+
+    worst = float(np.max(np.abs(s[canon.free]), initial=0.0))
+    for side, cols in canon.cones.items():
+        w = np.linalg.eigvalsh(unsvec(s[cols], side))
+        worst = max(worst, float(-np.min(w[:, 0])))
+    return worst
+
+
+def _row_space(a, b):
+    """Orthonormal basis Q of A's row space, and t with Q t = A^+ b, from
+    the eigendecomposition of A A^T over every row of A, zero rows included
+    (``crolab.sdp._row_space`` skips those): the ADMM's iterates stay the
+    replaced solver's, bit for bit."""
+    w, u = np.linalg.eigh(a @ a.T)
+    keep = w > np.max(w, initial=0.0) * 1e-12 + 1e-300
+    scale = 1.0 / np.sqrt(w[keep])
+    return (a.T @ u[:, keep]) * scale, scale * (u[:, keep].T @ b)
+
+
+def admm_solve(problem, options=None):
+    """Solve an ``SdpProblem`` by the ADMM; an ``SdpSolution`` whose
+    ``iterations`` counts ADMM iterations.  Without ``options`` it runs at
+    the ADMM's own default gap tolerance, 1e-7."""
+    from crolab.sdp import SdpSolution, SolverOptions, _Canonical, unsvec
+
+    opts = options or SolverOptions(tol_gap=1e-7)
+    if opts.max_iters < 1:
+        raise ValueError(f"max_iters must be at least 1, got {opts.max_iters}")
+    canon = _Canonical(problem)
+    q, t = _row_space(canon.a, canon.b)
+    b_scale = 1.0 + float(np.max(np.abs(canon.b), initial=0.0))
+    if np.max(np.abs(canon.a @ (q @ t) - canon.b), initial=0.0) > 1e-9 * b_scale:
+        empty = {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()}
+        return SdpSolution(
+            status="infeasible",
+            primal_value=float("nan"),
+            dual_value=float("nan"),
+            variables=empty,
+            psd_duals=[np.zeros((side, side), dtype=complex) for _, side in canon.psd],
+            residuals={"primal_feas": float("inf"), "dual_feas": float("inf"), "gap": float("inf")},
+        )
+
+    n = canon.n
+    c = canon.c
+    rho = _RHO
+
+    z = np.zeros(n)
+    u = np.zeros(n)
+
+    c_scale = 1.0 + (float(np.max(np.abs(c))) if c.size else 0.0)
+
+    best = None  # (score, snapshot)
+    stall_counter = 0
+    stall_best = np.inf
+    stall_obj_start = 0.0
+    stall_limit = max(1, int(0.1 * opts.max_iters / _CHECK_EVERY))
+
+    status = "max_iters"
+    iters_done = opts.max_iters
+
+    for it in range(1, opts.max_iters + 1):
+        w = z - u - c / rho
+        x = w - q @ (q.T @ w - t)
+        x_rel = _OVER_RELAXATION * x + (1.0 - _OVER_RELAXATION) * z
+        z_prev = z
+        z = _cone_project(canon, x_rel + u)
+        u = u + x_rel - z
+
+        if it % _CHECK_EVERY != 0 and it != opts.max_iters:
+            continue
+
+        s_tilde = c + rho * (w - x)
+        primal_feas = float(np.max(np.abs(canon.a @ z - canon.b), initial=0.0))
+        dual_feas = _cone_dual_distance(canon, s_tilde)
+        obj_p = float(c @ z) + canon.c_offset
+        obj_d = canon.c_offset - rho * float(x @ (w - x))
+        gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
+
+        score = max(primal_feas / b_scale, dual_feas / c_scale, gap)
+        snapshot = (z.copy(), s_tilde.copy(), obj_p, obj_d, primal_feas, dual_feas, gap)
+        if best is None or score < best[0]:
+            best = (score, snapshot)
+
+        if (
+            primal_feas <= opts.tol_feas * b_scale
+            and dual_feas <= opts.tol_feas * c_scale * 10
+            and gap <= opts.tol_gap
+        ):
+            status = "optimal"
+            iters_done = it
+            best = (score, snapshot)
+            break
+
+        # objective diverging to -inf along feasible iterates: unbounded
+        if obj_p < -1e9 * c_scale:
+            status = "unbounded"
+            iters_done = it
+            best = (score, snapshot)
+            break
+
+        # persistent affine/cone disagreement: infeasible or unbounded ray
+        feas_mark = max(primal_feas / b_scale, float(np.max(np.abs(x - z))) if n else 0.0)
+        if feas_mark > _STALL_TOLERANCE:
+            if feas_mark > stall_best * (1.0 - 1e-3):
+                stall_counter += 1
+            else:
+                stall_counter = 0
+                stall_obj_start = obj_p
+            stall_best = min(stall_best, feas_mark)
+            if stall_counter >= stall_limit:
+                affine_ok = primal_feas <= 1e-2 * _STALL_TOLERANCE * b_scale
+                diverging = obj_p < stall_obj_start - 10.0 * c_scale
+                if affine_ok and diverging:
+                    status = "unbounded"
+                    iters_done = it
+                    break
+                if not affine_ok:
+                    status = "infeasible"
+                    iters_done = it
+                    break
+                stall_counter = 0  # slow but apparently convergent; keep going
+        else:
+            stall_counter = 0
+            stall_obj_start = obj_p
+
+        if it % (_CHECK_EVERY * 4) == 0:
+            r_prim = float(np.linalg.norm(x - z))
+            r_dual = float(np.linalg.norm(rho * (z - z_prev)))
+            if r_prim > 10.0 * r_dual and rho < 1e4:
+                rho *= 2.0
+                u /= 2.0
+            elif r_dual > 10.0 * r_prim and rho > 1e-4:
+                rho /= 2.0
+                u *= 2.0
+
+    z_best, s_best, obj_p, obj_d, primal_feas, dual_feas, gap = best[1]
+    return SdpSolution(
+        status=status,
+        primal_value=obj_p,
+        dual_value=obj_d,
+        variables={
+            name: unsvec(z_best[canon.columns[name]], side)
+            for name, side in problem.var_sides.items()
+        },
+        psd_duals=[unsvec(s_best[block], side) for block, side in canon.psd],
+        residuals={"primal_feas": primal_feas, "dual_feas": dual_feas, "gap": gap},
+        iterations=iters_done,
+    )
+
+
+# The robustness path that the interior-point solver of ``crolab.measures``
+# replaced: the output-block program on the ADMM above, with its solver
+# blocks repaired to an interval as before.  The cross-check then runs a
+# different algorithm from the value it checks.
 
 
 def _offdiagonal(m):
@@ -421,11 +606,11 @@ def admm_block_robustness(channel):
     their diagonals raised to the largest across k and rescaled to sum d.
     A dual pairing below one gives way to the identity at zero.
     """
-    from crolab.sdp import extract_dual_witness, solve
+    from crolab.sdp import extract_dual_witness
 
     d = channel.dim
     blocks = np.stack([channel.choi.reshape(d, d, d, d)[:, k, :, k] for k in range(d)])
-    solution = solve(admm_block_problem(channel.choi, d))
+    solution = admm_solve(admm_block_problem(channel.choi, d))
     if solution.status != "optimal":
         raise RuntimeError(f"robustness ADMM ended with status {solution.status!r}")
 

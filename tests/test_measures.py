@@ -137,7 +137,7 @@ class TestRobustnessResultInvariants:
 
 class TestSolveCount:
     """Value, witness and optimizer come from one interior-point solve, and
-    the generic ADMM of ``sdp`` is not called on these paths."""
+    the generic solver of ``sdp`` is not called on these paths."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -486,6 +486,18 @@ class TestEquivalentFormulations:
         for seed in range(5):
             values = robustness_equivalents(random_channel(2, seed=seed))
             assert max(values) - min(values) < 1e-5
+
+    def test_one_dimensional_channel_is_zero(self):
+        """At d = 1 every row of the three programs is zero and the optimum
+        is X = 0: the values come out within 1e-9 of zero."""
+        values = robustness_equivalents(identity_channel(1))
+        assert max(abs(value) for value in values) <= 1e-9
+
+    def test_agree_with_robustness_at_d4(self):
+        channel = random_channel(4, seed=0)
+        value = robustness(channel).value
+        for equivalent in robustness_equivalents(channel):
+            assert abs(equivalent - value) <= 1e-6
 
     def test_dephasing_the_channel_preserves_value(self):
         for seed in (3, 11):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from crolab import measures
@@ -11,7 +13,6 @@ from crolab.sdp import (
     SdpProblem,
     SolverOptions,
     _Canonical,
-    _cone_project,
     _row_space,
     _upper_indices,
     extract_dual_witness,
@@ -63,7 +64,7 @@ class TestSvec:
 
 
 class TestConeProjection:
-    """The stacked projection onto the product cone."""
+    """The stacked projection onto the product cone of the ADMM oracle."""
 
     def test_each_block_clipped_free_untouched(self):
         # A free side-1 variable, a bare side-2 block and a side-3 slack:
@@ -80,7 +81,7 @@ class TestConeProjection:
         assert sorted(canon.cones) == [2, 3]
         assert canon.free.tolist() == [0]
         v = np.random.default_rng(8).normal(size=canon.n)
-        projected = _cone_project(canon, v)
+        projected = oracles._cone_project(canon, v)
         assert np.array_equal(projected[canon.free], v[canon.free])
         for block, side in canon.psd:
             w, vecs = np.linalg.eigh(unsvec(v[block], side))
@@ -376,3 +377,104 @@ class TestChannelShapedProblem:
         solution = solve(problem, options)
         assert solution.status == "optimal"
         assert solution.primal_value == pytest.approx(2.0, abs=1e-8)
+
+
+def _structured_programs(channel):
+    """The three programs of ``robustness_equivalents``, unsolved."""
+    d = channel.dim
+    dephased = choi_dephase_output(channel.choi, d)
+    programs = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(measures, "solve", programs.append)
+        for floor, diagonal in ((channel.choi, False), (dephased, True), (dephased, False)):
+            measures._solve_structured(floor, d, diagonal)
+    return programs
+
+
+def _equality_residual(problem, solution):
+    """Largest entry of sum L(X) - B over the equalities, at the solution."""
+    return max(
+        float(np.max(np.abs(sum(fn(solution.variables[name]) for name, fn, _ in eq.terms) - eq.target)))
+        for eq in problem.equalities
+    )
+
+
+@st.composite
+def random_channels(draw):
+    d = draw(st.sampled_from([2, 3]))
+    rank = draw(st.integers(1, d * d))
+    return random_channel(d, rank=rank, seed=draw(st.integers(0, 2**31 - 1)))
+
+
+def _minimum_eigenvalue_problem(m):
+    """max t s.t. m - t I >= 0, with t a free variable."""
+    problem = SdpProblem()
+    problem.add_var("t", 1)
+    problem.minimize({"t": -np.eye(1)})
+    problem.add_psd([("t", lambda s: -s[0, 0] * np.eye(len(m)), len(m))], offset=m)
+    return problem
+
+
+def _trace(m):
+    return np.array([[np.real(np.trace(m))]])
+
+
+def _status_problem(kind):
+    """The programs of ``TestStatusDetection``, by name."""
+    problem = SdpProblem()
+    problem.add_var("x", 2)
+    problem.minimize({"x": -np.eye(2) if kind == "unbounded" else np.eye(2)})
+    problem.add_psd([("x", None, 2)], offset=-np.eye(2) if kind == "infeasible" else None)
+    equalities = {
+        "infeasible": [(_trace, 1.0)],
+        "zero row": [(lambda m: np.zeros((1, 1)), 1.0)],
+        "contradictory": [(_trace, 1.0), (_trace, 2.0)],
+    }
+    for fn, target in equalities.get(kind, []):
+        problem.add_eq([("x", fn, 1)], np.array([[target]]))
+    return problem
+
+
+class TestAgainstAdmmOracle:
+    """The interior-point solver against the ADMM it replaced,
+    ``oracles.admm_solve``, on the same programs."""
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=10)
+    @given(random_channels())
+    def test_structured_programs_agree(self, channel):
+        """Both solvers on the three programs of ``robustness_equivalents``
+        for random channels at d = 2 and 3: the values agree within 1e-6,
+        the interior-point X meets its equalities within tol_feas, and it
+        takes at most 15 steps (the ADMM takes hundreds of iterations)."""
+        for problem in _structured_programs(channel):
+            solution = solve(problem)
+            reference = oracles.admm_solve(problem)
+            assert solution.status == reference.status == "optimal"
+            assert solution.iterations <= 15
+            assert abs(solution.primal_value - reference.primal_value) <= 1e-6
+            assert _equality_residual(problem, solution) <= SolverOptions().tol_feas
+
+    def test_minimum_eigenvalue_with_free_variable(self):
+        rng = np.random.default_rng(12)
+        for side in (2, 3, 4):
+            raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+            m = raw + raw.conj().T
+            problem = _minimum_eigenvalue_problem(m)
+            solution = solve(problem)
+            reference = oracles.admm_solve(problem)
+            assert solution.status == reference.status == "optimal"
+            assert abs(solution.primal_value - reference.primal_value) <= 1e-6
+            assert -solution.primal_value == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "kind, status",
+        [
+            ("infeasible", "infeasible"),
+            ("unbounded", "unbounded"),
+            ("zero row", "infeasible"),
+            ("contradictory", "infeasible"),
+        ],
+    )
+    def test_status_labels_agree(self, kind, status):
+        problem = _status_problem(kind)
+        assert solve(problem).status == oracles.admm_solve(problem).status == status
