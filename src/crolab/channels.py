@@ -463,3 +463,11 @@ def choi_output_blocks(m: np.ndarray, dim: int) -> np.ndarray:
     Choi array or of each of a stack of them (shape (..., d, d, d))."""
     m = np.asarray(m)
     return np.einsum("...ikjk->...kij", m.reshape(*m.shape[:-2], dim, dim, dim, dim))
+
+
+def choi_from_output_blocks(stack: np.ndarray) -> np.ndarray:
+    """The inverse of ``choi_output_blocks`` on output-dephased arrays:
+    sum_k stack[..., k, :, :] (x) |k><k| for a (..., d, d, d) stack."""
+    d = stack.shape[-3]
+    blocks = np.einsum("...kij,kl->...ikjl", stack, np.eye(d))
+    return blocks.reshape(*stack.shape[:-3], d * d, d * d)

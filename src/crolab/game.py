@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import Channel, choi_output_blocks
+from .channels import Channel, choi_from_output_blocks, choi_output_blocks
 from .linalg import assert_density_matrix
-from .measures import _block_diagonal, robustness
+from .measures import robustness
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +72,7 @@ def payoff(channel, game):
 def witness_operator(game):
     """The block-diagonal operator ``sum_k W_k (x) |k><k|`` whose pairing with
     the output-dephased Choi state reproduces the payoff."""
-    return _block_diagonal(_witness_blocks(game))
+    return choi_from_output_blocks(_witness_blocks(game))
 
 
 def _classical_scores(dim, states, payoffs):

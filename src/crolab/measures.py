@@ -19,8 +19,8 @@ states, checked by ``channels.validate_choi_stack``, one solve
 per-point ``Channel`` or ``RobustnessResult``.  The relative entropy
 measure has a closed form: the entropy gap between the fully dephased and
 the output-dephased Choi states, read off the same output blocks
-(``channels.choi_output_blocks``).  The property suite applies its free
-transformations as linear maps on Choi arrays, not by composing channels.
+(``channels.choi_output_blocks``).  The property suite maps Choi arrays
+and validates, solves and measures them as one stack.
 """
 
 import functools
@@ -32,13 +32,14 @@ import numpy as np
 from .channels import (
     Channel,
     choi_dephase_output,
+    choi_from_output_blocks,
     choi_output_blocks,
     identity_channel,
-    mix,
     random_channel,
     tensor,
+    validate_choi_stack,
 )
-from .cro import _stochastic_from_choi, is_qccro, random_qccro
+from .cro import _stochastic_from_choi, random_qccro
 from .linalg import DEFAULT_TOL, dephase, hermitianize, partial_trace, psd_part
 from .sdp import _TO_BOUNDARY, SdpProblem, solve
 
@@ -78,7 +79,8 @@ def _solve_structured(floor, d, diagonal):
     and its input marginal is uniform.  The program's variable is the bare
     PSD matrix X = psi - floor: the objective is tr X + tr floor and each
     structure map L takes L(X) = -L(floor).  ``floor`` is positive, so psi
-    is positive too.
+    is positive too.  The diagonal program states X by its output blocks:
+    d PSD variables X_k of side d, with X = sum_k X_k (x) |k><k|.
     """
     n = d * d
     dephased = () if diagonal else (1,)
@@ -89,12 +91,20 @@ def _solve_structured(floor, d, diagonal):
     def marginal(m):
         return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
 
+    # Each variable with the map that places it in X.
+    places = {
+        f"x{k}": lambda m, u=unit: choi_from_output_blocks(np.multiply.outer(u, m))
+        for k, unit in enumerate(np.eye(d))
+    } if diagonal else {"x": lambda m: m}
+    side = d if diagonal else n
     problem = SdpProblem()
-    problem.add_var("x", n)
-    problem.add_psd([("x", None, n)])
-    problem.minimize({"x": np.eye(n)}, offset=float(np.real(np.trace(floor))))
-    problem.add_eq([("x", gap, n)], -gap(floor))
-    problem.add_eq([("x", marginal, d)], -marginal(floor))
+    for name in places:
+        problem.add_var(name, side)
+        problem.add_psd([(name, None, side)])
+    problem.minimize(dict.fromkeys(places, np.eye(side)), offset=float(np.real(np.trace(floor))))
+    for fn, out in ((gap, n), (marginal, d)):
+        terms = [(name, lambda m, f=fn, p=p: f(p(m)), out) for name, p in places.items()]
+        problem.add_eq(terms, -fn(floor))
     return solve(problem)
 
 
@@ -111,14 +121,6 @@ def _check_dim(d):
         raise ValueError(
             f"robustness supports dimension up to {MAX_DIM}, got {d}"
         )
-
-
-def _block_diagonal(stack):
-    """The sum over k of stack[k] (x) |k><k|, in Choi index order, for a
-    (..., d, d, d) stack of blocks."""
-    d = stack.shape[-3]
-    blocks = np.einsum("...kij,kl->...ikjl", stack, np.eye(d))
-    return blocks.reshape(*stack.shape[:-3], d * d, d * d)
 
 
 def _diagonals(x):
@@ -401,8 +403,8 @@ def _robustness_stack(chois):
     they are in any other stack.
     """
     upper, primal, dual, residuals, failures = _solve_chois(chois)
-    psi = chois + _block_diagonal(primal)
-    witness = _block_diagonal(dual)
+    psi = chois + choi_from_output_blocks(primal)
+    witness = choi_from_output_blocks(dual)
     return [
         RuntimeError(failure)
         if failure is not None
@@ -458,6 +460,7 @@ def robustness_equivalents(channel):
     matrix.  Each is the primal value of ``sdp.solve`` minus one, at X = psi
     - floor strictly inside the PSD cone: never below zero but for the
     rounding of tr(floor), and the three agree to the solver's tolerances.
+    The second is stated over X's d output blocks, the others over X.
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness_equivalents expects a Channel")
@@ -513,7 +516,7 @@ def _postcompose(choi, t):
     ``J'[(a, j), (b, l)] = delta_jl sum_i T[j, i] J[(a, i), (b, i)]``: output
     block j is the T-weighted sum of the channel's output blocks.
     """
-    return _block_diagonal(np.tensordot(t, choi_output_blocks(choi, len(t)), 1))
+    return choi_from_output_blocks(np.tensordot(t, choi_output_blocks(choi, len(t)), 1))
 
 
 def _permute(choi, perm):
@@ -527,6 +530,11 @@ def _permute(choi, perm):
     return j4.reshape(d * d, d * d)
 
 
+def _check(passed, margin):
+    """One report entry: whether a check passed, and by what margin."""
+    return {"passed": passed, "margin": float(margin)}
+
+
 def measure_property_suite(channel, seed=0):
     """Empirical check of the measure's structural properties on one channel.
 
@@ -534,10 +542,10 @@ def measure_property_suite(channel, seed=0):
     transformation families (post-composition with a classical map, and
     conjugation by a basis permutation), invariance under attaching an idle
     qubit, and the same convexity and extension properties for the entropic
-    measure.  Each family is a linear map on Choi states, and each sampled
-    one is validated first: it must map random replaceable channels to
-    replaceable channels and commute with output dephasing.  Returns a
-    report dict with one entry per check and an overall ``passed`` flag.
+    measure.  Each family is a linear map on Choi arrays, and each sampled
+    one is checked first: it must keep random replaceable channels
+    replaceable and commute with output dephasing.  Returns a report dict
+    with one entry per check and an overall ``passed`` flag.
     """
     if not isinstance(channel, Channel):
         raise TypeError("measure_property_suite expects a Channel")
@@ -546,15 +554,12 @@ def measure_property_suite(channel, seed=0):
     rng = np.random.default_rng(seed)
     report = {}
 
-    channels = [channel] + [
-        random_channel(d, seed=int(rng.integers(2**31))) for _ in range(2)
+    bases = [channel.choi] + [
+        random_channel(d, seed=int(rng.integers(2**31))).choi for _ in range(2)
     ]
     pairs = ((0, 1), (1, 2))
     weights = [float(rng.uniform(0.2, 0.8)) for _ in pairs]
-    mixtures = [
-        mix([channels[first], channels[second]], [w, 1.0 - w])
-        for (first, second), w in zip(pairs, weights)
-    ]
+    mixtures = [w * bases[i] + (1.0 - w) * bases[j] for (i, j), w in zip(pairs, weights)]
 
     # Two concrete families of free transformations, as maps on Choi states.
     inner = random_channel(d, seed=int(rng.integers(2**31)))
@@ -567,69 +572,53 @@ def measure_property_suite(channel, seed=0):
 
     # Each family must map replaceable channels to replaceable channels and
     # commute with output dephasing; only then is its monotonicity check
-    # meaningful.
-    worst_membership = 0.0
-    worst_commutation = 0.0
-    for family in families.values():
-        for _ in range(5):
-            member = random_qccro(d, seed=int(rng.integers(2**31)))
-            image = Channel(family(member.choi))
-            worst_membership = max(worst_membership, is_qccro(image).residual)
-        left = choi_dephase_output(family(channel.choi), d)
-        right = family(choi_dephase_output(channel.choi, d))
-        worst_commutation = max(
-            worst_commutation, float(np.max(np.abs(left - right)))
-        )
-    images = [Channel(family(channel.choi)) for family in families.values()]
+    # meaningful.  An image is qc-replaceable when its output blocks are
+    # diagonal, so its residual is their largest off-diagonal entry.
+    samples = validate_choi_stack([
+        family(random_qccro(d, seed=int(rng.integers(2**31))).choi)
+        for family in families.values()
+        for _ in range(5)
+    ])
+    off_diagonal = np.where(np.eye(d, dtype=bool), 0.0, choi_output_blocks(samples, d))
+    worst_membership = float(np.max(np.abs(off_diagonal)))
+    dephased = choi_dephase_output(channel.choi, d)
+    worst_commutation = max(
+        float(np.max(np.abs(choi_dephase_output(family(channel.choi), d) - family(dephased))))
+        for family in families.values()
+    )
 
-    # The base channels, the mixtures and the images share one solve.
-    stack = np.stack([ch.choi for ch in channels + mixtures + images])
+    # The base channels, the mixtures and the images share one solve, and
+    # the first five one entropy call.
+    images = [family(channel.choi) for family in families.values()]
+    stack = validate_choi_stack(np.stack(bases + mixtures + images))
     values = [r.value for r in _checked(_robustness_stack(stack))]
-    pair_values, mixture_values, image_values = values[:3], values[3:5], values[5:]
-    entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
-    base_value, base_entropy = pair_values[0], entropies[0]
+    entropies = _entropy_gaps(stack[:5])
+    base_value, base_entropy, image_values = values[0], entropies[0], values[5:]
 
-    robustness_gaps = []
-    entropy_gaps = []
-    for (first, second), w, mixed, value in zip(pairs, weights, mixtures, mixture_values):
-        bound = w * pair_values[first] + (1.0 - w) * pair_values[second]
-        robustness_gaps.append(bound - value)
-        entropy_bound = w * entropies[first] + (1.0 - w) * entropies[second]
-        entropy_gaps.append(
-            entropy_bound - relative_entropy_irreplaceability(mixed)
-        )
-    report["convexity_robustness"] = {
-        "passed": min(robustness_gaps) >= -1e-5,
-        "margin": float(min(robustness_gaps)),
-    }
-    report["convexity_relative_entropy"] = {
-        "passed": min(entropy_gaps) >= -1e-6,
-        "margin": float(min(entropy_gaps)),
-    }
+    def convexity(v):
+        # The mixed parts' values less the mixture's (stack rows 3 and 4).
+        mixed = zip(pairs, weights, (3, 4))
+        return min(w * v[i] + (1.0 - w) * v[j] - v[m] for (i, j), w, m in mixed)
+
+    robustness_gap, entropy_gap = convexity(values), convexity(entropies)
+    report["convexity_robustness"] = _check(robustness_gap >= -1e-5, robustness_gap)
+    report["convexity_relative_entropy"] = _check(entropy_gap >= -1e-6, entropy_gap)
     report["free_family_verified"] = {
         "passed": worst_membership <= 1e-9 and worst_commutation <= 1e-9,
-        "membership_residual": float(worst_membership),
-        "commutation_residual": float(worst_commutation),
+        "membership_residual": worst_membership,
+        "commutation_residual": worst_commutation,
     }
 
     for name, value in zip(families, image_values):
         drop = base_value - value
-        report[name] = {"passed": drop >= -1e-5, "margin": float(drop)}
+        report[name] = _check(drop >= -1e-5, drop)
 
     if 2 * d <= MAX_DIM:
-        extended = tensor(channel, identity_channel(2))
-        gap = abs(robustness(extended).value - base_value)
-        report["extension_robustness"] = {
-            "passed": gap <= 1e-5,
-            "margin": float(gap),
-        }
-        entropy_gap = abs(
-            relative_entropy_irreplaceability(extended) - base_entropy
-        )
-        report["extension_relative_entropy"] = {
-            "passed": entropy_gap <= 1e-6,
-            "margin": float(entropy_gap),
-        }
+        extended = tensor(channel, identity_channel(2)).choi[None]
+        gap = abs(_checked(_robustness_stack(extended))[0].value - base_value)
+        report["extension_robustness"] = _check(gap <= 1e-5, gap)
+        entropy_gap = abs(_entropy_gaps(extended)[0] - base_entropy)
+        report["extension_relative_entropy"] = _check(entropy_gap <= 1e-6, entropy_gap)
     else:
         report["extension_robustness"] = {"passed": True, "skipped": True}
         report["extension_relative_entropy"] = {"passed": True, "skipped": True}

@@ -4,8 +4,12 @@ Everything in this module is built from numpy alone and deliberately avoids
 importing the package under test, with exceptions that keep replaced paths:
 ``admm_solve`` is the consensus ADMM that ``crolab.sdp.solve`` ran before
 its interior-point method, over the package's canonical form;
-``admm_block_robustness`` states the robustness to that ADMM; and
-``sweep_per_point`` runs the sweep one ``Channel`` at a time.  The
+``admm_block_robustness`` states the robustness to that ADMM;
+``sweep_per_point`` runs the sweep one ``Channel`` at a time;
+``property_suite_per_channel`` is the property suite that built every
+mixture, sample and image as a ``Channel``; and
+``square_structured_program`` states the diagonal cross-check program
+over one d^2-side variable.  The
 robustness oracles solve the same question as the production solvers but
 through different mechanisms (bisection over alternating projections, the
 ADMM), so agreement between them is meaningful evidence rather than a
@@ -733,3 +737,156 @@ def sweep_per_point(points):
             entropies.append(relative_entropy_irreplaceability(channel))
             notes.append("")
     return thetas.tolist(), values, entropies, notes
+
+
+def square_structured_program(floor, d, diagonal):
+    """The replaced statement of ``measures._solve_structured``: one
+    variable X = psi - floor of side d^2, with the diagonal program's
+    off-block entries pinned to zero by the structure equalities.  Returns
+    the unsolved ``SdpProblem``."""
+    from crolab.linalg import dephase, partial_trace
+    from crolab.sdp import SdpProblem
+
+    n = d * d
+    dephased = () if diagonal else (1,)
+
+    def gap(m):
+        return dephase(m, [d, d], dephased) - dephase(m, [d, d], (0, 1))
+
+    def marginal(m):
+        return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
+
+    problem = SdpProblem()
+    problem.add_var("x", n)
+    problem.add_psd([("x", None, n)])
+    problem.minimize({"x": np.eye(n)}, offset=float(np.real(np.trace(floor))))
+    problem.add_eq([("x", gap, n)], -gap(floor))
+    problem.add_eq([("x", marginal, d)], -marginal(floor))
+    return problem
+
+
+def property_suite_per_channel(channel, seed=0):
+    """The replaced ``measure_property_suite``: mixtures, free-family
+    samples and images as ``Channel`` objects, each sample's membership by
+    ``is_qccro`` and each entropy by ``relative_entropy_irreplaceability``.
+    Its body is the old one; it returns the same report."""
+    from crolab.channels import (
+        Channel,
+        choi_dephase_output,
+        identity_channel,
+        mix,
+        random_channel,
+        tensor,
+    )
+    from crolab.cro import _stochastic_from_choi, is_qccro, random_qccro
+    from crolab.linalg import DEFAULT_TOL
+    from crolab.measures import (
+        MAX_DIM,
+        _check_dim,
+        _checked,
+        _permute,
+        _postcompose,
+        _robustness_stack,
+        relative_entropy_irreplaceability,
+        robustness,
+    )
+
+    if not isinstance(channel, Channel):
+        raise TypeError("measure_property_suite expects a Channel")
+    d = channel.dim
+    _check_dim(d)
+    rng = np.random.default_rng(seed)
+    report = {}
+
+    channels = [channel] + [
+        random_channel(d, seed=int(rng.integers(2**31))) for _ in range(2)
+    ]
+    pairs = ((0, 1), (1, 2))
+    weights = [float(rng.uniform(0.2, 0.8)) for _ in pairs]
+    mixtures = [
+        mix([channels[first], channels[second]], [w, 1.0 - w])
+        for (first, second), w in zip(pairs, weights)
+    ]
+
+    # Two concrete families of free transformations, as maps on Choi states.
+    inner = random_channel(d, seed=int(rng.integers(2**31)))
+    t = _stochastic_from_choi(inner.choi, d, DEFAULT_TOL)
+    perm = rng.permutation(d)
+    families = {
+        "monotonicity_postcompose": lambda m: _postcompose(m, t),
+        "monotonicity_permutation": lambda m: _permute(m, perm),
+    }
+
+    # Each family must map replaceable channels to replaceable channels and
+    # commute with output dephasing; only then is its monotonicity check
+    # meaningful.
+    worst_membership = 0.0
+    worst_commutation = 0.0
+    for family in families.values():
+        for _ in range(5):
+            member = random_qccro(d, seed=int(rng.integers(2**31)))
+            image = Channel(family(member.choi))
+            worst_membership = max(worst_membership, is_qccro(image).residual)
+        left = choi_dephase_output(family(channel.choi), d)
+        right = family(choi_dephase_output(channel.choi, d))
+        worst_commutation = max(
+            worst_commutation, float(np.max(np.abs(left - right)))
+        )
+    images = [Channel(family(channel.choi)) for family in families.values()]
+
+    # The base channels, the mixtures and the images share one solve.
+    stack = np.stack([ch.choi for ch in channels + mixtures + images])
+    values = [r.value for r in _checked(_robustness_stack(stack))]
+    pair_values, mixture_values, image_values = values[:3], values[3:5], values[5:]
+    entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
+    base_value, base_entropy = pair_values[0], entropies[0]
+
+    robustness_gaps = []
+    entropy_gaps = []
+    for (first, second), w, mixed, value in zip(pairs, weights, mixtures, mixture_values):
+        bound = w * pair_values[first] + (1.0 - w) * pair_values[second]
+        robustness_gaps.append(bound - value)
+        entropy_bound = w * entropies[first] + (1.0 - w) * entropies[second]
+        entropy_gaps.append(
+            entropy_bound - relative_entropy_irreplaceability(mixed)
+        )
+    report["convexity_robustness"] = {
+        "passed": min(robustness_gaps) >= -1e-5,
+        "margin": float(min(robustness_gaps)),
+    }
+    report["convexity_relative_entropy"] = {
+        "passed": min(entropy_gaps) >= -1e-6,
+        "margin": float(min(entropy_gaps)),
+    }
+    report["free_family_verified"] = {
+        "passed": worst_membership <= 1e-9 and worst_commutation <= 1e-9,
+        "membership_residual": float(worst_membership),
+        "commutation_residual": float(worst_commutation),
+    }
+
+    for name, value in zip(families, image_values):
+        drop = base_value - value
+        report[name] = {"passed": drop >= -1e-5, "margin": float(drop)}
+
+    if 2 * d <= MAX_DIM:
+        extended = tensor(channel, identity_channel(2))
+        gap = abs(robustness(extended).value - base_value)
+        report["extension_robustness"] = {
+            "passed": gap <= 1e-5,
+            "margin": float(gap),
+        }
+        entropy_gap = abs(
+            relative_entropy_irreplaceability(extended) - base_entropy
+        )
+        report["extension_relative_entropy"] = {
+            "passed": entropy_gap <= 1e-6,
+            "margin": float(entropy_gap),
+        }
+    else:
+        report["extension_robustness"] = {"passed": True, "skipped": True}
+        report["extension_relative_entropy"] = {"passed": True, "skipped": True}
+
+    report["passed"] = all(
+        entry["passed"] for key, entry in report.items() if key != "passed"
+    )
+    return report

@@ -9,7 +9,10 @@ from crolab.channels import (
     block_dephasing,
     channel_from_kraus,
     channel_partial_trace,
+    choi_dephase_output,
+    choi_from_output_blocks,
     choi_max_diff,
+    choi_output_blocks,
     choi_stack_from_kraus,
     compose,
     dephasing,
@@ -327,6 +330,21 @@ class TestDephasingAndPvm:
         rho /= np.trace(rho)
         gap = np.linalg.norm(apply(block_dephasing(pvm), rho) - apply(te_channel(pvm), rho))
         assert gap > 0.01
+
+
+class TestOutputBlocks:
+    """``choi_from_output_blocks`` inverts ``choi_output_blocks`` on
+    output-dephased Choi arrays, alone and stacked."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_round_trip(self, d):
+        chois = np.stack([random_channel(d, seed=seed).choi for seed in range(3)])
+        blocks = choi_output_blocks(chois, d)
+        rebuilt = choi_from_output_blocks(blocks)
+        assert np.array_equal(rebuilt[1], choi_from_output_blocks(blocks[1]))
+        for choi, back in zip(chois, rebuilt):
+            assert np.array_equal(back, choi_dephase_output(choi, d))
+        assert np.array_equal(choi_output_blocks(rebuilt, d), blocks)
 
 
 class TestPauliChannelT:

@@ -499,6 +499,12 @@ class TestEquivalentFormulations:
         for equivalent in robustness_equivalents(channel):
             assert abs(equivalent - value) <= 1e-6
 
+    def test_agree_with_robustness_at_d6(self):
+        channel = random_channel(6, seed=0)
+        value = robustness(channel).value
+        for equivalent in robustness_equivalents(channel):
+            assert abs(equivalent - value) <= 1e-6
+
     def test_dephasing_the_channel_preserves_value(self):
         for seed in (3, 11):
             channel = random_channel(2, seed=seed)
@@ -648,6 +654,19 @@ class TestPropertySuite:
         for a, b in zip(stacked, alone):
             assert list(a) == list(b)
             assert a == b
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 8])
+    def test_report_equals_per_channel_oracle(self, d):
+        """Seeds 0 to 3 (and the Hadamard gate at d = 2): the report on one
+        validated Choi stack equals, key for key, in order and float for
+        float, the report of ``oracles.property_suite_per_channel``, which
+        builds every mixture, sample and image as a ``Channel``."""
+        cases = [(random_channel(d, seed=seed), seed) for seed in range(4)]
+        cases += [(named_gate("H"), 3)] if d == 2 else []
+        for channel, seed in cases:
+            report = measure_property_suite(channel, seed=seed)
+            expected = oracles.property_suite_per_channel(channel, seed=seed)
+            assert json.dumps(report) == json.dumps(expected)
 
     def test_permutation_family_is_exactly_invariant(self):
         report = measure_property_suite(named_gate("H"), seed=12)

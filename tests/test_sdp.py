@@ -399,6 +399,28 @@ def _equality_residual(problem, solution):
     )
 
 
+class TestDiagonalProgramByBlocks:
+    """The diagonal program of ``robustness_equivalents`` is stated over the
+    d output blocks of X, not as one d^2-side block."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_d_variables_of_side_d(self, d):
+        diagonal = _structured_programs(random_channel(d, seed=0))[1]
+        assert diagonal.var_sides == {f"x{k}": d for k in range(d)}
+        assert len(diagonal.psd_constraints) == d
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_same_value_as_square_statement(self, d):
+        """Against ``oracles.square_structured_program``, the replaced
+        statement with the off-block entries pinned to zero."""
+        channel = random_channel(d, seed=d)
+        dephased = choi_dephase_output(channel.choi, d)
+        blocks = solve(_structured_programs(channel)[1])
+        square = solve(oracles.square_structured_program(dephased, d, True))
+        assert blocks.status == square.status == "optimal"
+        assert abs(blocks.primal_value - square.primal_value) <= 1e-8
+
+
 @st.composite
 def random_channels(draw):
     d = draw(st.sampled_from([2, 3]))
