@@ -11,16 +11,20 @@ value in a certified interval whose dual end comes with its witness.  One
 interior-point run solves a whole stack of channels of one dimension: each
 problem has its own centring, step length and stop rule, leaves the stack
 when its interval closes, and gets the same result, bit for bit, in a stack
-of any size.  ``robustness`` is a stack of one, and the property suite
-solves its channels in one stack per dimension.  The CLI sweep builds,
-validates and measures its whole grid as one stack: one array of Choi
-states, checked by ``channels.validate_choi_stack``, one solve
-(``_solve_chois``) and one batched entropy (``_entropy_gaps``), with no
-per-point ``Channel`` or ``RobustnessResult``.  The relative entropy
-measure has a closed form: the entropy gap between the fully dephased and
-the output-dephased Choi states, read off the same output blocks
-(``channels.choi_output_blocks``).  The property suite maps Choi arrays
-and validates, solves and measures them as one stack.
+of any size.  A problem whose output blocks are real runs in float64, the
+others in complex128, each dtype as one sub-stack of the same run; the
+results are complex128 either way.  ``robustness`` is a stack of one, and
+the property suite solves its channels in one stack per dimension.  The
+CLI sweep builds, validates and measures its whole grid as one stack: one
+array of Choi states, checked by ``channels.validate_choi_stack``, one
+solve (``_solve_chois``, in float64, since every gate of the sweep family
+is real) and one batched entropy (``_entropy_gaps``, whose terms are
+computed over the whole stack), with no per-point ``Channel`` or
+``RobustnessResult``.  The relative entropy measure has a closed form:
+the entropy gap between the fully dephased and the output-dephased Choi
+states, read off the same output blocks (``channels.choi_output_blocks``).
+The property suite maps Choi arrays and validates, solves and measures
+them as one stack.
 """
 
 import functools
@@ -273,37 +277,16 @@ def _hkm_steps(s, w, basis, f):
     return dp, dw, failed
 
 
-def _solve_blocks(blocks):
-    """Certified intervals of a stack of output-block programs, by interior
-    points.
+def _interior_point(blocks, basis, f):
+    """The interior-point run of ``_solve_blocks`` on a stack of one dtype.
 
-    ``blocks`` is a (batch, d, d, d) stack: problem b's output blocks are
-    blocks[b].  Its unknowns are the diagonals p[k, i] of S_k = diag(p_k) -
-    B_k, kept in the span of ``_row_sum_basis`` so the row sums stay equal;
-    the start p = (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on
-    both sides.  One HKM predictor-corrector runs over the whole stack, and
-    each problem keeps its own mu, sigma, step length, best ends and stop
-    flag.  Each iterate is repaired to exact feasibility and the best upper
-    and lower ends seen are kept.  A problem stops when its interval is at
-    most 1e-9 (1 + upper) wide, when a factorization of its own fails (it
-    keeps its iterate and stops at the next check), or after ``_MAX_STEPS``
-    steps; only the problems still running take a step, and the working
-    stack is compacted only when one stops.  Every operation acts on each
-    problem alone, in an order that does not depend on the stack, so a
-    problem's result is the same, bit for bit, in any stack and at any
-    place in it.  A lower end below zero gives way to the identity witness
-    at zero.  Returns (upper, primal, dual, residuals), one entry per
-    problem: the residuals are the equality residuals of the iterates behind
-    the two ends (the spread of the row sums of p, and f - N^T diag(W); both
-    iterates are strictly inside their cones), the relative gap and the
-    width ``witness_pairing`` of the interval.
+    Returns the best ends of each problem, the repaired iterates behind
+    them and the raw iterates p and W, all in the dtype of ``blocks``.
     """
     n, d = blocks.shape[:2]
-    basis = _row_sum_basis(d)
-    f = basis.sum(axis=0)
     top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
     p = np.repeat(top, d * d).reshape(n, d, d)
-    w = np.broadcast_to(np.eye(d, dtype=complex), blocks.shape).copy()
+    w = np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape).copy()
     # The best ends of the running problems, their certificates and the
     # iterates behind them; ``results`` takes a problem's entries when it
     # stops.
@@ -351,6 +334,59 @@ def _solve_blocks(blocks):
             index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
         dp, dw, failed = _hkm_steps(s, w, basis, f)
         p, w = p + dp, w + dw
+    return results
+
+
+def _solve_blocks(blocks):
+    """Certified intervals of a stack of output-block programs, by interior
+    points.
+
+    ``blocks`` is a (batch, d, d, d) complex stack: problem b's output
+    blocks are blocks[b].  Its unknowns are the diagonals p[k, i] of S_k =
+    diag(p_k) - B_k, kept in the span of ``_row_sum_basis`` so the row sums
+    stay equal; the start p = (lambda_max(B) + 1) 1 with W_k = I is strictly
+    feasible on both sides.  One HKM predictor-corrector runs over the
+    stack, and each problem keeps its own mu, sigma, step length, best ends
+    and stop flag.  Each iterate is repaired to exact feasibility and the
+    best upper and lower ends seen are kept.  A problem stops when its
+    interval is at most 1e-9 (1 + upper) wide, when a factorization of its
+    own fails (it keeps its iterate and stops at the next check), or after
+    ``_MAX_STEPS`` steps; only the problems still running take a step, and
+    the working stack is compacted only when one stops.
+
+    A problem whose blocks have no nonzero imaginary part runs in float64,
+    the others in complex128: the stack is split into the two sub-stacks,
+    each runs ``_interior_point`` in its own dtype, and the results are
+    scattered back into complex128 arrays.  For real blocks the real
+    program has the same optimum, since the real part of a feasible complex
+    dual is feasible and pairs the same, and small real matrix products
+    are several times cheaper than complex ones.  Every operation acts on each problem alone, in an order
+    that does not depend on the stack, and the dtype is a property of the
+    problem, so a problem's result is the same, bit for bit, in any stack
+    and at any place in it.  A lower end below zero gives way to the
+    identity witness at zero.  Returns (upper, primal, dual, residuals), one
+    entry per problem: the residuals are the equality residuals of the
+    iterates behind the two ends (the spread of the row sums of p, and f -
+    N^T diag(W); both iterates are strictly inside their cones), the
+    relative gap and the width ``witness_pairing`` of the interval.
+    """
+    n, d = blocks.shape[:2]
+    basis = _row_sum_basis(d)
+    f = basis.sum(axis=0)
+    results = {
+        "upper": np.empty(n),
+        "lower": np.empty(n),
+        "primal": np.empty(blocks.shape, dtype=complex),
+        "dual": np.empty(blocks.shape, dtype=complex),
+        "p": np.empty((n, d, d)),
+        "w": np.empty(blocks.shape, dtype=complex),
+    }
+    real = ~np.any(blocks.imag, axis=(1, 2, 3))
+    for group, part in ((real, np.real), (~real, np.asarray)):
+        if group.any():
+            solved = _interior_point(np.ascontiguousarray(part(blocks[group])), basis, f)
+            for key, value in solved.items():
+                results[key][group] = value
 
     upper, lower, dual = results["upper"], results["lower"], results["dual"]
     below = ~(lower >= 0.0)
@@ -476,23 +512,27 @@ def robustness_equivalents(channel):
     return values
 
 
-def _entropy_bits(p):
-    """Shannon entropy in bits of values clipped to [0, 1]; 0 log 0 is 0."""
-    p = np.clip(p, 0.0, 1.0)
-    p = p[p > 0.0]
-    return float(-np.sum(p * np.log2(p)))
-
-
 def _entropy_gaps(chois):
     """``relative_entropy_irreplaceability`` of each of a (batch, d^2, d^2)
-    Choi stack, as a list: the spectra of all output blocks come from one
-    batched ``eigvalsh``, and each entry's entropies are summed alone."""
-    spectra = np.linalg.eigvalsh(choi_output_blocks(chois, math.isqrt(chois.shape[-1])))
-    diagonals = chois.diagonal(axis1=1, axis2=2).real
-    return [
-        max(_entropy_bits(diagonal) - _entropy_bits(spectrum), 0.0)
-        for diagonal, spectrum in zip(diagonals, spectra)
-    ]
+    Choi stack, as a list.
+
+    The spectra of all output blocks come from one batched ``eigvalsh``;
+    the clip to [0, 1], the ``log2`` and the terms p log2 p of the diagonals
+    and the spectra are computed once over the whole stack, and their
+    positive terms are compacted in order into one array.  Each entropy is
+    the sum of its own slice of that array alone: a sum over a row that
+    kept its zeros, or over the whole stack, would group the terms
+    differently and change the last bits.  0 log 0 is 0.
+    """
+    d = math.isqrt(chois.shape[-1])
+    spectra = np.linalg.eigvalsh(choi_output_blocks(chois, d)).reshape(len(chois), -1)
+    p = np.clip(np.stack([chois.diagonal(axis1=1, axis2=2).real, spectra], axis=1), 0.0, 1.0)
+    positive = p > 0.0
+    terms = p * np.log2(np.where(positive, p, 1.0))
+    flat = terms[positive]
+    ends = np.cumsum(positive.sum(axis=-1)).tolist()
+    sums = [float(-flat[start:end].sum()) for start, end in zip([0] + ends[:-1], ends)]
+    return [max(a - b, 0.0) for a, b in zip(sums[0::2], sums[1::2])]
 
 
 def relative_entropy_irreplaceability(channel):

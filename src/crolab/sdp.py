@@ -195,14 +195,22 @@ class SdpSolution:
     iterations: int = 0
 
 
-def _materialize(fn, in_side: int, out_side: int) -> np.ndarray:
-    """Real matrix of a Hermitian-to-Hermitian linear map in svec coordinates."""
+def _materialize(fn, in_side: int, out_side: int, bases: dict[int, np.ndarray]) -> np.ndarray:
+    """Real matrix of a Hermitian-to-Hermitian linear map in svec coordinates.
+
+    ``bases`` maps each input side to its read-only svec basis, the unsvec
+    of the identity; a missing side is built on first use, so one dict
+    shared by the terms of one problem builds each basis once.
+    """
     if fn is None:
         if in_side != out_side:
             raise ValueError("identity term needs equal input and output sides")
         return np.eye(in_side * in_side)
-    basis = unsvec(np.eye(in_side * in_side), in_side)
-    images = np.array([fn(m) for m in basis], dtype=complex)
+    if in_side not in bases:
+        basis = unsvec(np.eye(in_side * in_side), in_side)
+        basis.flags.writeable = False
+        bases[in_side] = basis
+    images = np.array([fn(m) for m in bases[in_side]], dtype=complex)
     return svec(hermitianize(images)).T
 
 
@@ -246,13 +254,14 @@ class _Canonical:
         self.n = width
 
         rows, rhs = [np.zeros((0, width))], [np.zeros(0)]
+        bases: dict[int, np.ndarray] = {}
         for terms, target, slack in plan:
             out = terms[0][2]
             block = np.zeros((out * out, width))
             for name, fn, term_out in terms:
                 if term_out != out:
                     raise ValueError("mixed output sides inside one constraint")
-                block[:, self.columns[name]] += _materialize(fn, sides[name], out)
+                block[:, self.columns[name]] += _materialize(fn, sides[name], out, bases)
             if slack is not None:
                 block[:, slack] -= np.eye(out * out)
             rows.append(block)

@@ -426,6 +426,17 @@ class TestSpecParsing:
             assert [p.returncode for p in outputs] == [0, 0]
             assert outputs[0].stdout == outputs[1].stdout
 
+        # measures and game on CNOT, whose real output blocks are solved in
+        # float64.
+        path = gate_spec(tmp_path, "CNOT")
+        for command in ("measures", "game"):
+            outputs = [
+                run_cli(command, path, env={"OPENBLAS_NUM_THREADS": threads})
+                for threads in ("1", "2")
+            ]
+            assert [p.returncode for p in outputs] == [0, 0]
+            assert outputs[0].stdout == outputs[1].stdout
+
         # The stacked solve of a 50-point sweep.
         outputs = [
             run_cli("sweep", "u-theta", "--points", "50", env={"OPENBLAS_NUM_THREADS": threads})

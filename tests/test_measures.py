@@ -196,13 +196,21 @@ def _assert_sound_witness(result, d):
     assert diagonals[0].sum() == pytest.approx(d, abs=1e-12)
 
 
+def real_channel(d, rank=None, seed=0):
+    """The real part of a random Choi state: the even mixture of a random
+    channel and its complex conjugate, whose output blocks are real."""
+    return Channel(random_channel(d, rank=rank, seed=seed).choi.real)
+
+
 def _block_program(draw, d):
     """A channel of dimension d with its closed-form robustness, or None.
 
     Random channels of Kraus rank 1, 2 and d^2 (no closed form); random qc
     members and phased permutations (zero); Haar unitaries
-    (sigma_max(|U|)^2 - 1)."""
-    kind = draw(st.sampled_from(["random", "qccro", "permutation", "haar"]))
+    (sigma_max(|U|)^2 - 1).  The real kind, solved in float64, draws the
+    real part of a random channel (no closed form) or a Haar orthogonal
+    matrix (the unitary closed form)."""
+    kind = draw(st.sampled_from(["random", "qccro", "permutation", "haar", "real"]))
     seed = draw(st.integers(0, 2**31 - 1))
     if kind == "random":
         rank = draw(st.sampled_from([1, 2, d * d]))
@@ -213,6 +221,12 @@ def _block_program(draw, d):
     if kind == "permutation":
         phases = np.exp(2j * np.pi * rng.random(d))
         return unitary_channel(np.eye(d)[rng.permutation(d)] * phases), 0.0
+    if kind == "real":
+        if draw(st.booleans()):
+            return real_channel(d, rank=draw(st.sampled_from([1, 2, d * d])), seed=seed), None
+        q, r = np.linalg.qr(rng.normal(size=(d, d)))
+        u = q * np.sign(np.diag(r))
+        return unitary_channel(u), oracles.unitary_robustness(u)
     u = oracles.haar_unitary(d, rng)
     return unitary_channel(u), oracles.unitary_robustness(u)
 
@@ -317,6 +331,52 @@ class TestInteriorPointSolver:
         assert json.loads(captured.err)["kind"] == "solver"
 
 
+class TestRealArithmetic:
+    """Problems whose output blocks are real run in float64."""
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_float64_matches_complex128(self, d):
+        """Real blocks forced through complex128 and through float64:
+        overlapping intervals and upper ends within 1e-12."""
+        chois = np.stack(
+            [real_channel(d, rank=r, seed=s).choi for r in (1, 2, d * d) for s in range(2)]
+        )
+        blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
+        assert not blocks.imag.any()
+        basis = crolab.measures._row_sum_basis(d)
+        f = basis.sum(axis=0)
+        real = crolab.measures._interior_point(np.ascontiguousarray(blocks.real), basis, f)
+        full = crolab.measures._interior_point(blocks, basis, f)
+        assert real["dual"].dtype == np.float64 and full["dual"].dtype == complex
+        assert np.max(np.abs(real["upper"] - full["upper"])) <= 1e-12
+        lower = np.maximum(real["lower"], full["lower"])
+        assert np.all(lower <= np.minimum(real["upper"], full["upper"]))
+
+    def test_mixed_stack_runs_one_substack_per_dtype(self, monkeypatch):
+        """H, U(0.3) and a real random channel in float64, two complex
+        random channels in complex128, within one stacked solve; the
+        results keep complex128 witnesses and optimizers."""
+        runs = []
+        real_run = crolab.measures._interior_point
+
+        def recording(blocks, basis, f):
+            runs.append((blocks.dtype, len(blocks)))
+            return real_run(blocks, basis, f)
+
+        monkeypatch.setattr(crolab.measures, "_interior_point", recording)
+        channels = [
+            random_channel(2, seed=1),
+            named_gate("H"),
+            random_channel(2, seed=2),
+            named_gate("U", 0.3),
+            real_channel(2, seed=3),
+        ]
+        results = robustness_stack(channels)
+        assert runs == [(np.float64, 3), (complex, 2)]
+        for result in results:
+            assert result.witness.dtype == result.optimal_psi.dtype == complex
+
+
 def _fail_on(monkeypatch, targets):
     """Make ``_hkm_step`` raise LinAlgError on any stack that holds one of
     the problems whose output blocks are in ``targets``, the way a failed
@@ -355,6 +415,26 @@ class TestFailureIsolation:
             assert np.array_equal(results[k].witness, singles[k].witness)
         with pytest.raises(RuntimeError, match="certified interval"):
             robustness(channels[1])
+
+    @pytest.mark.parametrize("failing_dtype", ["float64", "complex128"])
+    def test_failure_stays_with_its_problem_across_dtypes(self, monkeypatch, failing_dtype):
+        """A failing real problem among complex ones, and a failing complex
+        problem among real ones: only it fails, and the others keep their
+        batch-of-one results."""
+        complex_channels = [random_channel(2, seed=seed) for seed in (1, 2, 3)]
+        real_channels = [real_channel(2, seed=seed) for seed in (1, 2, 3)]
+        if failing_dtype == "float64":
+            channels = [complex_channels[0], real_channels[0], *complex_channels[1:]]
+        else:
+            channels = [real_channels[0], complex_channels[0], *real_channels[1:]]
+        singles = [robustness(channel) for channel in channels]
+        _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 2)])
+        results = robustness_stack(channels)
+        assert isinstance(results[1], RuntimeError)
+        for k in (0, 2, 3):
+            assert results[k].value == singles[k].value
+            assert results[k].residuals == singles[k].residuals
+            assert np.array_equal(results[k].witness, singles[k].witness)
 
     def test_step_cap_fails_each_wide_problem(self, monkeypatch):
         """After four steps the intervals of Z, the identity and a qc member
