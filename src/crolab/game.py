@@ -35,7 +35,7 @@ class GameSpec:
     deterministic classical map (Takagi and Regula, PRX 9, 031053, 2019).
     Games built through ``certified_game`` always carry it.  In a witness
     game (``game_from_witness``) the states are the eigenstates of the
-    witness blocks, one per positive eigenvalue, and every payoff is
+    witness blocks, one per eigenvalue above rounding, and every payoff is
     nonnegative.
     """
 
@@ -139,11 +139,13 @@ def game_from_witness(channel):
 
     Runs the robustness computation and reads the game off the spectra of
     its witness blocks ``W_k``: every eigenpair ``(lambda, v)`` of ``W_k``
-    with ``lambda > 0`` gives the pure state ``conj(v) conj(v)^dagger``,
+    with ``lambda`` above d eps times the block's largest eigenvalue, which
+    is zero up to rounding, gives the pure state ``conj(v) conj(v)^dagger``,
     which pays ``lambda / d`` on outcome k and 0 elsewhere (Takagi, Regula,
     Bu, Liu and Adesso, PRL 122, 140402, 2019; Takagi and Regula, PRX 9,
     031053, 2019).  The witness blocks share one diagonal, so every
-    classically replaceable channel scores 1 on the game.  The returned
+    classically replaceable channel scores 1 on the game.  A unitary's
+    witness blocks have rank one, so its game has d states.  The returned
     game carries its normalization certificate.
     """
     return _witness_game(channel)[0]
@@ -156,7 +158,9 @@ def _witness_game(channel):
     d = channel.dim
     result = robustness(channel)
     lam, vecs = np.linalg.eigh(choi_output_blocks(result.witness, d))
-    outcome, index = np.nonzero(lam > 0)
+    # Eigenvalues within eigh's rounding of zero (the cut of
+    # numpy.linalg.matrix_rank) give no state, so a rank-one block gives one.
+    outcome, index = np.nonzero(lam > lam[:, -1:] * d * np.finfo(float).eps)
     v = vecs[outcome, :, index].conj()
     states = v[:, :, None] * v[:, None, :].conj()
     payoffs = np.zeros((len(outcome), d))

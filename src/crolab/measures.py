@@ -3,28 +3,32 @@
 Two measures are provided.  The robustness is the least amount of channel
 mixing needed to push a channel into the measure-then-postprocess family.  It
 is one semidefinite program over the output blocks of the Choi state with d^2
-real unknowns, solved here by a primal-dual interior-point method (HKM
-direction, Mehrotra predictor-corrector) rather than by the generic solver of
-``sdp``, which serves only the cross-check ``robustness_equivalents``.  Its
-primal and dual iterates, each repaired to exact feasibility, bracket the
-value in a certified interval whose dual end comes with its witness.  One
-interior-point run solves a whole stack of channels of one dimension: each
-problem has its own centring, step length and stop rule, leaves the stack
-when its interval closes, and gets the same result, bit for bit, in a stack
-of any size.  A problem whose output blocks are real runs in float64, the
-others in complex128, each dtype as one sub-stack of the same run; the
-results are complex128 either way.  ``robustness`` is a stack of one, and
-the property suite solves its channels in one stack per dimension.  The
-CLI sweep builds, validates and measures its whole grid as one stack: one
-array of Choi states, checked by ``channels.validate_choi_stack``, one
-solve (``_solve_chois``, in float64, since every gate of the sweep family
-is real) and one batched entropy (``_entropy_gaps``, whose terms are
-computed over the whole stack), with no per-point ``Channel`` or
-``RobustnessResult``.  The relative entropy measure has a closed form:
-the entropy gap between the fully dephased and the output-dephased Choi
-states, read off the same output blocks (``channels.choi_output_blocks``).
-The property suite maps Choi arrays and validates, solves and measures
-them as one stack.
+real unknowns.  Each problem first gets closed-form primal and dual points
+from the top singular vector of the square roots of the Choi diagonal: they
+are optimal for every unitary, and for more channels besides.  Repaired to
+exact feasibility, they bracket the value in a certified interval, and a
+problem whose interval is as narrow as the solver's target is settled
+there.  The others are solved by a primal-dual interior-point method (HKM
+direction, Mehrotra predictor-corrector) rather than by the generic solver
+of ``sdp``, which serves only the cross-check ``robustness_equivalents``;
+its primal and dual iterates are repaired the same way, and the dual end
+comes with its witness either way.  One run solves a whole stack of
+channels of one dimension: each problem has its own route, centring, step
+length and stop rule, and gets the same result, bit for bit, in a stack of
+any size.  A problem left to the interior point whose output blocks are
+real runs in float64, the others in complex128, each dtype as one
+sub-stack of the same run; the results are complex128 either way.
+``robustness`` is a stack of one, and the property suite solves its
+channels in one stack per dimension.  The CLI sweep builds, validates and
+measures its whole grid as one stack: one array of Choi states, checked by
+``channels.validate_choi_stack``, one solve (``_solve_chois``; every point
+of the sweep family is a unitary, so the closed form settles it) and one
+batched entropy (``_entropy_gaps``, whose terms are computed over the whole
+stack), with no per-point ``Channel`` or ``RobustnessResult``.  The
+relative entropy measure has a closed form: the entropy gap between the
+fully dephased and the output-dephased Choi states, read off the same
+output blocks (``channels.choi_output_blocks``).  The property suite maps
+Choi arrays and validates, solves and measures them as one stack.
 """
 
 import functools
@@ -337,38 +341,96 @@ def _interior_point(blocks, basis, f):
     return results
 
 
+def _closed_form(blocks):
+    """Closed-form candidates for a complex stack of output-block programs,
+    repaired to certified intervals: which problems they settle, and the
+    ``_interior_point`` entries of those problems.
+
+    Let M_ki = sqrt(Re B_k[i, i]) and let s be a unit right-singular vector
+    of M for its largest singular value sigma, with M s = sigma t.  The
+    primal point p_ki = M_ki (M s)_k / s_i = sigma M_ki t_k / s_i has row
+    sums sigma^2, and the dual blocks W_k = w_k w_k^dag with w_ki = sqrt(d)
+    s_i e^{i arg B_k[i, r_k]}, r_k the first largest diagonal entry of B_k,
+    share the diagonal d s_i^2.  Both reach 1 + R = d sigma^2 when every
+    block has rank one, as for a unitary, whose M is |U| / sqrt(d); this is
+    the rank-one witness of Takagi and Regula (PRX 9, 031053, 2019).  s is
+    the all-ones vector projected onto the right-singular vectors whose
+    singular value equals the largest exactly, so it is positive, by
+    Perron-Frobenius, whenever a positive top vector exists, also when M is
+    reducible (Z, X, CNOT, permutations).  A problem whose p is not finite
+    gets no candidate; the others are repaired by ``_certified_primal`` and
+    ``_certified_dual`` and settled when their interval is as narrow as the
+    interior point's target, whatever the blocks' rank: no tolerance
+    decides but the certificate.  Every step acts on each problem alone.
+    """
+    d = blocks.shape[1]
+    diagonals = np.real(_diagonals(blocks))
+    m = np.sqrt(np.maximum(diagonals, 0.0))
+    _, sigma, vh = np.linalg.svd(m)
+    top = (sigma == sigma[:, :1])[..., None]
+    s = _running_sum(np.where(top, _running_sum(vh)[..., None] * vh, 0.0).swapaxes(-1, -2))
+    s = s / np.sqrt(_running_sum(s * s))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p = m * _running_sum(m * s[:, None, :])[..., None] / s[:, None, :]
+    candidate = np.isfinite(p).all(axis=(1, 2))
+    accepted = np.zeros(len(candidate), dtype=bool)
+    if not candidate.any():
+        return accepted, {}
+    blocks, diagonals, s, p = blocks[candidate], diagonals[candidate], s[candidate], p[candidate]
+    slack = -blocks
+    _diagonals(slack)[...] += p
+    primal = _certified_primal(slack)
+    upper = _running_sum(np.einsum("bkii->bk", primal.real))
+    rows = np.argmax(diagonals, axis=-1)[..., None, None]
+    column = np.take_along_axis(blocks, rows, axis=-1)[..., 0]
+    magnitude = np.abs(column)
+    phase = np.divide(column, magnitude, out=np.ones_like(column), where=magnitude > 0.0)
+    w = math.sqrt(d) * s[:, None, :] * phase
+    w = w[..., :, None] * w[..., None, :].conj()
+    dual = _certified_dual(w)
+    lower = _pairing(dual, blocks, rows="bij") - 1.0
+    settled = upper - lower <= _TARGET_WIDTH * (1.0 + upper)
+    solved = {"upper": upper, "lower": lower, "primal": primal, "dual": dual, "p": p, "w": w}
+    accepted[np.flatnonzero(candidate)[settled]] = True
+    return accepted, {key: value[settled] for key, value in solved.items()}
+
+
 def _solve_blocks(blocks):
-    """Certified intervals of a stack of output-block programs, by interior
-    points.
+    """Certified intervals of a stack of output-block programs: a closed
+    form where it is certified, interior points for the rest.
 
     ``blocks`` is a (batch, d, d, d) complex stack: problem b's output
-    blocks are blocks[b].  Its unknowns are the diagonals p[k, i] of S_k =
-    diag(p_k) - B_k, kept in the span of ``_row_sum_basis`` so the row sums
-    stay equal; the start p = (lambda_max(B) + 1) 1 with W_k = I is strictly
-    feasible on both sides.  One HKM predictor-corrector runs over the
-    stack, and each problem keeps its own mu, sigma, step length, best ends
-    and stop flag.  Each iterate is repaired to exact feasibility and the
-    best upper and lower ends seen are kept.  A problem stops when its
-    interval is at most 1e-9 (1 + upper) wide, when a factorization of its
-    own fails (it keeps its iterate and stops at the next check), or after
-    ``_MAX_STEPS`` steps; only the problems still running take a step, and
-    the working stack is compacted only when one stops.
+    blocks are blocks[b].  ``_closed_form`` first settles every problem
+    whose closed-form candidates, repaired to exact feasibility, bracket
+    the value in an interval at most 1e-9 (1 + upper) wide: nearly every
+    unitary, and more.  The others run ``_interior_point``.  Its unknowns are the
+    diagonals p[k, i] of S_k = diag(p_k) - B_k, kept in the span of
+    ``_row_sum_basis`` so the row sums stay equal; the start p =
+    (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on both sides.
+    One HKM predictor-corrector runs over the stack, and each problem keeps
+    its own mu, sigma, step length, best ends and stop flag.  Each iterate
+    is repaired to exact feasibility and the best upper and lower ends seen
+    are kept.  A problem stops when its interval is at most 1e-9 (1 +
+    upper) wide, when a factorization of its own fails (it keeps its
+    iterate and stops at the next check), or after ``_MAX_STEPS`` steps;
+    only the problems still running take a step, and the working stack is
+    compacted only when one stops.
 
-    A problem whose blocks have no nonzero imaginary part runs in float64,
-    the others in complex128: the stack is split into the two sub-stacks,
-    each runs ``_interior_point`` in its own dtype, and the results are
-    scattered back into complex128 arrays.  For real blocks the real
+    Of the problems left to the interior point, one whose blocks have no
+    nonzero imaginary part runs in float64, the others in complex128: each
+    sub-stack runs ``_interior_point`` in its own dtype, and the results
+    are scattered back into complex128 arrays.  For real blocks the real
     program has the same optimum, since the real part of a feasible complex
     dual is feasible and pairs the same, and small real matrix products
-    are several times cheaper than complex ones.  Every operation acts on each problem alone, in an order
-    that does not depend on the stack, and the dtype is a property of the
-    problem, so a problem's result is the same, bit for bit, in any stack
-    and at any place in it.  A lower end below zero gives way to the
-    identity witness at zero.  Returns (upper, primal, dual, residuals), one
-    entry per problem: the residuals are the equality residuals of the
-    iterates behind the two ends (the spread of the row sums of p, and f -
-    N^T diag(W); both iterates are strictly inside their cones), the
-    relative gap and the width ``witness_pairing`` of the interval.
+    are several times cheaper than complex ones.  Every operation acts on
+    each problem alone, in an order that does not depend on the stack, and
+    the route and dtype are properties of the problem, so a problem's
+    result is the same, bit for bit, in any stack and at any place in it.
+    A lower end below zero gives way to the identity witness at zero.
+    Returns (upper, primal, dual, residuals), one entry per problem: the
+    residuals are the equality residuals of the points behind the two ends
+    (the spread of the row sums of p, and f - N^T diag(W)), the relative
+    gap and the width ``witness_pairing`` of the interval.
     """
     n, d = blocks.shape[:2]
     basis = _row_sum_basis(d)
@@ -381,8 +443,11 @@ def _solve_blocks(blocks):
         "p": np.empty((n, d, d)),
         "w": np.empty(blocks.shape, dtype=complex),
     }
+    closed, solved = _closed_form(blocks)
+    for key, value in solved.items():
+        results[key][closed] = value
     real = ~np.any(blocks.imag, axis=(1, 2, 3))
-    for group, part in ((real, np.real), (~real, np.asarray)):
+    for group, part in ((~closed & real, np.real), (~closed & ~real, np.asarray)):
         if group.any():
             solved = _interior_point(np.ascontiguousarray(part(blocks[group])), basis, f)
             for key, value in solved.items():
@@ -422,7 +487,9 @@ def _width_failure(record):
 def _solve_chois(chois):
     """One ``_solve_blocks`` run on the output blocks of a validated
     (batch, d^2, d^2) Choi stack: its (upper, primal, dual, residuals) and
-    each problem's ``_width_failure``."""
+    each problem's ``_width_failure``.  The closed form settles every point
+    of the sweep and most other unitaries, and only the problems it leaves
+    open reach the interior point."""
     d = math.isqrt(chois.shape[-1])
     _check_dim(d)
     solved = _solve_blocks(np.ascontiguousarray(choi_output_blocks(chois, d)))
@@ -463,10 +530,14 @@ def robustness(channel):
     S_k >= 0 with the off-diagonals of S_k those of -B_k and equal row sums
     sum_k S_k[i, i].  Its dual maximizes sum_k tr(W_k B_k) - 1 over W_k >= 0
     sharing one diagonal y with sum_i y_i = d.  It has d^2 real unknowns,
-    the diagonals of the S_k, and ``_solve_blocks`` follows the central
-    path by a primal-dual interior-point method (HKM direction, Mehrotra
-    predictor-corrector), here on a stack of one.  Its primal and dual
-    iterates, each repaired to exact feasibility, bracket the value:
+    the diagonals of the S_k.  ``_solve_blocks``, here on a stack of one,
+    first tries closed-form points: with M_ki = sqrt(B_k[i, i]) and sigma
+    its largest singular value, 1 + R = d sigma^2 whenever every B_k has
+    rank one, as for a unitary U, where it is sigma_max(|U|)^2.  When they
+    leave the interval open it follows the central path by a primal-dual
+    interior-point method (HKM direction, Mehrotra predictor-corrector).
+    Its primal and dual points, each repaired to exact feasibility, bracket
+    the value:
     ``value`` is the primal end, ``value - residuals["witness_pairing"]``
     the dual end (zero, certified by the identity, when the repaired dual
     pairs below one).  The witness is the sum over k of W_k (x) |k><k| and

@@ -5,6 +5,8 @@ importing the package under test, with exceptions that keep replaced paths:
 ``admm_solve`` is the consensus ADMM that ``crolab.sdp.solve`` ran before
 its interior-point method, over the package's canonical form;
 ``admm_block_robustness`` states the robustness to that ADMM;
+``interior_point_intervals`` solves every robustness problem by the
+interior point, as ``crolab.measures`` did before its closed form;
 ``sweep_per_point`` runs the sweep one ``Channel`` at a time;
 ``property_suite_per_channel`` is the property suite that built every
 mixture, sample and image as a ``Channel``; and
@@ -635,6 +637,31 @@ def admm_block_robustness(channel):
     w *= d / y.sum()
     lower = float(np.real(np.einsum("kij,kji->", w, blocks))) - 1.0
     return max(lower, 0.0), upper
+
+
+def interior_point_intervals(chois):
+    """Certified intervals ``(lower, upper)`` of the robustness of a
+    (batch, d^2, d^2) Choi stack, all by the interior point.
+
+    This is the route ``measures._solve_blocks`` took for every problem
+    before it tried the closed form: the problems with real output blocks
+    in one float64 ``_interior_point`` run, the others in one complex128
+    run.  A lower end below zero gives way to zero.
+    """
+    from crolab.channels import choi_output_blocks
+    from crolab.measures import _interior_point, _row_sum_basis
+
+    n, d = len(chois), int(round(np.sqrt(chois.shape[-1])))
+    blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
+    basis = _row_sum_basis(d)
+    f = basis.sum(axis=0)
+    lower, upper = np.empty(n), np.empty(n)
+    real = ~np.any(blocks.imag, axis=(1, 2, 3))
+    for group, part in ((real, np.real), (~real, np.asarray)):
+        if group.any():
+            solved = _interior_point(np.ascontiguousarray(part(blocks[group])), basis, f)
+            lower[group], upper[group] = solved["lower"], solved["upper"]
+    return np.maximum(lower, 0.0), upper
 
 
 def decode_pair_matrix(node):

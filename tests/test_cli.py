@@ -404,9 +404,9 @@ class TestSpecParsing:
         assert outputs[0].stdout == outputs[1].stdout
 
         # d = 8 measures, game and vqa-check, H (x) U(0.4) (x) amplitude
-        # damping: the batched inv, cholesky and solve of the interior-point
-        # steps, the batched eigh of the witness blocks, and the Pauli
-        # pull-back.
+        # damping, which the closed form leaves to the interior point: the
+        # batched inv, cholesky and solve of its float64 steps, the batched
+        # eigh of the witness blocks, and the Pauli pull-back.
         spec["children"].append(
             {
                 "kind": "kraus",
@@ -426,25 +426,6 @@ class TestSpecParsing:
             assert [p.returncode for p in outputs] == [0, 0]
             assert outputs[0].stdout == outputs[1].stdout
 
-        # measures and game on CNOT, whose real output blocks are solved in
-        # float64.
-        path = gate_spec(tmp_path, "CNOT")
-        for command in ("measures", "game"):
-            outputs = [
-                run_cli(command, path, env={"OPENBLAS_NUM_THREADS": threads})
-                for threads in ("1", "2")
-            ]
-            assert [p.returncode for p in outputs] == [0, 0]
-            assert outputs[0].stdout == outputs[1].stdout
-
-        # The stacked solve of a 50-point sweep.
-        outputs = [
-            run_cli("sweep", "u-theta", "--points", "50", env={"OPENBLAS_NUM_THREADS": threads})
-            for threads in ("1", "2")
-        ]
-        assert [p.returncode for p in outputs] == [0, 0]
-        assert outputs[0].stdout == outputs[1].stdout
-
         # d = 8 classify of that tensor followed by CCX: compose through
         # choi_apply and the non-members' probe witnesses.
         composed = {"kind": "composition", "children": [spec, {"kind": "gate", "name": "CCX"}]}
@@ -452,6 +433,20 @@ class TestSpecParsing:
         outputs = [run_cli("classify", path, env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]
         assert [p.returncode for p in outputs] == [0, 0]
         assert outputs[0].stdout == outputs[1].stdout
+
+
+    def test_sweep_and_gate_measures_ignore_thread_count(self, tmp_path):
+        """The 50-point sweep CSV, and measures on gate specs, which the
+        closed form settles (game too on CNOT), are byte for byte the same
+        under one and two BLAS threads."""
+        runs = [("sweep", "u-theta", "--points", "50")]
+        for name, theta in (("CNOT", None), ("CCX", None), ("U", 0.3)):
+            runs.append(("measures", gate_spec(tmp_path, name, theta)))
+        runs.append(("game", gate_spec(tmp_path, "CNOT")))
+        for argv in runs:
+            outputs = [run_cli(*argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
+            assert [p.returncode for p in outputs] == [0, 0]
+            assert outputs[0].stdout == outputs[1].stdout
 
 
 class TestPipeline:

@@ -1,11 +1,14 @@
 """Tests for the discrimination-game layer."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from crolab import cli
 from crolab.channels import (
     choi_dephase_output,
     choi_output_blocks,
@@ -210,12 +213,30 @@ class TestWitnessGames:
             d = channel.dim
             game, result = _witness_game(channel)
             spectra = np.linalg.eigvalsh(choi_output_blocks(result.witness, d))
-            assert len(game.states) == np.count_nonzero(spectra > 0) <= d * d
+            above = spectra > spectra[:, -1:] * d * np.finfo(float).eps
+            assert len(game.states) == np.count_nonzero(above) <= d * d
             assert np.all(game.payoffs >= 0.0)
             assert np.all(np.count_nonzero(game.payoffs, axis=1) == 1)
             assert np.max(np.abs(witness_operator(game) - result.witness)) <= 1e-12
             assert abs(game.normalization["min"] - 1.0) <= 1e-12
             assert abs(game.normalization["max"] - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("name, theta", [("H", None), ("CNOT", None), ("U", 0.3)])
+    def test_unitary_game_has_one_state_per_block(self, tmp_path, capsys, name, theta):
+        """A unitary's closed-form witness has rank-one blocks: ``crolab
+        game`` reports a gap of at most 1e-12, and the game has d states,
+        one paying on each outcome."""
+        spec = {"kind": "gate", "name": name}
+        if theta is not None:
+            spec["params"] = {"theta": theta}
+        path = tmp_path / "gate.json"
+        path.write_text(json.dumps(spec))
+        assert cli.main(["game", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["gap"] <= 1e-12
+        channel = named_gate(name, theta)
+        game, _ = _witness_game(channel)
+        assert len(game.states) == channel.dim
+        assert np.array_equal(np.count_nonzero(game.payoffs, axis=0), np.ones(channel.dim))
 
     def test_dimension_guard(self):
         channel = identity_channel(5)

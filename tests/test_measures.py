@@ -1,6 +1,7 @@
 """Tests for the irreplaceability measures."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ import oracles
 from crolab import cli
 from crolab.channels import (
     Channel,
+    choi_dephase_output,
     choi_output_blocks,
     compose,
     dephasing,
+    gate_matrix,
     identity_channel,
     named_gate,
     pauli_channel_T,
@@ -202,6 +205,46 @@ def real_channel(d, rank=None, seed=0):
     return Channel(random_channel(d, rank=rank, seed=seed).choi.real)
 
 
+def depolarized(u, weight=0.8):
+    """Conjugation by ``u`` mixed with the completely depolarizing channel,
+    ``weight`` on the unitary."""
+    d = len(u)
+    return Channel(weight * unitary_channel(u).choi + (1.0 - weight) * np.eye(d * d) / d**2)
+
+
+def noisy_qutrit(seed):
+    """A depolarized Haar qutrit unitary: the closed form leaves its
+    interval open, so the interior point solves it."""
+    return depolarized(oracles.haar_unitary(3, np.random.default_rng(seed)))
+
+
+def qutrit_shift():
+    """Conjugation by the cyclic shift of three levels: |U| is a permutation
+    and the closed form settles it at zero."""
+    return unitary_channel(np.eye(3)[[1, 2, 0]])
+
+
+@pytest.fixture
+def interior_point_runs(monkeypatch):
+    """The block stacks that reach ``_interior_point``, in call order."""
+    runs = []
+    real_run = crolab.measures._interior_point
+
+    def recording(blocks, basis, f):
+        runs.append(blocks)
+        return real_run(blocks, basis, f)
+
+    monkeypatch.setattr(crolab.measures, "_interior_point", recording)
+    return runs
+
+
+def reached(runs, channel):
+    """Whether the output blocks of ``channel`` were in a recorded
+    ``_interior_point`` run."""
+    blocks = choi_output_blocks(channel.choi, channel.dim)
+    return any(np.array_equal(b, blocks) for run in runs for b in run)
+
+
 def _block_program(draw, d):
     """A channel of dimension d with its closed-form robustness, or None.
 
@@ -317,15 +360,19 @@ class TestInteriorPointSolver:
         assert lower <= 0.4699388148766206 and 0.46993861474387 <= upper
         _assert_sound_witness(result, 8)
 
-    def test_step_cap_failure(self, monkeypatch, tmp_path, capsys):
-        """One step leaves the interval wide: RuntimeError, and ``measures``
-        exits 4 with a solver diagnostic."""
+    def test_step_cap_failure(self, monkeypatch, tmp_path, capsys, interior_point_runs):
+        """One step leaves the interval of a depolarized qutrit unitary wide:
+        RuntimeError, and ``measures`` exits 4 with a solver diagnostic."""
         monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 1)
+        channel = noisy_qutrit(0)
         with pytest.raises(RuntimeError, match="certified interval"):
-            robustness(named_gate("H"))
-        spec = tmp_path / "h.json"
-        spec.write_text(json.dumps({"kind": "gate", "name": "H"}))
+            robustness(channel)
+        assert reached(interior_point_runs, channel)
+        pairs = np.stack([channel.choi.real, channel.choi.imag], axis=-1)
+        spec = tmp_path / "noisy.json"
+        spec.write_text(json.dumps({"kind": "choi", "dim": 3, "matrix": pairs.tolist()}))
         assert cli.main(["measures", str(spec)]) == 4
+        assert len(interior_point_runs) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "solver"
@@ -352,29 +399,32 @@ class TestRealArithmetic:
         lower = np.maximum(real["lower"], full["lower"])
         assert np.all(lower <= np.minimum(real["upper"], full["upper"]))
 
-    def test_mixed_stack_runs_one_substack_per_dtype(self, monkeypatch):
-        """H, U(0.3) and a real random channel in float64, two complex
-        random channels in complex128, within one stacked solve; the
-        results keep complex128 witnesses and optimizers."""
-        runs = []
-        real_run = crolab.measures._interior_point
-
-        def recording(blocks, basis, f):
-            runs.append((blocks.dtype, len(blocks)))
-            return real_run(blocks, basis, f)
-
-        monkeypatch.setattr(crolab.measures, "_interior_point", recording)
+    def test_mixed_stack_runs_one_substack_per_dtype(self, interior_point_runs):
+        """Three real random qutrit channels in float64, two complex ones in
+        complex128, within one stacked solve; the qutrit shift, settled by
+        the closed form, in neither.  The results keep complex128
+        witnesses and optimizers."""
         channels = [
-            random_channel(2, seed=1),
-            named_gate("H"),
-            random_channel(2, seed=2),
-            named_gate("U", 0.3),
-            real_channel(2, seed=3),
+            random_channel(3, seed=1),
+            real_channel(3, seed=1),
+            qutrit_shift(),
+            random_channel(3, seed=2),
+            real_channel(3, seed=2),
+            real_channel(3, seed=3),
         ]
         results = robustness_stack(channels)
+        runs = [(run.dtype, len(run)) for run in interior_point_runs]
         assert runs == [(np.float64, 3), (complex, 2)]
+        assert not reached(interior_point_runs, channels[2])
         for result in results:
             assert result.witness.dtype == result.optimal_psi.dtype == complex
+
+
+def _targeted(blocks, targets):
+    """Whether a problem, given by its output blocks or by -S, is one of
+    ``targets`` (output-block stacks): the off-diagonals tell."""
+    off = ~np.eye(len(blocks), dtype=bool)
+    return any(np.array_equal(blocks[:, off], t[:, off]) for t in targets)
 
 
 def _fail_on(monkeypatch, targets):
@@ -382,31 +432,47 @@ def _fail_on(monkeypatch, targets):
     the problems whose output blocks are in ``targets``, the way a failed
     factorization does: the error names no problem."""
     real_step = crolab.measures._hkm_step
-    d = targets[0].shape[0]
-    off = ~np.eye(d, dtype=bool)
 
     def failing(s, w, basis, f):
-        for row in s:
-            if any(np.array_equal(row[:, off], -t[:, off]) for t in targets):
-                raise np.linalg.LinAlgError("injected failure")
+        if any(_targeted(-row, targets) for row in s):
+            raise np.linalg.LinAlgError("injected failure")
         return real_step(s, w, basis, f)
 
     monkeypatch.setattr(crolab.measures, "_hkm_step", failing)
 
 
+def _reject_closed_form(monkeypatch, targets):
+    """Make ``_closed_form`` leave open the problems whose output blocks are
+    in ``targets``, so that they reach the interior point."""
+    real_closed = crolab.measures._closed_form
+
+    def rejecting(blocks):
+        accepted, solved = real_closed(blocks)
+        settled = np.flatnonzero(accepted)
+        keep = np.array([not _targeted(blocks[b], targets) for b in settled], dtype=bool)
+        accepted[settled[~keep]] = False
+        return accepted, {key: value[keep] for key, value in solved.items()}
+
+    monkeypatch.setattr(crolab.measures, "_closed_form", rejecting)
+
+
 class TestFailureIsolation:
     """A problem that fails in a stack fails alone."""
 
-    def test_failed_factorization_stops_only_its_problem(self, monkeypatch):
+    def test_failed_factorization_stops_only_its_problem(self, monkeypatch, interior_point_runs):
+        """A failing depolarized qutrit unitary beside a random channel and
+        a qc member, both solved by the interior point, and the qutrit
+        shift, settled by the closed form."""
         channels = [
-            random_channel(2, seed=1),
-            random_channel(2, rank=2, seed=7),
-            named_gate("H"),
-            random_qccro(2, seed=0),
+            random_channel(3, seed=1),
+            noisy_qutrit(0),
+            qutrit_shift(),
+            random_qccro(3, seed=0),
         ]
         singles = [robustness(channel) for channel in channels]
-        _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 2)])
+        _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 3)])
         results = robustness_stack(channels)
+        assert reached(interior_point_runs, channels[1])
         assert isinstance(results[1], RuntimeError)
         assert "certified interval" in str(results[1])
         for k in (0, 2, 3):
@@ -417,54 +483,66 @@ class TestFailureIsolation:
             robustness(channels[1])
 
     @pytest.mark.parametrize("failing_dtype", ["float64", "complex128"])
-    def test_failure_stays_with_its_problem_across_dtypes(self, monkeypatch, failing_dtype):
+    def test_failure_stays_with_its_problem_across_dtypes(
+        self, monkeypatch, interior_point_runs, failing_dtype
+    ):
         """A failing real problem among complex ones, and a failing complex
-        problem among real ones: only it fails, and the others keep their
-        batch-of-one results."""
-        complex_channels = [random_channel(2, seed=seed) for seed in (1, 2, 3)]
-        real_channels = [real_channel(2, seed=seed) for seed in (1, 2, 3)]
+        problem among real ones, all qutrit channels the closed form leaves
+        open: only it fails, and the others keep their batch-of-one
+        results."""
+        complex_channels = [random_channel(3, seed=seed) for seed in (1, 2, 3)]
+        real_channels = [real_channel(3, seed=seed) for seed in (1, 2, 3)]
         if failing_dtype == "float64":
             channels = [complex_channels[0], real_channels[0], *complex_channels[1:]]
         else:
             channels = [real_channels[0], complex_channels[0], *real_channels[1:]]
         singles = [robustness(channel) for channel in channels]
-        _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 2)])
+        _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 3)])
         results = robustness_stack(channels)
+        assert reached(interior_point_runs, channels[1])
         assert isinstance(results[1], RuntimeError)
         for k in (0, 2, 3):
             assert results[k].value == singles[k].value
             assert results[k].residuals == singles[k].residuals
             assert np.array_equal(results[k].witness, singles[k].witness)
 
-    def test_step_cap_fails_each_wide_problem(self, monkeypatch):
-        """After four steps the intervals of Z, the identity and a qc member
-        have closed and those of H and U(0.3) have not: only H and U(0.3)
-        fail, and the others keep their batch-of-one intervals."""
+    def test_step_cap_fails_each_wide_problem(self, monkeypatch, interior_point_runs):
+        """After four steps the intervals of the identity, the qutrit shift
+        (both settled by the closed form) and a qc member (by the interior
+        point) have closed, and those of a depolarized unitary and a rank-2
+        random channel have not: only those two fail, and the others keep
+        their batch-of-one intervals."""
         monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 4)
         channels = [
-            named_gate("Z"),
-            named_gate("H"),
-            identity_channel(2),
-            named_gate("U", 0.3),
-            random_qccro(2, seed=0),
+            qutrit_shift(),
+            noisy_qutrit(0),
+            identity_channel(3),
+            random_channel(3, rank=2, seed=7),
+            random_qccro(3, seed=0),
         ]
         results = robustness_stack(channels)
+        assert all(reached(interior_point_runs, channels[k]) for k in (1, 3, 4))
         failed = [isinstance(r, RuntimeError) for r in results]
         assert failed == [False, True, False, True, False]
         for channel, result in zip(channels, results):
             if not isinstance(result, RuntimeError):
                 assert _interval(result) == _interval(robustness(channel))
 
-    def test_sweep_notes_only_the_failing_rows(self, monkeypatch, tmp_path):
+    def test_sweep_notes_only_the_failing_rows(self, monkeypatch, tmp_path, interior_point_runs):
         out = tmp_path / "plain.csv"
         assert cli.main(["sweep", "u-theta", "--points", "11", "--out", str(out)]) == 0
         plain = out.read_text().splitlines()
+        assert interior_point_runs == []
         # U(theta) and U(pi/2 - theta) have the same off-diagonal blocks, so
-        # the failure injected at grid point 3 also hits point 7.
+        # the rejection and the failure injected at grid point 3 also hit
+        # point 7.
         theta = np.linspace(0.0, np.pi / 2, 11)[3]
-        _fail_on(monkeypatch, [choi_output_blocks(named_gate("U", theta).choi, 2)])
+        targets = [choi_output_blocks(named_gate("U", theta).choi, 2)]
+        _reject_closed_form(monkeypatch, targets)
+        _fail_on(monkeypatch, targets)
         failing = (3, 7)
         assert cli.main(["sweep", "u-theta", "--points", "11", "--out", str(out)]) == 0
+        assert [len(run) for run in interior_point_runs] == [len(failing)]
         lines = out.read_text().splitlines()
         assert len(lines) == len(plain) == 12
         for k, (line, reference) in enumerate(zip(lines[1:], plain[1:])):
@@ -544,6 +622,118 @@ class TestUnitaryClosedForm:
         lower = result.value - result.residuals["witness_pairing"]
         closed = oracles.unitary_robustness(u)
         assert lower - 1e-9 <= closed <= result.value + 1e-9
+
+
+def _reducible_unitaries():
+    """Unitaries whose |U| is reducible, each with whether the closed form
+    must settle it: X, Z, S, T, CNOT, CCX and random permutations must;
+    random diagonal phase gates need not."""
+    rng = np.random.default_rng(11)
+    gates = [gate_matrix(name) for name in ("X", "Z", "S", "T", "CNOT", "CCX")]
+    permutations = [np.eye(d)[rng.permutation(d)] for d in (3, 4, 5, 8)]
+    phases = [np.diag(np.exp(2j * np.pi * rng.random(d))) for d in (2, 4, 8)]
+    return [(u, True) for u in gates + permutations] + [(u, False) for u in phases]
+
+
+class TestClosedFormRoute:
+    """The closed form that settles problems before the interior point,
+    against the interior point alone (``oracles.interior_point_intervals``),
+    the route it replaced."""
+
+    @staticmethod
+    def _settle(chois):
+        """Which problems of a Choi stack the closed form settles, and the
+        stack's results.  Every settled interval is at most the target width
+        and every interval overlaps the interior point's."""
+        d = math.isqrt(chois.shape[-1])
+        blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
+        accepted, solved = crolab.measures._closed_form(blocks)
+        if accepted.any():
+            upper = solved["upper"]
+            assert np.all(upper - solved["lower"] <= crolab.measures._TARGET_WIDTH * (1.0 + upper))
+        results = crolab.measures._robustness_stack(chois)
+        for result, lower, upper in zip(results, *oracles.interior_point_intervals(chois)):
+            low, high = _interval(result)
+            assert max(low, lower) <= min(high, upper) + 1e-12
+        return accepted, results
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_haar_unitaries(self, d):
+        """Settled, within 1e-12 of sigma_max(|U|)^2 - 1."""
+        rng = np.random.default_rng(d)
+        us = [oracles.haar_unitary(d, rng) for _ in range(4)]
+        accepted, results = self._settle(np.stack([unitary_channel(u).choi for u in us]))
+        assert accepted.all()
+        for u, result in zip(us, results):
+            assert abs(result.value - oracles.unitary_robustness(u)) <= 1e-12
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_dephased_unitaries(self, d):
+        """A unitary followed by output dephasing has the unitary's output
+        blocks, so it is settled with the unitary's interval and witness,
+        bit for bit."""
+        rng = np.random.default_rng(100 + d)
+        unitaries = [unitary_channel(oracles.haar_unitary(d, rng)) for _ in range(3)]
+        dephased = np.stack([choi_dephase_output(u.choi, d) for u in unitaries])
+        accepted, results = self._settle(dephased)
+        assert accepted.all()
+        for unitary, result in zip(unitaries, results):
+            single = robustness(unitary)
+            assert result.value == single.value
+            assert result.residuals == single.residuals
+            assert np.array_equal(result.witness, single.witness)
+
+    @pytest.mark.parametrize("u, settled", _reducible_unitaries())
+    def test_reducible_unitaries(self, u, settled):
+        """The gates and the permutations are settled within 1e-12 of
+        sigma_max(|U|)^2 - 1.  A random phase gate's Choi diagonal can miss
+        1/d by a rounding error, so the singular values of M differ, its top
+        vector can be a basis vector, and then the interior point brackets
+        the closed form instead."""
+        accepted, results = self._settle(unitary_channel(u).choi[None])
+        closed = oracles.unitary_robustness(u)
+        if settled:
+            assert accepted.all()
+        if accepted.all():
+            assert abs(results[0].value - closed) <= 1e-12
+        else:
+            lower, upper = _interval(results[0])
+            assert lower - 1e-12 <= closed <= upper + 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_random_channels(self, d):
+        """Random channels of Kraus rank 1, 2 and d^2, settled or not: every
+        interval overlaps the interior point's."""
+        chois = np.stack(
+            [random_channel(d, rank=r, seed=s).choi for r in (1, 2, d * d) for s in range(3)]
+        )
+        self._settle(chois)
+
+    def test_mixed_stack_is_stack_independent(self, interior_point_runs):
+        """A d = 4 stack in which the closed form settles some problems and
+        leaves the others to the interior point: every entry is its
+        batch-of-one result, bit for bit, in the stack and reversed."""
+        rng = np.random.default_rng(4)
+        channels = [
+            unitary_channel(oracles.haar_unitary(4, rng)),
+            random_channel(4, seed=1),
+            named_gate("CNOT"),
+            depolarized(oracles.haar_unitary(4, rng)),
+            real_channel(4, seed=2),
+            random_channel(4, rank=1, seed=3),
+        ]
+        accepted, _ = self._settle(np.stack([channel.choi for channel in channels]))
+        assert accepted.any() and not accepted.all()
+        interior_point_runs.clear()
+        robustness_stack(channels)
+        assert [reached(interior_point_runs, c) for c in channels] == list(~accepted)
+        for order in (channels, channels[::-1]):
+            for channel, result in zip(order, robustness_stack(order)):
+                single = robustness(channel)
+                assert result.value == single.value
+                assert result.residuals == single.residuals
+                assert np.array_equal(result.witness, single.witness)
+                assert np.array_equal(result.optimal_psi, single.optimal_psi)
 
 
 class TestEquivalentFormulations:
