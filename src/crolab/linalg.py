@@ -14,6 +14,11 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 
+# Fraction of the way to the cone boundary that an interior-point step takes
+# (at most a full step), in both solvers: ``sdp`` and the robustness solver
+# of ``measures``.
+_TO_BOUNDARY = 0.98
+
 
 def kron(*ops: np.ndarray) -> np.ndarray:
     """Kronecker product of one or more matrices, left factor slowest."""

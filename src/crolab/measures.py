@@ -5,12 +5,13 @@ mixing needed to push a channel into the measure-then-postprocess family.  It
 is one semidefinite program over the output blocks of the Choi state with d^2
 real unknowns.  Each problem first gets closed-form primal and dual points
 from the top singular vector of the square roots of the Choi diagonal: they
-are optimal for every unitary, and for more channels besides.  Repaired to
+are optimal for every unitary, and for more channels besides; a qc member
+they leave open gets p = diag(B) and the identity witness.  Repaired to
 exact feasibility, they bracket the value in a certified interval, and a
 problem whose interval is as narrow as the solver's target is settled
 there.  The others are solved by a primal-dual interior-point method (HKM
 direction, Mehrotra predictor-corrector) rather than by the generic solver
-of ``sdp``, which serves only the cross-check ``robustness_equivalents``;
+of ``sdp``, which only the cross-check ``robustness_equivalents`` loads;
 its primal and dual iterates are repaired the same way, and the dual end
 comes with its witness either way.  One run solves a whole stack of
 channels of one dimension: each problem has its own route, centring, step
@@ -48,13 +49,12 @@ from .channels import (
     validate_choi_stack,
 )
 from .cro import _stochastic_from_choi, random_qccro
-from .linalg import DEFAULT_TOL, dephase, hermitianize, partial_trace, psd_part
-from .sdp import _TO_BOUNDARY, SdpProblem, solve
+from .linalg import _TO_BOUNDARY, DEFAULT_TOL, hermitianize, partial_trace, psd_part
 
 MAX_DIM = 8
 
 # Interior-point robustness: step cap, target and accepted interval widths.
-# Each step goes ``sdp._TO_BOUNDARY`` of the way to the cone boundary.
+# Each step goes ``linalg._TO_BOUNDARY`` of the way to the cone boundary.
 _MAX_STEPS = 60
 _TARGET_WIDTH = 1e-9
 _ACCEPT_WIDTH = 1e-6
@@ -78,8 +78,9 @@ class RobustnessResult:
     status: str
 
 
-def _solve_structured(floor, d, diagonal):
-    """Minimize tr(psi) over structured psi dominating ``floor``.
+def _structured_program(floor, d, diagonal):
+    """The program min tr(psi) over structured psi dominating ``floor``, as
+    an ``sdp.ConicProgram`` written down row by row.
 
     ``floor`` is the Choi state or its output dephasing.  The structure is
     the cone of output-measured channels: psi's output dephasing equals its
@@ -87,41 +88,55 @@ def _solve_structured(floor, d, diagonal):
     and its input marginal is uniform.  The program's variable is the bare
     PSD matrix X = psi - floor: the objective is tr X + tr floor and each
     structure map L takes L(X) = -L(floor).  ``floor`` is positive, so psi
-    is positive too.  The diagonal program states X by its output blocks:
-    d PSD variables X_k of side d, with X = sum_k X_k (x) |k><k|.
+    is positive too.  In svec coordinates of X, the gap rows are the unit
+    rows of the Re, then the Im, parts of the entries ((a, i), (b, i)) with
+    a < b, in svec order; the marginal rows are those of partial_trace(X,
+    [d, d], 0) - tr(X) I / d, diagonal row a with 1 - 1/d on (a, i) and
+    -1/d on the other diagonal coordinates, and the Re and Im rows of (a,
+    b) summing the entries ((a, i), (b, i)).  Only nonzero rows are kept.
+    The diagonal program states X by its output blocks, d PSD variables X_k
+    of side d with X = sum_k X_k (x) |k><k|: its columns are those of the
+    coordinates the X_k fill.
     """
+    from .sdp import ConicProgram, _upper_indices, svec
+
     n = d * d
-    dephased = () if diagonal else (1,)
-
-    def gap(m):
-        return dephase(m, [d, d], dephased) - dephase(m, [d, d], (0, 1))
-
-    def marginal(m):
-        return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
-
-    # Each variable with the map that places it in X.
-    places = {
-        f"x{k}": lambda m, u=unit: choi_from_output_blocks(np.multiply.outer(u, m))
-        for k, unit in enumerate(np.eye(d))
-    } if diagonal else {"x": lambda m: m}
-    side = d if diagonal else n
-    problem = SdpProblem()
-    for name in places:
-        problem.add_var(name, side)
-        problem.add_psd([(name, None, side)])
-    problem.minimize(dict.fromkeys(places, np.eye(side)), offset=float(np.real(np.trace(floor))))
-    for fn, out in ((gap, n), (marginal, d)):
-        terms = [(name, lambda m, f=fn, p=p: f(p(m)), out) for name, p in places.items()]
-        problem.add_eq(terms, -fn(floor))
-    return solve(problem)
-
-
-def _require_optimal(solution, what):
-    if solution.status != "optimal":
-        raise RuntimeError(
-            f"{what} solve ended with status {solution.status!r} after "
-            f"{solution.iterations} iterations; residuals {solution.residuals}"
-        )
+    rows, cols = _upper_indices(n)
+    # X's svec coordinate of the Re part of entry (r, c), r < c; the Im
+    # part's is rows.size further on.
+    coordinate = np.zeros((n, n), dtype=int)
+    coordinate[rows, cols] = n + np.arange(rows.size)
+    a, b, i = np.indices((d, d, d))
+    real = coordinate[a * d + i, b * d + i]
+    # The gap entries in svec order, (a, i, b), and the marginal's (a, b).
+    gap = real.transpose(0, 2, 1)[(a < b).transpose(0, 2, 1)]
+    pairs = real[a[..., 0] < b[..., 0]]
+    gap, pairs = (np.concatenate([x, x + rows.size]) for x in (gap, pairs))
+    a_rows = np.zeros((gap.size + d + len(pairs), n * n))
+    a_rows[np.arange(gap.size), gap] = 1.0
+    a_rows[gap.size : gap.size + d, :n] = -1.0 / d
+    a_rows[gap.size + np.arange(d)[:, None], np.arange(n).reshape(d, d)] = 1.0 - 1.0 / d
+    a_rows[gap.size + d + np.arange(len(pairs))[:, None], pairs] = 1.0
+    marginal = partial_trace(floor, [d, d], 0) - np.trace(floor) * np.eye(d) / d
+    b_rows = -np.concatenate([svec(floor)[gap], svec(marginal)])
+    if diagonal:
+        # X_k's coordinates as coordinates of X: the diagonal entries (a, k),
+        # then the Re and Im parts of ((a, k), (b, k)), a < b.
+        k = np.arange(d)[:, None]
+        sub_rows, sub_cols = _upper_indices(d)
+        block = coordinate[sub_rows * d + k, sub_cols * d + k]
+        a_rows = a_rows[:, np.concatenate([np.arange(d) * d + k, block, block + rows.size], 1).ravel()]
+    side, count = (d, d) if diagonal else (n, 1)
+    psd = tuple((slice(j * side * side, (j + 1) * side * side), side) for j in range(count))
+    nonzero = np.any(a_rows != 0.0, axis=1)
+    return ConicProgram(
+        c=np.tile(svec(np.eye(side)), count),
+        offset=float(np.real(np.trace(floor))),
+        a=a_rows[nonzero],
+        b=b_rows[nonzero],
+        psd=psd,
+        variables=dict(zip([f"x{j}" for j in range(count)] if diagonal else ["x"], psd)),
+    )
 
 
 def _check_dim(d):
@@ -358,12 +373,16 @@ def _closed_form(blocks):
     singular value equals the largest exactly, so it is positive, by
     Perron-Frobenius, whenever a positive top vector exists, also when M is
     reducible (Z, X, CNOT, permutations).  A problem whose p is not finite
-    gets no candidate; the others are repaired by ``_certified_primal`` and
-    ``_certified_dual`` and settled when their interval is as narrow as the
-    interior point's target, whatever the blocks' rank: no tolerance
-    decides but the certificate.  Every step acts on each problem alone.
+    gets no candidate.  A qc member, whose blocks have no nonzero
+    off-diagonal entry (exact zeros, no tolerance), that these candidates
+    leave open takes p = diag(B) and W_k = I instead: then S = 0, and its
+    interval is [0, 0] up to the rounding of tr J.  The candidates are
+    repaired by ``_certified_primal`` and ``_certified_dual`` and settled
+    when their interval is as narrow as the interior point's target,
+    whatever the blocks' rank: no tolerance decides but the certificate.
+    Every step acts on each problem alone.
     """
-    d = blocks.shape[1]
+    n, d = blocks.shape[:2]
     diagonals = np.real(_diagonals(blocks))
     m = np.sqrt(np.maximum(diagonals, 0.0))
     _, sigma, vh = np.linalg.svd(m)
@@ -372,27 +391,43 @@ def _closed_form(blocks):
     s = s / np.sqrt(_running_sum(s * s))[:, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         p = m * _running_sum(m * s[:, None, :])[..., None] / s[:, None, :]
-    candidate = np.isfinite(p).all(axis=(1, 2))
-    accepted = np.zeros(len(candidate), dtype=bool)
-    if not candidate.any():
-        return accepted, {}
-    blocks, diagonals, s, p = blocks[candidate], diagonals[candidate], s[candidate], p[candidate]
-    slack = -blocks
-    _diagonals(slack)[...] += p
-    primal = _certified_primal(slack)
-    upper = _running_sum(np.einsum("bkii->bk", primal.real))
     rows = np.argmax(diagonals, axis=-1)[..., None, None]
     column = np.take_along_axis(blocks, rows, axis=-1)[..., 0]
     magnitude = np.abs(column)
     phase = np.divide(column, magnitude, out=np.ones_like(column), where=magnitude > 0.0)
     w = math.sqrt(d) * s[:, None, :] * phase
     w = w[..., :, None] * w[..., None, :].conj()
-    dual = _certified_dual(w)
-    lower = _pairing(dual, blocks, rows="bij") - 1.0
-    settled = upper - lower <= _TARGET_WIDTH * (1.0 + upper)
-    solved = {"upper": upper, "lower": lower, "primal": primal, "dual": dual, "p": p, "w": w}
-    accepted[np.flatnonzero(candidate)[settled]] = True
-    return accepted, {key: value[settled] for key, value in solved.items()}
+    accepted = np.zeros(n, dtype=bool)
+    passes = []  # (settled problems, their entries) of each set of candidates
+
+    def certify(group, p, w):
+        """Repair the candidates p and W of the problems ``group``, and
+        settle those whose interval is narrow enough."""
+        if not group.size:
+            return
+        group_blocks, p, w = blocks[group], p[group], w[group]
+        slack = -group_blocks
+        _diagonals(slack)[...] += p
+        primal = _certified_primal(slack)
+        upper = _running_sum(np.einsum("bkii->bk", primal.real))
+        dual = _certified_dual(w)
+        lower = _pairing(dual, group_blocks, rows="bij") - 1.0
+        settled = upper - lower <= _TARGET_WIDTH * (1.0 + upper)
+        accepted[group[settled]] = True
+        solved = {"upper": upper, "lower": lower, "primal": primal, "dual": dual, "p": p, "w": w}
+        passes.append((group[settled], {key: value[settled] for key, value in solved.items()}))
+
+    certify(np.flatnonzero(np.isfinite(p).all(axis=(1, 2))), p, w)
+    if not accepted.all():
+        open_problems = np.flatnonzero(~accepted)
+        off_diagonals = blocks[open_problems]
+        _diagonals(off_diagonals)[...] = 0.0
+        qc = open_problems[~off_diagonals.reshape(len(open_problems), -1).any(axis=1)]
+        certify(qc, diagonals, np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape))
+    if len(passes) < 2:
+        return accepted, passes[0][1] if passes else {}
+    order = np.argsort(np.concatenate([index for index, _ in passes]))
+    return accepted, {key: np.concatenate([solved[key] for _, solved in passes])[order] for key in passes[0][1]}
 
 
 def _solve_blocks(blocks):
@@ -567,8 +602,11 @@ def robustness_equivalents(channel):
     matrix.  Each is the primal value of ``sdp.solve`` minus one, at X = psi
     - floor strictly inside the PSD cone: never below zero but for the
     rounding of tr(floor), and the three agree to the solver's tolerances.
-    The second is stated over X's d output blocks, the others over X.
+    The second is stated over X's d output blocks, the others over X.  Only
+    this cross-check loads ``sdp``.
     """
+    from .sdp import solve
+
     if not isinstance(channel, Channel):
         raise TypeError("robustness_equivalents expects a Channel")
     d = channel.dim
@@ -577,8 +615,12 @@ def robustness_equivalents(channel):
     programs = ((channel.choi, False), (dephased, True), (dephased, False))
     values = []
     for floor, diagonal in programs:
-        solution = _solve_structured(floor, d, diagonal)
-        _require_optimal(solution, "robustness equivalent")
+        solution = solve(_structured_program(floor, d, diagonal))
+        if solution.status != "optimal":
+            raise RuntimeError(
+                f"robustness equivalent solve ended with status {solution.status!r} after "
+                f"{solution.iterations} iterations; residuals {solution.residuals}"
+            )
         values.append(solution.primal_value - 1.0)
     return values
 

@@ -1,24 +1,26 @@
 """A small deterministic semidefinite-program solver.
 
-Problems are stated over Hermitian matrix variables as
+A program comes in canonical form, as a ``ConicProgram``: over real
+coordinates x, split into PSD blocks (each the ``svec`` of a Hermitian
+matrix) and free entries,
 
-    minimize    sum_v tr(C_v X_v) + offset
-    subject to  linear operator equalities   sum_v L(X_v) = B
-                semidefinite constraints     sum_v L(X_v) + F >= 0
+    minimize    c.x + offset
+    subject to  A x = b,  every PSD block of x in the PSD cone.
 
-and flattened to real ``svec`` coordinates: min c.x s.t. A x = b, x split
-into PSD blocks (stacked by side) and free entries.  One eigendecomposition
-of A A^T over A's nonzero rows gives an orthonormal basis Q of its row
-space and t with Q t the least-norm solution of A x = b; when A (Q t) misses
-b the program is "infeasible" after 0 iterations.  Otherwise a primal-dual
+Callers state A by its rows, as SDPT3 takes its constraint data (Toh, Todd
+& Tutuncu, Optim. Methods Softw. 11, 1999).  One eigendecomposition of A
+A^T over A's nonzero rows gives an orthonormal basis Q of its row space and
+t with Q t the least-norm solution of A x = b; when A (Q t) misses b the
+program is "infeasible" after 0 iterations.  Otherwise a primal-dual
 interior-point method solves Q^T x = t on the homogeneous self-dual
 embedding (Ye, Todd & Mizuno, Math. Oper. Res. 19, 1994) from x = s =
 identity blocks, y = 0, tau = kappa = 1: HKM directions with Mehrotra's
-predictor-corrector, as in SDPT3 (Toh, Todd & Tutuncu, Optim. Methods
-Softw. 11, 1999).  A direction solves the Schur matrix Q_K^T E Q_K, E(V) =
-sym(X V S^-1) on the blocks, bordered by the free columns, for two
-right-hand sides, then one scalar equation for d tau; both sides take one
-step, 0.98 of the way to the cone boundary (at most 1).
+predictor-corrector, as in SDPT3.  A direction solves the Schur matrix
+Q_K^T E Q_K, E(V) = sym(X V S^-1) on the blocks, bordered by the free
+columns, for two right-hand sides, then one scalar equation for d tau; both
+sides take one step, 0.98 of the way to the cone boundary (at most 1).
+Q's rows on each block side are unpacked to Hermitian matrices once per
+solve.
 
 Before each step the point x/tau, y/tau, s/tau is tested.  It is "optimal"
 when A x = b holds to ``tol_feas`` (1 + max|b|), c - Q y = s to
@@ -30,10 +32,8 @@ embedding reaches as tau -> 0.  Otherwise it is "max_iters", after
 ``max_iters`` steps or a failed factorization.  ``iterations`` counts
 interior-point steps.  Each late step cuts the gap about fifty-fold, so
 the default ``tol_gap`` of 1e-9 costs a step over 1e-7 and puts a zero
-optimum within 1e-9.  The variables are the blocks of x/tau; the dual
-block of each semidefinite constraint, from s/tau, comes through
-``extract_dual_witness`` (for ``X >= F`` it is the PSD matrix pairing with
-``F`` in the dual objective).
+optimum within 1e-9.  The variables are blocks of x/tau, and
+``psd_duals[k]``, from s/tau, is the dual block of the k-th PSD block.
 
 Everything is dense numpy; intended for matrix blocks up to 64 x 64.
 """
@@ -42,19 +42,14 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 
-from .linalg import hermitianize
+from .linalg import _TO_BOUNDARY, hermitianize
 
 MAX_BLOCK_SIDE = 64
 
 _SQRT2 = np.sqrt(2.0)
-
-# Fraction of the way to the cone boundary that an interior-point step takes
-# (at most a full step); the robustness solver of ``measures`` shares it.
-_TO_BOUNDARY = 0.98
 
 
 @functools.lru_cache(maxsize=None)
@@ -100,81 +95,46 @@ def unsvec(v: np.ndarray, n: int) -> np.ndarray:
     return m
 
 
-LinearTerm = tuple[str, "Callable[[np.ndarray], np.ndarray] | None", int]
-# (variable name, real-linear map on Hermitian matrices or None for identity,
-#  output matrix side)
+@dataclass(frozen=True, eq=False)
+class ConicProgram:
+    """One program in canonical form: minimize c.x + offset subject to
+    A x = b, over real coordinates x split into PSD blocks and free entries.
 
+    ``psd`` holds the (columns, side) of each PSD block, as a slice of x
+    that is the ``svec`` of a side x side Hermitian matrix, in the order of
+    ``SdpSolution.psd_duals``; every other column is free.  ``variables``
+    maps each named variable to its (columns, side), read back as
+    ``SdpSolution.variables``.  Rows of A may be zero or dependent:
+    ``solve`` reduces them to A's row space and tests once whether A x = b
+    is consistent.
+    """
 
-@dataclass
-class _PsdConstraint:
-    terms: list[LinearTerm]
-    offset: np.ndarray | None
+    c: np.ndarray
+    offset: float
+    a: np.ndarray
+    b: np.ndarray
+    psd: tuple[tuple[slice, int], ...]
+    variables: dict[str, tuple[slice, int]]
 
+    @property
+    def n(self) -> int:
+        return self.c.size
 
-@dataclass
-class _EqConstraint:
-    terms: list[LinearTerm]
-    target: np.ndarray
+    @functools.cached_property
+    def cones(self) -> dict[int, np.ndarray]:
+        """Each block side's (blocks, side**2) array of column indices."""
+        by_side: dict[int, list[np.ndarray]] = {}
+        for block, side in self.psd:
+            by_side.setdefault(side, []).append(np.arange(block.start, block.stop))
+        return {side: np.array(cols) for side, cols in by_side.items()}
 
-
-class SdpProblem:
-    """Container for one SDP; build with add_var / minimize / add_eq / add_psd."""
-
-    def __init__(self):
-        self.var_sides: dict[str, int] = {}
-        self.objective: dict[str, np.ndarray] = {}
-        self.objective_offset: float = 0.0
-        self.equalities: list[_EqConstraint] = []
-        self.psd_constraints: list[_PsdConstraint] = []
-
-    def add_var(self, name: str, side: int) -> None:
-        if name in self.var_sides:
-            raise ValueError(f"variable {name!r} already declared")
-        if not 1 <= side <= MAX_BLOCK_SIDE:
-            raise ValueError(f"variable side {side} outside 1..{MAX_BLOCK_SIDE}")
-        self.var_sides[name] = int(side)
-
-    def minimize(self, terms: dict[str, np.ndarray], offset: float = 0.0) -> None:
-        for name, coeff in terms.items():
-            side = self._side(name)
-            coeff = np.asarray(coeff, dtype=complex)
-            if coeff.shape != (side, side):
-                raise ValueError(f"objective coefficient for {name!r} has wrong shape")
-            self.objective[name] = hermitianize(coeff)
-        self.objective_offset = float(offset)
-
-    def add_eq(self, terms: Sequence[LinearTerm], target: np.ndarray | float) -> None:
-        terms = [self._check_term(t) for t in terms]
-        out = terms[0][2]
-        if np.isscalar(target):
-            target = np.array([[target]], dtype=complex) if out == 1 else float(target) * np.eye(out)
-        target = np.asarray(target, dtype=complex)
-        if target.shape != (out, out):
-            raise ValueError(f"equality target shape {target.shape} != ({out}, {out})")
-        self.equalities.append(_EqConstraint(terms, hermitianize(target)))
-
-    def add_psd(self, terms: Sequence[LinearTerm], offset: np.ndarray | None = None) -> int:
-        """Constrain sum of terms plus offset to the PSD cone; returns its index."""
-        terms = [self._check_term(t) for t in terms]
-        out = terms[0][2]
-        if offset is not None:
-            offset = hermitianize(np.asarray(offset, dtype=complex))
-            if offset.shape != (out, out):
-                raise ValueError(f"psd offset shape {offset.shape} != ({out}, {out})")
-        self.psd_constraints.append(_PsdConstraint(terms, offset))
-        return len(self.psd_constraints) - 1
-
-    def _side(self, name: str) -> int:
-        if name not in self.var_sides:
-            raise ValueError(f"unknown variable {name!r}")
-        return self.var_sides[name]
-
-    def _check_term(self, term: LinearTerm) -> LinearTerm:
-        name, fn, out = term
-        self._side(name)
-        if not 1 <= int(out) <= MAX_BLOCK_SIDE:
-            raise ValueError(f"constraint block side {out} outside 1..{MAX_BLOCK_SIDE}")
-        return (name, fn, int(out))
+    @functools.cached_property
+    def free(self) -> np.ndarray:
+        """The columns outside every PSD block."""
+        free = np.ones(self.n, dtype=bool)
+        for block, _ in self.psd:
+            free[block] = False
+        return np.flatnonzero(free)
 
 
 @dataclass
@@ -195,95 +155,6 @@ class SdpSolution:
     iterations: int = 0
 
 
-def _materialize(fn, in_side: int, out_side: int, bases: dict[int, np.ndarray]) -> np.ndarray:
-    """Real matrix of a Hermitian-to-Hermitian linear map in svec coordinates.
-
-    ``bases`` maps each input side to its read-only svec basis, the unsvec
-    of the identity; a missing side is built on first use, so one dict
-    shared by the terms of one problem builds each basis once.
-    """
-    if fn is None:
-        if in_side != out_side:
-            raise ValueError("identity term needs equal input and output sides")
-        return np.eye(in_side * in_side)
-    if in_side not in bases:
-        basis = unsvec(np.eye(in_side * in_side), in_side)
-        basis.flags.writeable = False
-        bases[in_side] = basis
-    images = np.array([fn(m) for m in bases[in_side]], dtype=complex)
-    return svec(hermitianize(images)).T
-
-
-class _Canonical:
-    """Flattened conic form: min c.x s.t. A x = b, x split into PSD blocks
-    and free entries.
-
-    ``columns`` maps each variable name to its slice of x; every PSD
-    constraint that is not a bare variable gets a slack block after the
-    variables.  ``psd`` holds the (slice, side) of each PSD constraint's
-    block, in constraint order.  ``cones`` maps each block side to the
-    (blocks, side**2) array of column indices of its blocks, and ``free``
-    indexes every other column.  A and b keep every row the constraints
-    produce, identically zero rows included: ``solve`` reduces them to A's
-    row space and tests once whether A x = b is consistent.
-    """
-
-    def __init__(self, problem: SdpProblem):
-        sides = problem.var_sides
-        self.columns: dict[str, slice] = {}
-        width = 0
-        for name, side in sides.items():
-            self.columns[name] = slice(width, width + side * side)
-            width += side * side
-
-        # equality rows first, then one row block per slack: L(X) - S = -F
-        plan = [(eq.terms, eq.target, None) for eq in problem.equalities]
-        self.psd: list[tuple[slice, int]] = []
-        in_cone: set[str] = set()
-        for psd in problem.psd_constraints:
-            name, fn, side = psd.terms[0]
-            if len(psd.terms) == 1 and fn is None and psd.offset is None and name not in in_cone:
-                in_cone.add(name)
-                self.psd.append((self.columns[name], sides[name]))
-            else:
-                block = slice(width, width + side * side)
-                width += side * side
-                self.psd.append((block, side))
-                target = -psd.offset if psd.offset is not None else np.zeros((side, side))
-                plan.append((psd.terms, target, block))
-        self.n = width
-
-        rows, rhs = [np.zeros((0, width))], [np.zeros(0)]
-        bases: dict[int, np.ndarray] = {}
-        for terms, target, slack in plan:
-            out = terms[0][2]
-            block = np.zeros((out * out, width))
-            for name, fn, term_out in terms:
-                if term_out != out:
-                    raise ValueError("mixed output sides inside one constraint")
-                block[:, self.columns[name]] += _materialize(fn, sides[name], out, bases)
-            if slack is not None:
-                block[:, slack] -= np.eye(out * out)
-            rows.append(block)
-            rhs.append(svec(target))
-        self.a = np.concatenate(rows)
-        self.b = np.concatenate(rhs)
-
-        self.c = np.zeros(width)
-        for name, coeff in problem.objective.items():
-            self.c[self.columns[name]] = svec(coeff)
-        self.c_offset = problem.objective_offset
-
-        by_side: dict[int, list[np.ndarray]] = {}
-        for block, side in self.psd:
-            by_side.setdefault(side, []).append(np.arange(block.start, block.stop))
-        self.cones = {side: np.array(cols) for side, cols in by_side.items()}
-        free = np.ones(width, dtype=bool)
-        for cols in self.cones.values():
-            free[cols] = False
-        self.free = np.flatnonzero(free)
-
-
 def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal basis Q of A's row space, and t with Q t = A^+ b.
 
@@ -300,33 +171,41 @@ def _row_space(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (a.T @ u[:, keep]) * scale, scale * (u[:, keep].T @ b)
 
 
-def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolution:
-    """Solve an SdpProblem; deterministic for fixed inputs and options."""
+def solve(program: ConicProgram, options: SolverOptions | None = None) -> SdpSolution:
+    """Solve a ConicProgram; deterministic for fixed inputs and options."""
     opts = options or SolverOptions()
     if opts.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {opts.max_iters}")
-    canon = _Canonical(problem)
-    q, t = _row_space(canon.a, canon.b)
-    b_scale = 1.0 + float(np.max(np.abs(canon.b), initial=0.0))
-    if np.max(np.abs(canon.a @ (q @ t) - canon.b), initial=0.0) > 1e-9 * b_scale:
+    for _, side in program.psd:
+        if not 1 <= side <= MAX_BLOCK_SIDE:
+            raise ValueError(f"block side {side} outside 1..{MAX_BLOCK_SIDE}")
+    a, b = program.a, program.b
+    q, t = _row_space(a, b)
+    b_scale = 1.0 + float(np.max(np.abs(b), initial=0.0))
+    if np.max(np.abs(a @ (q @ t) - b), initial=0.0) > 1e-9 * b_scale:
         return SdpSolution(
             "infeasible", float("nan"), float("nan"),
-            {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()},
-            [np.zeros((side, side), dtype=complex) for _, side in canon.psd],
+            {name: np.zeros((side, side), dtype=complex) for name, (_, side) in program.variables.items()},
+            [np.zeros((side, side), dtype=complex) for _, side in program.psd],
             dict.fromkeys(("primal_feas", "dual_feas", "gap"), float("inf")),
         )
 
-    c, offset = canon.c, canon.c_offset
+    c, offset = program.c, program.offset
     c_scale = 1.0 + float(np.max(np.abs(c), initial=0.0))
-    x = np.zeros(canon.n)
-    for side, cols in canon.cones.items():
+    # Per block side: its columns and the Hermitian stack of Q's rows on them.
+    cones = [
+        (side, cols, unsvec(np.moveaxis(q[cols], -1, 0), side))
+        for side, cols in program.cones.items()
+    ]
+    x = np.zeros(program.n)
+    for side, cols, _ in cones:
         x[cols] = svec(np.eye(side))
     y, s, tau, kappa = np.zeros(t.size), x.copy(), 1.0, 1.0
     status = "max_iters"
     for it in range(opts.max_iters + 1):
         cx, ty = float(c @ x), float(t @ y)
         primal_value, dual_value = cx / tau + offset, ty / tau + offset
-        primal_feas = float(np.max(np.abs(canon.a @ x - tau * canon.b), initial=0.0)) / tau
+        primal_feas = float(np.max(np.abs(a @ x - tau * b), initial=0.0)) / tau
         dual_feas = float(np.max(np.abs(tau * c - q @ y - s), initial=0.0)) / tau
         gap = abs(cx - ty) / (tau + abs(cx) + abs(ty))
         if max(primal_feas / b_scale, dual_feas / c_scale) <= opts.tol_feas and gap <= opts.tol_gap:
@@ -338,48 +217,51 @@ def solve(problem: SdpProblem, options: SolverOptions | None = None) -> SdpSolut
         if status != "max_iters" or it == opts.max_iters:
             break
         try:
-            x, y, s, tau, kappa = _step(canon, q, t, x, y, s, tau, kappa)
+            x, y, s, tau, kappa = _step(program, cones, q, t, x, y, s, tau, kappa)
         except np.linalg.LinAlgError:
             break
 
     x, s = x / tau, s / tau
     return SdpSolution(
         status, primal_value, dual_value,
-        {name: unsvec(x[canon.columns[name]], side) for name, side in problem.var_sides.items()},
-        [unsvec(s[block], side) for block, side in canon.psd],
+        {name: unsvec(x[block], side) for name, (block, side) in program.variables.items()},
+        [unsvec(s[block], side) for block, side in program.psd],
         {"primal_feas": primal_feas, "dual_feas": dual_feas, "gap": gap}, it,
     )
 
 
-def _step(canon, q, t, x, y, s, tau, kappa):
+def _step(program, cones, q, t, x, y, s, tau, kappa):
     """The next (x, y, s, tau, kappa) after one HKM predictor-corrector step
     on Q^T x = tau t, tau c - Q y = s, t.y - c.x = kappa from an interior
-    point (x, s in the cone, s zero on the free columns, tau, kappa > 0)."""
-    c, free = canon.c, canon.free
+    point (x, s in the cone, s zero on the free columns, tau, kappa > 0).
+    ``cones`` holds each block side's columns and Q's rows on them as a
+    Hermitian stack."""
+    c, free = program.c, program.free
     n, m = q.shape
     r_p, r_d, r_g = q.T @ x - tau * t, tau * c - q @ y - s, float(t @ y - c @ x) - kappa
     # Per block side: its columns, X, L^H for X = L L^H, the inverses of the
-    # Cholesky factors of X and S (one stack) and their adjoints, and S^-1.
+    # Cholesky factors of X and S (one stack) and their adjoints, S^-1, and
+    # Q's rows.
     blocks = []
-    for side, cols in canon.cones.items():
+    for side, cols, q_rows in cones:
         pair = unsvec(np.concatenate([x[cols], s[cols]]), side)
         chol = np.linalg.cholesky(pair)
         root = np.linalg.inv(chol)
         chol_h, root_h, k = chol.conj().swapaxes(-1, -2), root.conj().swapaxes(-1, -2), len(cols)
-        blocks.append((side, cols, pair[:k], chol_h[:k], root, root_h, root_h[k:] @ root[k:]))
+        blocks.append((side, cols, pair[:k], chol_h[:k], root, root_h, root_h[k:] @ root[k:], q_rows))
 
     def scale(v):
         """E(V) = sym(X V S^-1) on each block, zero on the free columns."""
         out = np.zeros(n)
-        for side, cols, xs, _, _, _, s_inv in blocks:
+        for side, cols, xs, _, _, _, s_inv, _ in blocks:
             out[cols] = svec(hermitianize(xs @ unsvec(v[cols], side) @ s_inv))
         return out
 
     # The Schur matrix Q_K^T E Q_K.  With X = L L^H and S^-1 = R^H R,
     # <U, E(V)> = Re <L^H U R^H, L^H V R^H>: a Gram matrix of real rows.
     schur = np.zeros((m, m))
-    for side, cols, _, chol_h, _, root_h, _ in blocks:
-        rows = chol_h @ unsvec(np.moveaxis(q[cols], -1, 0), side) @ root_h[len(cols):]
+    for _, cols, _, chol_h, _, root_h, _, q_rows in blocks:
+        rows = chol_h @ q_rows @ root_h[len(cols):]
         rows = rows.reshape(m, chol_h.size).view(float)
         schur += rows @ rows.T
     kkt = np.block([[schur, q[free].T], [q[free], np.zeros((free.size, free.size))]])
@@ -415,7 +297,7 @@ def _step(canon, q, t, x, y, s, tau, kappa):
         dx = r - scale(ds)
         dx[free] = dx_free[:, 0] + dtau * dx_free[:, 1]
         lowest = min(dtau / tau, dkappa / kappa)
-        for side, cols, _, _, root, root_h, _ in blocks:
+        for side, cols, _, _, root, root_h, _, _ in blocks:
             ratios = root @ unsvec(np.concatenate([dx[cols], ds[cols]]), side) @ root_h
             lowest = min(lowest, float(np.linalg.eigvalsh(ratios).min()))
         # 1 when lowest >= -0.98, else -0.98 / lowest.
@@ -427,18 +309,7 @@ def _step(canon, q, t, x, y, s, tau, kappa):
     sigma = float(reached / (x @ s + tau * kappa)) ** 3
     targets = [
         sigma * mu * s_inv - hermitianize(unsvec(dx[cols], side) @ unsvec(ds[cols], side) @ s_inv)
-        for side, cols, *_, s_inv in blocks
+        for side, cols, *_, s_inv, _ in blocks
     ]
     alpha, dx, dy, ds, dtau, dkappa = direction(1.0 - sigma, targets, sigma * mu - dtau * dkappa)
     return x + alpha * dx, y + alpha * dy, s + alpha * ds, tau + alpha * dtau, kappa + alpha * dkappa
-
-
-def extract_dual_witness(solution: SdpSolution, psd_index: int = 0) -> np.ndarray:
-    """Hermitian dual block of the given semidefinite constraint.
-
-    For a constraint of the form ``X >= F`` this is the PSD multiplier W
-    maximizing ``tr(W F)`` in the dual program.
-    """
-    if not 0 <= psd_index < len(solution.psd_duals):
-        raise ValueError(f"no psd constraint with index {psd_index}")
-    return solution.psd_duals[psd_index]

@@ -2,16 +2,17 @@
 
 Everything in this module is built from numpy alone and deliberately avoids
 importing the package under test, with exceptions that keep replaced paths:
+``SdpProblem`` and ``canonical`` are the generic front end of
+``crolab.sdp`` that learned each structure map by probing it, and
+``structured_problem`` states the cross-check programs through it;
 ``admm_solve`` is the consensus ADMM that ``crolab.sdp.solve`` ran before
 its interior-point method, over the package's canonical form;
 ``admm_block_robustness`` states the robustness to that ADMM;
 ``interior_point_intervals`` solves every robustness problem by the
 interior point, as ``crolab.measures`` did before its closed form;
 ``sweep_per_point`` runs the sweep one ``Channel`` at a time;
-``property_suite_per_channel`` is the property suite that built every
-mixture, sample and image as a ``Channel``; and
-``square_structured_program`` states the diagonal cross-check program
-over one d^2-side variable.  The
+and ``property_suite_per_channel`` is the property suite that built every
+mixture, sample and image as a ``Channel``.  The
 robustness oracles solve the same question as the production solvers but
 through different mechanisms (bisection over alternating projections, the
 ADMM), so agreement between them is meaningful evidence rather than a
@@ -387,6 +388,178 @@ def gram_affine_projection(a, b, w):
     return w - a.T @ mu, mu
 
 
+# The generic front end that ``crolab.sdp`` had before programs were stated
+# by their constraint rows: a program over named Hermitian variables, with
+# each constraint a sum of real-linear maps, and its translation to a
+# ``crolab.sdp.ConicProgram`` that learns each map's matrix by applying it
+# to every svec basis matrix of its input side.
+
+
+class SdpProblem:
+    """Container for one SDP; build with add_var / minimize / add_eq / add_psd.
+
+    A term is (variable name, real-linear map on Hermitian matrices or None
+    for the identity, output matrix side).
+    """
+
+    def __init__(self):
+        self.var_sides = {}
+        self.objective = {}
+        self.objective_offset = 0.0
+        self.equalities = []  # (terms, target)
+        self.psd_constraints = []  # (terms, offset or None)
+
+    def add_var(self, name, side):
+        if name in self.var_sides:
+            raise ValueError(f"variable {name!r} already declared")
+        self.var_sides[name] = int(side)
+
+    def minimize(self, terms, offset=0.0):
+        from crolab.linalg import hermitianize
+
+        for name, coeff in terms.items():
+            side = self.var_sides[name]
+            coeff = np.asarray(coeff, dtype=complex)
+            if coeff.shape != (side, side):
+                raise ValueError(f"objective coefficient for {name!r} has wrong shape")
+            self.objective[name] = hermitianize(coeff)
+        self.objective_offset = float(offset)
+
+    def add_eq(self, terms, target):
+        from crolab.linalg import hermitianize
+
+        out = terms[0][2]
+        target = np.asarray(target, dtype=complex)
+        if target.shape != (out, out):
+            raise ValueError(f"equality target shape {target.shape} != ({out}, {out})")
+        self.equalities.append((list(terms), hermitianize(target)))
+
+    def add_psd(self, terms, offset=None):
+        """Constrain sum of terms plus offset to the PSD cone; returns its index."""
+        from crolab.linalg import hermitianize
+
+        if offset is not None:
+            offset = hermitianize(np.asarray(offset, dtype=complex))
+        self.psd_constraints.append((list(terms), offset))
+        return len(self.psd_constraints) - 1
+
+
+def _materialize(fn, in_side, out_side, bases):
+    """Real matrix of a Hermitian-to-Hermitian linear map in svec
+    coordinates, from its images of the svec basis of its input side, which
+    ``bases`` caches per side."""
+    from crolab.linalg import hermitianize
+    from crolab.sdp import svec, unsvec
+
+    if fn is None:
+        if in_side != out_side:
+            raise ValueError("identity term needs equal input and output sides")
+        return np.eye(in_side * in_side)
+    if in_side not in bases:
+        bases[in_side] = unsvec(np.eye(in_side * in_side), in_side)
+    images = np.array([fn(m) for m in bases[in_side]], dtype=complex)
+    return svec(hermitianize(images)).T
+
+
+def canonical(problem):
+    """The ``crolab.sdp.ConicProgram`` of an ``SdpProblem``.
+
+    Each variable gets its columns in declaration order; every PSD
+    constraint that is not a bare variable gets a slack block after the
+    variables.  A and b keep every row the constraints produce, identically
+    zero rows included: equality rows first, then L(X) - S = -F for each
+    slack.  The dual block of a constraint ``X >= F`` is the PSD matrix
+    pairing with F in the dual objective.
+    """
+    from crolab.sdp import ConicProgram, svec
+
+    sides = problem.var_sides
+    columns = {}
+    width = 0
+    for name, side in sides.items():
+        columns[name] = slice(width, width + side * side)
+        width += side * side
+
+    plan = [(terms, target, None) for terms, target in problem.equalities]
+    psd = []
+    in_cone = set()
+    for terms, offset in problem.psd_constraints:
+        name, fn, side = terms[0]
+        if len(terms) == 1 and fn is None and offset is None and name not in in_cone:
+            in_cone.add(name)
+            psd.append((columns[name], sides[name]))
+        else:
+            block = slice(width, width + side * side)
+            width += side * side
+            psd.append((block, side))
+            target = -offset if offset is not None else np.zeros((side, side))
+            plan.append((terms, target, block))
+
+    rows, rhs = [np.zeros((0, width))], [np.zeros(0)]
+    bases = {}
+    for terms, target, slack in plan:
+        out = terms[0][2]
+        block = np.zeros((out * out, width))
+        for name, fn, term_out in terms:
+            if term_out != out:
+                raise ValueError("mixed output sides inside one constraint")
+            block[:, columns[name]] += _materialize(fn, sides[name], out, bases)
+        if slack is not None:
+            block[:, slack] -= np.eye(out * out)
+        rows.append(block)
+        rhs.append(svec(target))
+
+    c = np.zeros(width)
+    for name, coeff in problem.objective.items():
+        c[columns[name]] = svec(coeff)
+    return ConicProgram(
+        c=c,
+        offset=problem.objective_offset,
+        a=np.concatenate(rows),
+        b=np.concatenate(rhs),
+        psd=tuple(psd),
+        variables={name: (columns[name], side) for name, side in sides.items()},
+    )
+
+
+def structured_problem(floor, d, diagonal, by_blocks=True):
+    """The replaced map statement of ``measures._structured_program``: the
+    same program as an ``SdpProblem`` whose structure maps are Python
+    callables, the diagonal one over d variables X_k placed in X by
+    ``choi_from_output_blocks``.  Its ``canonical`` form has the built
+    program's rows among identically zero ones.  With ``by_blocks`` false
+    the diagonal program has one d^2-side variable instead, its off-block
+    entries pinned to zero by the gap equalities: the statement before the
+    diagonal program was stated over output blocks."""
+    from crolab.channels import choi_from_output_blocks
+    from crolab.linalg import dephase, partial_trace
+
+    n = d * d
+    dephased = () if diagonal else (1,)
+
+    def gap(m):
+        return dephase(m, [d, d], dephased) - dephase(m, [d, d], (0, 1))
+
+    def marginal(m):
+        return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
+
+    # Each variable with the map that places it in X.
+    places = {
+        f"x{k}": lambda m, u=unit: choi_from_output_blocks(np.multiply.outer(u, m))
+        for k, unit in enumerate(np.eye(d))
+    } if diagonal and by_blocks else {"x": lambda m: m}
+    side = d if len(places) > 1 else n
+    problem = SdpProblem()
+    for name in places:
+        problem.add_var(name, side)
+        problem.add_psd([(name, None, side)])
+    problem.minimize(dict.fromkeys(places, np.eye(side)), offset=float(np.real(np.trace(floor))))
+    for fn, out in ((gap, n), (marginal, d)):
+        terms = [(name, lambda m, f=fn, p=p: f(p(m)), out) for name, p in places.items()]
+        problem.add_eq(terms, -fn(floor))
+    return problem
+
+
 # The consensus ADMM that ``crolab.sdp.solve`` ran before its interior-point
 # method, kept as a second algorithm over the same canonical form (imported
 # from ``crolab.sdp`` where it is used).  It alternates the affine step
@@ -439,20 +612,19 @@ def _row_space(a, b):
     return (a.T @ u[:, keep]) * scale, scale * (u[:, keep].T @ b)
 
 
-def admm_solve(problem, options=None):
-    """Solve an ``SdpProblem`` by the ADMM; an ``SdpSolution`` whose
-    ``iterations`` counts ADMM iterations.  Without ``options`` it runs at
-    the ADMM's own default gap tolerance, 1e-7."""
-    from crolab.sdp import SdpSolution, SolverOptions, _Canonical, unsvec
+def admm_solve(canon, options=None):
+    """Solve a ``crolab.sdp.ConicProgram`` by the ADMM; an ``SdpSolution``
+    whose ``iterations`` counts ADMM iterations.  Without ``options`` it
+    runs at the ADMM's own default gap tolerance, 1e-7."""
+    from crolab.sdp import SdpSolution, SolverOptions, unsvec
 
     opts = options or SolverOptions(tol_gap=1e-7)
     if opts.max_iters < 1:
         raise ValueError(f"max_iters must be at least 1, got {opts.max_iters}")
-    canon = _Canonical(problem)
     q, t = _row_space(canon.a, canon.b)
     b_scale = 1.0 + float(np.max(np.abs(canon.b), initial=0.0))
     if np.max(np.abs(canon.a @ (q @ t) - canon.b), initial=0.0) > 1e-9 * b_scale:
-        empty = {name: np.zeros((side, side), dtype=complex) for name, side in problem.var_sides.items()}
+        empty = {name: np.zeros((side, side), dtype=complex) for name, (_, side) in canon.variables.items()}
         return SdpSolution(
             status="infeasible",
             primal_value=float("nan"),
@@ -494,8 +666,8 @@ def admm_solve(problem, options=None):
         s_tilde = c + rho * (w - x)
         primal_feas = float(np.max(np.abs(canon.a @ z - canon.b), initial=0.0))
         dual_feas = _cone_dual_distance(canon, s_tilde)
-        obj_p = float(c @ z) + canon.c_offset
-        obj_d = canon.c_offset - rho * float(x @ (w - x))
+        obj_p = float(c @ z) + canon.offset
+        obj_d = canon.offset - rho * float(x @ (w - x))
         gap = abs(obj_p - obj_d) / (1.0 + abs(obj_p) + abs(obj_d))
 
         score = max(primal_feas / b_scale, dual_feas / c_scale, gap)
@@ -561,8 +733,7 @@ def admm_solve(problem, options=None):
         primal_value=obj_p,
         dual_value=obj_d,
         variables={
-            name: unsvec(z_best[canon.columns[name]], side)
-            for name, side in problem.var_sides.items()
+            name: unsvec(z_best[block], side) for name, (block, side) in canon.variables.items()
         },
         psd_duals=[unsvec(s_best[block], side) for block, side in canon.psd],
         residuals={"primal_feas": primal_feas, "dual_feas": dual_feas, "gap": gap},
@@ -590,8 +761,6 @@ def admm_block_problem(choi, d):
     Minimize sum_k tr S_k over S_k >= 0 with offdiag S_k = -offdiag B_k and
     equal row sums sum_k S_k[i, i], where ``B_k[i, j] = choi[i*d+k, j*d+k]``.
     """
-    from crolab.sdp import SdpProblem
-
     blocks = choi.reshape(d, d, d, d)
     names = [f"S{k}" for k in range(d)]
     problem = SdpProblem()
@@ -612,11 +781,9 @@ def admm_block_robustness(channel):
     their diagonals raised to the largest across k and rescaled to sum d.
     A dual pairing below one gives way to the identity at zero.
     """
-    from crolab.sdp import extract_dual_witness
-
     d = channel.dim
     blocks = np.stack([channel.choi.reshape(d, d, d, d)[:, k, :, k] for k in range(d)])
-    solution = admm_solve(admm_block_problem(channel.choi, d))
+    solution = admm_solve(canonical(admm_block_problem(channel.choi, d)))
     if solution.status != "optimal":
         raise RuntimeError(f"robustness ADMM ended with status {solution.status!r}")
 
@@ -628,7 +795,7 @@ def admm_block_robustness(channel):
     s[:, range(d), range(d)] += np.maximum(0.0, -np.linalg.eigvalsh(s)[:, :1])
     upper = float(np.real(np.einsum("kii->", s)))
 
-    w = np.stack([extract_dual_witness(solution, k) for k in range(d)])
+    w = np.stack(solution.psd_duals[:d])
     evals, vecs = np.linalg.eigh(w)
     w = (vecs * np.clip(evals, 0.0, None)[:, None, :]) @ vecs.conj().swapaxes(-1, -2)
     entries = np.real(w[:, range(d), range(d)])
@@ -764,32 +931,6 @@ def sweep_per_point(points):
             entropies.append(relative_entropy_irreplaceability(channel))
             notes.append("")
     return thetas.tolist(), values, entropies, notes
-
-
-def square_structured_program(floor, d, diagonal):
-    """The replaced statement of ``measures._solve_structured``: one
-    variable X = psi - floor of side d^2, with the diagonal program's
-    off-block entries pinned to zero by the structure equalities.  Returns
-    the unsolved ``SdpProblem``."""
-    from crolab.linalg import dephase, partial_trace
-    from crolab.sdp import SdpProblem
-
-    n = d * d
-    dephased = () if diagonal else (1,)
-
-    def gap(m):
-        return dephase(m, [d, d], dephased) - dephase(m, [d, d], (0, 1))
-
-    def marginal(m):
-        return partial_trace(m, [d, d], 0) - np.trace(m) * np.eye(d) / d
-
-    problem = SdpProblem()
-    problem.add_var("x", n)
-    problem.add_psd([("x", None, n)])
-    problem.minimize({"x": np.eye(n)}, offset=float(np.real(np.trace(floor))))
-    problem.add_eq([("x", gap, n)], -gap(floor))
-    problem.add_eq([("x", marginal, d)], -marginal(floor))
-    return problem
 
 
 def property_suite_per_channel(channel, seed=0):

@@ -46,7 +46,8 @@ from crolab.measures import (
     robustness_equivalents,
 )
 from crolab.paulis import pauli_index, pauli_matrix, random_clifford
-from crolab.sdp import SdpProblem, SolverOptions, solve
+from crolab.sdp import SolverOptions, solve
+from oracles import SdpProblem, canonical
 
 # The robustness of the Hadamard gate, pinned once by the independent
 # alternating-projection bisection oracle and kept as a regression constant.
@@ -421,7 +422,7 @@ def test_criterion_10_solver_health():
     problem.minimize({"x": np.eye(2)})
     problem.add_psd([("x", None, 2)], offset=-a)
     problem.add_psd([("x", None, 2)])
-    solution = solve(problem, tight)
+    solution = solve(canonical(problem), tight)
     mini_one = abs(solution.primal_value - 2.0)
 
     rng = np.random.default_rng(10)
@@ -431,7 +432,7 @@ def test_criterion_10_solver_health():
     problem.add_var("t", 1)
     problem.minimize({"t": -np.eye(1)})
     problem.add_psd([("t", lambda s: -s[0, 0] * np.eye(3), 3)], offset=m)
-    solution = solve(problem, tight)
+    solution = solve(canonical(problem), tight)
     mini_two = abs(-solution.primal_value - np.linalg.eigvalsh(m)[0])
 
     channels = [random_qccro(2, seed=seed) for seed in range(10)]

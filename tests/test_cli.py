@@ -471,6 +471,16 @@ class TestPipeline:
         assert captured.out == ""
         assert json.loads(captured.err)["kind"] == "io"
 
+    def test_import_leaves_the_generic_solver_unloaded(self):
+        """No command runs ``crolab.sdp``, so importing the CLI does not
+        load it; only the cross-check ``robustness_equivalents`` does."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        code = "import sys, crolab.cli; print('crolab.sdp' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
+
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
         spec = gate_spec(tmp_path, "Z")

@@ -29,7 +29,8 @@ from crolab.game import (
 )
 from crolab.linalg import dephase, hermitianize, partial_trace
 from crolab.measures import robustness
-from crolab.sdp import SdpProblem, solve
+from crolab.sdp import solve
+from oracles import SdpProblem, canonical
 
 
 def sdp_extremal_payoff(game, direction):
@@ -52,7 +53,7 @@ def sdp_extremal_payoff(game, direction):
         np.zeros((n, n)),
     )
     problem.add_eq([("psi", lambda m: partial_trace(m, [d, d], 0), d)], np.eye(d) / d)
-    solution = solve(problem)
+    solution = solve(canonical(problem))
     assert solution.status == "optimal", solution.residuals
     return sign * solution.primal_value
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import crolab.measures
+import crolab.sdp
 import oracles
 from crolab import cli
 from crolab.channels import (
@@ -146,7 +147,7 @@ class TestSolveCount:
     def calls(self, monkeypatch):
         calls = {"blocks": 0, "solve": 0}
         real_blocks = crolab.measures._solve_blocks
-        real_solve = crolab.measures.solve
+        real_solve = crolab.sdp.solve
 
         def counting_blocks(*args, **kwargs):
             calls["blocks"] += 1
@@ -157,7 +158,7 @@ class TestSolveCount:
             return real_solve(*args, **kwargs)
 
         monkeypatch.setattr(crolab.measures, "_solve_blocks", counting_blocks)
-        monkeypatch.setattr(crolab.measures, "solve", counting_solve)
+        monkeypatch.setattr(crolab.sdp, "solve", counting_solve)
         return calls
 
     def test_robustness_solves_once(self, calls):
@@ -441,15 +442,15 @@ def _fail_on(monkeypatch, targets):
     monkeypatch.setattr(crolab.measures, "_hkm_step", failing)
 
 
-def _reject_closed_form(monkeypatch, targets):
-    """Make ``_closed_form`` leave open the problems whose output blocks are
-    in ``targets``, so that they reach the interior point."""
+def _reject_closed_form(monkeypatch, rejected):
+    """Make ``_closed_form`` leave open the problems whose output blocks
+    ``rejected`` holds true of, so that they reach the interior point."""
     real_closed = crolab.measures._closed_form
 
     def rejecting(blocks):
         accepted, solved = real_closed(blocks)
         settled = np.flatnonzero(accepted)
-        keep = np.array([not _targeted(blocks[b], targets) for b in settled], dtype=bool)
+        keep = np.array([not rejected(blocks[b]) for b in settled], dtype=bool)
         accepted[settled[~keep]] = False
         return accepted, {key: value[keep] for key, value in solved.items()}
 
@@ -461,18 +462,24 @@ class TestFailureIsolation:
 
     def test_failed_factorization_stops_only_its_problem(self, monkeypatch, interior_point_runs):
         """A failing depolarized qutrit unitary beside a random channel and
-        a qc member, both solved by the interior point, and the qutrit
-        shift, settled by the closed form."""
+        a qc member, both solved by the interior point (the qc member's
+        closed form is rejected), and the qutrit shift, settled by the
+        closed form."""
         channels = [
             random_channel(3, seed=1),
             noisy_qutrit(0),
             qutrit_shift(),
             random_qccro(3, seed=0),
         ]
+        qc_blocks = choi_output_blocks(channels[3].choi, 3)
+        # Every qc member's off-diagonals are zero: compare whole blocks.
+        _reject_closed_form(monkeypatch, lambda blocks: np.array_equal(blocks, qc_blocks))
         singles = [robustness(channel) for channel in channels]
         _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 3)])
         results = robustness_stack(channels)
         assert reached(interior_point_runs, channels[1])
+        assert reached(interior_point_runs, channels[3])
+        assert not reached(interior_point_runs, channels[2])
         assert isinstance(results[1], RuntimeError)
         assert "certified interval" in str(results[1])
         for k in (0, 2, 3):
@@ -509,9 +516,9 @@ class TestFailureIsolation:
     def test_step_cap_fails_each_wide_problem(self, monkeypatch, interior_point_runs):
         """After four steps the intervals of the identity, the qutrit shift
         (both settled by the closed form) and a qc member (by the interior
-        point) have closed, and those of a depolarized unitary and a rank-2
-        random channel have not: only those two fail, and the others keep
-        their batch-of-one intervals."""
+        point, its closed form rejected) have closed, and those of a
+        depolarized unitary and a rank-2 random channel have not: only
+        those two fail, and the others keep their batch-of-one intervals."""
         monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 4)
         channels = [
             qutrit_shift(),
@@ -520,6 +527,9 @@ class TestFailureIsolation:
             random_channel(3, rank=2, seed=7),
             random_qccro(3, seed=0),
         ]
+        qc_blocks = choi_output_blocks(channels[4].choi, 3)
+        # Every qc member's off-diagonals are zero: compare whole blocks.
+        _reject_closed_form(monkeypatch, lambda blocks: np.array_equal(blocks, qc_blocks))
         results = robustness_stack(channels)
         assert all(reached(interior_point_runs, channels[k]) for k in (1, 3, 4))
         failed = [isinstance(r, RuntimeError) for r in results]
@@ -538,7 +548,7 @@ class TestFailureIsolation:
         # point 7.
         theta = np.linspace(0.0, np.pi / 2, 11)[3]
         targets = [choi_output_blocks(named_gate("U", theta).choi, 2)]
-        _reject_closed_form(monkeypatch, targets)
+        _reject_closed_form(monkeypatch, lambda blocks: _targeted(blocks, targets))
         _fail_on(monkeypatch, targets)
         failing = (3, 7)
         assert cli.main(["sweep", "u-theta", "--points", "11", "--out", str(out)]) == 0
@@ -625,9 +635,10 @@ class TestUnitaryClosedForm:
 
 
 def _reducible_unitaries():
-    """Unitaries whose |U| is reducible, each with whether the closed form
-    must settle it: X, Z, S, T, CNOT, CCX and random permutations must;
-    random diagonal phase gates need not."""
+    """Unitaries whose |U| is reducible, each with whether the
+    singular-vector candidate settles it by itself: X, Z, S, T, CNOT, CCX
+    and random permutations are; random diagonal phase gates need not be,
+    and they are qc members."""
     rng = np.random.default_rng(11)
     gates = [gate_matrix(name) for name in ("X", "Z", "S", "T", "CNOT", "CCX")]
     permutations = [np.eye(d)[rng.permutation(d)] for d in (3, 4, 5, 8)]
@@ -685,20 +696,37 @@ class TestClosedFormRoute:
 
     @pytest.mark.parametrize("u, settled", _reducible_unitaries())
     def test_reducible_unitaries(self, u, settled):
-        """The gates and the permutations are settled within 1e-12 of
-        sigma_max(|U|)^2 - 1.  A random phase gate's Choi diagonal can miss
-        1/d by a rounding error, so the singular values of M differ, its top
-        vector can be a basis vector, and then the interior point brackets
-        the closed form instead."""
+        """Each is settled within 1e-12 of sigma_max(|U|)^2 - 1.  A random
+        phase gate's Choi diagonal can miss 1/d by a rounding error, so the
+        singular values of M differ and its top vector can be a basis
+        vector; but its output blocks are exactly diagonal, so it is a qc
+        member, and the qc candidates settle what the singular vector
+        leaves open."""
         accepted, results = self._settle(unitary_channel(u).choi[None])
-        closed = oracles.unitary_robustness(u)
-        if settled:
-            assert accepted.all()
-        if accepted.all():
-            assert abs(results[0].value - closed) <= 1e-12
-        else:
-            lower, upper = _interval(results[0])
-            assert lower - 1e-12 <= closed <= upper + 1e-12
+        assert accepted.all()
+        assert abs(results[0].value - oracles.unitary_robustness(u)) <= 1e-12
+        if not settled:
+            blocks = choi_output_blocks(unitary_channel(u).choi, len(u))
+            assert not np.any(np.where(np.eye(len(u), dtype=bool), 0.0, blocks))
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_qc_members_are_exactly_zero(self, d, interior_point_runs):
+        """Twenty random qc members per dimension, whose output blocks are
+        exactly diagonal: the closed form takes p = diag(B) and W_k = I,
+        settles each at value 0.0 with interval [0, 0] and an identity
+        witness, and none reaches the interior point."""
+        channels = [random_qccro(d, seed=seed) for seed in range(20)]
+        chois = np.stack([channel.choi for channel in channels])
+        assert not np.any(np.where(np.eye(d, dtype=bool), 0.0, choi_output_blocks(chois, d)))
+        accepted, _ = self._settle(chois)
+        assert accepted.all()
+        interior_point_runs.clear()
+        results = robustness_stack(channels)
+        assert interior_point_runs == []
+        for result in results:
+            assert result.value == 0.0
+            assert _interval(result) == (0.0, 0.0)
+            assert np.array_equal(result.witness, np.eye(d * d))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_channels(self, d):

@@ -9,17 +9,8 @@ import oracles
 from crolab import measures
 from crolab.channels import choi_dephase_output, random_channel
 from crolab.linalg import dephase, partial_trace
-from crolab.sdp import (
-    SdpProblem,
-    SolverOptions,
-    _Canonical,
-    _row_space,
-    _upper_indices,
-    extract_dual_witness,
-    solve,
-    svec,
-    unsvec,
-)
+from crolab.sdp import MAX_BLOCK_SIDE, SolverOptions, _row_space, _upper_indices, solve, svec, unsvec
+from oracles import SdpProblem, canonical
 
 
 class TestSvec:
@@ -77,7 +68,7 @@ class TestConeProjection:
         problem.add_psd(
             [("t", lambda s: s[0, 0] * np.eye(3), 3)], offset=np.eye(3)
         )
-        canon = _Canonical(problem)
+        canon = canonical(problem)
         assert sorted(canon.cones) == [2, 3]
         assert canon.free.tolist() == [0]
         v = np.random.default_rng(8).normal(size=canon.n)
@@ -90,28 +81,10 @@ class TestConeProjection:
             assert np.linalg.eigvalsh(unsvec(projected[block], side))[0] > -1e-12
 
 
-class _Captured(Exception):
-    pass
-
-
-def _captured_problem(monkeypatch, build):
-    """The SdpProblem that ``build()`` hands to ``measures.solve``, unsolved."""
-    captured = []
-
-    def capture(problem, options=None):
-        captured.append(problem)
-        raise _Captured
-
-    monkeypatch.setattr(measures, "solve", capture)
-    with pytest.raises(_Captured):
-        build()
-    return captured[0]
-
-
 class TestRowSpaceStep:
     """The row-space affine step against the Gram projection it replaced."""
 
-    def test_step_and_dual_match_gram_oracle(self, monkeypatch):
+    def test_step_and_dual_match_gram_oracle(self):
         """On the canonical forms of the ADMM robustness block program of
         ``oracles`` (d = 2, 3, 4) and of both structured cross-check programs
         (d = 2), the step
@@ -119,23 +92,16 @@ class TestRowSpaceStep:
         offset - rho x.(w - x) equal the oracle's projection, c - A^T y and
         b^T y + offset with y = -rho mu, for random w and rho."""
         rng = np.random.default_rng(31)
-        problems = [
-            oracles.admm_block_problem(random_channel(d, seed=d).choi, d)
+        programs = [
+            canonical(oracles.admm_block_problem(random_channel(d, seed=d).choi, d))
             for d in (2, 3, 4)
         ]
         channel = random_channel(2, seed=7)
-        for floor, diagonal in (
-            (channel.choi, False),
-            (choi_dephase_output(channel.choi, 2), True),
-        ):
-            problems.append(
-                _captured_problem(
-                    monkeypatch,
-                    lambda: measures._solve_structured(floor, 2, diagonal),
-                )
-            )
-        for problem in problems:
-            canon = _Canonical(problem)
+        programs += [
+            measures._structured_program(channel.choi, 2, False),
+            measures._structured_program(choi_dephase_output(channel.choi, 2), 2, True),
+        ]
+        for canon in programs:
             q, t = _row_space(canon.a, canon.b)
             assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-12)
             for _ in range(3):
@@ -143,12 +109,12 @@ class TestRowSpaceStep:
                 rho = 10.0 ** rng.uniform(-3, 3)
                 x = w - q @ (q.T @ w - t)
                 s = canon.c + rho * (w - x)
-                dual = canon.c_offset - rho * float(x @ (w - x))
+                dual = canon.offset - rho * float(x @ (w - x))
 
                 x_ref, mu = oracles.gram_affine_projection(canon.a, canon.b, w)
                 y = -rho * mu
                 s_ref = canon.c - canon.a.T @ y
-                dual_ref = float(canon.b @ y) + canon.c_offset
+                dual_ref = float(canon.b @ y) + canon.offset
                 assert np.max(np.abs(x - x_ref)) <= 1e-10 * np.max(np.abs(x_ref))
                 assert np.max(np.abs(s - s_ref)) <= 1e-10 * np.max(np.abs(s_ref))
                 assert abs(dual - dual_ref) <= 1e-10 * abs(dual_ref)
@@ -168,10 +134,10 @@ class TestSmallProblems:
         problem.minimize({"x": np.eye(2)})
         ge = problem.add_psd([("x", None, 2)], offset=-a)
         problem.add_psd([("x", None, 2)])
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "optimal"
         assert solution.primal_value == pytest.approx(2.0, abs=1e-7)
-        witness = extract_dual_witness(solution, ge)
+        witness = solution.psd_duals[ge]
         plus = np.array([[0.5, 0.5], [0.5, 0.5]])
         assert np.max(np.abs(witness - plus)) < 1e-6
 
@@ -186,7 +152,7 @@ class TestSmallProblems:
         problem.add_psd(
             [("t", lambda s: -s[0, 0] * np.eye(3), 3)], offset=m
         )
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "optimal"
         expected = float(np.linalg.eigvalsh(m)[0])
         assert -solution.primal_value == pytest.approx(expected, abs=1e-7)
@@ -202,7 +168,7 @@ class TestSmallProblems:
             [("x", lambda m: np.array([[np.real(np.trace(m))]]), 1)],
             np.array([[3.0]]),
         )
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "optimal"
         assert solution.primal_value == pytest.approx(3.0, abs=1e-7)
 
@@ -212,7 +178,7 @@ class TestSmallProblems:
         problem.add_var("x", 2)
         problem.minimize({"x": np.eye(2)})
         problem.add_psd([("x", None, 2)], offset=-a)
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "optimal"
         assert abs(solution.primal_value - solution.dual_value) < 1e-6
         assert solution.residuals["gap"] < 1e-6
@@ -224,7 +190,7 @@ class TestSmallProblems:
         problem.add_var("x", 2)
         problem.minimize({"x": np.eye(2)})
         problem.add_psd([("x", None, 2)])
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "optimal"
         assert solution.primal_value == pytest.approx(0.0, abs=1e-9)
         assert solution.dual_value == pytest.approx(0.0, abs=1e-9)
@@ -243,7 +209,7 @@ class TestStatusDetection:
             [("x", lambda m: np.array([[np.real(np.trace(m))]]), 1)],
             np.array([[1.0]]),
         )
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "infeasible"
 
     def test_unbounded(self):
@@ -252,7 +218,7 @@ class TestStatusDetection:
         problem.add_var("x", 2)
         problem.minimize({"x": -np.eye(2)})
         problem.add_psd([("x", None, 2)])
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "unbounded"
 
     def test_trivially_infeasible_equality(self):
@@ -264,7 +230,7 @@ class TestStatusDetection:
         problem.add_eq(
             [("x", lambda m: np.zeros((1, 1)), 1)], np.array([[1.0]])
         )
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "infeasible"
 
     def test_contradictory_equalities(self):
@@ -280,7 +246,7 @@ class TestStatusDetection:
                 [("x", lambda m: np.array([[np.real(np.trace(m))]]), 1)],
                 np.array([[target]]),
             )
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "infeasible"
         assert solution.iterations == 0
 
@@ -301,8 +267,8 @@ class TestDeterminism:
             problem.add_psd([("x", None, 4)])
             return problem
 
-        first = solve(build())
-        second = solve(build())
+        first = solve(canonical(build()))
+        second = solve(canonical(build()))
         assert first.status == second.status == "optimal"
         assert first.primal_value == second.primal_value
         assert first.iterations == second.iterations
@@ -351,7 +317,7 @@ class TestChannelShapedProblem:
             )],
             np.zeros((2, 2)),
         )
-        solution = solve(problem)
+        solution = solve(canonical(problem))
         assert solution.status == "optimal"
         assert solution.primal_value - 1 == pytest.approx(
             np.sin(2 * theta), abs=1e-6
@@ -363,8 +329,16 @@ class TestChannelShapedProblem:
         problem.minimize({"x": np.eye(1)})
         problem.add_psd([("x", None, 1)])
         with pytest.raises(ValueError, match="max_iters"):
-            solve(problem, SolverOptions(max_iters=0))
-        assert solve(problem, SolverOptions(max_iters=1)).iterations == 1
+            solve(canonical(problem), SolverOptions(max_iters=0))
+        assert solve(canonical(problem), SolverOptions(max_iters=1)).iterations == 1
+
+    def test_rejects_blocks_above_the_side_cap(self):
+        problem = SdpProblem()
+        problem.add_var("x", MAX_BLOCK_SIDE + 1)
+        problem.minimize({"x": np.eye(MAX_BLOCK_SIDE + 1)})
+        problem.add_psd([("x", None, MAX_BLOCK_SIDE + 1)])
+        with pytest.raises(ValueError, match="block side"):
+            solve(canonical(problem))
 
     def test_tight_tolerances_reached(self):
         options = SolverOptions(tol_gap=1e-9, tol_feas=1e-9, max_iters=400000)
@@ -374,7 +348,7 @@ class TestChannelShapedProblem:
         problem.minimize({"x": np.eye(2)})
         problem.add_psd([("x", None, 2)], offset=-a)
         problem.add_psd([("x", None, 2)])
-        solution = solve(problem, options)
+        solution = solve(canonical(problem), options)
         assert solution.status == "optimal"
         assert solution.primal_value == pytest.approx(2.0, abs=1e-8)
 
@@ -383,20 +357,59 @@ def _structured_programs(channel):
     """The three programs of ``robustness_equivalents``, unsolved."""
     d = channel.dim
     dephased = choi_dephase_output(channel.choi, d)
-    programs = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measures, "solve", programs.append)
+    return [
+        measures._structured_program(floor, d, diagonal)
+        for floor, diagonal in ((channel.choi, False), (dephased, True), (dephased, False))
+    ]
+
+
+def _equality_residual(program, solution):
+    """Largest entry of A x - b at the solution's variables, in svec
+    coordinates (an off-diagonal residual counts sqrt(2) times its Re or Im
+    part, at least its modulus)."""
+    x = np.zeros(program.n)
+    for name, (block, _) in program.variables.items():
+        x[block] = svec(solution.variables[name])
+    return float(np.max(np.abs(program.a @ x - program.b), initial=0.0))
+
+
+class TestStructuredProgramRows:
+    """The cross-check programs stated by their constraint rows, against
+    the map statement they replaced (``oracles.structured_problem``), whose
+    canonical form learns each map by probing it with every basis matrix."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_rows_equal_the_probed_nonzero_rows(self, d):
+        """a, b, c and the offset equal the probed program's, bit for bit,
+        once its identically zero rows (all with b = 0) are dropped; the PSD
+        blocks and variables are the same."""
+        channel = random_channel(d, seed=d)
+        dephased = choi_dephase_output(channel.choi, d)
         for floor, diagonal in ((channel.choi, False), (dephased, True), (dephased, False)):
-            measures._solve_structured(floor, d, diagonal)
-    return programs
+            built = measures._structured_program(floor, d, diagonal)
+            probed = canonical(oracles.structured_problem(floor, d, diagonal))
+            nonzero = np.any(probed.a != 0.0, axis=1)
+            assert not np.any(probed.b[~nonzero])
+            assert np.array_equal(built.a, probed.a[nonzero])
+            assert np.array_equal(built.b, probed.b[nonzero])
+            assert np.array_equal(built.c, probed.c)
+            assert built.offset == probed.offset
+            assert built.psd == probed.psd
+            assert built.variables == probed.variables
+            assert not np.any(np.all(built.a == 0.0, axis=1))
 
-
-def _equality_residual(problem, solution):
-    """Largest entry of sum L(X) - B over the equalities, at the solution."""
-    return max(
-        float(np.max(np.abs(sum(fn(solution.variables[name]) for name, fn, _ in eq.terms) - eq.target)))
-        for eq in problem.equalities
-    )
+    def test_same_solution_as_the_probed_program(self):
+        """At d = 3 the solver sees the same rows either way: the values,
+        steps and variables agree bit for bit."""
+        channel = random_channel(3, seed=5)
+        for floor, diagonal in ((channel.choi, False), (choi_dephase_output(channel.choi, 3), True)):
+            built = solve(measures._structured_program(floor, 3, diagonal))
+            probed = solve(canonical(oracles.structured_problem(floor, 3, diagonal)))
+            assert built.status == probed.status == "optimal"
+            assert built.primal_value == probed.primal_value
+            assert built.iterations == probed.iterations
+            for name, value in built.variables.items():
+                assert np.array_equal(value, probed.variables[name])
 
 
 class TestDiagonalProgramByBlocks:
@@ -406,17 +419,21 @@ class TestDiagonalProgramByBlocks:
     @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
     def test_d_variables_of_side_d(self, d):
         diagonal = _structured_programs(random_channel(d, seed=0))[1]
-        assert diagonal.var_sides == {f"x{k}": d for k in range(d)}
-        assert len(diagonal.psd_constraints) == d
+        assert {name: side for name, (_, side) in diagonal.variables.items()} == {
+            f"x{k}": d for k in range(d)
+        }
+        assert [side for _, side in diagonal.psd] == [d] * d
+        assert diagonal.n == d**3
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_same_value_as_square_statement(self, d):
-        """Against ``oracles.square_structured_program``, the replaced
-        statement with the off-block entries pinned to zero."""
+        """Against ``oracles.structured_problem`` with one d^2-side
+        variable, the replaced statement with the off-block entries pinned
+        to zero."""
         channel = random_channel(d, seed=d)
         dephased = choi_dephase_output(channel.choi, d)
         blocks = solve(_structured_programs(channel)[1])
-        square = solve(oracles.square_structured_program(dephased, d, True))
+        square = solve(canonical(oracles.structured_problem(dephased, d, True, by_blocks=False)))
         assert blocks.status == square.status == "optimal"
         assert abs(blocks.primal_value - square.primal_value) <= 1e-8
 
@@ -468,22 +485,22 @@ class TestAgainstAdmmOracle:
         for random channels at d = 2 and 3: the values agree within 1e-6,
         the interior-point X meets its equalities within tol_feas, and it
         takes at most 15 steps (the ADMM takes hundreds of iterations)."""
-        for problem in _structured_programs(channel):
-            solution = solve(problem)
-            reference = oracles.admm_solve(problem)
+        for program in _structured_programs(channel):
+            solution = solve(program)
+            reference = oracles.admm_solve(program)
             assert solution.status == reference.status == "optimal"
             assert solution.iterations <= 15
             assert abs(solution.primal_value - reference.primal_value) <= 1e-6
-            assert _equality_residual(problem, solution) <= SolverOptions().tol_feas
+            assert _equality_residual(program, solution) <= SolverOptions().tol_feas
 
     def test_minimum_eigenvalue_with_free_variable(self):
         rng = np.random.default_rng(12)
         for side in (2, 3, 4):
             raw = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
             m = raw + raw.conj().T
-            problem = _minimum_eigenvalue_problem(m)
-            solution = solve(problem)
-            reference = oracles.admm_solve(problem)
+            program = canonical(_minimum_eigenvalue_problem(m))
+            solution = solve(program)
+            reference = oracles.admm_solve(program)
             assert solution.status == reference.status == "optimal"
             assert abs(solution.primal_value - reference.primal_value) <= 1e-6
             assert -solution.primal_value == pytest.approx(np.linalg.eigvalsh(m)[0], abs=1e-8)
@@ -498,5 +515,5 @@ class TestAgainstAdmmOracle:
         ],
     )
     def test_status_labels_agree(self, kind, status):
-        problem = _status_problem(kind)
-        assert solve(problem).status == oracles.admm_solve(problem).status == status
+        program = canonical(_status_problem(kind))
+        assert solve(program).status == oracles.admm_solve(program).status == status
