@@ -14,22 +14,20 @@ direction, Mehrotra predictor-corrector) rather than by the generic solver
 of ``sdp``, which only the cross-check ``robustness_equivalents`` loads;
 its primal and dual iterates are repaired the same way, and the dual end
 comes with its witness either way.  One run solves a whole stack of
-channels of one dimension: each problem has its own route, centring, step
-length and stop rule, and gets the same result, bit for bit, in a stack of
-any size.  A problem left to the interior point whose output blocks are
-real runs in float64, the others in complex128, each dtype as one
-sub-stack of the same run; the results are complex128 either way.
-``robustness`` is a stack of one, and the property suite solves its
-channels in one stack per dimension.  The CLI sweep builds, validates and
-measures its whole grid as one stack: one array of Choi states, checked by
-``channels.validate_choi_stack``, one solve (``_solve_chois``; every point
-of the sweep family is a unitary, so the closed form settles it) and one
-batched entropy (``_entropy_gaps``, whose terms are computed over the whole
-stack), with no per-point ``Channel`` or ``RobustnessResult``.  The
-relative entropy measure has a closed form: the entropy gap between the
-fully dephased and the output-dephased Choi states, read off the same
-output blocks (``channels.choi_output_blocks``).  The property suite maps
-Choi arrays and validates, solves and measures them as one stack.
+channels of one dimension, in complex arithmetic: each problem has its own
+route, centring, step length and stop rule, and gets the same result, bit
+for bit, in a stack of any size.  ``robustness`` is a stack of one, and the
+property suite solves its channels in one stack per dimension.  The CLI
+sweep builds, validates and measures its whole grid as one stack: one array
+of Choi states, checked by ``channels.validate_choi_stack``, one solve
+(``_solve_chois``; every point of the sweep family is a unitary, so the
+closed form settles it) and one batched entropy (``_entropy_gaps``, whose
+terms are computed over the whole stack), with no per-point ``Channel`` or
+``RobustnessResult``.  The relative entropy measure has a closed form: the
+entropy gap between the fully dephased and the output-dephased Choi states,
+read off the same output blocks (``channels.choi_output_blocks``).  The
+property suite maps Choi arrays and validates, solves and measures them as
+one stack.
 """
 
 import functools
@@ -207,6 +205,31 @@ def _certified_dual(duals):
     return w * (d / y.sum(axis=-1))[:, None, None, None]
 
 
+def _certify(blocks, p, w):
+    """Candidates p and W of a stack of output-block programs, repaired to
+    certified ends.
+
+    Returns the slack S_k = diag(p_k) - B_k and each problem's entries:
+    the upper end and the repaired S behind it (``primal``), the lower end
+    and the repaired W behind it (``dual``), and p and W themselves.
+    """
+    s = -blocks
+    _diagonals(s)[...] += p
+    primal = _certified_primal(s)
+    dual = _certified_dual(w)
+    return s, {
+        "upper": _running_sum(np.einsum("bkii->bk", primal.real)),
+        # Summed over k first: the order of the one-channel solver's einsum
+        # over the strided block view, so lower ends and witnesses are the
+        # ones earlier versions report, bit for bit.
+        "lower": _pairing(dual, blocks, rows="bij") - 1.0,
+        "primal": primal,
+        "dual": dual,
+        "p": p,
+        "w": w,
+    }
+
+
 @functools.lru_cache(maxsize=None)
 def _row_sum_basis(d):
     """Orthonormal basis N, read-only, of {p : sum_k p[k, i] equal for all i}.
@@ -296,56 +319,36 @@ def _hkm_steps(s, w, basis, f):
     return dp, dw, failed
 
 
-def _interior_point(blocks, basis, f):
-    """The interior-point run of ``_solve_blocks`` on a stack of one dtype.
+def _interior_point(blocks, basis, f, results, index):
+    """The interior-point run of ``_solve_blocks`` on the stack ``blocks``.
 
-    Returns the best ends of each problem, the repaired iterates behind
-    them and the raw iterates p and W, all in the dtype of ``blocks``.
+    When a problem stops, its best ends, the repaired points behind them
+    and the raw iterates p and W behind those are written into each entry
+    that ``results`` holds (a dict of ``_certify``'s keys, each an array
+    over problems), at the problem's place in ``index``.
     """
     n, d = blocks.shape[:2]
     top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
     p = np.repeat(top, d * d).reshape(n, d, d)
     w = np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape).copy()
-    # The best ends of the running problems, their certificates and the
-    # iterates behind them; ``results`` takes a problem's entries when it
-    # stops.
-    best = {
-        "upper": np.full(n, np.inf),
-        "lower": np.full(n, -np.inf),
-        "primal": np.zeros_like(w),
-        "dual": np.zeros_like(w),
-        "p": p,
-        "w": w,
-    }
-    results = {key: np.empty_like(value) for key, value in best.items()}
-    index = np.arange(n)
-    failed = None
+    # The best ends of the running problems, with the points behind them.
+    best = failed = None
     for step in range(_MAX_STEPS + 1):
-        s = -blocks
-        _diagonals(s)[...] += p
-        repaired = _certified_primal(s)
-        value = _running_sum(np.einsum("bkii->bk", repaired.real))
-        better = value < best["upper"]
-        best["upper"] = np.where(better, value, best["upper"])
-        best["primal"] = np.where(better[:, None, None, None], repaired, best["primal"])
-        best["p"] = np.where(better[:, None, None], p, best["p"])
-        repaired = _certified_dual(w)
-        # Summed over k first: the order of the one-channel solver's einsum
-        # over the strided block view, so lower ends and witnesses are the
-        # ones earlier versions report, bit for bit.
-        value = _pairing(repaired, blocks, rows="bij") - 1.0
-        better = value > best["lower"]
-        best["lower"] = np.where(better, value, best["lower"])
-        best["dual"] = np.where(better[:, None, None, None], repaired, best["dual"])
-        best["w"] = np.where(better[:, None, None, None], w, best["w"])
+        s, ends = _certify(blocks, p, w)
+        if best is None:
+            best = ends
+        upper, lower = ends["upper"] < best["upper"], ends["lower"] > best["lower"]
+        for keys, better in ((("upper", "primal", "p"), upper), (("lower", "dual", "w"), lower)):
+            for key in keys:
+                best[key][better] = ends[key][better]
         stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
         if failed is not None:
             stop |= failed
         if step == _MAX_STEPS:
             stop[:] = True
         if stop.any():
-            for key, value in best.items():
-                results[key][index[stop]] = value[stop]
+            for key, value in results.items():
+                value[index[stop]] = best[key][stop]
             if stop.all():
                 break
             keep = ~stop
@@ -353,13 +356,13 @@ def _interior_point(blocks, basis, f):
             index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
         dp, dw, failed = _hkm_steps(s, w, basis, f)
         p, w = p + dp, w + dw
-    return results
 
 
-def _closed_form(blocks):
+def _closed_form(blocks, results):
     """Closed-form candidates for a complex stack of output-block programs,
-    repaired to certified intervals: which problems they settle, and the
-    ``_interior_point`` entries of those problems.
+    repaired to certified intervals: which problems they settle.  The
+    entries of those problems are written into ``results`` as
+    ``_interior_point`` writes its own.
 
     Let M_ki = sqrt(Re B_k[i, i]) and let s be a unit right-singular vector
     of M for its largest singular value sigma, with M s = sigma t.  The
@@ -377,10 +380,10 @@ def _closed_form(blocks):
     off-diagonal entry (exact zeros, no tolerance), that these candidates
     leave open takes p = diag(B) and W_k = I instead: then S = 0, and its
     interval is [0, 0] up to the rounding of tr J.  The candidates are
-    repaired by ``_certified_primal`` and ``_certified_dual`` and settled
-    when their interval is as narrow as the interior point's target,
-    whatever the blocks' rank: no tolerance decides but the certificate.
-    Every step acts on each problem alone.
+    repaired by ``_certify`` and settled when their interval is as narrow
+    as the interior point's target, whatever the blocks' rank: no
+    tolerance decides but the certificate.  Every step acts on each
+    problem alone.
     """
     n, d = blocks.shape[:2]
     diagonals = np.real(_diagonals(blocks))
@@ -398,36 +401,26 @@ def _closed_form(blocks):
     w = math.sqrt(d) * s[:, None, :] * phase
     w = w[..., :, None] * w[..., None, :].conj()
     accepted = np.zeros(n, dtype=bool)
-    passes = []  # (settled problems, their entries) of each set of candidates
 
-    def certify(group, p, w):
-        """Repair the candidates p and W of the problems ``group``, and
+    def settle(group, p, w):
+        """Certify the candidates p and W of the problems ``group``, and
         settle those whose interval is narrow enough."""
         if not group.size:
             return
-        group_blocks, p, w = blocks[group], p[group], w[group]
-        slack = -group_blocks
-        _diagonals(slack)[...] += p
-        primal = _certified_primal(slack)
-        upper = _running_sum(np.einsum("bkii->bk", primal.real))
-        dual = _certified_dual(w)
-        lower = _pairing(dual, group_blocks, rows="bij") - 1.0
-        settled = upper - lower <= _TARGET_WIDTH * (1.0 + upper)
+        _, ends = _certify(blocks[group], p[group], w[group])
+        settled = ends["upper"] - ends["lower"] <= _TARGET_WIDTH * (1.0 + ends["upper"])
         accepted[group[settled]] = True
-        solved = {"upper": upper, "lower": lower, "primal": primal, "dual": dual, "p": p, "w": w}
-        passes.append((group[settled], {key: value[settled] for key, value in solved.items()}))
+        for key, value in results.items():
+            value[group[settled]] = ends[key][settled]
 
-    certify(np.flatnonzero(np.isfinite(p).all(axis=(1, 2))), p, w)
+    settle(np.flatnonzero(np.isfinite(p).all(axis=(1, 2))), p, w)
     if not accepted.all():
         open_problems = np.flatnonzero(~accepted)
         off_diagonals = blocks[open_problems]
         _diagonals(off_diagonals)[...] = 0.0
         qc = open_problems[~off_diagonals.reshape(len(open_problems), -1).any(axis=1)]
-        certify(qc, diagonals, np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape))
-    if len(passes) < 2:
-        return accepted, passes[0][1] if passes else {}
-    order = np.argsort(np.concatenate([index for index, _ in passes]))
-    return accepted, {key: np.concatenate([solved[key] for _, solved in passes])[order] for key in passes[0][1]}
+        settle(qc, diagonals, np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape))
+    return accepted
 
 
 def _solve_blocks(blocks):
@@ -438,28 +431,22 @@ def _solve_blocks(blocks):
     blocks are blocks[b].  ``_closed_form`` first settles every problem
     whose closed-form candidates, repaired to exact feasibility, bracket
     the value in an interval at most 1e-9 (1 + upper) wide: nearly every
-    unitary, and more.  The others run ``_interior_point``.  Its unknowns are the
-    diagonals p[k, i] of S_k = diag(p_k) - B_k, kept in the span of
-    ``_row_sum_basis`` so the row sums stay equal; the start p =
-    (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on both sides.
-    One HKM predictor-corrector runs over the stack, and each problem keeps
-    its own mu, sigma, step length, best ends and stop flag.  Each iterate
-    is repaired to exact feasibility and the best upper and lower ends seen
-    are kept.  A problem stops when its interval is at most 1e-9 (1 +
-    upper) wide, when a factorization of its own fails (it keeps its
-    iterate and stops at the next check), or after ``_MAX_STEPS`` steps;
-    only the problems still running take a step, and the working stack is
-    compacted only when one stops.
-
-    Of the problems left to the interior point, one whose blocks have no
-    nonzero imaginary part runs in float64, the others in complex128: each
-    sub-stack runs ``_interior_point`` in its own dtype, and the results
-    are scattered back into complex128 arrays.  For real blocks the real
-    program has the same optimum, since the real part of a feasible complex
-    dual is feasible and pairs the same, and small real matrix products
-    are several times cheaper than complex ones.  Every operation acts on
-    each problem alone, in an order that does not depend on the stack, and
-    the route and dtype are properties of the problem, so a problem's
+    unitary, and more.  The others run ``_interior_point``, as one complex
+    stack.  Its unknowns are the diagonals p[k, i] of S_k = diag(p_k) - B_k,
+    kept in the span of ``_row_sum_basis`` so the row sums stay equal; the
+    start p = (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on
+    both sides.  One HKM predictor-corrector runs over the stack, and each
+    problem keeps its own mu, sigma, step length, best ends and stop flag.
+    Each iterate is repaired to exact feasibility by ``_certify``, as the
+    closed-form candidates are, and the best upper and lower ends seen are
+    kept.  A problem stops when its interval is at most 1e-9 (1 + upper)
+    wide, when a factorization of its own fails (it keeps its iterate and
+    stops at the next check), or after ``_MAX_STEPS`` steps; only the
+    problems still running take a step, and the working stack is compacted
+    only when one stops.  Both routes write each problem's entries into one
+    result record, at the problem's place in the stack.  Every operation
+    acts on each problem alone, in an order that does not depend on the
+    stack, and the route is a property of the problem, so a problem's
     result is the same, bit for bit, in any stack and at any place in it.
     A lower end below zero gives way to the identity witness at zero.
     Returns (upper, primal, dual, residuals), one entry per problem: the
@@ -478,15 +465,9 @@ def _solve_blocks(blocks):
         "p": np.empty((n, d, d)),
         "w": np.empty(blocks.shape, dtype=complex),
     }
-    closed, solved = _closed_form(blocks)
-    for key, value in solved.items():
-        results[key][closed] = value
-    real = ~np.any(blocks.imag, axis=(1, 2, 3))
-    for group, part in ((~closed & real, np.real), (~closed & ~real, np.asarray)):
-        if group.any():
-            solved = _interior_point(np.ascontiguousarray(part(blocks[group])), basis, f)
-            for key, value in solved.items():
-                results[key][group] = value
+    open_problems = np.flatnonzero(~_closed_form(blocks, results))
+    if open_problems.size:
+        _interior_point(blocks[open_problems], basis, f, results, open_problems)
 
     upper, lower, dual = results["upper"], results["lower"], results["dual"]
     below = ~(lower >= 0.0)

@@ -811,24 +811,18 @@ def interior_point_intervals(chois):
     (batch, d^2, d^2) Choi stack, all by the interior point.
 
     This is the route ``measures._solve_blocks`` took for every problem
-    before it tried the closed form: the problems with real output blocks
-    in one float64 ``_interior_point`` run, the others in one complex128
-    run.  A lower end below zero gives way to zero.
+    before it tried the closed form: one ``_interior_point`` run on the
+    whole stack.  A lower end below zero gives way to zero.
     """
     from crolab.channels import choi_output_blocks
     from crolab.measures import _interior_point, _row_sum_basis
 
     n, d = len(chois), int(round(np.sqrt(chois.shape[-1])))
-    blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
+    blocks = np.ascontiguousarray(choi_output_blocks(chois, d), dtype=complex)
     basis = _row_sum_basis(d)
-    f = basis.sum(axis=0)
-    lower, upper = np.empty(n), np.empty(n)
-    real = ~np.any(blocks.imag, axis=(1, 2, 3))
-    for group, part in ((real, np.real), (~real, np.asarray)):
-        if group.any():
-            solved = _interior_point(np.ascontiguousarray(part(blocks[group])), basis, f)
-            lower[group], upper[group] = solved["lower"], solved["upper"]
-    return np.maximum(lower, 0.0), upper
+    solved = {"upper": np.empty(n), "lower": np.empty(n)}
+    _interior_point(blocks, basis, basis.sum(axis=0), solved, np.arange(n))
+    return np.maximum(solved["lower"], 0.0), solved["upper"]
 
 
 def decode_pair_matrix(node):

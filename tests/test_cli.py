@@ -405,8 +405,8 @@ class TestSpecParsing:
 
         # d = 8 measures, game and vqa-check, H (x) U(0.4) (x) amplitude
         # damping, which the closed form leaves to the interior point: the
-        # batched inv, cholesky and solve of its float64 steps, the batched
-        # eigh of the witness blocks, and the Pauli pull-back.
+        # batched inv, cholesky and solve of its steps, the batched eigh of
+        # the witness blocks, and the Pauli pull-back.
         spec["children"].append(
             {
                 "kind": "kraus",

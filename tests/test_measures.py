@@ -231,9 +231,9 @@ def interior_point_runs(monkeypatch):
     runs = []
     real_run = crolab.measures._interior_point
 
-    def recording(blocks, basis, f):
+    def recording(blocks, basis, f, results, index):
         runs.append(blocks)
-        return real_run(blocks, basis, f)
+        return real_run(blocks, basis, f, results, index)
 
     monkeypatch.setattr(crolab.measures, "_interior_point", recording)
     return runs
@@ -251,9 +251,9 @@ def _block_program(draw, d):
 
     Random channels of Kraus rank 1, 2 and d^2 (no closed form); random qc
     members and phased permutations (zero); Haar unitaries
-    (sigma_max(|U|)^2 - 1).  The real kind, solved in float64, draws the
-    real part of a random channel (no closed form) or a Haar orthogonal
-    matrix (the unitary closed form)."""
+    (sigma_max(|U|)^2 - 1).  The real kind, whose output blocks are real,
+    draws the real part of a random channel (no closed form) or a Haar
+    orthogonal matrix (the unitary closed form)."""
     kind = draw(st.sampled_from(["random", "qccro", "permutation", "haar", "real"]))
     seed = draw(st.integers(0, 2**31 - 1))
     if kind == "random":
@@ -380,31 +380,12 @@ class TestInteriorPointSolver:
 
 
 class TestRealArithmetic:
-    """Problems whose output blocks are real run in float64."""
+    """Problems whose output blocks are real are solved as complex ones."""
 
-    @pytest.mark.parametrize("d", range(2, 9))
-    def test_float64_matches_complex128(self, d):
-        """Real blocks forced through complex128 and through float64:
-        overlapping intervals and upper ends within 1e-12."""
-        chois = np.stack(
-            [real_channel(d, rank=r, seed=s).choi for r in (1, 2, d * d) for s in range(2)]
-        )
-        blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
-        assert not blocks.imag.any()
-        basis = crolab.measures._row_sum_basis(d)
-        f = basis.sum(axis=0)
-        real = crolab.measures._interior_point(np.ascontiguousarray(blocks.real), basis, f)
-        full = crolab.measures._interior_point(blocks, basis, f)
-        assert real["dual"].dtype == np.float64 and full["dual"].dtype == complex
-        assert np.max(np.abs(real["upper"] - full["upper"])) <= 1e-12
-        lower = np.maximum(real["lower"], full["lower"])
-        assert np.all(lower <= np.minimum(real["upper"], full["upper"]))
-
-    def test_mixed_stack_runs_one_substack_per_dtype(self, interior_point_runs):
-        """Three real random qutrit channels in float64, two complex ones in
-        complex128, within one stacked solve; the qutrit shift, settled by
-        the closed form, in neither.  The results keep complex128
-        witnesses and optimizers."""
+    def test_mixed_stack_runs_as_one_complex_stack(self, interior_point_runs):
+        """Three real random qutrit channels and two complex ones, all left
+        open by the closed form, share one complex128 run; the qutrit
+        shift, settled by the closed form, is in none."""
         channels = [
             random_channel(3, seed=1),
             real_channel(3, seed=1),
@@ -413,12 +394,9 @@ class TestRealArithmetic:
             real_channel(3, seed=2),
             real_channel(3, seed=3),
         ]
-        results = robustness_stack(channels)
-        runs = [(run.dtype, len(run)) for run in interior_point_runs]
-        assert runs == [(np.float64, 3), (complex, 2)]
+        robustness_stack(channels)
+        assert [(run.dtype, len(run)) for run in interior_point_runs] == [(complex, 5)]
         assert not reached(interior_point_runs, channels[2])
-        for result in results:
-            assert result.witness.dtype == result.optimal_psi.dtype == complex
 
 
 def _targeted(blocks, targets):
@@ -447,12 +425,9 @@ def _reject_closed_form(monkeypatch, rejected):
     ``rejected`` holds true of, so that they reach the interior point."""
     real_closed = crolab.measures._closed_form
 
-    def rejecting(blocks):
-        accepted, solved = real_closed(blocks)
-        settled = np.flatnonzero(accepted)
-        keep = np.array([not rejected(blocks[b]) for b in settled], dtype=bool)
-        accepted[settled[~keep]] = False
-        return accepted, {key: value[keep] for key, value in solved.items()}
+    def rejecting(blocks, results):
+        accepted = real_closed(blocks, results)
+        return accepted & ~np.array([rejected(b) for b in blocks], dtype=bool)
 
     monkeypatch.setattr(crolab.measures, "_closed_form", rejecting)
 
@@ -489,20 +464,16 @@ class TestFailureIsolation:
         with pytest.raises(RuntimeError, match="certified interval"):
             robustness(channels[1])
 
-    @pytest.mark.parametrize("failing_dtype", ["float64", "complex128"])
-    def test_failure_stays_with_its_problem_across_dtypes(
-        self, monkeypatch, interior_point_runs, failing_dtype
-    ):
-        """A failing real problem among complex ones, and a failing complex
-        problem among real ones, all qutrit channels the closed form leaves
-        open: only it fails, and the others keep their batch-of-one
-        results."""
-        complex_channels = [random_channel(3, seed=seed) for seed in (1, 2, 3)]
-        real_channels = [real_channel(3, seed=seed) for seed in (1, 2, 3)]
-        if failing_dtype == "float64":
-            channels = [complex_channels[0], real_channels[0], *complex_channels[1:]]
-        else:
-            channels = [real_channels[0], complex_channels[0], *real_channels[1:]]
+    def test_failure_stays_with_its_problem_in_a_mixed_stack(self, monkeypatch, interior_point_runs):
+        """A failing real problem among real and complex ones, all qutrit
+        channels the closed form leaves open: only it fails, and the others
+        keep their batch-of-one results."""
+        channels = [
+            random_channel(3, seed=1),
+            real_channel(3, seed=1),
+            real_channel(3, seed=2),
+            random_channel(3, seed=2),
+        ]
         singles = [robustness(channel) for channel in channels]
         _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 3)])
         results = robustness_stack(channels)
@@ -572,10 +543,10 @@ class TestAdmmOracle:
     def test_intervals_overlap(self, d):
         for rank in (1, 2, d * d):
             for seed in range(3):
-                channel = random_channel(d, rank=rank, seed=seed)
-                lower, upper = _interval(robustness(channel))
-                admm_lower, admm_upper = oracles.admm_block_robustness(channel)
-                assert max(lower, admm_lower) <= min(upper, admm_upper) + 1e-12
+                for channel in (random_channel(d, rank=rank, seed=seed), real_channel(d, rank, seed)):
+                    lower, upper = _interval(robustness(channel))
+                    admm_lower, admm_upper = oracles.admm_block_robustness(channel)
+                    assert max(lower, admm_lower) <= min(upper, admm_upper) + 1e-12
 
 
 @st.composite
@@ -658,10 +629,10 @@ class TestClosedFormRoute:
         and every interval overlaps the interior point's."""
         d = math.isqrt(chois.shape[-1])
         blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
-        accepted, solved = crolab.measures._closed_form(blocks)
-        if accepted.any():
-            upper = solved["upper"]
-            assert np.all(upper - solved["lower"] <= crolab.measures._TARGET_WIDTH * (1.0 + upper))
+        solved = {"upper": np.full(len(chois), np.nan), "lower": np.full(len(chois), np.nan)}
+        accepted = crolab.measures._closed_form(blocks, solved)
+        upper, lower = solved["upper"][accepted], solved["lower"][accepted]
+        assert np.all(upper - lower <= crolab.measures._TARGET_WIDTH * (1.0 + upper))
         results = crolab.measures._robustness_stack(chois)
         for result, lower, upper in zip(results, *oracles.interior_point_intervals(chois)):
             low, high = _interval(result)
