@@ -464,16 +464,22 @@ class TestFailureIsolation:
         with pytest.raises(RuntimeError, match="certified interval"):
             robustness(channels[1])
 
-    def test_failure_stays_with_its_problem_in_a_mixed_stack(self, monkeypatch, interior_point_runs):
-        """A failing real problem among real and complex ones, all qutrit
-        channels the closed form leaves open: only it fails, and the others
-        keep their batch-of-one results."""
-        channels = [
-            random_channel(3, seed=1),
-            real_channel(3, seed=1),
-            real_channel(3, seed=2),
-            random_channel(3, seed=2),
-        ]
+    @pytest.mark.parametrize("failing_dtype", ["float64", "complex128"])
+    def test_failure_stays_with_its_problem_across_dtypes(
+        self, monkeypatch, interior_point_runs, failing_dtype
+    ):
+        """A failing real problem among complex ones, and a failing complex
+        problem among real ones, all qutrit channels the closed form leaves
+        open and solved in one complex128 run: only it fails, and the others
+        keep their batch-of-one results. ``failing_dtype`` is float64 when
+        the failing channel's Choi entries are all real."""
+        complex_channels = [random_channel(3, seed=seed) for seed in (1, 2, 3)]
+        real_channels = [real_channel(3, seed=seed) for seed in (1, 2, 3)]
+        if failing_dtype == "float64":
+            channels = [complex_channels[0], real_channels[0], *complex_channels[1:]]
+        else:
+            channels = [real_channels[0], complex_channels[0], *real_channels[1:]]
+        assert np.any(channels[1].choi.imag) == (failing_dtype == "complex128")
         singles = [robustness(channel) for channel in channels]
         _fail_on(monkeypatch, [choi_output_blocks(channels[1].choi, 3)])
         results = robustness_stack(channels)
