@@ -14,6 +14,41 @@ The Choi array is the only representation of a channel: ``choi_apply`` maps
 operators through it and ``choi_measure`` composes it with a PVM's
 measure-and-reprepare map.  Only square channels (equal input and output
 dimension) are supported.
+
+Every channel records, as ``Channel._min_eig``, a lower bound l on the
+smallest eigenvalue of its n x n Choi array J (n = d^2).  Validation runs
+``eigvalsh`` only where that bound does not clear the positivity floor
+-max(tol, 1e-7).  An array that a caller passes to ``Channel`` or
+``validate_choi_stack`` has no bound, with or without ``kraus``, and is
+always eigendecomposed; its l is then LAPACK's smallest eigenvalue less
+twice the room below.  So are the arrays of ``mix``, ``te_channel`` and the
+other constructors here.  Three constructions get l from how they built
+the array:
+
+* ``channel_from_kraus`` (and the sweep's Kraus stacks): J = sum_k w_k
+  w_k^dag / d over r Kraus vectors is a Gram sum, positive semidefinite
+  (Choi, Linear Algebra Appl. 10, 285, 1975).  Rounded, each entry is off
+  by at most (r + 4) u times the entry of G = sum_k |w_k| |w_k|^T / d
+  (u = eps / 2), so the error's spectral norm is at most (r + 4) u tr G,
+  and tr G = tr J <= 1 + tol for an array that passes the trace check.
+* ``tensor``: the spectrum of a Kronecker product is the set of products
+  of the factors' eigenvalues, each within [l, tr J - (n - 1) l]; the
+  smallest product sits at a corner of that box.
+* ``compose``: J_ab = (id (x) a)(J_b).  Writing J = J+ - delta I, with
+  delta = max(-l, 0) and J+ >= 0, gives J_ab >= -d (delta_a tr J_b+ +
+  delta_b tr J_a+) I, so the bound stays at zero only when both inputs
+  are nonnegative.
+
+Each bound also subtracts ``_rounding(n, s)`` = 4 n^2 eps s, where s bounds
+the nuclear norms involved (tr J - 2 n min(l, 0) for each input).  That is
+room for the operation's own rounding (at most (n + 3) u d s for the
+product in ``compose``, about 4 u s in ``tensor``) and for the error of
+any later ``eigvalsh`` of the result, which LAPACK bounds by p(n) eps ||J||.
+So a bound is never above the smallest eigenvalue that ``eigvalsh``
+reports.  At d = 32 the room is about 1e-9, against a floor of at least
+1e-7: gates, Kraus leaves and their tensors clear it, and only a
+chain of compositions, whose bound grows by about a factor d per step,
+falls back to ``eigvalsh``.
 """
 
 from __future__ import annotations
@@ -21,7 +56,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,6 +64,7 @@ from .linalg import DEFAULT_TOL, dephase, hermitianize, is_hermitian, kron, part
 from .paulis import CNOT_01, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PHASE_S, pauli_matrix
 
 KRAUS_DROP = 1e-12
+_EPS = np.finfo(float).eps
 
 
 class Channel:
@@ -38,21 +74,29 @@ class Channel:
     ``tol``, unit trace, and reference marginal equal to the maximally mixed
     state (trace preservation); Kraus operators passed in must be complete.
     ``kraus`` is computed from the Choi state on first access unless it was
-    passed in.
+    passed in.  ``_min_eig`` is a lower bound on the smallest eigenvalue of
+    ``choi``.  The PSD check eigendecomposes every array passed in, with or
+    without ``kraus``.  Only the channels that ``channel_from_kraus``,
+    ``tensor`` and ``compose`` build skip it, when the bound that their
+    construction proves clears the floor (see the module docstring).
     """
 
-    __slots__ = ("dim", "choi", "_kraus")
+    __slots__ = ("dim", "choi", "_kraus", "_min_eig")
 
     def __init__(self, choi: np.ndarray, tol: float = DEFAULT_TOL, kraus=None):
+        bound = None
+        if isinstance(choi, _Built):
+            choi, bound = choi
         choi = np.asarray(choi, dtype=complex)
         if choi.ndim != 2:
             raise ValueError(_shape_message(choi.shape))
         if kraus is not None:
             kraus = np.asarray(kraus, dtype=complex)
-        choi = validate_choi_stack(choi[None], tol, None if kraus is None else kraus[None])[0]
+        stack, min_eig = _validated(choi[None], tol, None if kraus is None else kraus[None], bound)
         object.__setattr__(self, "dim", math.isqrt(choi.shape[0]))
-        object.__setattr__(self, "choi", choi)
+        object.__setattr__(self, "choi", stack[0])
         object.__setattr__(self, "_kraus", None if kraus is None else tuple(kraus))
+        object.__setattr__(self, "_min_eig", min_eig)
 
     @property
     def kraus(self) -> tuple:
@@ -66,6 +110,27 @@ class Channel:
 
     def __repr__(self):
         return f"Channel(dim={self.dim}, kraus_rank={len(self.kraus)})"
+
+
+class _Built(NamedTuple):
+    """A Choi array that this module built, with the lower bound on its
+    smallest eigenvalue that the construction proves; ``Channel`` reads
+    the bound only from this wrapper."""
+
+    choi: np.ndarray
+    min_eig: float
+
+
+def _rounding(n: int, scale: float) -> float:
+    """Room for one operation's rounding on n x n Choi arrays whose nuclear
+    norms multiply to ``scale``, and for the error of a later ``eigvalsh``."""
+    return 4.0 * n * n * _EPS * scale
+
+
+def _bound_and_trace(channel: Channel) -> tuple[float, float]:
+    """The channel's eigenvalue bound l and |tr J|, which the bounds of
+    ``compose`` and ``tensor`` use only as an upper bound on tr J."""
+    return channel._min_eig, abs(float(channel.choi.trace().real))
 
 
 def _shape_message(shape) -> str:
@@ -82,6 +147,16 @@ def validate_choi_stack(chois: np.ndarray, tol: float = DEFAULT_TOL, kraus=None)
     and, on the Hermitian part of the entries that pass those, smallest
     eigenvalue at least -max(tol, 1e-7).  The first failing entry raises
     the ValueError that ``Channel`` raises for it alone.
+    """
+    return _validated(chois, tol, kraus)[0]
+
+
+def _validated(chois, tol, kraus=None, bound=None):
+    """``validate_choi_stack``'s result, and a lower bound on the smallest
+    eigenvalue of every entry.
+
+    ``bound``, when given, is such a bound from the entries' construction;
+    if it clears the floor, no entry is eigendecomposed.
     """
     chois = np.asarray(chois, dtype=complex)
     n = chois.shape[-1] if chois.ndim >= 2 else 0
@@ -113,20 +188,29 @@ def validate_choi_stack(chois: np.ndarray, tol: float = DEFAULT_TOL, kraus=None)
     ))
     failing = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
     hermitian = hermitianize(stack)
-    if failing.any():
+    floor = -max(tol, 1e-7)
+    proven = bound is not None and bound >= floor
+    if proven:
+        min_eig = np.full(len(stack), bound)
+    elif failing.any():
         # NaN and other failed entries never reach LAPACK.
         min_eig = np.full(len(stack), np.inf)
         min_eig[~failing] = np.linalg.eigvalsh(hermitian[~failing])[:, 0]
     else:
         min_eig = np.linalg.eigvalsh(hermitian)[:, 0]
-    negative = min_eig < -max(tol, 1e-7)
+    negative = min_eig < floor
     checks.append((negative, min_eig, "choi matrix has negative eigenvalue {:.3e}"))
     failing = failing | negative
     if failing.any():
         b = int(np.argmax(failing))
         _, values, template = next(check for check in checks if check[0][b])
         raise ValueError(template.format(values[b], tol=tol))
-    return hermitian.reshape(chois.shape)
+    if not proven:
+        # LAPACK's eigenvalues lie within its error of the true ones; room
+        # for that error twice puts the bound below another run's too.  An
+        # entry that passed has nuclear norm at most 1 + tol - 2 n floor.
+        bound = float(np.min(min_eig, initial=np.inf)) - 2 * _rounding(n, 1 + tol - 2 * n * floor)
+    return hermitian.reshape(chois.shape), bound
 
 
 def choi_stack_from_kraus(ops: np.ndarray) -> np.ndarray:
@@ -170,7 +254,24 @@ def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> C
         if k.shape != (dim, dim):
             raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
     ops = np.stack(ops)
-    return Channel(choi_stack_from_kraus(ops), tol=tol, kraus=ops)
+    choi = _Built(choi_stack_from_kraus(ops), _gram_bound(ops.shape, tol))
+    return Channel(choi, tol=tol, kraus=ops)
+
+
+def _gram_bound(shape, tol: float) -> float:
+    """Lower bound on the smallest eigenvalue of a Gram sum that
+    ``choi_stack_from_kraus`` builds from Kraus lists of ``shape`` (...,
+    r, d, d) and that passes the trace check: zero, less the rounding of
+    its r terms and the ``_rounding`` room, on the scale tr J <= 1 + tol."""
+    r, d = shape[-3], shape[-1]
+    return -(r * _EPS * (1 + tol) + _rounding(d * d, 1 + tol))
+
+
+def _validated_kraus_stack(ops: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+    """``validate_choi_stack`` of the Choi arrays of a (..., r, d, d) stack
+    of Kraus lists, which eigendecomposes none of them when their Gram
+    bound clears the floor."""
+    return _validated(choi_stack_from_kraus(ops), tol, ops, _gram_bound(ops.shape, tol))[0]
 
 
 def unitary_channel(u: np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
@@ -227,8 +328,15 @@ def compose(a: Channel, b: Channel, tol: float = DEFAULT_TOL) -> Channel:
     b's realigned Choi array, the stack of images ``b(|i><j|) / d``."""
     if a.dim != b.dim:
         raise ValueError(f"cannot compose channels of dims {a.dim} and {b.dim}")
-    images = choi_apply(a.choi, _realign(b.choi, a.dim).reshape(-1, a.dim, a.dim))
-    return Channel(_realign(images, a.dim), tol=tol)
+    d, n = a.dim, len(a.choi)
+    images = choi_apply(a.choi, _realign(b.choi, d).reshape(-1, d, d))
+    # J_ab >= -d (delta_a tr J_b+ + delta_b tr J_a+) I, where J+ = J + delta I
+    # and tr J + 2 n delta bounds the nuclear norm; see the module docstring.
+    (low_a, trace_a), (low_b, trace_b) = _bound_and_trace(a), _bound_and_trace(b)
+    delta_a, delta_b = max(-low_a, 0.0), max(-low_b, 0.0)
+    bound = -d * (delta_a * (trace_b + n * delta_b) + delta_b * (trace_a + n * delta_a))
+    bound -= _rounding(n, d * (trace_a + 2 * n * delta_a) * (trace_b + 2 * n * delta_b))
+    return Channel(_Built(_realign(images, d), bound), tol=tol)
 
 
 def tensor(a: Channel, b: Channel, tol: float = DEFAULT_TOL) -> Channel:
@@ -240,7 +348,16 @@ def tensor(a: Channel, b: Channel, tol: float = DEFAULT_TOL) -> Channel:
     t = x.reshape(da, da, db, db, da, da, db, db)
     t = t.transpose(0, 2, 1, 3, 4, 6, 5, 7)
     d = da * db
-    return Channel(t.reshape(d * d, d * d), tol=tol)
+    # The product spectrum {l_a l_b}, with each factor's eigenvalues within
+    # [l, tr J - (n - 1) l], is smallest at a corner of that box; the
+    # nuclear norm is at most tr J - 2 n min(l, 0).
+    ends, nuclear = [], 1.0
+    for c in (a, b):
+        (low, trace), n = _bound_and_trace(c), len(c.choi)
+        ends.append((low, trace - (n - 1) * low))
+        nuclear *= trace - 2 * n * min(low, 0.0)
+    bound = min(x * y for x in ends[0] for y in ends[1]) - _rounding(d * d, nuclear)
+    return Channel(_Built(t.reshape(d * d, d * d), bound), tol=tol)
 
 
 def channel_partial_trace(o: Channel, dims: Sequence[int], keep: int, tol: float = DEFAULT_TOL) -> Channel:

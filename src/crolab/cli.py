@@ -36,23 +36,15 @@ import numpy as np
 from . import __version__
 from .channels import (
     Channel,
+    _validated_kraus_stack,
     channel_from_kraus,
-    choi_stack_from_kraus,
     compose,
     gate_matrix,
     interpolation_unitary,
     tensor,
     unitary_channel,
-    validate_choi_stack,
 )
-from .cro import (
-    eb_ppt_test,
-    is_cqcro,
-    is_dio,
-    is_qccro,
-    is_qqcro,
-    vqa_replaceable_set_R,
-)
+from .cro import _masked_verdicts, eb_ppt_test, vqa_replaceable_set_R
 from .game import _witness_game, payoff
 from .linalg import DEFAULT_TOL
 from .measures import (
@@ -65,10 +57,11 @@ from .paulis import pauli_index, pauli_label
 
 SWEEP_FAMILY = "u-theta"
 MAX_SPEC_DIM = 32  # largest channel dimension a spec may describe
-# Building or composing a channel of dimension d takes about d^6 operations
-# (an eigendecomposition or a product of d^2 x d^2 matrices); a spec may
-# cost as much as eight channels of the largest dimension (about 4 s on one
-# core).
+# Building or composing a channel of dimension d takes about d^6 operations:
+# a product of d^2 x d^2 matrices, or the eigendecomposition that checks a
+# Choi leaf, or a tensor or composition whose positivity bound misses the
+# floor (channels.py).  A spec may cost as much as eight channels of the
+# largest dimension (about 2 s on one core).
 MAX_SPEC_WORK = 8 * MAX_SPEC_DIM**6
 MAX_SWEEP_POINTS = 10_000
 
@@ -216,12 +209,10 @@ def _verdict_entry(verdict):
 
 
 def _classify(channel, args):
-    verdicts = {
-        "cqcro": is_cqcro(channel, args.tol),
-        "qqcro": is_qqcro(channel, args.tol),
-        "qccro": is_qccro(channel, args.tol),
-        "dio": is_dio(channel, args.tol),
-    }
+    # is_cqcro, is_qqcro, is_qccro and is_dio in one pass over the masks
+    kinds = {"cqcro": "cq", "qqcro": "qq", "qccro": "qc", "dio": "dio"}
+    found = _masked_verdicts(channel.choi, channel.dim, tuple(kinds.values()), args.tol)
+    verdicts = {key: found[kind] for key, kind in kinds.items()}
     replacement = None
     for verdict in verdicts.values():
         if verdict.is_member and verdict.replacement is not None:
@@ -253,7 +244,7 @@ def _sweep_grid(points):
     """
     thetas = np.linspace(0.0, np.pi / 2, points)
     kraus = interpolation_unitary(thetas)[:, None]
-    chois = validate_choi_stack(choi_stack_from_kraus(kraus), kraus=kraus)
+    chois = _validated_kraus_stack(kraus)
     upper, _, _, _, failures = _solve_chois(chois)
     nan = float("nan")
     values, entropies, notes = [], [], []

@@ -125,9 +125,26 @@ _MASKS = {
 }
 
 
+def _masked_verdicts(choi: np.ndarray, d: int, kinds: Sequence[str], tol: float) -> dict[str, CroVerdict]:
+    """Verdicts of the listed basis classes on one Choi array, in order.
+
+    Each distinct mask is applied once, and the members share one validated
+    replacement matrix.
+    """
+    masked = {}
+    for kind in kinds:
+        for s in _MASKS[kind]:
+            if s not in masked:
+                masked[s] = dephase(choi, [d, d], s)
+    replacement = _stochastic_from_choi(choi, d, tol)
+    return {
+        kind: _identity_verdict(*(masked[s] for s in _MASKS[kind]), d, replacement, tol)
+        for kind in kinds
+    }
+
+
 def _masked_verdict(choi: np.ndarray, d: int, kind: str, tol: float) -> CroVerdict:
-    lhs, rhs = (dephase(choi, [d, d], s) for s in _MASKS[kind])
-    return _identity_verdict(lhs, rhs, d, _stochastic_from_choi(choi, d, tol), tol)
+    return _masked_verdicts(choi, d, (kind,), tol)[kind]
 
 
 def is_cqcro(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:

@@ -8,6 +8,8 @@ string.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 PAULI_I = np.eye(2, dtype=complex)
@@ -48,8 +50,10 @@ def pauli_matrix(index: int, n: int) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=None)
 def pauli_stack(n: int) -> np.ndarray:
-    """All 4^n Pauli strings as a (4^n, 2^n, 2^n) stack, in index order.
+    """All 4^n Pauli strings as a (4^n, 2^n, 2^n) stack, in index order,
+    read-only and built once per n.
 
     Each of the n steps takes the Kronecker product of every string so far
     with every single-qubit Pauli, the new factor the fastest.
@@ -60,6 +64,7 @@ def pauli_stack(n: int) -> np.ndarray:
         m, side = stack.shape[:2]
         stack = stack[:, None, :, None, :, None] * singles[None, :, None, :, None, :]
         stack = stack.reshape(4 * m, 2 * side, 2 * side)
+    stack.flags.writeable = False
     return stack
 
 

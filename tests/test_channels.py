@@ -1,6 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
+from crolab import channels, cli
 from crolab.channels import (
     Channel,
     ProjectorSet,
@@ -182,6 +185,217 @@ class TestStackedValidation:
             assert u.tobytes() == interpolation_unitary(float(theta)).tobytes()
             assert u.tobytes() == gate_matrix("U", theta).tobytes()
         assert interpolation_unitary(0.3).shape == (2, 2)
+
+
+def _pairs(m):
+    """A complex array as nested [re, im] pairs, the spec encoding."""
+    return np.stack([m.real, m.imag], axis=-1).tolist()
+
+
+def _kraus_leaf(d, rng):
+    r = int(rng.integers(1, 4))
+    g = rng.normal(size=(r * d, d)) + 1j * rng.normal(size=(r * d, d))
+    ops = np.linalg.qr(g)[0].reshape(r, d, d)  # an isometry: complete
+    return {"kind": "kraus", "dim": d, "operators": _pairs(ops)}
+
+
+def _choi_leaf(d, rng, shift=0.0):
+    """A unitary channel's Choi array, whose computed spectrum dips a few
+    1e-17 below zero, or that of a Kraus pair; ``shift`` moves the whole
+    spectrum down by that much and keeps the trace and the marginal."""
+    if rng.random() < 0.5:
+        ops = [oracles.haar_unitary(d, rng)]
+    else:
+        ops = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+        ops = list(ops.reshape(2, d, d))
+    choi = oracles.choi_of_kraus(ops)
+    n = d * d
+    if shift:
+        choi = (1 + shift * n) * choi - shift * np.eye(n)
+    return {"kind": "choi", "dim": d, "matrix": _pairs(choi)}
+
+
+GATES_BY_DIM = {2: ["H", "T", "S", "X"], 4: ["CNOT"], 8: ["CCX"]}
+
+
+def _random_spec(d, rng, depth, leaves):
+    """A random spec of dimension d: leaves of the listed kinds, under
+    compositions and tensors up to ``depth`` levels."""
+    kinds = [k for k in leaves if k != "gate" or d in GATES_BY_DIM]
+    if depth > 0:
+        kinds += ["composition", "tensor"] * 2
+    kind = kinds[int(rng.integers(len(kinds)))]
+    if kind == "kraus":
+        return _kraus_leaf(d, rng)
+    if kind == "choi":
+        return _choi_leaf(d, rng)
+    if kind == "gate":
+        names = GATES_BY_DIM[d]
+        return {"kind": "gate", "name": names[int(rng.integers(len(names)))]}
+    if kind == "composition":
+        count = int(rng.integers(2, 5))
+        return {"kind": kind, "children": [_random_spec(d, rng, depth - 1, leaves) for _ in range(count)]}
+    factors = [f for f in range(1, d + 1) if d % f == 0]
+    first = factors[int(rng.integers(len(factors)))]
+    children = [_random_spec(f, rng, depth - 1, leaves) for f in (first, d // first)]
+    return {"kind": kind, "children": children}
+
+
+def _chain(d, rng, length, leaves):
+    return {"kind": "composition", "children": [_random_spec(d, rng, 0, leaves) for _ in range(length)]}
+
+
+def _bound_specs(tol):
+    """(name, spec) pairs: random all-Kraus and mixed specs at d = 1..8,
+    chains of 20 and more compositions, and one d = 16 tensor; at a tol
+    above 1e-4, also leaves 2.4e-4 below zero, whose compositions and
+    tensors pass (the floor is -tol)."""
+    rng = np.random.default_rng(2024)
+    specs = []
+    if tol > 1e-4:
+        low = [_choi_leaf(2, rng, shift=2.4e-4) for _ in range(4)]
+        specs.append(("shifted-composition", {"kind": "composition", "children": low[:2]}))
+        specs.append(("shifted-tensor", {"kind": "tensor", "children": low[2:]}))
+    for d in range(1, 9):
+        for leaves in (("kraus",), ("kraus", "choi", "gate")):
+            for k in range(3):
+                specs.append((f"d{d}-{'-'.join(leaves)}-{k}", _random_spec(d, rng, 3, leaves)))
+    for d, length in ((2, 20), (2, 40), (3, 24), (4, 20), (8, 20)):
+        for leaves in (("kraus",), ("kraus", "choi", "gate")):
+            specs.append((f"chain-d{d}-{length}-{len(leaves)}", _chain(d, rng, length, leaves)))
+    specs.append(("dip", {"kind": "composition", "children": [
+        {"kind": "tensor", "children": [_choi_leaf(2, rng, shift=1e-17), _kraus_leaf(3, rng)]},
+        _choi_leaf(6, rng, shift=1e-17),
+    ]}))
+    specs.append(("d16", {"kind": "tensor", "children": [
+        {"kind": "gate", "name": "CNOT"}, _kraus_leaf(2, rng), _choi_leaf(2, rng),
+    ]}))
+    return specs
+
+
+def _invalid_specs():
+    """(name, spec, tol) of specs that fail: a negative Choi leaf (below
+    the floor by far, or only just) or an incomplete Kraus leaf, nested in
+    compositions and tensors; and two leaves 9e-4 below zero that pass at
+    tol = 1e-3 but whose composition does not."""
+    rng = np.random.default_rng(7)
+    incomplete = _kraus_leaf(2, rng)
+    incomplete["operators"] = _pairs(1.01 * np.array(incomplete["operators"])[..., 0])
+    bad_leaves = {
+        "negative": _choi_leaf(2, rng, shift=1e-3 / 4),
+        "just-below-floor": _choi_leaf(2, rng, shift=2e-7),
+        "incomplete": incomplete,
+    }
+    specs = []
+    for name, leaf in bad_leaves.items():
+        specs.append((f"tensor-{name}", {"kind": "tensor", "children": [_kraus_leaf(3, rng), leaf]}))
+        chain = _chain(2, rng, 20, ("kraus", "gate"))
+        chain["children"].insert(12, leaf)
+        specs.append((f"chain-{name}", chain))
+        specs.append((f"deep-{name}", {"kind": "composition", "children": [
+            {"kind": "tensor", "children": [{"kind": "gate", "name": "H"}, leaf]},
+            {"kind": "gate", "name": "CNOT"},
+        ]}))
+    specs = [(name, spec, 1e-9) for name, spec in specs]
+    low = [_choi_leaf(2, rng, shift=9e-4) for _ in range(2)]
+    specs.append(("composed-negative", {"kind": "composition", "children": low}, 1e-3))
+    return specs
+
+
+def _count_eigvalsh(monkeypatch):
+    """The shapes of the stacks passed to ``np.linalg.eigvalsh`` from now on."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    return calls
+
+
+class TestConstructionBound:
+    """Channels that construction proves positive skip ``eigvalsh``; every
+    validation a spec load runs must still agree with the one-at-a-time
+    oracle, and every recorded bound must sit below the oracle's smallest
+    eigenvalue."""
+
+    @staticmethod
+    def _load_recorded(tmp_path, monkeypatch, spec, tol):
+        """The spec's loaded channel (or its ValueError) and, per
+        validation the load ran, (choi, kraus, tol, result or error)."""
+        records = []
+        validated = channels._validated
+
+        def record(chois, tol, kraus=None, bound=None):
+            try:
+                result = validated(chois, tol, kraus, bound)
+            except ValueError as exc:
+                records.append((chois, kraus, tol, exc))
+                raise
+            records.append((chois, kraus, tol, result))
+            return result
+
+        monkeypatch.setattr(channels, "_validated", record)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        try:
+            loaded = cli.load_channel(str(path), tol)
+        except ValueError as exc:
+            loaded = exc
+        return loaded, records
+
+    @staticmethod
+    def _oracle(chois, kraus, tol):
+        try:
+            return oracles.validate_choi_one(chois[0], tol, None if kraus is None else list(kraus[0]))
+        except ValueError as exc:
+            return exc
+
+    @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-3])
+    def test_valid_specs_agree_with_the_oracle(self, tmp_path, monkeypatch, tol):
+        dips = 0
+        for name, spec in _bound_specs(tol):
+            loaded, records = self._load_recorded(tmp_path, monkeypatch, spec, tol)
+            assert isinstance(loaded, channels.Channel), (name, loaded)
+            assert loaded.choi.tobytes() == records[-1][3][0][0].tobytes()
+            for chois, kraus, tol_, (stack, bound) in records:
+                expected = self._oracle(chois, kraus, tol_)
+                assert not isinstance(expected, ValueError), (name, expected)
+                assert stack[0].tobytes() == expected.tobytes(), name
+                smallest = np.linalg.eigvalsh(expected)[0]
+                assert bound <= smallest, (name, bound, smallest)
+                dips += kraus is None and -1e-15 < smallest < 0.0
+        assert dips > 20
+
+    def test_invalid_specs_give_the_oracle_message(self, tmp_path, monkeypatch):
+        for name, spec, tol in _invalid_specs():
+            loaded, records = self._load_recorded(tmp_path, monkeypatch, spec, tol)
+            assert isinstance(loaded, ValueError), name
+            *passed, (chois, kraus, tol, error) = records
+            assert error is loaded
+            expected = self._oracle(chois, kraus, tol)
+            assert isinstance(expected, ValueError) and str(expected) == str(error), name
+            for chois, kraus, tol, (stack, _) in passed:
+                assert stack[0].tobytes() == self._oracle(chois, kraus, tol).tobytes(), name
+
+    def test_long_chains_fall_back_to_eigvalsh(self, monkeypatch):
+        """The bound of a chain of compositions grows with each step until
+        it no longer clears the floor; then one eigendecomposition resets it."""
+        calls = _count_eigvalsh(monkeypatch)
+        h, s = named_gate("H"), named_gate("S")
+        acc, bounds = h, []
+        for k in range(30):
+            acc = compose(s if k % 2 else h, acc)
+            bounds.append(acc._min_eig)
+        assert calls == [(1, 4, 4)]
+        step = next(k for k in range(1, 30) if bounds[k] > bounds[k - 1])
+        assert all(b < 0 for b in bounds) and bounds[step - 1] < -1e-8 and bounds[step] > -1e-12
+
+    def test_caller_arrays_are_always_eigendecomposed(self, monkeypatch):
+        calls = _count_eigvalsh(monkeypatch)
+        h = named_gate("H")
+        assert calls == []
+        Channel(h.choi)
+        Channel(h.choi, kraus=[gate_matrix("H")])
+        validate_choi_stack(h.choi[None], kraus=[[gate_matrix("H")]])
+        assert calls == [(1, 4, 4)] * 3
 
 
 class TestApplyComposeTensor:

@@ -597,6 +597,52 @@ class TestSpecDecoding:
         assert (code, out, _one_diagnostic(err)) == (2, "", "parse")
 
 
+class TestConstructionSkipsEigendecomposition:
+    """Channels that the loader builds from gates, Kraus lists, tensors and
+    compositions are positive by construction; only Choi leaves, and a
+    construction whose bound misses the floor, are eigendecomposed."""
+
+    @staticmethod
+    def _count_eigvalsh(monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+        return calls
+
+    @staticmethod
+    def _kraus(d, rank, seed):
+        rng = np.random.default_rng(seed)
+        g = rng.normal(size=(rank * d, d)) + 1j * rng.normal(size=(rank * d, d))
+        ops = np.linalg.qr(g)[0].reshape(rank, d, d)
+        return _kraus_spec(np.stack([ops.real, ops.imag], axis=-1).tolist(), dim=d)
+
+    def test_gate_tensor_and_kraus_composition_load_without_eigvalsh(self, tmp_path, monkeypatch):
+        calls = self._count_eigvalsh(monkeypatch)
+        gates = {"kind": "tensor", "children": [
+            {"kind": "gate", "name": name} for name in ("H", "CNOT", "T")
+        ]}
+        assert cli.load_channel(write_spec(tmp_path, "d16.json", gates), 1e-9).dim == 16
+        kraus = {"kind": "composition", "children": [self._kraus(3, 2, s) for s in range(5)]}
+        assert cli.load_channel(write_spec(tmp_path, "comp.json", kraus), 1e-9).dim == 3
+        assert calls == []
+
+    @pytest.mark.parametrize("kind", ["tensor", "composition"])
+    def test_negative_choi_child_still_exits_3(self, tmp_path, capsys, monkeypatch, kind):
+        calls = self._count_eigvalsh(monkeypatch)
+        choi = np.zeros((4, 4))
+        choi[0, 0] = choi[3, 3] = choi[0, 3] = choi[3, 0] = 0.5
+        choi = 1.001 * choi - 1e-3 * np.eye(4) / 4  # spectrum down to -2.5e-4
+        leaf = {"kind": "choi", "dim": 2, "matrix": np.stack([choi, 0 * choi], -1).tolist()}
+        spec = {"kind": kind, "children": [{"kind": "gate", "name": "H"}, leaf, self._kraus(2, 2, 0)]}
+        code, out, err = _main(capsys, "classify", write_spec(tmp_path, "bad.json", spec))
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {
+            "kind": "invalid-channel",
+            "error": "choi matrix has negative eigenvalue -2.500e-04",
+        }
+        assert calls == [(1, 4, 4)]
+
+
 class TestSpecLimits:
     """The spec dimension cap, the spec work bound and the sweep point
     bound, at and past the edge."""

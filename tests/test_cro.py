@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
+from crolab import cro
 from crolab.channels import (
     ProjectorSet,
     apply,
@@ -32,7 +33,7 @@ from crolab.cro import (
     random_qccro,
     vqa_replaceable_set_R,
 )
-from crolab.paulis import HADAMARD, PAULI_X, pauli_index, random_clifford
+from crolab.paulis import HADAMARD, PAULI_X, pauli_index, pauli_stack, random_clifford
 
 
 def random_density(rng, d):
@@ -173,6 +174,31 @@ class TestVerdictContents:
         witness = is_qccro(named_gate("H")).witness_state
         assert witness.flags.writeable
         assert not np.shares_memory(witness, probe_states(2))
+
+    def test_one_pass_equals_the_four_tests(self, monkeypatch):
+        """``_masked_verdicts`` dephases each of the four distinct masks
+        once and builds one replacement, and gives each public test's
+        verdict bit for bit."""
+        tests = {"cq": is_cqcro, "qq": is_qqcro, "qc": is_qccro, "dio": is_dio}
+        channels = [named_gate(g) for g in ("H", "Z", "CNOT")]
+        channels += [random_channel(3, seed=4), random_qccro(3, seed=5), dephasing(4)]
+        for channel in channels:
+            masks = []
+            dephase = cro.dephase
+            monkeypatch.setattr(cro, "dephase", lambda m, dims, s: masks.append(s) or dephase(m, dims, s))
+            built = []
+            stochastic = cro._stochastic_from_choi
+            monkeypatch.setattr(cro, "_stochastic_from_choi", lambda *a: built.append(1) or stochastic(*a))
+            verdicts = cro._masked_verdicts(channel.choi, channel.dim, tuple(tests), 1e-9)
+            assert sorted(masks) == [(), (0,), (0, 1), (1,)] and built == [1]
+            monkeypatch.undo()
+            assert list(verdicts) == list(tests)
+            for kind, test in tests.items():
+                got, expected = verdicts[kind], test(channel)
+                assert (got.is_member, got.residual) == (expected.is_member, expected.residual)
+                for field in ("replacement", "witness_state"):
+                    a, b = getattr(got, field), getattr(expected, field)
+                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
 
     def test_probe_states_match_the_oracle_frame(self):
         for d in range(1, 9):
@@ -384,6 +410,15 @@ class TestVqaSet:
         ccz = unitary_channel(np.diag([1, 1, 1, 1, 1, 1, 1, -1]).astype(complex))
         member, j = vqa_replaceable_set_R(ccz, [pauli_index("ZZZ")])
         assert member and j == pauli_index("ZZZ")
+
+    def test_pauli_stack_is_cached_read_only(self):
+        stack = pauli_stack(3)
+        assert pauli_stack(3) is stack and stack.shape == (64, 8, 8)
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 2.0
+        zii = pauli_index("ZII")
+        assert vqa_replaceable_set_R(named_gate("CCX"), [zii]) == (True, zii)
+        assert pauli_stack(3) is stack
 
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="2\\^n"):
