@@ -67,7 +67,28 @@ KRAUS_DROP = 1e-12
 _EPS = np.finfo(float).eps
 
 
-class Channel:
+class _Immutable:
+    """Slots set once, in ``__init__``, through ``object.__setattr__``.
+
+    ``copy``, ``deepcopy`` and ``pickle`` restore the slots as they were
+    saved, without validating again: the tolerance an object was validated
+    at is not recorded, so a second validation could refuse it.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __getstate__(self):
+        return {name: getattr(self, name) for name in self.__slots__}
+
+    def __setstate__(self, state):
+        for name, value in state.items():
+            object.__setattr__(self, name, value)
+
+
+class Channel(_Immutable):
     """A CPTP map, stored as its trace-1 Choi state.
 
     The constructor validates the Choi invariants: Hermitian and PSD within
@@ -104,9 +125,6 @@ class Channel:
             # positivity was checked at construction, within that tolerance
             object.__setattr__(self, "_kraus", kraus_from_choi(self.choi, tol=np.inf))
         return self._kraus
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Channel is immutable")
 
     def __repr__(self):
         return f"Channel(dim={self.dim}, kraus_rank={len(self.kraus)})"
@@ -402,7 +420,7 @@ def mix(channels: Sequence[Channel], weights: Sequence[float], tol: float = DEFA
     return Channel(choi, tol=tol)
 
 
-class ProjectorSet:
+class ProjectorSet(_Immutable):
     """A complete set of mutually orthogonal projectors (a PVM).
 
     Validates, within ``tol``: each element Hermitian and idempotent, pairwise
@@ -432,9 +450,6 @@ class ProjectorSet:
         object.__setattr__(self, "projectors", ops)
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "ranks", tuple(int(round(float(np.real(np.trace(p))))) for p in ops))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ProjectorSet is immutable")
 
     def __len__(self):
         return len(self.projectors)

@@ -3,31 +3,31 @@
 Two measures are provided.  The robustness is the least amount of channel
 mixing needed to push a channel into the measure-then-postprocess family.  It
 is one semidefinite program over the output blocks of the Choi state with d^2
-real unknowns.  Each problem first gets closed-form primal and dual points
-from the top singular vector of the square roots of the Choi diagonal: they
-are optimal for every unitary, and for more channels besides; a qc member
-they leave open gets p = diag(B) and the identity witness.  Repaired to
-exact feasibility, they bracket the value in a certified interval, and a
-problem whose interval is as narrow as the solver's target is settled
-there.  The others are solved by a primal-dual interior-point method (HKM
-direction, Mehrotra predictor-corrector) rather than by the generic solver
-of ``sdp``, which only the cross-check ``robustness_equivalents`` loads;
-its primal and dual iterates are repaired the same way, and the dual end
-comes with its witness either way.  One run solves a whole stack of
+real unknowns, solved by one loop over certified points (``_solve_blocks``).
+Its first points are closed forms: the top singular vector of the square
+roots of the Choi diagonal, optimal for every unitary and for more
+channels besides, then p = diag(B) with the identity witness, optimal for
+every qc member, then the interior start.  The steps of a primal-dual
+interior-point method (HKM direction, Mehrotra predictor-corrector) follow,
+rather than the generic solver of ``sdp``, which only the cross-check
+``robustness_equivalents`` loads.  Every point is repaired to exact
+feasibility, so it brackets the value in a certified interval that comes
+with its witness, and a problem stops at the first point whose interval is
+as narrow as the solver's target.  One run solves a whole stack of
 channels of one dimension, in complex arithmetic: each problem has its own
-route, centring, step length and stop rule, and gets the same result, bit
+points, centring, step length and stop rule, and gets the same result, bit
 for bit, in a stack of any size.  ``robustness`` is a stack of one, and the
 property suite solves its channels in one stack per dimension.  The CLI
 sweep builds, validates and measures its whole grid as one stack: one array
 of Choi states, checked by ``channels.validate_choi_stack``, one solve
 (``_solve_chois``; every point of the sweep family is a unitary, so the
-closed form settles it) and one batched entropy (``_entropy_gaps``, whose
-terms are computed over the whole stack), with no per-point ``Channel`` or
-``RobustnessResult``.  The relative entropy measure has a closed form: the
-entropy gap between the fully dephased and the output-dephased Choi states,
-read off the same output blocks (``channels.choi_output_blocks``).  The
-property suite maps Choi arrays and validates, solves and measures them as
-one stack.
+singular-vector point settles it) and one batched entropy
+(``_entropy_gaps``, whose terms are computed over the whole stack), with no
+per-point ``Channel`` or ``RobustnessResult``.  The relative entropy measure
+has a closed form: the entropy gap between the fully dephased and the
+output-dephased Choi states, read off the same output blocks
+(``channels.choi_output_blocks``).  The property suite maps Choi arrays and
+validates, solves and measures them as one stack.
 """
 
 import functools
@@ -319,50 +319,9 @@ def _hkm_steps(s, w, basis, f):
     return dp, dw, failed
 
 
-def _interior_point(blocks, basis, f, results, index):
-    """The interior-point run of ``_solve_blocks`` on the stack ``blocks``.
-
-    When a problem stops, its best ends, the repaired points behind them
-    and the raw iterates p and W behind those are written into each entry
-    that ``results`` holds (a dict of ``_certify``'s keys, each an array
-    over problems), at the problem's place in ``index``.
-    """
-    n, d = blocks.shape[:2]
-    top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
-    p = np.repeat(top, d * d).reshape(n, d, d)
-    w = np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape).copy()
-    # The best ends of the running problems, with the points behind them.
-    best = failed = None
-    for step in range(_MAX_STEPS + 1):
-        s, ends = _certify(blocks, p, w)
-        if best is None:
-            best = ends
-        upper, lower = ends["upper"] < best["upper"], ends["lower"] > best["lower"]
-        for keys, better in ((("upper", "primal", "p"), upper), (("lower", "dual", "w"), lower)):
-            for key in keys:
-                best[key][better] = ends[key][better]
-        stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
-        if failed is not None:
-            stop |= failed
-        if step == _MAX_STEPS:
-            stop[:] = True
-        if stop.any():
-            for key, value in results.items():
-                value[index[stop]] = best[key][stop]
-            if stop.all():
-                break
-            keep = ~stop
-            best = {key: value[keep] for key, value in best.items()}
-            index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
-        dp, dw, failed = _hkm_steps(s, w, basis, f)
-        p, w = p + dp, w + dw
-
-
-def _closed_form(blocks, results):
-    """Closed-form candidates for a complex stack of output-block programs,
-    repaired to certified intervals: which problems they settle.  The
-    entries of those problems are written into ``results`` as
-    ``_interior_point`` writes its own.
+def _singular_vector_point(blocks):
+    """The rank-one candidate p and W of each problem of a complex stack of
+    output-block programs.
 
     Let M_ki = sqrt(Re B_k[i, i]) and let s be a unit right-singular vector
     of M for its largest singular value sigma, with M s = sigma t.  The
@@ -376,16 +335,10 @@ def _closed_form(blocks, results):
     singular value equals the largest exactly, so it is positive, by
     Perron-Frobenius, whenever a positive top vector exists, also when M is
     reducible (Z, X, CNOT, permutations).  A problem whose p is not finite
-    gets no candidate.  A qc member, whose blocks have no nonzero
-    off-diagonal entry (exact zeros, no tolerance), that these candidates
-    leave open takes p = diag(B) and W_k = I instead: then S = 0, and its
-    interval is [0, 0] up to the rounding of tr J.  The candidates are
-    repaired by ``_certify`` and settled when their interval is as narrow
-    as the interior point's target, whatever the blocks' rank: no
-    tolerance decides but the certificate.  Every step acts on each
+    gets the point of ``_diagonal_point`` instead.  Every step acts on each
     problem alone.
     """
-    n, d = blocks.shape[:2]
+    d = blocks.shape[1]
     diagonals = np.real(_diagonals(blocks))
     m = np.sqrt(np.maximum(diagonals, 0.0))
     _, sigma, vh = np.linalg.svd(m)
@@ -400,59 +353,54 @@ def _closed_form(blocks, results):
     phase = np.divide(column, magnitude, out=np.ones_like(column), where=magnitude > 0.0)
     w = math.sqrt(d) * s[:, None, :] * phase
     w = w[..., :, None] * w[..., None, :].conj()
-    accepted = np.zeros(n, dtype=bool)
+    finite = np.isfinite(p).all(axis=(1, 2))[:, None, None]
+    return np.where(finite, p, diagonals), np.where(finite[..., None], w, np.eye(d, dtype=w.dtype))
 
-    def settle(group, p, w):
-        """Certify the candidates p and W of the problems ``group``, and
-        settle those whose interval is narrow enough."""
-        if not group.size:
-            return
-        _, ends = _certify(blocks[group], p[group], w[group])
-        settled = ends["upper"] - ends["lower"] <= _TARGET_WIDTH * (1.0 + ends["upper"])
-        accepted[group[settled]] = True
-        for key, value in results.items():
-            value[group[settled]] = ends[key][settled]
 
-    settle(np.flatnonzero(np.isfinite(p).all(axis=(1, 2))), p, w)
-    if not accepted.all():
-        open_problems = np.flatnonzero(~accepted)
-        off_diagonals = blocks[open_problems]
-        _diagonals(off_diagonals)[...] = 0.0
-        qc = open_problems[~off_diagonals.reshape(len(open_problems), -1).any(axis=1)]
-        settle(qc, diagonals, np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape))
-    return accepted
+def _diagonal_point(blocks):
+    """p = diag(B) and W_k = I for each problem of a stack: zero slack and
+    the identity witness.  A qc member, whose output blocks are diagonal,
+    gets S = 0 and the interval [0, 0] up to the rounding of tr J; a
+    channel whose off-diagonals are nearly zero gets a narrow one."""
+    eye = np.eye(blocks.shape[1], dtype=blocks.dtype)
+    return np.real(_diagonals(blocks)), np.broadcast_to(eye, blocks.shape)
+
+
+def _interior_start(blocks):
+    """p = (lambda_max(B) + 1) 1 and W_k = I for each problem of a stack:
+    strictly feasible on both sides."""
+    n, d = blocks.shape[:2]
+    top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
+    p = np.repeat(top, d * d).reshape(n, d, d)
+    return p, np.broadcast_to(np.eye(d, dtype=blocks.dtype), blocks.shape).copy()
 
 
 def _solve_blocks(blocks):
-    """Certified intervals of a stack of output-block programs: a closed
-    form where it is certified, interior points for the rest.
+    """Certified intervals of a stack of output-block programs, from one
+    loop over certified points.
 
     ``blocks`` is a (batch, d, d, d) complex stack: problem b's output
-    blocks are blocks[b].  ``_closed_form`` first settles every problem
-    whose closed-form candidates, repaired to exact feasibility, bracket
-    the value in an interval at most 1e-9 (1 + upper) wide: nearly every
-    unitary, and more.  The others run ``_interior_point``, as one complex
-    stack.  Its unknowns are the diagonals p[k, i] of S_k = diag(p_k) - B_k,
-    kept in the span of ``_row_sum_basis`` so the row sums stay equal; the
-    start p = (lambda_max(B) + 1) 1 with W_k = I is strictly feasible on
-    both sides.  One HKM predictor-corrector runs over the stack, and each
-    problem keeps its own mu, sigma, step length, best ends and stop flag.
-    Each iterate is repaired to exact feasibility by ``_certify``, as the
-    closed-form candidates are, and the best upper and lower ends seen are
-    kept.  A problem stops when its interval is at most 1e-9 (1 + upper)
-    wide, when a factorization of its own fails (it keeps its iterate and
-    stops at the next check), or after ``_MAX_STEPS`` steps; only the
-    problems still running take a step, and the working stack is compacted
-    only when one stops.  Both routes write each problem's entries into one
-    result record, at the problem's place in the stack.  Every operation
-    acts on each problem alone, in an order that does not depend on the
-    stack, and the route is a property of the problem, so a problem's
-    result is the same, bit for bit, in any stack and at any place in it.
-    A lower end below zero gives way to the identity witness at zero.
-    Returns (upper, primal, dual, residuals), one entry per problem: the
-    residuals are the equality residuals of the points behind the two ends
-    (the spread of the row sums of p, and f - N^T diag(W)), the relative
-    gap and the width ``witness_pairing`` of the interval.
+    blocks are blocks[b].  The unknowns are the diagonals p[k, i] of S_k =
+    diag(p_k) - B_k, with equal row sums, and the dual blocks W_k.  The loop
+    visits the points of ``_singular_vector_point``, ``_diagonal_point`` and
+    ``_interior_start``, then takes at most ``_MAX_STEPS`` steps of
+    ``_hkm_steps``, whose p stays in the span of ``_row_sum_basis``.  Every
+    point is repaired to exact feasibility by ``_certify``.  Each of the
+    three fixed points is judged on its own ends; from the interior start
+    on, the best upper and lower ends seen are kept.  A problem stops when
+    its interval is at most 1e-9 (1 + upper) wide, when a factorization of
+    its own fails (it keeps its iterate and stops at the next check), or
+    after the last step.  Its best ends, the repaired points behind them
+    and the raw p and W behind those are then written into one result
+    record, at the problem's place in the stack, and the working stack is
+    compacted to the problems still running.  Every operation acts on each
+    problem alone, in an order that does not depend on the stack, so a
+    problem's result is the same, bit for bit, in any stack and at any
+    place in it.  A lower end below zero gives way to the identity witness
+    at zero.  Returns (upper, primal, dual, residuals), one entry per
+    problem: the residuals are the equality residuals of the points behind
+    the two ends (the spread of the row sums of p, and f - N^T diag(W)),
+    the relative gap and the width ``witness_pairing`` of the interval.
     """
     n, d = blocks.shape[:2]
     basis = _row_sum_basis(d)
@@ -465,9 +413,38 @@ def _solve_blocks(blocks):
         "p": np.empty((n, d, d)),
         "w": np.empty(blocks.shape, dtype=complex),
     }
-    open_problems = np.flatnonzero(~_closed_form(blocks, results))
-    if open_problems.size:
-        _interior_point(blocks[open_problems], basis, f, results, open_problems)
+    points = (_singular_vector_point, _diagonal_point, _interior_start)
+    index = np.arange(n)
+    failed = None
+    for step in range(len(points) + _MAX_STEPS):
+        if step < len(points):
+            p, w = points[step](blocks)
+        else:
+            dp, dw, failed = _hkm_steps(s, w, basis, f)
+            p, w = p + dp, w + dw
+        s, ends = _certify(blocks, p, w)
+        if step < len(points):
+            best = ends
+        else:
+            for keys, better in (
+                (("upper", "primal", "p"), ends["upper"] < best["upper"]),
+                (("lower", "dual", "w"), ends["lower"] > best["lower"]),
+            ):
+                for key in keys:
+                    best[key][better] = ends[key][better]
+        stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
+        if failed is not None:
+            stop |= failed
+        if step == len(points) + _MAX_STEPS - 1:
+            stop[:] = True
+        if stop.any():
+            for key, value in results.items():
+                value[index[stop]] = best[key][stop]
+            if stop.all():
+                break
+            keep = ~stop
+            best = {key: value[keep] for key, value in best.items()}
+            index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
 
     upper, lower, dual = results["upper"], results["lower"], results["dual"]
     below = ~(lower >= 0.0)
@@ -503,9 +480,9 @@ def _width_failure(record):
 def _solve_chois(chois):
     """One ``_solve_blocks`` run on the output blocks of a validated
     (batch, d^2, d^2) Choi stack: its (upper, primal, dual, residuals) and
-    each problem's ``_width_failure``.  The closed form settles every point
-    of the sweep and most other unitaries, and only the problems it leaves
-    open reach the interior point."""
+    each problem's ``_width_failure``.  The singular-vector point settles
+    every point of the sweep and most other unitaries, and only the
+    problems that no candidate point settles reach the interior point."""
     d = math.isqrt(chois.shape[-1])
     _check_dim(d)
     solved = _solve_blocks(np.ascontiguousarray(choi_output_blocks(chois, d)))
@@ -547,13 +524,15 @@ def robustness(channel):
     sum_k S_k[i, i].  Its dual maximizes sum_k tr(W_k B_k) - 1 over W_k >= 0
     sharing one diagonal y with sum_i y_i = d.  It has d^2 real unknowns,
     the diagonals of the S_k.  ``_solve_blocks``, here on a stack of one,
-    first tries closed-form points: with M_ki = sqrt(B_k[i, i]) and sigma
-    its largest singular value, 1 + R = d sigma^2 whenever every B_k has
-    rank one, as for a unitary U, where it is sigma_max(|U|)^2.  When they
-    leave the interval open it follows the central path by a primal-dual
-    interior-point method (HKM direction, Mehrotra predictor-corrector).
-    Its primal and dual points, each repaired to exact feasibility, bracket
-    the value:
+    runs one loop over certified points.  The first two are closed forms:
+    with M_ki = sqrt(B_k[i, i]) and sigma its largest singular value, the
+    singular-vector point gives 1 + R = d sigma^2 whenever every B_k has
+    rank one, as for a unitary U, where it is sigma_max(|U|)^2; p = diag(B)
+    with W_k = I gives 0 for a qc member.  The loop then follows the central
+    path from a strictly feasible start by a primal-dual interior-point
+    method (HKM direction, Mehrotra predictor-corrector), and stops at the
+    first narrow interval.  Each point's primal and dual parts, repaired to
+    exact feasibility, bracket the value:
     ``value`` is the primal end, ``value - residuals["witness_pairing"]``
     the dual end (zero, certified by the identity, when the repaired dual
     pairs below one).  The witness is the sum over k of W_k (x) |k><k| and

@@ -9,7 +9,8 @@ importing the package under test, with exceptions that keep replaced paths:
 its interior-point method, over the package's canonical form;
 ``admm_block_robustness`` states the robustness to that ADMM;
 ``interior_point_intervals`` solves every robustness problem by the
-interior point, as ``crolab.measures`` did before its closed form;
+interior point alone, in the run that ``crolab.measures`` made before it
+solved all of them in one loop over certified points;
 ``sweep_per_point`` runs the sweep one ``Channel`` at a time;
 and ``property_suite_per_channel`` is the property suite that built every
 mixture, sample and image as a ``Channel``.  The
@@ -808,21 +809,57 @@ def admm_block_robustness(channel):
 
 def interior_point_intervals(chois):
     """Certified intervals ``(lower, upper)`` of the robustness of a
-    (batch, d^2, d^2) Choi stack, all by the interior point.
+    (batch, d^2, d^2) Choi stack, all by the interior point, and the
+    witnesses behind the lower ends.
 
-    This is the route ``measures._solve_blocks`` took for every problem
-    before it tried the closed form: one ``_interior_point`` run on the
-    whole stack.  A lower end below zero gives way to zero.
+    This is the interior-point run of ``measures._solve_blocks`` before it
+    became one loop over certified points, on the whole stack: from p =
+    (lambda_max(B) + 1) 1 and W_k = I, each iterate repaired by
+    ``measures._certify`` and the best ends seen kept; a problem stops when
+    its interval is at most ``_TARGET_WIDTH`` (1 + upper) wide, when its
+    own factorization failed, or after ``_MAX_STEPS`` steps.  A lower end
+    below zero gives way to zero and the identity witness.
     """
-    from crolab.channels import choi_output_blocks
-    from crolab.measures import _interior_point, _row_sum_basis
+    from crolab.channels import choi_from_output_blocks, choi_output_blocks
+    from crolab.measures import _MAX_STEPS, _TARGET_WIDTH, _certify, _hkm_steps, _row_sum_basis
 
     n, d = len(chois), int(round(np.sqrt(chois.shape[-1])))
     blocks = np.ascontiguousarray(choi_output_blocks(chois, d), dtype=complex)
     basis = _row_sum_basis(d)
+    f = basis.sum(axis=0)
     solved = {"upper": np.empty(n), "lower": np.empty(n)}
-    _interior_point(blocks, basis, basis.sum(axis=0), solved, np.arange(n))
-    return np.maximum(solved["lower"], 0.0), solved["upper"]
+    solved["dual"] = np.empty(blocks.shape, dtype=complex)
+    index = np.arange(n)
+    top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
+    p = np.repeat(top, d * d).reshape(n, d, d)
+    w = np.broadcast_to(np.eye(d, dtype=complex), blocks.shape).copy()
+    best = failed = None
+    for step in range(_MAX_STEPS + 1):
+        s, ends = _certify(blocks, p, w)
+        if best is None:
+            best = ends
+        upper, lower = ends["upper"] < best["upper"], ends["lower"] > best["lower"]
+        for keys, better in ((("upper", "primal", "p"), upper), (("lower", "dual", "w"), lower)):
+            for key in keys:
+                best[key][better] = ends[key][better]
+        stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
+        if failed is not None:
+            stop |= failed
+        if step == _MAX_STEPS:
+            stop[:] = True
+        if stop.any():
+            for key, value in solved.items():
+                value[index[stop]] = best[key][stop]
+            if stop.all():
+                break
+            keep = ~stop
+            best = {key: value[keep] for key, value in best.items()}
+            index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
+        dp, dw, failed = _hkm_steps(s, w, basis, f)
+        p, w = p + dp, w + dw
+    below = ~(solved["lower"] >= 0.0)
+    dual = np.where(below[:, None, None, None], np.eye(d), solved["dual"])
+    return np.where(below, 0.0, solved["lower"]), solved["upper"], choi_from_output_blocks(dual)
 
 
 def decode_pair_matrix(node):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -94,6 +96,50 @@ class TestChannelConstruction:
     def test_kraus_from_choi_drops_null_directions(self):
         ops = kraus_from_choi(dephasing(3).choi)
         assert len(ops) == 3
+
+
+_ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+_IMMUTABLES = {
+    "gate": lambda: named_gate("H"),
+    "kraus": lambda: channel_from_kraus(random_channel(3, rank=2, seed=0).kraus),
+    "composition": lambda: compose(named_gate("H"), named_gate("T")),
+    "pvm": lambda: basis_pvm(2),
+}
+
+
+class TestCopyAndPickle:
+    """``copy``, ``deepcopy`` and ``pickle`` restore every slot bit for bit,
+    without validating again, and the copy stays immutable."""
+
+    @pytest.mark.parametrize("trip", _ROUND_TRIPS)
+    @pytest.mark.parametrize("kind", _IMMUTABLES)
+    def test_round_trip(self, kind, trip):
+        original = _IMMUTABLES[kind]()
+        assert kind != "kraus" or original._kraus is not None
+        restored = _ROUND_TRIPS[trip](original)
+        assert type(restored) is type(original)
+        for name in type(original).__slots__:
+            before, after = getattr(original, name), getattr(restored, name)
+            assert (before is None) == (after is None)
+            if before is not None:
+                before, after = np.asarray(before), np.asarray(after)
+                assert (before.dtype, before.shape) == (after.dtype, after.shape)
+                assert before.tobytes() == after.tobytes()
+        with pytest.raises(AttributeError, match=f"{type(original).__name__} is immutable"):
+            restored.dim = 3
+
+    @pytest.mark.parametrize("trip", _ROUND_TRIPS)
+    def test_loose_channel_is_not_validated_again(self, trip):
+        """A channel accepted at tol = 1e-3 that the default tol refuses."""
+        loose = Channel(named_gate("H").choi * (1.0 + 1e-5), tol=1e-3)
+        with pytest.raises(ValueError):
+            Channel(loose.choi)
+        assert np.array_equal(_ROUND_TRIPS[trip](loose).choi, loose.choi)
 
 
 def _corrupt(kind, choi, ops):

@@ -227,22 +227,26 @@ def qutrit_shift():
 
 @pytest.fixture
 def interior_point_runs(monkeypatch):
-    """The block stacks that reach ``_interior_point``, in call order."""
+    """The block stacks that reach ``_interior_start``, in call order."""
     runs = []
-    real_run = crolab.measures._interior_point
+    real_start = crolab.measures._interior_start
 
-    def recording(blocks, basis, f, results, index):
+    def recording(blocks):
         runs.append(blocks)
-        return real_run(blocks, basis, f, results, index)
+        return real_start(blocks)
 
-    monkeypatch.setattr(crolab.measures, "_interior_point", recording)
+    monkeypatch.setattr(crolab.measures, "_interior_start", recording)
     return runs
 
 
 def reached(runs, channel):
     """Whether the output blocks of ``channel`` were in a recorded
-    ``_interior_point`` run."""
-    blocks = choi_output_blocks(channel.choi, channel.dim)
+    ``_interior_start`` call."""
+    return _reached_blocks(runs, choi_output_blocks(channel.choi, channel.dim))
+
+
+def _reached_blocks(runs, blocks):
+    """Whether the output blocks ``blocks`` were in a recorded run."""
     return any(np.array_equal(b, blocks) for run in runs for b in run)
 
 
@@ -361,6 +365,37 @@ class TestInteriorPointSolver:
         assert lower <= 0.4699388148766206 and 0.46993861474387 <= upper
         _assert_sound_witness(result, 8)
 
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_open_problems_equal_the_replaced_run(self, monkeypatch, d, interior_point_runs):
+        """Every problem of a mixed stack that reaches ``_interior_start``
+        gets the upper end, interval width and witness of the replaced
+        interior-point run (``oracles.interior_point_intervals``) on the
+        whole stack, bit for bit.  The candidates of every other problem
+        are rejected, so that problems of every kind reach it.  At d = 1
+        every point settles every problem, and every problem is compared."""
+        rng = np.random.default_rng(d)
+        channels = [
+            *(random_channel(d, rank=rank, seed=d) for rank in (1, 2, d * d)),
+            *(real_channel(d, rank=rank, seed=d) for rank in (1, 2, d * d)),
+            random_qccro(d, seed=d),
+            unitary_channel(oracles.haar_unitary(d, rng)),
+            unitary_channel(np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))),
+            unitary_channel(np.diag(np.exp(2j * np.pi * rng.random(d)))),
+            depolarized(oracles.haar_unitary(d, rng)),
+        ]
+        chois = np.stack([channel.choi for channel in channels])
+        targets = choi_output_blocks(chois[::2], d)
+        _reject_closed_form(monkeypatch, lambda b: any(np.array_equal(b, t) for t in targets))
+        results = crolab.measures._robustness_stack(chois)
+        lower, upper, witness = oracles.interior_point_intervals(chois)
+        open_problems = [b for b, c in enumerate(channels) if reached(interior_point_runs, c)]
+        rejected = set(range(0, len(channels), 2))
+        assert (open_problems == []) if d == 1 else rejected <= set(open_problems)
+        for b in open_problems or range(len(channels)):
+            assert results[b].value == upper[b]
+            assert results[b].residuals["witness_pairing"] == max(upper[b] - lower[b], 0.0)
+            assert np.array_equal(results[b].witness, witness[b])
+
     def test_step_cap_failure(self, monkeypatch, tmp_path, capsys, interior_point_runs):
         """One step leaves the interval of a depolarized qutrit unitary wide:
         RuntimeError, and ``measures`` exits 4 with a solver diagnostic."""
@@ -421,15 +456,21 @@ def _fail_on(monkeypatch, targets):
 
 
 def _reject_closed_form(monkeypatch, rejected):
-    """Make ``_closed_form`` leave open the problems whose output blocks
-    ``rejected`` holds true of, so that they reach the interior point."""
-    real_closed = crolab.measures._closed_form
+    """Make both candidate points, the singular-vector and the diagonal
+    one, leave open the problems whose output blocks ``rejected`` holds
+    true of, so that they reach the interior point: those problems get p =
+    0 and W_k = I instead, whose repaired ends are the interior start's up
+    to rounding."""
+    for name in ("_singular_vector_point", "_diagonal_point"):
 
-    def rejecting(blocks, results):
-        accepted = real_closed(blocks, results)
-        return accepted & ~np.array([rejected(b) for b in blocks], dtype=bool)
+        def rejecting(blocks, real_point=getattr(crolab.measures, name)):
+            p, w = real_point(blocks)
+            mask = np.array([rejected(b) for b in blocks], dtype=bool)
+            eye = np.eye(blocks.shape[1], dtype=w.dtype)
+            p = np.where(mask[:, None, None], 0.0, p)
+            return p, np.where(mask[:, None, None, None], eye, w)
 
-    monkeypatch.setattr(crolab.measures, "_closed_form", rejecting)
+        monkeypatch.setattr(crolab.measures, name, rejecting)
 
 
 class TestFailureIsolation:
@@ -624,46 +665,50 @@ def _reducible_unitaries():
 
 
 class TestClosedFormRoute:
-    """The closed form that settles problems before the interior point,
+    """The candidate points that settle problems before the interior point,
     against the interior point alone (``oracles.interior_point_intervals``),
-    the route it replaced."""
+    the route they replaced."""
 
     @staticmethod
-    def _settle(chois):
-        """Which problems of a Choi stack the closed form settles, and the
-        stack's results.  Every settled interval is at most the target width
-        and every interval overlaps the interior point's."""
+    def _settle(chois, runs):
+        """Which problems of a Choi stack settle before the interior point,
+        read from ``runs`` (the ``interior_point_runs`` fixture, cleared
+        first): those whose blocks never reach ``_interior_start``.  Also
+        the stack's results.  Every settled interval is at most the target
+        width and every interval overlaps the interior point's."""
         d = math.isqrt(chois.shape[-1])
-        blocks = np.ascontiguousarray(choi_output_blocks(chois, d))
-        solved = {"upper": np.full(len(chois), np.nan), "lower": np.full(len(chois), np.nan)}
-        accepted = crolab.measures._closed_form(blocks, solved)
-        upper, lower = solved["upper"][accepted], solved["lower"][accepted]
-        assert np.all(upper - lower <= crolab.measures._TARGET_WIDTH * (1.0 + upper))
+        runs.clear()
         results = crolab.measures._robustness_stack(chois)
-        for result, lower, upper in zip(results, *oracles.interior_point_intervals(chois)):
+        accepted = np.array([not _reached_blocks(runs, b) for b in choi_output_blocks(chois, d)])
+        for result, settled in zip(results, accepted):
+            width = result.residuals["witness_pairing"]
+            assert not settled or width <= crolab.measures._TARGET_WIDTH * (1.0 + result.value)
+        for result, lower, upper in zip(results, *oracles.interior_point_intervals(chois)[:2]):
             low, high = _interval(result)
             assert max(low, lower) <= min(high, upper) + 1e-12
         return accepted, results
 
     @pytest.mark.parametrize("d", range(1, 9))
-    def test_haar_unitaries(self, d):
+    def test_haar_unitaries(self, d, interior_point_runs):
         """Settled, within 1e-12 of sigma_max(|U|)^2 - 1."""
         rng = np.random.default_rng(d)
         us = [oracles.haar_unitary(d, rng) for _ in range(4)]
-        accepted, results = self._settle(np.stack([unitary_channel(u).choi for u in us]))
+        accepted, results = self._settle(
+            np.stack([unitary_channel(u).choi for u in us]), interior_point_runs
+        )
         assert accepted.all()
         for u, result in zip(us, results):
             assert abs(result.value - oracles.unitary_robustness(u)) <= 1e-12
 
     @pytest.mark.parametrize("d", range(2, 9))
-    def test_dephased_unitaries(self, d):
+    def test_dephased_unitaries(self, d, interior_point_runs):
         """A unitary followed by output dephasing has the unitary's output
         blocks, so it is settled with the unitary's interval and witness,
         bit for bit."""
         rng = np.random.default_rng(100 + d)
         unitaries = [unitary_channel(oracles.haar_unitary(d, rng)) for _ in range(3)]
         dephased = np.stack([choi_dephase_output(u.choi, d) for u in unitaries])
-        accepted, results = self._settle(dephased)
+        accepted, results = self._settle(dephased, interior_point_runs)
         assert accepted.all()
         for unitary, result in zip(unitaries, results):
             single = robustness(unitary)
@@ -672,14 +717,14 @@ class TestClosedFormRoute:
             assert np.array_equal(result.witness, single.witness)
 
     @pytest.mark.parametrize("u, settled", _reducible_unitaries())
-    def test_reducible_unitaries(self, u, settled):
+    def test_reducible_unitaries(self, u, settled, interior_point_runs):
         """Each is settled within 1e-12 of sigma_max(|U|)^2 - 1.  A random
         phase gate's Choi diagonal can miss 1/d by a rounding error, so the
         singular values of M differ and its top vector can be a basis
         vector; but its output blocks are exactly diagonal, so it is a qc
-        member, and the qc candidates settle what the singular vector
+        member, and the diagonal point settles what the singular vector
         leaves open."""
-        accepted, results = self._settle(unitary_channel(u).choi[None])
+        accepted, results = self._settle(unitary_channel(u).choi[None], interior_point_runs)
         assert accepted.all()
         assert abs(results[0].value - oracles.unitary_robustness(u)) <= 1e-12
         if not settled:
@@ -689,13 +734,13 @@ class TestClosedFormRoute:
     @pytest.mark.parametrize("d", [3, 4, 8])
     def test_qc_members_are_exactly_zero(self, d, interior_point_runs):
         """Twenty random qc members per dimension, whose output blocks are
-        exactly diagonal: the closed form takes p = diag(B) and W_k = I,
-        settles each at value 0.0 with interval [0, 0] and an identity
-        witness, and none reaches the interior point."""
+        exactly diagonal: the diagonal point p = diag(B), W_k = I settles
+        each at value 0.0 with interval [0, 0] and an identity witness, and
+        none reaches the interior point."""
         channels = [random_qccro(d, seed=seed) for seed in range(20)]
         chois = np.stack([channel.choi for channel in channels])
         assert not np.any(np.where(np.eye(d, dtype=bool), 0.0, choi_output_blocks(chois, d)))
-        accepted, _ = self._settle(chois)
+        accepted, _ = self._settle(chois, interior_point_runs)
         assert accepted.all()
         interior_point_runs.clear()
         results = robustness_stack(channels)
@@ -706,17 +751,34 @@ class TestClosedFormRoute:
             assert np.array_equal(result.witness, np.eye(d * d))
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_random_channels(self, d):
+    def test_random_channels(self, d, interior_point_runs):
         """Random channels of Kraus rank 1, 2 and d^2, settled or not: every
         interval overlaps the interior point's."""
         chois = np.stack(
             [random_channel(d, rank=r, seed=s).choi for r in (1, 2, d * d) for s in range(3)]
         )
-        self._settle(chois)
+        self._settle(chois, interior_point_runs)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_near_qc_members_settle(self, d, interior_point_runs):
+        """Random qc members mixed with weight eps = 1e-14 to 1e-10 of a
+        random channel: their off-diagonals are about eps, not zero, and
+        each settles, at the diagonal point or before, without reaching the
+        interior point."""
+        chois = np.stack([
+            Channel((1.0 - eps) * random_qccro(d, seed=seed).choi
+                    + eps * random_channel(d, seed=seed).choi).choi
+            for eps in (1e-14, 1e-13, 1e-12, 1e-11, 1e-10)
+            for seed in range(3)
+        ])
+        off_diagonals = np.where(np.eye(d, dtype=bool), 0.0, choi_output_blocks(chois, d))
+        assert np.all(np.any(off_diagonals.reshape(len(chois), -1), axis=1))
+        accepted, _ = self._settle(chois, interior_point_runs)
+        assert accepted.all()
 
     def test_mixed_stack_is_stack_independent(self, interior_point_runs):
-        """A d = 4 stack in which the closed form settles some problems and
-        leaves the others to the interior point: every entry is its
+        """A d = 4 stack in which the candidate points settle some problems
+        and leave the others to the interior point: every entry is its
         batch-of-one result, bit for bit, in the stack and reversed."""
         rng = np.random.default_rng(4)
         channels = [
@@ -727,7 +789,9 @@ class TestClosedFormRoute:
             real_channel(4, seed=2),
             random_channel(4, rank=1, seed=3),
         ]
-        accepted, _ = self._settle(np.stack([channel.choi for channel in channels]))
+        accepted, _ = self._settle(
+            np.stack([channel.choi for channel in channels]), interior_point_runs
+        )
         assert accepted.any() and not accepted.all()
         interior_point_runs.clear()
         robustness_stack(channels)
