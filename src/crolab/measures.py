@@ -10,13 +10,14 @@ channels besides, then p = diag(B) with the identity witness, optimal for
 every qc member, then the interior start.  The steps of a primal-dual
 interior-point method (HKM direction, Mehrotra predictor-corrector) follow,
 rather than the generic solver of ``sdp``, which only the cross-check
-``robustness_equivalents`` loads.  Every point is repaired to exact
-feasibility, so it brackets the value in a certified interval that comes
-with its witness, and a problem stops at the first point whose interval is
-as narrow as the solver's target.  One run solves a whole stack of
-channels of one dimension, in complex arithmetic: each problem has its own
-points, centring, step length and stop rule, and gets the same result, bit
-for bit, in a stack of any size.  ``robustness`` is a stack of one, and the
+``robustness_equivalents`` loads; each solves one bordered system of side
+d + 1 for its d + 1 multipliers, in O(d^4).  Every point is repaired to
+exact feasibility, so it brackets the value in a certified interval that
+comes with its witness, and a problem stops at the first point whose
+interval is as narrow as the solver's target.  One run solves a whole
+stack of channels of one dimension, in complex arithmetic: each problem
+has its own points, centring, step length and stop rule, and gets the same
+result, bit for bit, in a stack of any size.  ``robustness`` is a stack of one, and the
 property suite solves its channels in one stack per dimension.  The CLI
 sweep builds, validates and measures its whole grid as one stack: one array
 of Choi states, checked by ``channels.validate_choi_stack``, one solve
@@ -30,7 +31,6 @@ output-dephased Choi states, read off the same output blocks
 validates, solves and measures them as one stack.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -230,53 +230,46 @@ def _certify(blocks, p, w):
     }
 
 
-@functools.lru_cache(maxsize=None)
-def _row_sum_basis(d):
-    """Orthonormal basis N, read-only, of {p : sum_k p[k, i] equal for all i}.
-
-    p is flattened k-major.  The complement is spanned by the vectors
-    1 (x) a with sum_i a_i = 0, whose projector is (11^T / d) (x) (I - 11^T
-    / d); N holds the eigenvectors of the other eigenvalue.  At d = 1 the
-    complement is empty and N is the whole space.
-    """
-    uniform = np.full((d, d), 1.0 / d)
-    complement = np.kron(uniform, np.eye(d) - uniform)
-    w, v = np.linalg.eigh(np.eye(d * d) - complement)
-    basis = np.ascontiguousarray(v[:, w > 0.5])
-    basis.flags.writeable = False
-    return basis
-
-
-def _hkm_step(s, w, basis, f):
+def _hkm_step(s, w):
     """One Mehrotra predictor-corrector step along the HKM direction, for
     each problem of a stack.
 
-    The primal slack is S_k = diag(p_k) - B_k with p = N z, the dual W is a
-    stack of d blocks with N^T diag(W) = f.  A direction with target T (a
-    Hermitian stack) has dW = T - W - sym(W dS S^-1), and N^T diag(W + dW)
-    = f fixes dz by the Schur complement M dz = N^T diag(T) - f, with
-    M = N^T blockdiag_k Re(S_k^-1 o W_k^T) N: the dual residual
-    f - N^T diag(W) is part of every right-hand side, so it cannot drift.
-    Both sides take one step length, 0.98 of the way to the boundary of
-    the PSD cones (at most 1), which keeps the iterates centred enough for
-    the interval to close to about 1e-9.  One Cholesky factorization of the
-    stacked S and W gives S^-1 and the scaling of both ratio tests.  Each
-    problem has its own mu, sigma and step length.  Returns the steps of p
-    and of W.
+    The primal slack is S_k = diag(p_k) - B_k, with equal row sums of p;
+    the dual W is a stack of d blocks.  A direction with target T (a
+    Hermitian stack) has dW = T - W - sym(W dS S^-1), so diag(W_k + dW_k) =
+    diag(T_k) - H_k dp_k, with H_k = Re(S_k^-1 o W_k^T) positive definite.
+    The d + 1 multipliers are the diagonal y' that all W_k + dW_k share,
+    with sum_i y'_i = d, and the row sum c that dp has: dp_k = H_k^-1
+    (diag T_k - y'), with [[G, 1], [1^T, 0]] [y'; c] = [sum_k H_k^-1 diag
+    T_k; d] and G = sum_k H_k^-1 for both directions (the range-space
+    method; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.2).
+    dp_k comes from a solve with H_k: an explicit inverse leaves a residual
+    in H_k dp_k = diag T_k - y', the dual constraint, that grows with H_k's
+    condition and stalls the last steps.  Both sides take one step length,
+    0.98 of the way to the boundary of the PSD cones (at most 1), which
+    keeps the iterates centred enough for the interval to close to about
+    1e-9.  One Cholesky factorization of the stacked S and W gives S^-1 and
+    the scaling of both ratio tests.  Each problem has its own mu, sigma
+    and step length.  Returns the steps of p and of W.
     """
     n, d = s.shape[:2]
     roots = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, w], axis=1)))
     roots_h = roots.conj().swapaxes(-1, -2)
     s_inv = roots_h[:, :d] @ roots[:, :d]
     h = np.real(s_inv * w.swapaxes(-1, -2))
-    columns = basis.reshape(d, d, -1)
-    schur = basis.T @ np.einsum("bkil,klm->bkim", h, columns).reshape(n, d * d, -1)
+    bordered = np.ones((n, d + 1, d + 1))
+    # Sums over k strictly in order, as in _running_sum, so that a problem's
+    # step does not depend on the stack around it.
+    bordered[:, :d, :d] = np.add.accumulate(np.linalg.inv(h), axis=1)[:, -1]
+    bordered[:, d, d] = 0.0
     eye = np.eye(d)
 
     def direction(target):
-        diag = np.real(_diagonals(target)).reshape(n, d * d, 1)
-        rhs = basis.T @ diag - f[:, None]
-        dp = (basis @ np.linalg.solve(schur, rhs)).reshape(n, d, d)
+        diag = np.real(_diagonals(target))[..., None]
+        rhs = np.add.accumulate(np.linalg.solve(h, diag), axis=1)[:, -1]
+        rhs = np.concatenate([rhs, np.full((n, 1, 1), float(d))], axis=1)
+        shared = np.linalg.solve(bordered, rhs)[:, None, :d]
+        dp = np.linalg.solve(h, diag - shared)[..., 0]
         dw = target - w - hermitianize(w * dp[:, :, None, :] @ s_inv)
         ds = dp[..., None] * eye
         ratios = roots @ np.concatenate([ds, dw], axis=1) @ roots_h
@@ -297,7 +290,7 @@ def _hkm_step(s, w, basis, f):
     return alpha[..., 0] * dp, alpha * dw
 
 
-def _hkm_steps(s, w, basis, f):
+def _hkm_steps(s, w):
     """``_hkm_step`` on a stack, and which problems' factorizations failed
     (None when none did).
 
@@ -306,14 +299,14 @@ def _hkm_steps(s, w, basis, f):
     step they get in any stack.
     """
     try:
-        return (*_hkm_step(s, w, basis, f), None)
+        return (*_hkm_step(s, w), None)
     except np.linalg.LinAlgError:
         pass
     dp, dw = np.zeros(s.shape[:3]), np.zeros_like(w)
     failed = np.zeros(len(s), dtype=bool)
     for b in range(len(s)):
         try:
-            dp[b : b + 1], dw[b : b + 1] = _hkm_step(s[b : b + 1], w[b : b + 1], basis, f)
+            dp[b : b + 1], dw[b : b + 1] = _hkm_step(s[b : b + 1], w[b : b + 1])
         except np.linalg.LinAlgError:
             failed[b] = True
     return dp, dw, failed
@@ -384,27 +377,27 @@ def _solve_blocks(blocks):
     diag(p_k) - B_k, with equal row sums, and the dual blocks W_k.  The loop
     visits the points of ``_singular_vector_point``, ``_diagonal_point`` and
     ``_interior_start``, then takes at most ``_MAX_STEPS`` steps of
-    ``_hkm_steps``, whose p stays in the span of ``_row_sum_basis``.  Every
-    point is repaired to exact feasibility by ``_certify``.  Each of the
-    three fixed points is judged on its own ends; from the interior start
-    on, the best upper and lower ends seen are kept.  A problem stops when
-    its interval is at most 1e-9 (1 + upper) wide, when a factorization of
-    its own fails (it keeps its iterate and stops at the next check), or
-    after the last step.  Its best ends, the repaired points behind them
-    and the raw p and W behind those are then written into one result
-    record, at the problem's place in the stack, and the working stack is
-    compacted to the problems still running.  Every operation acts on each
+    ``_hkm_steps``, which keep the row sums of p equal.  Every point is
+    repaired to exact feasibility by ``_certify``.  Each of the three fixed
+    points is judged on its own ends; from the interior start on, the best
+    upper and lower ends seen are kept.  A problem stops when its interval
+    is at most 1e-9 (1 + upper) wide, when a factorization of its own fails
+    (it keeps its iterate and stops at the next check), or after the last
+    step.  Its best ends, the repaired points behind them and the raw p and
+    W behind those are then written into one result record, at the
+    problem's place in the stack, and the working stack is compacted to the
+    problems still running.  Every operation acts on each
     problem alone, in an order that does not depend on the stack, so a
     problem's result is the same, bit for bit, in any stack and at any
     place in it.  A lower end below zero gives way to the identity witness
     at zero.  Returns (upper, primal, dual, residuals), one entry per
     problem: the residuals are the equality residuals of the points behind
-    the two ends (the spread of the row sums of p, and f - N^T diag(W)),
-    the relative gap and the width ``witness_pairing`` of the interval.
+    the two ends (the spread of the row sums of p, and the largest of
+    |W_k[i, i] - y_i| and |sum_i y_i - d| with y the mean diagonal of the
+    W_k), the relative gap and the width ``witness_pairing`` of the
+    interval.
     """
     n, d = blocks.shape[:2]
-    basis = _row_sum_basis(d)
-    f = basis.sum(axis=0)
     results = {
         "upper": np.empty(n),
         "lower": np.empty(n),
@@ -420,7 +413,7 @@ def _solve_blocks(blocks):
         if step < len(points):
             p, w = points[step](blocks)
         else:
-            dp, dw, failed = _hkm_steps(s, w, basis, f)
+            dp, dw, failed = _hkm_steps(s, w)
             p, w = p + dp, w + dw
         s, ends = _certify(blocks, p, w)
         if step < len(points):
@@ -454,8 +447,11 @@ def _solve_blocks(blocks):
     gap = width / (1.0 + np.abs(upper) + np.abs(lower))
     row_sums = _running_sum(results["p"].swapaxes(-1, -2))
     primal_feas = row_sums.max(axis=-1) - row_sums.min(axis=-1)
-    w_diagonals = np.real(_diagonals(results["w"])).reshape(n, -1, 1)
-    dual_feas = np.abs(f - (basis.T @ w_diagonals)[..., 0]).max(axis=-1)
+    w_diagonals = np.real(_diagonals(results["w"]))
+    y = _running_sum(w_diagonals.swapaxes(-1, -2)) / d
+    dual_feas = np.maximum(
+        np.abs(w_diagonals - y[:, None]).max(axis=(1, 2)), np.abs(_running_sum(y) - d)
+    )
     residuals = [
         {"primal_feas": pf, "dual_feas": df, "gap": g, "witness_pairing": wp}
         for pf, df, g, wp in zip(

@@ -11,6 +11,9 @@ its interior-point method, over the package's canonical form;
 ``interior_point_intervals`` solves every robustness problem by the
 interior point alone, in the run that ``crolab.measures`` made before it
 solved all of them in one loop over certified points;
+``null_space_hkm_step`` is the Newton step that ``crolab.measures`` took
+in the dense null-space basis ``row_sum_basis`` before it stated the step
+by its d + 1 multipliers;
 ``sweep_per_point`` runs the sweep one ``Channel`` at a time;
 and ``property_suite_per_channel`` is the property suite that built every
 mixture, sample and image as a ``Channel``.  The
@@ -821,12 +824,10 @@ def interior_point_intervals(chois):
     below zero gives way to zero and the identity witness.
     """
     from crolab.channels import choi_from_output_blocks, choi_output_blocks
-    from crolab.measures import _MAX_STEPS, _TARGET_WIDTH, _certify, _hkm_steps, _row_sum_basis
+    from crolab.measures import _MAX_STEPS, _TARGET_WIDTH, _certify, _hkm_steps
 
     n, d = len(chois), int(round(np.sqrt(chois.shape[-1])))
     blocks = np.ascontiguousarray(choi_output_blocks(chois, d), dtype=complex)
-    basis = _row_sum_basis(d)
-    f = basis.sum(axis=0)
     solved = {"upper": np.empty(n), "lower": np.empty(n)}
     solved["dual"] = np.empty(blocks.shape, dtype=complex)
     index = np.arange(n)
@@ -855,11 +856,69 @@ def interior_point_intervals(chois):
             keep = ~stop
             best = {key: value[keep] for key, value in best.items()}
             index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
-        dp, dw, failed = _hkm_steps(s, w, basis, f)
+        dp, dw, failed = _hkm_steps(s, w)
         p, w = p + dp, w + dw
     below = ~(solved["lower"] >= 0.0)
     dual = np.where(below[:, None, None, None], np.eye(d), solved["dual"])
     return np.where(below, 0.0, solved["lower"]), solved["upper"], choi_from_output_blocks(dual)
+
+
+def row_sum_basis(d):
+    """Orthonormal basis N of {p : sum_k p[k, i] equal for all i}.
+
+    p is flattened k-major.  The complement is spanned by the vectors
+    1 (x) a with sum_i a_i = 0, whose projector is (11^T / d) (x) (I - 11^T
+    / d); N holds the eigenvectors of the other eigenvalue.  At d = 1 the
+    complement is empty and N is the whole space.
+    """
+    uniform = np.full((d, d), 1.0 / d)
+    complement = np.kron(uniform, np.eye(d) - uniform)
+    w, v = np.linalg.eigh(np.eye(d * d) - complement)
+    return v[:, w > 0.5]
+
+
+def null_space_hkm_step(s, w):
+    """The Newton step of ``crolab.measures._hkm_step`` stated in the basis
+    N of ``row_sum_basis``: p = N z, and N^T diag(W) = f = N^T 1 is the
+    dual constraint.  A direction with target T has dW = T - W - sym(W dS
+    S^-1), and N^T diag(W + dW) = f fixes dz by the Schur complement M dz =
+    N^T diag(T) - f, with M = N^T blockdiag_k Re(S_k^-1 o W_k^T) N, a dense
+    matrix of side d^2 - d + 1 solved twice per step.  Step lengths, mu and
+    sigma are those of the package's step.  Returns the steps of p and W.
+    """
+    from crolab.linalg import _TO_BOUNDARY, hermitianize
+    from crolab.measures import _pairing
+
+    n, d = s.shape[:2]
+    basis = row_sum_basis(d)
+    f = basis.sum(axis=0)
+    roots = np.linalg.inv(np.linalg.cholesky(np.concatenate([s, w], axis=1)))
+    roots_h = roots.conj().swapaxes(-1, -2)
+    s_inv = roots_h[:, :d] @ roots[:, :d]
+    h = np.real(s_inv * w.swapaxes(-1, -2))
+    columns = basis.reshape(d, d, -1)
+    schur = basis.T @ np.einsum("bkil,klm->bkim", h, columns).reshape(n, d * d, -1)
+    eye = np.eye(d)
+
+    def direction(target):
+        diag = np.real(np.einsum("...ii->...i", target)).reshape(n, d * d, 1)
+        rhs = basis.T @ diag - f[:, None]
+        dp = (basis @ np.linalg.solve(schur, rhs)).reshape(n, d, d)
+        dw = target - w - hermitianize(w * dp[:, :, None, :] @ s_inv)
+        ds = dp[..., None] * eye
+        ratios = roots @ np.concatenate([ds, dw], axis=1) @ roots_h
+        lowest = np.linalg.eigvalsh(ratios).min(axis=(1, 2))
+        alpha = -_TO_BOUNDARY / np.minimum(lowest, -_TO_BOUNDARY)
+        return dp, ds, dw, alpha[:, None, None, None]
+
+    mu = _pairing(s, w) / (d * d)
+    _, ds, dw, alpha = direction(np.zeros_like(w))
+    ratio = _pairing(s + alpha * ds, w + alpha * dw) / (d * d) / mu
+    sigma_mu = [r**3 * m for r, m in zip(ratio.tolist(), mu.tolist())]
+    dp, _, dw, alpha = direction(
+        np.array(sigma_mu).reshape(n, 1, 1, 1) * s_inv - hermitianize(dw @ ds @ s_inv)
+    )
+    return alpha[..., 0] * dp, alpha * dw
 
 
 def decode_pair_matrix(node):

@@ -13,6 +13,7 @@ import crolab.sdp
 import oracles
 from crolab import cli
 from crolab.channels import (
+    _FIXED_GATES,
     Channel,
     choi_dephase_output,
     choi_output_blocks,
@@ -323,13 +324,11 @@ class TestInteriorPointSolver:
         """From the primal start and duals W whose diagonals miss the
         shared-diagonal constraint, one step on a stack of two problems
         keeps each problem's row sums of p equal and shrinks its dual
-        residual f - N^T diag(W) by the factor 1 - alpha: the residual is
-        part of the right-hand side."""
+        residual, the ``dual_feas`` of ``_solve_blocks``, by the factor
+        1 - alpha: a full step meets the constraint."""
         blocks = np.stack(
             [choi_output_blocks(random_channel(d, rank=2, seed=seed).choi, d) for seed in (3, 4)]
         )
-        basis = crolab.measures._row_sum_basis(d)
-        f = basis.sum(axis=0)
         diagonal = np.arange(d)
         top = np.linalg.eigvalsh(blocks)[..., -1].max(axis=-1) + 1.0
         p = np.broadcast_to(top[:, None, None], (2, d, d))
@@ -339,17 +338,18 @@ class TestInteriorPointSolver:
         w[..., diagonal, diagonal] += 0.1 * np.random.default_rng(d).random((2, d, d))
 
         def residual(w):
-            return np.linalg.norm(f - np.real(w[:, diagonal, diagonal]).ravel() @ basis)
+            entries = np.real(w[:, diagonal, diagonal])
+            y = entries.mean(axis=0)
+            return max(np.abs(entries - y).max(), abs(y.sum() - d))
 
-        dp, dw = crolab.measures._hkm_step(s, w, basis, f)
+        dp, dw = crolab.measures._hkm_step(s, w)
         for b in range(2):
             assert np.ptp((p[b] + dp[b]).sum(axis=0)) <= 1e-12
             assert residual(w[b] + dw[b]) <= 0.5 * residual(w[b])
 
     def test_one_dimension_is_exactly_zero(self):
-        """At d = 1 the row-sum basis is the whole space and the start
+        """At d = 1 the row sums are trivially equal and the start
         already pins the program: value 0, width 0."""
-        assert crolab.measures._row_sum_basis(1).shape == (1, 1)
         result = robustness(identity_channel(1))
         assert result.value == 0.0
         assert result.residuals["witness_pairing"] == 0.0
@@ -395,6 +395,65 @@ class TestInteriorPointSolver:
             assert results[b].value == upper[b]
             assert results[b].residuals["witness_pairing"] == max(upper[b] - lower[b], 0.0)
             assert np.array_equal(results[b].witness, witness[b])
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_step_equals_the_null_space_step(self, d):
+        """From the same (S, W), the step of the d + 1 multipliers equals
+        the replaced null-space step (``oracles.null_space_hkm_step``) to
+        1e-9 relative, on every problem of a mixed stack: the interior
+        start and the next two iterates of the solver.  Later iterates grow
+        ill-conditioned as mu falls and the two routes' rounding differs
+        more, so full solves are compared by their intervals instead."""
+        rng = np.random.default_rng(d)
+        channels = [
+            *(random_channel(d, rank=rank, seed=d) for rank in (1, 2, d * d)),
+            *(real_channel(d, rank=rank, seed=d) for rank in (1, 2, d * d)),
+            random_qccro(d, seed=d),
+            unitary_channel(oracles.haar_unitary(d, rng)),
+            unitary_channel(np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))),
+            unitary_channel(np.diag(np.exp(2j * np.pi * rng.random(d)))),
+            depolarized(oracles.haar_unitary(d, rng)),
+        ]
+        blocks = choi_output_blocks(np.stack([channel.choi for channel in channels]), d)
+        p, w = crolab.measures._interior_start(blocks)
+        for _ in range(3):
+            s = -blocks
+            s[..., range(d), range(d)] += p
+            dp, dw = crolab.measures._hkm_step(s, w)
+            ref_p, ref_w = oracles.null_space_hkm_step(s, w)
+            for b in range(len(channels)):
+                size = np.linalg.norm(ref_p[b]) + np.linalg.norm(ref_w[b])
+                miss = np.linalg.norm(dp[b] - ref_p[b]) + np.linalg.norm(dw[b] - ref_w[b])
+                assert miss <= 1e-9 * size
+            p, w = p + dp, w + dw
+
+    def test_d16_intervals_overlap_the_null_space_run(self, monkeypatch):
+        """Random channels at d = 16 (Kraus rank 2 and d^2, and a real
+        one), with ``MAX_DIM`` raised: the solve with the step of the d + 1
+        multipliers and the one with the null-space step give narrow,
+        overlapping intervals, and the first takes no more steps."""
+        monkeypatch.setattr(crolab.measures, "MAX_DIM", 16)
+        chois = np.stack([
+            random_channel(16, rank=2, seed=0).choi,
+            random_channel(16, seed=0).choi,
+            real_channel(16, rank=2, seed=1).choi,
+        ])
+        runs = []
+        for step in (crolab.measures._hkm_step, oracles.null_space_hkm_step):
+            sizes = []
+
+            def counting(s, w, step=step, sizes=sizes):
+                sizes.append(len(s))
+                return step(s, w)
+
+            monkeypatch.setattr(crolab.measures, "_hkm_step", counting)
+            runs.append((crolab.measures._robustness_stack(chois), sum(sizes)))
+        (results, taken), (references, reference_taken) = runs
+        assert taken <= reference_taken
+        for result, reference in zip(results, references):
+            (low, high), (ref_low, ref_high) = _interval(result), _interval(reference)
+            assert high - low <= 1e-7 and ref_high - ref_low <= 1e-7
+            assert max(low, ref_low) <= min(high, ref_high)
 
     def test_step_cap_failure(self, monkeypatch, tmp_path, capsys, interior_point_runs):
         """One step leaves the interval of a depolarized qutrit unitary wide:
@@ -447,10 +506,10 @@ def _fail_on(monkeypatch, targets):
     factorization does: the error names no problem."""
     real_step = crolab.measures._hkm_step
 
-    def failing(s, w, basis, f):
+    def failing(s, w):
         if any(_targeted(-row, targets) for row in s):
             raise np.linalg.LinAlgError("injected failure")
-        return real_step(s, w, basis, f)
+        return real_step(s, w)
 
     monkeypatch.setattr(crolab.measures, "_hkm_step", failing)
 
@@ -749,6 +808,16 @@ class TestClosedFormRoute:
             assert result.value == 0.0
             assert _interval(result) == (0.0, 0.0)
             assert np.array_equal(result.witness, np.eye(d * d))
+
+    @pytest.mark.parametrize("name", sorted(_FIXED_GATES))
+    def test_fixed_gates_need_no_steps(self, name, interior_point_runs):
+        """Every fixed gate of the CLI settles at a closed-form point,
+        within 1e-12 of sigma_max(|U|)^2 - 1, without reaching the
+        interior start."""
+        u = gate_matrix(name)
+        result = robustness(unitary_channel(u))
+        assert interior_point_runs == []
+        assert abs(result.value - oracles.unitary_robustness(u)) <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5])
     def test_random_channels(self, d, interior_point_runs):
