@@ -14,7 +14,12 @@ rather than the generic solver of ``sdp``, which only the cross-check
 d + 1 for its d + 1 multipliers, in O(d^4).  Every point is repaired to
 exact feasibility, so it brackets the value in a certified interval that
 comes with its witness, and a problem stops at the first point whose
-interval is as narrow as the solver's target.  One run solves a whole
+interval is as narrow as the solver's target.  A step's iterate is
+repaired only once its raw duality gap sum_k tr(S_k W_k), which bounds
+the certified width from above, is within ``_SCREEN`` times that target
+(``_screen``), or at the last step: before that, the repair's two
+eigendecompositions could not stop the problem, and a stop the screen
+misses costs one more step.  One run solves a whole
 stack of channels of one dimension, in complex arithmetic: each problem
 has its own points, centring, step length and stop rule, and gets the same
 result, bit for bit, in a stack of any size.  ``robustness`` is a stack of one, and the
@@ -53,8 +58,11 @@ MAX_DIM = 8
 
 # Interior-point robustness: step cap, target and accepted interval widths.
 # Each step goes ``linalg._TO_BOUNDARY`` of the way to the cone boundary.
+# An iterate is certified only once its raw gap is within ``_SCREEN`` times
+# the target width (``_screen``).
 _MAX_STEPS = 60
 _TARGET_WIDTH = 1e-9
+_SCREEN = 100.0
 _ACCEPT_WIDTH = 1e-6
 
 
@@ -205,6 +213,31 @@ def _certified_dual(duals):
     return w * (d / y.sum(axis=-1))[:, None, None, None]
 
 
+def _slack(blocks, p):
+    """The primal slack S_k = diag(p_k) - B_k of each problem of a stack."""
+    s = -blocks
+    _diagonals(s)[...] += p
+    return s
+
+
+def _screen(s, w, upper):
+    """Which problems of a stack an iterate (S, W) may settle: those whose
+    raw complementarity gap sum_k tr(S_k W_k) is at most ``_SCREEN`` times
+    the target width of (1 + ``upper``), their best upper end so far.
+
+    The steps keep the row sums of p equal and the W_k on one diagonal of
+    trace d, up to rounding, so the raw gap is the primal objective less
+    the dual one.  ``_certify`` lowers the primal end by the least
+    eigenvalues of the S_k and leaves an interior W as it is: the certified
+    width is at most the raw gap.  An iterate that fails the screen can
+    stop its problem only when that repair closes the gap by more than
+    ``_SCREEN``, as for R = 0 problems, whose S_k is nearly a multiple of
+    I on the range of W_k; the problem then stops at a later step.  A
+    missed stop costs a step, never a certificate.
+    """
+    return _pairing(s, w) <= _SCREEN * _TARGET_WIDTH * (1.0 + upper)
+
+
 def _certify(blocks, p, w):
     """Candidates p and W of a stack of output-block programs, repaired to
     certified ends.
@@ -213,8 +246,7 @@ def _certify(blocks, p, w):
     the upper end and the repaired S behind it (``primal``), the lower end
     and the repaired W behind it (``dual``), and p and W themselves.
     """
-    s = -blocks
-    _diagonals(s)[...] += p
+    s = _slack(blocks, p)
     primal = _certified_primal(s)
     dual = _certified_dual(w)
     return s, {
@@ -245,7 +277,11 @@ def _hkm_step(s, w):
     method; Nocedal and Wright, Numerical Optimization, 2nd ed., 16.2).
     dp_k comes from a solve with H_k: an explicit inverse leaves a residual
     in H_k dp_k = diag T_k - y', the dual constraint, that grows with H_k's
-    condition and stalls the last steps.  Both sides take one step length,
+    condition and stalls the last steps.  The predictor's target is zero,
+    so its diag T_k and the top of its bordered right side are left out,
+    and dW dS is dW with its columns scaled by dp_k.  mu is the raw gap
+    sum_k tr(S_k W_k) over d^2; ``_screen`` reads the same gap at the
+    iterate the step reaches.  Both sides take one step length,
     0.98 of the way to the boundary of the PSD cones (at most 1), which
     keeps the iterates centred enough for the interval to close to about
     1e-9.  One Cholesky factorization of the stacked S and W gives S^-1 and
@@ -264,29 +300,39 @@ def _hkm_step(s, w):
     bordered[:, d, d] = 0.0
     eye = np.eye(d)
 
-    def direction(target):
-        diag = np.real(_diagonals(target))[..., None]
-        rhs = np.add.accumulate(np.linalg.solve(h, diag), axis=1)[:, -1]
-        rhs = np.concatenate([rhs, np.full((n, 1, 1), float(d))], axis=1)
-        shared = np.linalg.solve(bordered, rhs)[:, None, :d]
-        dp = np.linalg.solve(h, diag - shared)[..., 0]
-        dw = target - w - hermitianize(w * dp[:, :, None, :] @ s_inv)
+    def shared(top):
+        """y', from the bordered system with right side [top; d]."""
+        rhs = np.concatenate([top, np.full((n, 1, 1), float(d))], axis=1)
+        return np.linalg.solve(bordered, rhs)[:, None, :d]
+
+    def direction(dp, base):
+        """dS = diag(dp), dW = base - sym(W dS S^-1) with base = T - W, and
+        the step length of both."""
+        dw = base - hermitianize(w * dp[:, :, None, :] @ s_inv)
         ds = dp[..., None] * eye
         ratios = roots @ np.concatenate([ds, dw], axis=1) @ roots_h
         lowest = np.linalg.eigvalsh(ratios).min(axis=(1, 2))
         # 1 when lowest >= -0.98, else -0.98 / lowest.
         alpha = -_TO_BOUNDARY / np.minimum(lowest, -_TO_BOUNDARY)
-        return dp, ds, dw, alpha[:, None, None, None]
+        return ds, dw, alpha[:, None, None, None]
 
     mu = _pairing(s, w) / (d * d)
-    _, ds, dw, alpha = direction(np.zeros_like(w))
+    # The predictor's target is zero, and so are diag T_k and the top of
+    # the bordered system's right side.
+    dp = np.linalg.solve(h, -shared(np.zeros((n, d, 1))))[..., 0]
+    ds, dw, alpha = direction(dp, -w)
     ratio = _pairing(s + alpha * ds, w + alpha * dw) / (d * d) / mu
     # sigma = ratio^3 by Python's float power, not numpy's vectorized one,
     # so that each problem's sigma does not depend on its place in the stack.
     sigma_mu = [r**3 * m for r, m in zip(ratio.tolist(), mu.tolist())]
-    dp, _, dw, alpha = direction(
-        np.array(sigma_mu).reshape(n, 1, 1, 1) * s_inv - hermitianize(dw @ ds @ s_inv)
+    # dW dS is dW with its columns scaled by dp_k.
+    target = np.array(sigma_mu).reshape(n, 1, 1, 1) * s_inv - hermitianize(
+        dw * dp[:, :, None, :] @ s_inv
     )
+    diag = np.real(_diagonals(target))[..., None]
+    top = np.add.accumulate(np.linalg.solve(h, diag), axis=1)[:, -1]
+    dp = np.linalg.solve(h, diag - shared(top))[..., 0]
+    _, dw, alpha = direction(dp, target - w)
     return alpha[..., 0] * dp, alpha * dw
 
 
@@ -377,13 +423,20 @@ def _solve_blocks(blocks):
     diag(p_k) - B_k, with equal row sums, and the dual blocks W_k.  The loop
     visits the points of ``_singular_vector_point``, ``_diagonal_point`` and
     ``_interior_start``, then takes at most ``_MAX_STEPS`` steps of
-    ``_hkm_steps``, which keep the row sums of p equal.  Every point is
-    repaired to exact feasibility by ``_certify``.  Each of the three fixed
-    points is judged on its own ends; from the interior start on, the best
-    upper and lower ends seen are kept.  A problem stops when its interval
-    is at most 1e-9 (1 + upper) wide, when a factorization of its own fails
-    (it keeps its iterate and stops at the next check), or after the last
-    step.  Its best ends, the repaired points behind them and the raw p and
+    ``_hkm_steps``, which keep the row sums of p equal.  Each of the three
+    fixed points is repaired to exact feasibility by ``_certify`` and
+    judged on its own ends; from the interior start on, the best upper and
+    lower ends seen are kept.  A step's iterate is certified only for the
+    problems that ``_screen`` passes, whose raw gap could close the
+    interval, whose factorization failed, or all at the last step: the
+    certified width is at most the raw gap, and until the last two or
+    three steps the screen spares the eigendecompositions of the repair.
+    The stack is certified whole when any problem needs it, and the ends
+    of the others are dropped, so that a problem's ends never depend on
+    its neighbours' screens.  A problem stops when its interval is at most
+    1e-9 (1 + upper) wide, when a factorization of its own fails (it keeps
+    its iterate and stops at this check), or after the last step.  Its
+    best ends, the repaired points behind them and the raw p and
     W behind those are then written into one result record, at the
     problem's place in the stack, and the working stack is compacted to the
     problems still running.  Every operation acts on each
@@ -407,28 +460,34 @@ def _solve_blocks(blocks):
         "w": np.empty(blocks.shape, dtype=complex),
     }
     points = (_singular_vector_point, _diagonal_point, _interior_start)
+    last = len(points) + _MAX_STEPS - 1
     index = np.arange(n)
     failed = None
-    for step in range(len(points) + _MAX_STEPS):
+    for step in range(last + 1):
         if step < len(points):
             p, w = points[step](blocks)
+            s, best = _certify(blocks, p, w)
         else:
             dp, dw, failed = _hkm_steps(s, w)
             p, w = p + dp, w + dw
-        s, ends = _certify(blocks, p, w)
-        if step < len(points):
-            best = ends
-        else:
+            s = _slack(blocks, p)
+            check = _screen(s, w, best["upper"]) | (step == last)
+            if failed is not None:
+                check |= failed
+            if not check.any():
+                continue
+            ends = _certify(blocks, p, w)[1]
             for keys, better in (
-                (("upper", "primal", "p"), ends["upper"] < best["upper"]),
-                (("lower", "dual", "w"), ends["lower"] > best["lower"]),
+                (("upper", "primal", "p"), check & (ends["upper"] < best["upper"])),
+                (("lower", "dual", "w"), check & (ends["lower"] > best["lower"])),
             ):
                 for key in keys:
                     best[key][better] = ends[key][better]
+        # A problem left unchecked keeps the ends that did not stop it.
         stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
         if failed is not None:
             stop |= failed
-        if step == len(points) + _MAX_STEPS - 1:
+        if step == last:
             stop[:] = True
         if stop.any():
             for key, value in results.items():

@@ -10,7 +10,9 @@ its interior-point method, over the package's canonical form;
 ``admm_block_robustness`` states the robustness to that ADMM;
 ``interior_point_intervals`` solves every robustness problem by the
 interior point alone, in the run that ``crolab.measures`` made before it
-solved all of them in one loop over certified points;
+solved all of them in one loop over certified points, with or without
+the screen that spares the repair of iterates whose gap cannot close
+the interval;
 ``null_space_hkm_step`` is the Newton step that ``crolab.measures`` took
 in the dense null-space basis ``row_sum_basis`` before it stated the step
 by its d + 1 multipliers;
@@ -810,7 +812,7 @@ def admm_block_robustness(channel):
     return max(lower, 0.0), upper
 
 
-def interior_point_intervals(chois):
+def interior_point_intervals(chois, screen=True):
     """Certified intervals ``(lower, upper)`` of the robustness of a
     (batch, d^2, d^2) Choi stack, all by the interior point, and the
     witnesses behind the lower ends.
@@ -820,11 +822,22 @@ def interior_point_intervals(chois):
     (lambda_max(B) + 1) 1 and W_k = I, each iterate repaired by
     ``measures._certify`` and the best ends seen kept; a problem stops when
     its interval is at most ``_TARGET_WIDTH`` (1 + upper) wide, when its
-    own factorization failed, or after ``_MAX_STEPS`` steps.  A lower end
-    below zero gives way to zero and the identity witness.
+    own factorization failed, or after ``_MAX_STEPS`` steps.  With
+    ``screen``, a step's ends are kept only for the problems that
+    ``measures._screen`` passes, whose factorization failed, or at the
+    last step, the rule of ``_solve_blocks``; without it, every iterate
+    counts, as before that screen.  Every iterate is repaired either way.
+    A lower end below zero gives way to zero and the identity witness.
     """
     from crolab.channels import choi_from_output_blocks, choi_output_blocks
-    from crolab.measures import _MAX_STEPS, _TARGET_WIDTH, _certify, _hkm_steps
+    from crolab.measures import (
+        _MAX_STEPS,
+        _TARGET_WIDTH,
+        _certify,
+        _hkm_steps,
+        _screen,
+        _slack,
+    )
 
     n, d = len(chois), int(round(np.sqrt(chois.shape[-1])))
     blocks = np.ascontiguousarray(choi_output_blocks(chois, d), dtype=complex)
@@ -836,10 +849,16 @@ def interior_point_intervals(chois):
     w = np.broadcast_to(np.eye(d, dtype=complex), blocks.shape).copy()
     best = failed = None
     for step in range(_MAX_STEPS + 1):
+        check = np.ones(len(p), dtype=bool)
+        if screen and best is not None and step < _MAX_STEPS:
+            check = _screen(_slack(blocks, p), w, best["upper"])
+            if failed is not None:
+                check |= failed
         s, ends = _certify(blocks, p, w)
         if best is None:
             best = ends
-        upper, lower = ends["upper"] < best["upper"], ends["lower"] > best["lower"]
+        upper = check & (ends["upper"] < best["upper"])
+        lower = check & (ends["lower"] > best["lower"])
         for keys, better in ((("upper", "primal", "p"), upper), (("lower", "dual", "w"), lower)):
             for key in keys:
                 best[key][better] = ends[key][better]

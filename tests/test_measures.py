@@ -642,6 +642,126 @@ class TestFailureIsolation:
                 assert line == reference and line.endswith(",")
 
 
+def _recorded(monkeypatch, name):
+    """Record the first argument of every call of ``measures.<name>``."""
+    calls = []
+    real = getattr(crolab.measures, name)
+
+    def recording(first, *rest):
+        calls.append(first.copy())
+        return real(first, *rest)
+
+    monkeypatch.setattr(crolab.measures, name, recording)
+    return calls
+
+
+def _near_qc(d, eps, seed):
+    """A qc member mixed with weight ``eps`` of a random channel."""
+    qc, noise = random_qccro(d, seed=seed).choi, random_channel(d, rank=2, seed=seed + 10).choi
+    return Channel((1.0 - eps) * qc + eps * noise)
+
+
+class TestCertificationScreen:
+    """``_solve_blocks`` certifies a step's iterate only where ``_screen``
+    says its raw gap could close the interval, against the run that
+    certifies every iterate (``oracles.interior_point_intervals`` with
+    ``screen=False``)."""
+
+    @staticmethod
+    def _against_every_step(monkeypatch, channels):
+        """The live results of ``channels`` with every closed form rejected,
+        so that all reach the interior point, the every-step run's (lower,
+        upper, witness), and each problem's step counts in the two runs."""
+        _reject_closed_form(monkeypatch, lambda blocks: True)
+        steps = _recorded(monkeypatch, "_hkm_steps")
+        results = robustness_stack(channels)
+        live = steps[:]
+        steps.clear()
+        reference = oracles.interior_point_intervals(
+            np.stack([c.choi for c in channels]), screen=False
+        )
+
+        def taken(run, blocks):
+            # S has the off-diagonals of -B.
+            return sum(_targeted(-row, [blocks]) for s in run for row in s)
+
+        counts = [
+            (taken(live, blocks), taken(steps, blocks))
+            for blocks in (choi_output_blocks(c.choi, c.dim) for c in channels)
+        ]
+        return results, reference, counts
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_screened_run_equals_every_step_run(self, monkeypatch, d):
+        """Random channels of Kraus rank 1, 2 and d^2, their real parts and
+        near-qc mixtures, forced to the interior point (at d = 2 the closed
+        forms settle them all): each gets the upper end, width and witness
+        of the every-step run, bit for bit, after as many steps."""
+        channels = [
+            *(random_channel(d, rank=rank, seed=d) for rank in (1, 2, d * d)),
+            *(real_channel(d, rank=rank, seed=d) for rank in (2, d * d)),
+            *(_near_qc(d, eps, seed) for eps in (1e-9, 1e-6) for seed in (0, 1)),
+        ]
+        results, (lower, upper, witness), counts = self._against_every_step(monkeypatch, channels)
+        for b, (result, (live, every)) in enumerate(zip(results, counts)):
+            assert result.value == upper[b]
+            assert result.residuals["witness_pairing"] == max(upper[b] - lower[b], 0.0)
+            assert np.array_equal(result.witness, witness[b])
+            assert live == every > 0
+
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_forced_open_zero_problems_stay_within_target(self, monkeypatch, d):
+        """A qc member, a phased permutation and a phase gate, R = 0, forced
+        to the interior point: there S_k is nearly a multiple of I on the
+        range of W_k, the certified width falls far below the raw gap, and
+        the screen may stop a problem later than the every-step run.  Each
+        interval is within the target, overlaps the every-step one, and
+        takes at most one step more."""
+        rng = np.random.default_rng(d)
+        channels = [
+            random_qccro(d, seed=d),
+            unitary_channel(np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))),
+            unitary_channel(np.diag(np.exp(2j * np.pi * rng.random(d)))),
+        ]
+        results, (lower, upper, _), counts = self._against_every_step(monkeypatch, channels)
+        for b, (result, (live, every)) in enumerate(zip(results, counts)):
+            low, high = _interval(result)
+            assert high - low <= crolab.measures._TARGET_WIDTH * (1.0 + high)
+            assert max(low, lower[b]) <= min(high, upper[b])
+            assert live <= every + 1
+
+    @pytest.mark.parametrize("rank", [2, 16])
+    def test_few_steps_are_certified(self, monkeypatch, rank):
+        """A d = 4 random channel takes nine steps, of which at most three
+        are certified: ``_certify`` sees the three fixed points and at most
+        three iterates."""
+        channel = random_channel(4, rank=rank, seed=0)
+        steps = _recorded(monkeypatch, "_hkm_steps")
+        certified = _recorded(monkeypatch, "_certify")
+        robustness(channel)
+        assert len(steps) >= 8
+        assert 3 < len(certified) <= 6
+
+    @pytest.mark.parametrize("stop", ["cap", "failure"])
+    def test_stopping_step_is_certified(self, monkeypatch, stop):
+        """A run capped at one step, and one whose first step fails to
+        factorize, stop after that step and certify the iterate they stop
+        at: the wide interval they report is the every-step run's."""
+        channel = random_channel(4, rank=2, seed=0)
+        if stop == "cap":
+            monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 1)
+        else:
+            _fail_on(monkeypatch, [choi_output_blocks(channel.choi, 4)])
+        steps = _recorded(monkeypatch, "_hkm_steps")
+        certified = _recorded(monkeypatch, "_certify")
+        upper, _, _, residuals, failures = crolab.measures._solve_chois(channel.choi[None])
+        assert len(steps) == 1 and len(certified) == 4
+        assert failures[0] is not None
+        lower, reference, _ = oracles.interior_point_intervals(channel.choi[None], screen=False)
+        assert upper[0] == reference[0]
+        assert residuals[0]["witness_pairing"] == max(reference[0] - lower[0], 0.0)
+
+
 class TestAdmmOracle:
     """The interior-point interval against the replaced ADMM path."""
 
