@@ -209,9 +209,10 @@ def _verdict_entry(verdict):
 
 
 def _classify(channel, args):
-    # is_cqcro, is_qqcro, is_qccro and is_dio in one pass over the masks
+    # is_cqcro, is_qqcro, is_qccro and is_dio in one pass over the masks,
+    # without the probe witnesses that the report leaves out
     kinds = {"cqcro": "cq", "qqcro": "qq", "qccro": "qc", "dio": "dio"}
-    found = _masked_verdicts(channel.choi, channel.dim, tuple(kinds.values()), args.tol)
+    found = _masked_verdicts(channel.choi, channel.dim, tuple(kinds.values()), args.tol, witnesses=False)
     verdicts = {key: found[kind] for key, kind in kinds.items()}
     replacement = None
     for verdict in verdicts.values():

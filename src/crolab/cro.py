@@ -14,7 +14,9 @@ On the trace-1 Choi matrix J each identity says that two entry masks agree:
 (1,) for D O, (0, 1) for D O D and none for O.  It holds iff the largest
 entrywise deviation between the two masks is at most ``tol``.  Members come
 with the column-stochastic matrix that replaces them on classical data;
-non-members with the probe state on which the two sides differ most.
+non-members, from the public tests, with the probe state on which the two
+sides differ most.  ``crolab classify`` reports only membership, residual
+and replacement, so it asks ``_masked_verdicts`` for no probe witness.
 
 The PVM generalizations swap D for the measure-and-reprepare channel T_E of
 a projector set and state each identity with the same side table, applying
@@ -33,7 +35,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import Channel, ProjectorSet, choi_apply, choi_measure, random_channel
+from .channels import (
+    Channel,
+    ProjectorSet,
+    choi_apply,
+    choi_measure,
+    choi_stack_from_kraus,
+    random_channel,
+)
 from .linalg import DEFAULT_TOL, dephase, hermitianize
 from .paulis import pauli_stack
 
@@ -45,7 +54,8 @@ class CroVerdict:
     ``residual`` is the largest Choi-entry deviation of the defining
     identity.  ``replacement`` is the column-stochastic matrix (present iff
     member); ``witness_state`` is a probe density matrix on which the two
-    sides of the identity visibly differ (present iff non-member).
+    sides of the identity visibly differ (from the public tests, present
+    iff non-member; the CLI's witness-free verdicts leave it ``None``).
     ``matched_unitary`` is only set by the unitary-ensemble test.
     """
 
@@ -98,17 +108,21 @@ def _validated_stochastic(t: np.ndarray, tol: float) -> np.ndarray:
     return t
 
 
-def _identity_verdict(lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.ndarray | None, tol: float) -> CroVerdict:
+def _identity_verdict(
+    lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.ndarray | None, tol: float, witnesses: bool = True
+) -> CroVerdict:
     """Decide ``lhs = rhs`` between two Choi matrices.
 
-    The witness is the first probe state maximizing the largest entry of
-    the two sides' output difference, found by applying the difference's
-    Choi array to the stacked probes at once.
+    With ``witnesses``, a non-member's witness is the first probe state
+    maximizing the largest entry of the two sides' output difference, found
+    by applying the difference's Choi array to the stacked probes at once.
     """
     diff = lhs - rhs
     residual = float(np.max(np.abs(diff)))
     if residual <= tol:
         return CroVerdict(is_member=True, residual=residual, replacement=replacement)
+    if not witnesses:
+        return CroVerdict(is_member=False, residual=residual)
     probes = probe_states(d)
     outputs = choi_apply(diff, probes)
     witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=(1, 2))))].copy()
@@ -125,11 +139,15 @@ _MASKS = {
 }
 
 
-def _masked_verdicts(choi: np.ndarray, d: int, kinds: Sequence[str], tol: float) -> dict[str, CroVerdict]:
+def _masked_verdicts(
+    choi: np.ndarray, d: int, kinds: Sequence[str], tol: float, witnesses: bool = True
+) -> dict[str, CroVerdict]:
     """Verdicts of the listed basis classes on one Choi array, in order.
 
     Each distinct mask is applied once, and the members share one validated
-    replacement matrix.
+    replacement matrix.  Non-members carry the public tests' probe witness
+    unless ``witnesses`` is false, which skips the O(d^6) probe search;
+    membership, residual and replacement are the same either way.
     """
     masked = {}
     for kind in kinds:
@@ -138,7 +156,7 @@ def _masked_verdicts(choi: np.ndarray, d: int, kinds: Sequence[str], tol: float)
                 masked[s] = dephase(choi, [d, d], s)
     replacement = _stochastic_from_choi(choi, d, tol)
     return {
-        kind: _identity_verdict(*(masked[s] for s in _MASKS[kind]), d, replacement, tol)
+        kind: _identity_verdict(*(masked[s] for s in _MASKS[kind]), d, replacement, tol, witnesses)
         for kind in kinds
     }
 
@@ -313,16 +331,40 @@ def eb_ppt_test(o: Channel, tol: float = DEFAULT_TOL) -> EbVerdict:
     conclusive only for qubit channels, where PPT equals separability
     (``eb_confirmed``); for larger dimensions a PPT result is
     ``inconclusive``.
+
+    A channel that carries exactly one Kraus operator K (every gate, and
+    every ``channel_from_kraus`` of one operator) has the pure Choi state
+    vec(K^T) vec(K^T)^dag / d, whose Schmidt coefficients are K's singular
+    values.  Its partial transpose has the eigenvalues sigma_i^2 / d and
+    +-sigma_i sigma_j / d for i < j (Peres, PRL 77, 1413, 1996), so the
+    minimum is -sigma_1 sigma_2 / d, or sigma_1^2 / d at d = 1, from one
+    d x d SVD.  That holds only when ``o.choi`` is exactly the array K
+    builds, which ``Channel(choi, kraus=[K])`` does not check, so it is
+    compared first.  Every other channel eigendecomposes the Hermitian part
+    of the d^2 x d^2 partial transpose.
     """
     d = o.dim
-    t = o.choi.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
-    w = np.linalg.eigvalsh(hermitianize(t))
-    min_eig = float(w[0])
+    min_eig = _pure_ppt_minimum(o)
+    if min_eig is None:
+        t = o.choi.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+        min_eig = float(np.linalg.eigvalsh(hermitianize(t))[0])
     if min_eig < -tol:
         return EbVerdict("not_eb_confirmed", min_eig)
     if d == 2:
         return EbVerdict("eb_confirmed", min_eig)
     return EbVerdict("inconclusive", min_eig)
+
+
+def _pure_ppt_minimum(o: Channel) -> float | None:
+    """The closed-form partial-transpose minimum of ``eb_ppt_test``, or None
+    unless ``o`` carries one Kraus operator whose Choi array is ``o.choi``."""
+    if o._kraus is None or len(o._kraus) != 1:
+        return None
+    kraus = np.asarray(o._kraus)
+    if not np.array_equal(o.choi, hermitianize(choi_stack_from_kraus(kraus))):
+        return None
+    s = np.linalg.svd(kraus[0], compute_uv=False)
+    return float(s[0] ** 2 / o.dim if o.dim == 1 else -(s[0] * s[1]) / o.dim)
 
 
 def random_qccro(dim: int, seed=None, qq_weight: float = 0.0, tol: float = DEFAULT_TOL) -> Channel:

@@ -17,6 +17,8 @@ the interval;
 in the dense null-space basis ``row_sum_basis`` before it stated the step
 by its d + 1 multipliers;
 ``sweep_per_point`` runs the sweep one ``Channel`` at a time;
+``eb_ppt_verdict`` is the PPT screen that ``crolab.cro.eb_ppt_test`` ran
+on every channel before one-Kraus channels read its minimum in closed form;
 and ``property_suite_per_channel`` is the property suite that built every
 mixture, sample and image as a ``Channel``.  The
 robustness oracles solve the same question as the production solvers but
@@ -1001,6 +1003,17 @@ def validate_choi_one(choi, tol, kraus=None):
     if min_eig < -max(tol, 1e-7):
         raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
     return choi
+
+
+def eb_ppt_verdict(choi, d, tol):
+    """The replaced PPT screen: the smallest eigenvalue of the Hermitian part
+    of the realigned partial transpose of a Choi array, and the status it
+    gives (NPT below -tol; PPT decisive only at d = 2); (status, minimum)."""
+    t = choi.reshape(d, d, d, d).transpose(0, 3, 2, 1).reshape(d * d, d * d)
+    min_eig = float(np.linalg.eigvalsh(0.5 * (t + t.conj().T))[0])
+    if min_eig < -tol:
+        return "not_eb_confirmed", min_eig
+    return ("eb_confirmed" if d == 2 else "inconclusive"), min_eig
 
 
 def entropy_gap_one(choi, d):

@@ -16,8 +16,8 @@ from hypothesis import strategies as st
 
 import crolab
 import oracles
-from crolab import cli
-from crolab.channels import apply, named_gate
+from crolab import cli, cro
+from crolab.channels import apply, named_gate, random_channel
 
 # The subprocess imports the same crolab sources as this test session.
 SRC = str(Path(crolab.__file__).resolve().parents[1])
@@ -89,6 +89,58 @@ class TestClassifyCommand:
             basis[i, i] = 1.0
             diag = np.real(np.diag(apply(channel, basis)))
             assert np.max(np.abs(t[:, i] - diag)) < 1e-9
+
+    def test_report_builds_no_witness(self, tmp_path, capsys, monkeypatch):
+        """classify applies no map to the probe states: each report on
+        non-member specs at d = 2..8 equals the one assembled from the
+        public is_* verdicts and the replaced PPT screen
+        (``oracles.eb_ppt_verdict``); only one-Kraus specs, which read the
+        PPT minimum in closed form, may differ from it, in the last bits."""
+        rng = np.random.default_rng(28)
+
+        def pairs(m):
+            return np.stack([m.real, m.imag], axis=-1).tolist()
+
+        def isometry(d, rank):
+            g = rng.normal(size=(rank * d, d)) + 1j * rng.normal(size=(rank * d, d))
+            return np.linalg.qr(g)[0].reshape(rank, d, d)
+
+        specs = [({"kind": "gate", "name": "H"}, True)]
+        for d in range(2, 9):
+            unitary = _kraus_spec(pairs(isometry(d, 1)), dim=d)
+            rank_two = _kraus_spec(pairs(isometry(d, 2)), dim=d)
+            specs += [
+                (unitary, True),
+                (rank_two, False),
+                ({"kind": "choi", "dim": d, "matrix": pairs(random_channel(d, seed=d).choi)}, False),
+                ({"kind": "composition", "children": [unitary, rank_two]}, False),
+            ]
+        tests = {"cqcro": cro.is_cqcro, "qqcro": cro.is_qqcro, "qccro": cro.is_qccro, "dio": cro.is_dio}
+
+        def refuse(*args):
+            raise AssertionError("classify built a probe witness")
+
+        for k, (spec, one_kraus) in enumerate(specs):
+            path = write_spec(tmp_path, f"spec{k}.json", spec)
+            monkeypatch.setattr(cro, "choi_apply", refuse)
+            monkeypatch.setattr(cro, "probe_states", refuse)
+            code, out, _ = _main(capsys, "classify", path)
+            monkeypatch.undo()
+            assert code == 0
+            report = json.loads(out)
+
+            channel = cli.load_channel(path, 1e-9)
+            verdicts = {key: test(channel) for key, test in tests.items()}
+            assert not any(v.is_member for v in verdicts.values())
+            status, minimum = oracles.eb_ppt_verdict(channel.choi, channel.dim, 1e-9)
+            expected = {"tool": "crolab", "version": crolab.__version__, "tolerance": 1e-9}
+            expected.update({key: {"member": False, "residual": v.residual} for key, v in verdicts.items()})
+            expected["eb_ppt"] = {"status": status, "min_eigenvalue": minimum}
+            expected["replacement"] = None
+            if one_kraus:
+                assert report["eb_ppt"]["min_eigenvalue"] == pytest.approx(minimum, rel=0, abs=1e-14)
+                expected["eb_ppt"]["min_eigenvalue"] = report["eb_ppt"]["min_eigenvalue"]
+            assert report == expected
 
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
@@ -436,13 +488,20 @@ class TestSpecParsing:
 
 
     def test_sweep_and_gate_measures_ignore_thread_count(self, tmp_path):
-        """The 50-point sweep CSV, and measures on gate specs, which the
-        closed form settles (game too on CNOT), are byte for byte the same
-        under one and two BLAS threads."""
+        """The 50-point sweep CSV, measures on gate specs, which the closed
+        form settles (game too on CNOT), and classify on CCX and on a d = 32
+        one-Kraus unitary are byte for byte the same under one and two BLAS
+        threads."""
         runs = [("sweep", "u-theta", "--points", "50")]
         for name, theta in (("CNOT", None), ("CCX", None), ("U", 0.3)):
             runs.append(("measures", gate_spec(tmp_path, name, theta)))
         runs.append(("game", gate_spec(tmp_path, "CNOT")))
+        # classify, whose one-Kraus PPT minimum comes from an SVD that may
+        # thread at d = 32.
+        u = oracles.haar_unitary(32, np.random.default_rng(32))
+        unitary = _kraus_spec([np.stack([u.real, u.imag], axis=-1).tolist()], dim=32)
+        runs.append(("classify", gate_spec(tmp_path, "CCX")))
+        runs.append(("classify", write_spec(tmp_path, "haar32.json", unitary)))
         for argv in runs:
             outputs = [run_cli(*argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
             assert [p.returncode for p in outputs] == [0, 0]

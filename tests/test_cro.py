@@ -4,6 +4,8 @@ import pytest
 import oracles
 from crolab import cro
 from crolab.channels import (
+    _FIXED_GATES,
+    Channel,
     ProjectorSet,
     apply,
     basis_pvm,
@@ -33,6 +35,7 @@ from crolab.cro import (
     random_qccro,
     vqa_replaceable_set_R,
 )
+from crolab.linalg import DEFAULT_TOL
 from crolab.paulis import HADAMARD, PAULI_X, pauli_index, pauli_stack, random_clifford
 
 
@@ -448,6 +451,78 @@ class TestEbPpt:
 
     def test_npt_beyond_qubits_is_decisive(self):
         assert eb_ppt_test(identity_channel(3)).status == "not_eb_confirmed"
+
+
+def _no_eigvalsh(m):
+    raise AssertionError(f"eigvalsh of a {m.shape} array")
+
+
+def _ppt_bound(d, tol):
+    """How far the closed form -sigma_1 sigma_2 / d may sit from the
+    replaced eigvalsh minimum on the same one-Kraus channel, n = d^2.
+
+    The Choi array J = w w^dag / d is pure, so ||J||_2 = ||J||_F = tr J <=
+    1 + tol.  eigvalsh is backward stable, within p(n) eps ||J||_2 of the
+    eigenvalues of the rounded array (p(n) taken as n); each rounded entry
+    is within 4 u = 2 eps of w_i conj(w_j) / d in relative terms (a complex
+    product, then a division), which moves the eigenvalues by at most
+    2 eps ||J||_F; the SVD gives each sigma within p(d) eps ||K||_2 (p(d)
+    taken as d), so their product within 2 d eps (1 + tol).  That is
+    (n + 2 d + 2) eps (1 + tol), doubled for room.
+    """
+    return 2 * (d * d + 2 * d + 2) * np.finfo(float).eps * (1 + tol)
+
+
+class TestEbPptClosedForm:
+    """One-Kraus channels read the partial-transpose minimum as -sigma_1
+    sigma_2 / d (Peres) from one d x d SVD; every other channel, and a
+    Kraus operator whose Choi array is not the channel's, keeps the
+    replaced eigvalsh (``oracles.eb_ppt_verdict``)."""
+
+    @staticmethod
+    def _one_kraus_channels():
+        rng = np.random.default_rng(28)
+        channels = [(name, named_gate(name), DEFAULT_TOL) for name in _FIXED_GATES]
+        for d in (*range(1, 9), 32):
+            channels.append((f"haar {d}", unitary_channel(oracles.haar_unitary(d, rng)), DEFAULT_TOL))
+        # Complete only within 1e-3: K^dag K = diag((1 + delta)^2).
+        k = oracles.haar_unitary(3, rng) @ np.diag([1 + 4e-4, 1 - 3e-4, 1 + 1e-4]) @ oracles.haar_unitary(3, rng)
+        channels.append(("near-unitary", channel_from_kraus([k], tol=1e-3), 1e-3))
+        return channels
+
+    def test_one_kraus_channels_match_the_replaced_path(self, monkeypatch):
+        for name, channel, tol in self._one_kraus_channels():
+            d = channel.dim
+            status, expected = oracles.eb_ppt_verdict(channel.choi, d, tol)
+            monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+            got = eb_ppt_test(channel, tol)
+            monkeypatch.undo()
+            assert got.status == status, name
+            assert abs(got.min_eigenvalue - expected) <= _ppt_bound(d, tol), name
+
+    def test_permutation_gates_are_exact(self):
+        for name in ("X", "CNOT", "CCX"):
+            channel = named_gate(name)
+            assert eb_ppt_test(channel) == ("not_eb_confirmed", -1.0 / channel.dim)
+
+    def test_a_kraus_operator_that_is_not_the_choi_array_keeps_eigvalsh(self):
+        channel = Channel(dephasing(2).choi, kraus=[HADAMARD])
+        assert tuple(eb_ppt_test(channel)) == oracles.eb_ppt_verdict(channel.choi, 2, DEFAULT_TOL)
+        assert eb_ppt_test(channel) == ("eb_confirmed", 0.0)
+
+    def test_other_channels_keep_eigvalsh_bit_for_bit(self):
+        rng = np.random.default_rng(29)
+        channels = [dephasing(2), dephasing(3), eb_example_channel(), random_qccro(3, seed=1)]
+        for d in range(1, 7):
+            channels.append(random_channel(d, seed=d))
+            ops = np.linalg.qr(rng.normal(size=(2 * d, d)) + 1j * rng.normal(size=(2 * d, d)))[0]
+            channels.append(channel_from_kraus(ops.reshape(2, d, d)))
+        channels.append(tensor(named_gate("H"), named_gate("CNOT")))
+        channels.append(compose(named_gate("H"), named_gate("T")))
+        for channel in channels:
+            for tol in (DEFAULT_TOL, 1e-3):
+                expected = oracles.eb_ppt_verdict(channel.choi, channel.dim, tol)
+                assert tuple(eb_ppt_test(channel, tol)) == expected
 
 
 class TestRandomQccro:
