@@ -185,12 +185,7 @@ def _validated(chois, tol, kraus=None, bound=None):
     # (failing entries, the value each message reports, message template)
     checks = []
     if kraus is not None:
-        ops = np.asarray(kraus, dtype=complex).reshape(len(stack), -1, dim, dim)
-        products = ops.conj().swapaxes(-1, -2) @ ops
-        completeness = products[:, 0]
-        for k in range(1, products.shape[1]):
-            completeness = completeness + products[:, k]
-        dev = np.max(np.abs(completeness - np.eye(dim)), axis=(1, 2))
+        dev = _completeness_deviation(np.asarray(kraus, dtype=complex).reshape(len(stack), -1, dim, dim))
         checks.append((dev > tol, dev, "kraus completeness violated by {:.3e} (tol={tol:g})"))
     asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
     checks.append((~(asym <= tol), asym, "choi matrix is not Hermitian within tol={tol:g}"))
@@ -229,6 +224,16 @@ def _validated(chois, tol, kraus=None, bound=None):
         # entry that passed has nuclear norm at most 1 + tol - 2 n floor.
         bound = float(np.min(min_eig, initial=np.inf)) - 2 * _rounding(n, 1 + tol - 2 * n * floor)
     return hermitian.reshape(chois.shape), bound
+
+
+def _completeness_deviation(ops: np.ndarray) -> np.ndarray:
+    """The largest entry of |sum_k K^dag K - I|, the sum taken over k in
+    order, for each Kraus list of a (..., r, d, d) stack."""
+    products = ops.conj().swapaxes(-1, -2) @ ops
+    completeness = products[..., 0, :, :]
+    for k in range(1, products.shape[-3]):
+        completeness = completeness + products[..., k, :, :]
+    return np.abs(completeness - np.eye(ops.shape[-1])).max(axis=(-2, -1))
 
 
 def choi_stack_from_kraus(ops: np.ndarray) -> np.ndarray:

@@ -11,6 +11,16 @@ Channel specifications are JSON files.  Complex numbers are written as
   first)
 - ``{"kind": "tensor", "children": [spec, ...]}``
 
+A subtree whose leaves are all ``kraus`` or ``gate`` specs loads as one
+stack of Kraus operators while it holds at most d of them: compositions
+multiply the operators (the later child's on the left) and tensors take
+their Kronecker products (the first child's factor slow).  Each such leaf
+below a composition or tensor is checked for completeness at ``--tol``,
+and the product for every ``Channel`` invariant once, when it becomes a
+channel.  A subtree with a ``choi`` leaf, or a node whose product would
+hold more operators, builds a ``Channel`` per child and joins them with
+``compose`` or ``tensor``.
+
 A matrix (or a whole ``operators`` list) is read as one numpy array of
 int64, uint64 or float64 numbers, ``[re, im]`` on its last axis, each pair
 becoming ``complex(re, im)`` bit for bit.  ``--tol`` must be finite and
@@ -36,13 +46,13 @@ import numpy as np
 from . import __version__
 from .channels import (
     Channel,
+    _completeness_deviation,
     _validated_kraus_stack,
     channel_from_kraus,
     compose,
     gate_matrix,
     interpolation_unitary,
     tensor,
-    unitary_channel,
 )
 from .cro import _masked_verdicts, eb_ppt_test, vqa_replaceable_set_R
 from .game import _witness_game, payoff
@@ -122,7 +132,9 @@ def _spec_work(node, where):
     names and children alone, with every check that needs no matrix.
 
     The work sums d^6 over the channels that loading builds: each leaf,
-    each composition step and each partial tensor product.
+    each composition step and each partial tensor product.  d^6 bounds such
+    a node on either path: as channels, or as a Kraus product of at most d
+    operators, whose steps and whose Choi array cost at most d^5 each.
     """
     if not isinstance(node, dict):
         raise SpecError(f"{where}: expected an object")
@@ -156,13 +168,28 @@ def _spec_work(node, where):
 
 def _parse_spec_node(node, where, tol):
     """The channel of a spec node that ``_spec_work`` has checked."""
+    loaded = _load_node(node, where, tol)
+    return loaded if isinstance(loaded, Channel) else channel_from_kraus(loaded, tol=tol)
+
+
+def _load_node(node, where, tol):
+    """A spec node as a ``Channel``, or as an unchecked (r, d, d) Kraus
+    stack: for a ``kraus`` or ``gate`` leaf, and for a composition or
+    tensor of such stacks whose product holds at most d operators.
+
+    A stack is checked above it: a composition or tensor checks each leaf
+    child's completeness as soon as it is loaded, and a stack gets every
+    ``Channel`` check where a parent or the root makes it a channel.
+    """
     kind = node["kind"]
     if kind == "kraus":
         dim = node["dim"]
         ops = _as_complex_array(node.get("operators"), f"{where}.operators", 3)
         if ops.shape[1:] != (dim, dim):
             raise SpecError(f"{where}.operators: shape {ops.shape[1:]} does not match dim {dim}")
-        return channel_from_kraus(ops, tol=tol)
+        return ops
+    if kind == "gate":
+        return np.asarray(_gate_unitary(node, where), dtype=complex)[None]
     if kind == "choi":
         dim = node["dim"]
         matrix = _as_complex_array(node.get("matrix"), f"{where}.matrix", 2)
@@ -172,15 +199,44 @@ def _parse_spec_node(node, where, tol):
                 f"dim {dim} (need {dim * dim}x{dim * dim})"
             )
         return Channel(matrix, tol=tol)
-    if kind == "gate":
-        return unitary_channel(_gate_unitary(node, where), tol=tol)
+    parts = []
+    for k, child in enumerate(node["children"]):
+        part = _load_node(child, f"{where}.children[{k}]", tol)
+        # A Kraus leaf is checked for completeness alone; one that fails gets
+        # its channel built, whose checks raise the leaf's own message.
+        if child["kind"] in ("kraus", "gate") and not _completeness_deviation(part) <= tol:
+            channel_from_kraus(part, tol=tol)
+        parts.append(part)
+    if all(isinstance(part, np.ndarray) for part in parts):
+        dims = [part.shape[-1] for part in parts]
+        dim = math.prod(dims) if kind == "tensor" else dims[0]
+        count = math.prod(len(part) for part in parts)
+        # A product's Choi array costs count * d^4 steps, against about d^4
+        # for a tensor of channels: at most d operators keep it within a few
+        # times that (at d^2, five 4-operator qubit channels took 90 times as
+        # long).  Children of different dimensions reach compose, which
+        # refuses them.
+        if (kind == "tensor" or len(set(dims)) == 1) and count <= dim:
+            return _kraus_product(kind, parts)
     children = [
-        _parse_spec_node(child, f"{where}.children[{k}]", tol)
-        for k, child in enumerate(node["children"])
+        part if isinstance(part, Channel) else channel_from_kraus(part, tol=tol) for part in parts
     ]
     if kind == "composition":
         return reduce(lambda acc, nxt: compose(nxt, acc, tol=tol), children)
     return reduce(lambda acc, nxt: tensor(acc, nxt, tol=tol), children)
+
+
+def _kraus_product(kind, stacks):
+    """The Kraus stack of a composition of (r, d, d) stacks, the later
+    child's operator on the left, or of their tensor product, the first
+    child's factor slow; each later child's index runs fastest."""
+    def step(acc, nxt):
+        if kind == "composition":
+            return (nxt[None] @ acc[:, None]).reshape(-1, *acc.shape[1:])
+        d = acc.shape[-1] * nxt.shape[-1]
+        return np.einsum("aij,bkl->abikjl", acc, nxt).reshape(len(acc) * len(nxt), d, d)
+
+    return reduce(step, stacks)
 
 
 def load_channel(path, tol):

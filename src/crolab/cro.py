@@ -332,8 +332,10 @@ def eb_ppt_test(o: Channel, tol: float = DEFAULT_TOL) -> EbVerdict:
     (``eb_confirmed``); for larger dimensions a PPT result is
     ``inconclusive``.
 
-    A channel that carries exactly one Kraus operator K (every gate, and
-    every ``channel_from_kraus`` of one operator) has the pure Choi state
+    A channel that carries exactly one Kraus operator K (every gate, every
+    ``channel_from_kraus`` of one operator, and every tensor and
+    composition of gates and one-operator Kraus specs, which the CLI loads
+    as one product operator) has the pure Choi state
     vec(K^T) vec(K^T)^dag / d, whose Schmidt coefficients are K's singular
     values.  Its partial transpose has the eigenvalues sigma_i^2 / d and
     +-sigma_i sigma_j / d for i < j (Peres, PRL 77, 1413, 1996), so the

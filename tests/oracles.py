@@ -17,6 +17,9 @@ the interval;
 in the dense null-space basis ``row_sum_basis`` before it stated the step
 by its d + 1 multipliers;
 ``sweep_per_point`` runs the sweep one ``Channel`` at a time;
+``load_spec_node_by_node`` loads a CLI spec with a ``Channel`` at every
+node, as ``crolab.cli`` did before it multiplied Kraus leaves into one
+product list;
 ``eb_ppt_verdict`` is the PPT screen that ``crolab.cro.eb_ppt_test`` ran
 on every channel before one-Kraus channels read its minimum in closed form;
 and ``property_suite_per_channel`` is the property suite that built every
@@ -1003,6 +1006,42 @@ def validate_choi_one(choi, tol, kraus=None):
     if min_eig < -max(tol, 1e-7):
         raise ValueError(f"choi matrix has negative eigenvalue {min_eig:.3e}")
     return choi
+
+
+def load_spec_node_by_node(node, where, tol):
+    """The replaced spec loader: a validated ``Channel`` at every node of a
+    spec that ``crolab.cli._spec_work`` has checked, each composition and
+    tensor built by ``compose`` and ``tensor`` from its children's."""
+    from functools import reduce
+
+    from crolab.channels import Channel, channel_from_kraus, compose, tensor, unitary_channel
+    from crolab.cli import SpecError, _as_complex_array, _gate_unitary
+
+    kind = node["kind"]
+    if kind == "kraus":
+        dim = node["dim"]
+        ops = _as_complex_array(node.get("operators"), f"{where}.operators", 3)
+        if ops.shape[1:] != (dim, dim):
+            raise SpecError(f"{where}.operators: shape {ops.shape[1:]} does not match dim {dim}")
+        return channel_from_kraus(ops, tol=tol)
+    if kind == "choi":
+        dim = node["dim"]
+        matrix = _as_complex_array(node.get("matrix"), f"{where}.matrix", 2)
+        if matrix.shape != (dim * dim, dim * dim):
+            raise SpecError(
+                f"{where}.matrix: shape {matrix.shape} does not match "
+                f"dim {dim} (need {dim * dim}x{dim * dim})"
+            )
+        return Channel(matrix, tol=tol)
+    if kind == "gate":
+        return unitary_channel(_gate_unitary(node, where), tol=tol)
+    children = [
+        load_spec_node_by_node(child, f"{where}.children[{k}]", tol)
+        for k, child in enumerate(node["children"])
+    ]
+    if kind == "composition":
+        return reduce(lambda acc, nxt: compose(nxt, acc, tol=tol), children)
+    return reduce(lambda acc, nxt: tensor(acc, nxt, tol=tol), children)
 
 
 def eb_ppt_verdict(choi, d, tol):

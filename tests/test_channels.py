@@ -1,6 +1,8 @@
 import copy
 import json
+import math
 import pickle
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -365,9 +367,13 @@ class TestConstructionBound:
     @staticmethod
     def _load_recorded(tmp_path, monkeypatch, spec, tol):
         """The spec's loaded channel (or its ValueError) and, per
-        validation the load ran, (choi, kraus, tol, result or error)."""
+        validation the load ran, (choi, kraus, tol, result or error): each
+        ``Channel`` validation, and each Kraus leaf below a composition or
+        tensor that passed its completeness check, with the oracle's Choi
+        array of the leaf and None as its result (a leaf that fails the
+        check is validated as a ``Channel``)."""
         records = []
-        validated = channels._validated
+        validated, deviation = channels._validated, cli._completeness_deviation
 
         def record(chois, tol, kraus=None, bound=None):
             try:
@@ -378,7 +384,14 @@ class TestConstructionBound:
             records.append((chois, kraus, tol, result))
             return result
 
+        def record_leaf(ops):
+            dev = deviation(ops)
+            if dev <= tol:
+                records.append((oracles.choi_of_kraus(list(ops))[None], ops[None], tol, None))
+            return dev
+
         monkeypatch.setattr(channels, "_validated", record)
+        monkeypatch.setattr(cli, "_completeness_deviation", record_leaf)
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec), encoding="utf-8")
         try:
@@ -394,6 +407,21 @@ class TestConstructionBound:
         except ValueError as exc:
             return exc
 
+    @classmethod
+    def _agrees(cls, name, chois, kraus, tol, result):
+        """A validation that passed agrees with the oracle: the same array
+        bit for bit, and a bound below its smallest eigenvalue; a leaf
+        check, that the oracle accepts the leaf."""
+        expected = cls._oracle(chois, kraus, tol)
+        assert not isinstance(expected, ValueError), (name, expected)
+        if result is None:
+            return None
+        stack, bound = result
+        assert stack[0].tobytes() == expected.tobytes(), name
+        smallest = np.linalg.eigvalsh(expected)[0]
+        assert bound <= smallest, (name, bound, smallest)
+        return smallest
+
     @pytest.mark.parametrize("tol", [1e-9, 1e-7, 1e-3])
     def test_valid_specs_agree_with_the_oracle(self, tmp_path, monkeypatch, tol):
         dips = 0
@@ -401,25 +429,27 @@ class TestConstructionBound:
             loaded, records = self._load_recorded(tmp_path, monkeypatch, spec, tol)
             assert isinstance(loaded, channels.Channel), (name, loaded)
             assert loaded.choi.tobytes() == records[-1][3][0][0].tobytes()
-            for chois, kraus, tol_, (stack, bound) in records:
-                expected = self._oracle(chois, kraus, tol_)
-                assert not isinstance(expected, ValueError), (name, expected)
-                assert stack[0].tobytes() == expected.tobytes(), name
-                smallest = np.linalg.eigvalsh(expected)[0]
-                assert bound <= smallest, (name, bound, smallest)
+            for chois, kraus, tol_, result in records:
+                smallest = self._agrees(name, chois, kraus, tol_, result)
                 dips += kraus is None and -1e-15 < smallest < 0.0
         assert dips > 20
 
     def test_invalid_specs_give_the_oracle_message(self, tmp_path, monkeypatch):
+        """The refusing validation gives the oracle's message for its array,
+        and the replaced node-by-node loader refuses the spec with the same
+        message."""
         for name, spec, tol in _invalid_specs():
             loaded, records = self._load_recorded(tmp_path, monkeypatch, spec, tol)
             assert isinstance(loaded, ValueError), name
-            *passed, (chois, kraus, tol, error) = records
+            *passed, (chois, kraus, tol_, error) = records
             assert error is loaded
-            expected = self._oracle(chois, kraus, tol)
+            expected = self._oracle(chois, kraus, tol_)
             assert isinstance(expected, ValueError) and str(expected) == str(error), name
-            for chois, kraus, tol, (stack, _) in passed:
-                assert stack[0].tobytes() == self._oracle(chois, kraus, tol).tobytes(), name
+            for record in passed:
+                self._agrees(name, *record)
+            with pytest.raises(ValueError) as replaced:
+                oracles.load_spec_node_by_node(spec, "spec", tol)
+            assert str(replaced.value) == str(error), name
 
     def test_long_chains_fall_back_to_eigvalsh(self, monkeypatch):
         """The bound of a chain of compositions grows with each step until
@@ -442,6 +472,222 @@ class TestConstructionBound:
         Channel(h.choi, kraus=[gate_matrix("H")])
         validate_choi_stack(h.choi[None], kraus=[[gate_matrix("H")]])
         assert calls == [(1, 4, 4)] * 3
+
+
+def _spoiled(spec, rng):
+    """A copy of a composite spec with one random ``kraus`` or ``choi`` leaf
+    replaced by one of its dimension that fails validation: a Kraus list
+    whose operators' first column is scaled by 1.02, so that an earlier
+    channel changes the product's deviation from completeness, or a Choi
+    array shifted 1e-4 below zero; None when the spec has no such leaf
+    below its root."""
+    spec = copy.deepcopy(spec)
+    slots = []
+
+    def walk(node):
+        for k, child in enumerate(node.get("children", [])):
+            if "dim" in child:
+                slots.append((node["children"], k))
+            walk(child)
+
+    walk(spec)
+    if not slots:
+        return None
+    children, k = slots[int(rng.integers(len(slots)))]
+    d = children[k]["dim"]
+    if rng.random() < 0.5:
+        leaf = _kraus_leaf(d, rng)
+        ops = np.array(leaf["operators"])
+        ops[:, :, 0] *= 1.02
+        leaf["operators"] = ops.tolist()
+    else:
+        leaf = _choi_leaf(d, rng, shift=1e-4)
+    children[k] = leaf
+    return spec
+
+
+def _load_both(spec, tol):
+    """The live loader's and the replaced node-by-node loader's channel of
+    a spec, or the ValueError each raises."""
+    cli._spec_work(spec, "spec")
+    outcomes = []
+    for load in (cli._parse_spec_node, oracles.load_spec_node_by_node):
+        try:
+            outcomes.append(load(spec, "spec", tol))
+        except ValueError as exc:
+            outcomes.append(exc)
+    return outcomes
+
+
+def _leaf_of_rank(d, rank, rng):
+    g = rng.normal(size=(rank * d, d)) + 1j * rng.normal(size=(rank * d, d))
+    return {"kind": "kraus", "dim": d, "operators": _pairs(np.linalg.qr(g)[0].reshape(rank, d, d))}
+
+
+class TestKrausProductLoader:
+    """The loader multiplies the Kraus leaves of a subtree into one list of
+    at most d operators; the node-by-node loader it replaced is kept as
+    ``oracles.load_spec_node_by_node``."""
+
+    TOL = 1e-9
+    # A product's Gram sum and the Choi products of ``compose`` round
+    # differently; on these trees they differ by at most one eps.
+    CHOI_ATOL = 64 * np.finfo(float).eps
+
+    def test_random_trees_match_the_node_by_node_loader(self, monkeypatch):
+        """Random trees of all three leaf kinds at d = 1..8, as drawn and
+        with one leaf spoiled: the same decision and message, Choi arrays
+        within ``CHOI_ATOL``, and the same memberships and PPT statuses.
+        Product nodes hold at most d operators, and some all-Kraus nodes
+        hold more and are composed or tensored as channels."""
+        products, over_cap = [], [0]
+        real_product, real_compose, real_tensor = cli._kraus_product, cli.compose, cli.tensor
+
+        def counting_product(kind, stacks):
+            result = real_product(kind, stacks)
+            products.append((len(result), result.shape[-1]))
+            return result
+
+        def counting(real):
+            def wrapped(a, b, tol):
+                over_cap[0] += a._kraus is not None and b._kraus is not None
+                return real(a, b, tol)
+            return wrapped
+
+        monkeypatch.setattr(cli, "_kraus_product", counting_product)
+        monkeypatch.setattr(cli, "compose", counting(real_compose))
+        monkeypatch.setattr(cli, "tensor", counting(real_tensor))
+        rng = np.random.default_rng(29)
+        args = SimpleNamespace(tol=self.TOL)
+        loaded = refused = 0
+        for d in range(1, 9):
+            for leaves in (("kraus",), ("kraus", "gate"), ("kraus", "choi", "gate")):
+                for _ in range(4):
+                    spec = _random_spec(d, rng, 3, leaves)
+                    for case in (spec, _spoiled(spec, rng)):
+                        if case is None:
+                            continue
+                        new, old = _load_both(case, self.TOL)
+                        if isinstance(old, ValueError):
+                            assert type(new) is ValueError and str(new) == str(old)
+                            refused += 1
+                            continue
+                        assert isinstance(new, Channel), new
+                        assert new.dim == old.dim
+                        np.testing.assert_allclose(new.choi, old.choi, rtol=0, atol=self.CHOI_ATOL)
+                        got, expected = cli._classify(new, args), cli._classify(old, args)
+                        for key in ("cqcro", "qqcro", "qccro", "dio"):
+                            assert got[key]["member"] == expected[key]["member"], key
+                        assert got["eb_ppt"]["status"] == expected["eb_ppt"]["status"]
+                        loaded += 1
+        assert loaded > 60 and refused > 30
+        assert all(count <= cap for count, cap in products) and len(products) > 50
+        assert any(count == cap > 1 for count, cap in products)
+        assert over_cap[0] > 10
+
+    def test_lone_leaves_load_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        leaves = [{"kind": "gate", "name": name} for name in ("H", "T", "CNOT", "CCX")]
+        leaves.append({"kind": "gate", "name": "U", "params": {"theta": 0.3}})
+        for d in range(1, 9):
+            leaves += [_kraus_leaf(d, rng), _choi_leaf(d, rng)]
+        for leaf in leaves:
+            new, old = _load_both(leaf, self.TOL)
+            assert new.choi.tobytes() == old.choi.tobytes()
+            assert new._min_eig == old._min_eig
+            if old._kraus is None:
+                assert new._kraus is None
+            else:
+                assert np.asarray(new._kraus).tobytes() == np.asarray(old._kraus).tobytes()
+
+    @pytest.mark.parametrize("names", [("T", "H"), ("RX", "H", "U"), ("U", "RX")])
+    @pytest.mark.parametrize("kind", ["composition", "tensor"])
+    def test_gate_leaves_keep_their_completeness_check(self, kind, names):
+        """At tol = 1e-18 no gate is complete: the first gate's own
+        deviation is the message, as in the replaced loader, not the
+        product's."""
+        children = [
+            {"kind": "gate", "name": name, **({"params": {"theta": 0.3}} if name in ("RX", "U") else {})}
+            for name in names
+        ]
+        new, old = _load_both({"kind": kind, "children": children}, 1e-18)
+        assert isinstance(old, ValueError) and str(new) == str(old)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("entry", [float("nan"), float("inf")])
+    def test_a_non_finite_kraus_leaf_gives_its_channel_message(self, entry):
+        """A Kraus leaf with a NaN or infinite entry, inside a product and
+        before a negative Choi leaf, is refused first, with the message its
+        own channel gives."""
+        rng = np.random.default_rng(32)
+        leaf = _leaf_of_rank(2, 1, rng)
+        leaf["operators"][0][0][0][0] = entry
+        product = {"kind": "composition", "children": [leaf, {"kind": "gate", "name": "H"}]}
+        spec = {"kind": "composition", "children": [product, _choi_leaf(2, rng, shift=1e-4)]}
+        new, old = _load_both(spec, self.TOL)
+        assert isinstance(old, ValueError) and "negative" not in str(old)
+        assert str(new) == str(old)
+
+    @pytest.mark.parametrize("first", ["gate", "choi"])
+    def test_composition_of_two_dimensions_exits_3(self, tmp_path, capsys, first):
+        """A composition whose children differ in dimension is refused with
+        ``compose``'s message, whether its leaves are all Kraus lists or
+        not."""
+        leaf = {"kind": "gate", "name": "H"} if first == "gate" else _choi_leaf(2, np.random.default_rng(3))
+        spec = {"kind": "composition", "children": [leaf, {"kind": "gate", "name": "CNOT"}]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec), encoding="utf-8")
+        assert cli.main(["classify", str(path)]) == 3
+        captured = capsys.readouterr()
+        message = "cannot compose channels of dims 4 and 2"
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"kind": "invalid-channel", "error": message}
+        with pytest.raises(ValueError, match=message):
+            oracles.load_spec_node_by_node(spec, "spec", self.TOL)
+
+    @pytest.mark.parametrize("d, ranks, product", [
+        (2, (3, 3), False), (2, (2, 2), False), (2, (2, 1), True), (4, (2, 2), True), (4, (2, 3), False),
+    ])
+    def test_products_past_d_operators_take_the_choi_path(self, monkeypatch, d, ranks, product):
+        """A composition whose Kraus product would hold more than d
+        operators composes its children's channels, as the replaced loader
+        did, bit for bit; one of at most d operators is one Kraus list."""
+        products, composed = [], []
+        real_product, real_compose = cli._kraus_product, cli.compose
+        monkeypatch.setattr(cli, "_kraus_product", lambda *args: products.append(args) or real_product(*args))
+        monkeypatch.setattr(
+            cli, "compose", lambda a, b, tol: composed.append((a.dim, b.dim)) or real_compose(a, b, tol)
+        )
+        rng = np.random.default_rng(31)
+        spec = {"kind": "composition", "children": [_leaf_of_rank(d, r, rng) for r in ranks]}
+        new, old = _load_both(spec, self.TOL)
+        if product:
+            assert len(products) == 1 and composed == [] and len(new._kraus) == math.prod(ranks)
+            np.testing.assert_allclose(new.choi, old.choi, rtol=0, atol=self.CHOI_ATOL)
+        else:
+            assert products == [] and composed == [(d, d)]
+            assert new.choi.tobytes() == old.choi.tobytes() and new._min_eig == old._min_eig
+
+    def test_a_composite_is_checked_by_its_product_completeness(self):
+        """The one place where the two loaders decide differently.  With K =
+        sqrt(I + a X), a = 0.9 tol, every leaf K or K^-1 is complete within
+        tol.  K K is not (deviation 2a), yet the replaced loader accepted it,
+        since its node checked the reference marginal, the deviation / d.
+        K^3 K^-3 is the identity to rounding, yet the replaced loader
+        refused it, at the K^3 node, whose marginal deviates by 1.5 a."""
+        tol, a = 1e-6, 0.9e-6
+        c0 = (np.sqrt(1 + a) + np.sqrt(1 - a)) / 2
+        c1 = (np.sqrt(1 + a) - np.sqrt(1 - a)) / 2
+        k = c0 * np.eye(2) + c1 * PAULI_X
+        up, down = ({"kind": "kraus", "dim": 2, "operators": _pairs(m[None])} for m in (k, np.linalg.inv(k)))
+        square = {"kind": "composition", "children": [up, up]}
+        new, old = _load_both(square, tol)
+        assert str(new) == f"kraus completeness violated by {2 * a:.3e} (tol={tol:g})"
+        assert isinstance(old, Channel)
+        there_and_back = {"kind": "composition", "children": [up] * 3 + [down] * 3}
+        new, old = _load_both(there_and_back, tol)
+        assert isinstance(new, Channel)
+        assert str(old).startswith(f"reference marginal deviates from I/d by {1.5 * a:.3e}")
 
 
 class TestApplyComposeTensor:

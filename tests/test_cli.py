@@ -7,7 +7,6 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -719,17 +718,25 @@ class TestSpecLimits:
             assert (got[0], got[1], _one_diagnostic(got[2])) == (code, "", diagnostic)
 
     def test_tensor_is_refused_before_any_product(self, tmp_path, monkeypatch):
+        """Five H gates load as one Kraus product, and six are refused
+        before any product: neither the Kraus product nor ``tensor`` runs."""
         calls = []
+        real_product, real_tensor = cli._kraus_product, cli.tensor
 
-        def fake_tensor(a, b, tol):
-            calls.append((a.dim, b.dim))
-            return SimpleNamespace(dim=a.dim * b.dim)
+        def counting_product(kind, stacks):
+            calls.append((kind, [s.shape[-1] for s in stacks]))
+            return real_product(kind, stacks)
 
-        monkeypatch.setattr(cli, "tensor", fake_tensor)
+        def counting_tensor(a, b, tol):
+            calls.append(("channel tensor", [a.dim, b.dim]))
+            return real_tensor(a, b, tol)
+
+        monkeypatch.setattr(cli, "_kraus_product", counting_product)
+        monkeypatch.setattr(cli, "tensor", counting_tensor)
         h = {"kind": "gate", "name": "H"}
         five = write_spec(tmp_path, "h5.json", {"kind": "tensor", "children": [h] * 5})
         assert cli.load_channel(five, 1e-9).dim == cli.MAX_SPEC_DIM
-        assert len(calls) == 4
+        assert calls == [("tensor", [2] * 5)]
         calls.clear()
         six = write_spec(tmp_path, "h6.json", {"kind": "tensor", "children": [h] * 6})
         with pytest.raises(ValueError, match="dimension 64 exceeds"):
