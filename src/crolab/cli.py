@@ -255,7 +255,10 @@ def load_channel(path, tol):
                 f"{path}: loading builds the work of {work / unit:.4g} channels of "
                 f"dimension {MAX_SPEC_DIM}, above the limit of {MAX_SPEC_WORK // unit}"
             )
-        return _parse_spec_node(node, path, tol)
+        # Validation refuses non-finite entries with its own message; the
+        # arithmetic before it would print numpy warnings to stderr first.
+        with np.errstate(all="ignore"):
+            return _parse_spec_node(node, path, tol)
     except RecursionError as exc:  # from the JSON decoder or the spec walk
         raise SpecError(f"{path}: specification nested too deeply") from exc
 

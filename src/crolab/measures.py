@@ -420,45 +420,38 @@ def _solve_blocks(blocks):
 
     ``blocks`` is a (batch, d, d, d) complex stack: problem b's output
     blocks are blocks[b].  The unknowns are the diagonals p[k, i] of S_k =
-    diag(p_k) - B_k, with equal row sums, and the dual blocks W_k.  The loop
-    visits the points of ``_singular_vector_point``, ``_diagonal_point`` and
-    ``_interior_start``, then takes at most ``_MAX_STEPS`` steps of
-    ``_hkm_steps``, which keep the row sums of p equal.  Each of the three
-    fixed points is repaired to exact feasibility by ``_certify`` and
-    judged on its own ends; from the interior start on, the best upper and
-    lower ends seen are kept.  A step's iterate is certified only for the
-    problems that ``_screen`` passes, whose raw gap could close the
-    interval, whose factorization failed, or all at the last step: the
-    certified width is at most the raw gap, and until the last two or
-    three steps the screen spares the eigendecompositions of the repair.
-    The stack is certified whole when any problem needs it, and the ends
-    of the others are dropped, so that a problem's ends never depend on
-    its neighbours' screens.  A problem stops when its interval is at most
-    1e-9 (1 + upper) wide, when a factorization of its own fails (it keeps
-    its iterate and stops at this check), or after the last step.  Its
-    best ends, the repaired points behind them and the raw p and
-    W behind those are then written into one result record, at the
-    problem's place in the stack, and the working stack is compacted to the
-    problems still running.  Every operation acts on each
-    problem alone, in an order that does not depend on the stack, so a
-    problem's result is the same, bit for bit, in any stack and at any
-    place in it.  A lower end below zero gives way to the identity witness
-    at zero.  Returns (upper, primal, dual, residuals), one entry per
-    problem: the residuals are the equality residuals of the points behind
-    the two ends (the spread of the row sums of p, and the largest of
-    |W_k[i, i] - y_i| and |sum_i y_i - d| with y the mean diagonal of the
-    W_k), the relative gap and the width ``witness_pairing`` of the
-    interval.
+    diag(p_k) - B_k, with equal row sums, and the dual blocks W_k.  The
+    loop visits the points of ``_singular_vector_point``,
+    ``_diagonal_point`` and ``_interior_start``, then takes at most
+    ``_MAX_STEPS`` steps of ``_hkm_steps``, which keep the row sums of p
+    equal.  One record of ``_certify``'s keys holds each problem's best
+    ends, the repaired points behind them and the raw p and W behind those,
+    at the problem's place in the stack, and every update goes through
+    ``index``, the places of the running problems.  A fixed point, repaired
+    to exact feasibility by ``_certify``, overwrites their entries, so it
+    is judged on its own ends; a step's repaired ends replace an entry's
+    upper or lower half where they are better.  A step's iterate is
+    certified only for the problems that ``_screen`` passes, whose raw gap
+    could close the interval, whose factorization failed, or all at the
+    last step: the certified width is at most the raw gap, and until the
+    last two or three steps the screen spares the eigendecompositions of
+    the repair.  The stack is certified whole when any problem needs it,
+    and the ends of the others are dropped, so that a problem's ends never
+    depend on its neighbours' screens.  A problem stops when its interval
+    is at most 1e-9 (1 + upper) wide, when a factorization of its own fails
+    (it keeps its iterate and stops at this check), or after the last step:
+    it leaves ``index``, and the working stack is compacted to the problems
+    still running.  Every operation acts on each problem alone, in an order
+    that does not depend on the stack, so a problem's result is the same,
+    bit for bit, in any stack and at any place in it.  The record is the
+    result: a lower end below zero gives way to the identity witness at
+    zero.  Returns (upper, primal, dual, residuals), one entry per problem:
+    the residuals are the equality residuals of the points behind the two
+    ends (the spread of the row sums of p, and the largest of |W_k[i, i] -
+    y_i| and |sum_i y_i - d| with y the mean diagonal of the W_k), the
+    relative gap and the width ``witness_pairing`` of the interval.
     """
     n, d = blocks.shape[:2]
-    results = {
-        "upper": np.empty(n),
-        "lower": np.empty(n),
-        "primal": np.empty(blocks.shape, dtype=complex),
-        "dual": np.empty(blocks.shape, dtype=complex),
-        "p": np.empty((n, d, d)),
-        "w": np.empty(blocks.shape, dtype=complex),
-    }
     points = (_singular_vector_point, _diagonal_point, _interior_start)
     last = len(points) + _MAX_STEPS - 1
     index = np.arange(n)
@@ -466,47 +459,48 @@ def _solve_blocks(blocks):
     for step in range(last + 1):
         if step < len(points):
             p, w = points[step](blocks)
-            s, best = _certify(blocks, p, w)
+            s, ends = _certify(blocks, p, w)
+            if step == 0:
+                best = ends
+            else:
+                for key, value in ends.items():
+                    best[key][index] = value
         else:
             dp, dw, failed = _hkm_steps(s, w)
             p, w = p + dp, w + dw
             s = _slack(blocks, p)
-            check = _screen(s, w, best["upper"]) | (step == last)
+            check = _screen(s, w, best["upper"][index]) | (step == last)
             if failed is not None:
                 check |= failed
             if not check.any():
                 continue
             ends = _certify(blocks, p, w)[1]
             for keys, better in (
-                (("upper", "primal", "p"), check & (ends["upper"] < best["upper"])),
-                (("lower", "dual", "w"), check & (ends["lower"] > best["lower"])),
+                (("upper", "primal", "p"), check & (ends["upper"] < best["upper"][index])),
+                (("lower", "dual", "w"), check & (ends["lower"] > best["lower"][index])),
             ):
                 for key in keys:
-                    best[key][better] = ends[key][better]
+                    best[key][index[better]] = ends[key][better]
         # A problem left unchecked keeps the ends that did not stop it.
-        stop = best["upper"] - best["lower"] <= _TARGET_WIDTH * (1.0 + best["upper"])
+        upper = best["upper"][index]
+        stop = upper - best["lower"][index] <= _TARGET_WIDTH * (1.0 + upper)
         if failed is not None:
             stop |= failed
-        if step == last:
-            stop[:] = True
+        if step == last or stop.all():
+            break
         if stop.any():
-            for key, value in results.items():
-                value[index[stop]] = best[key][stop]
-            if stop.all():
-                break
             keep = ~stop
-            best = {key: value[keep] for key, value in best.items()}
             index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
 
-    upper, lower, dual = results["upper"], results["lower"], results["dual"]
+    upper, lower, dual = best["upper"], best["lower"], best["dual"]
     below = ~(lower >= 0.0)
     lower = np.where(below, 0.0, lower)
     dual = np.where(below[:, None, None, None], np.eye(d), dual)
     width = np.maximum(upper - lower, 0.0)
     gap = width / (1.0 + np.abs(upper) + np.abs(lower))
-    row_sums = _running_sum(results["p"].swapaxes(-1, -2))
+    row_sums = _running_sum(best["p"].swapaxes(-1, -2))
     primal_feas = row_sums.max(axis=-1) - row_sums.min(axis=-1)
-    w_diagonals = np.real(_diagonals(results["w"]))
+    w_diagonals = np.real(_diagonals(best["w"]))
     y = _running_sum(w_diagonals.swapaxes(-1, -2)) / d
     dual_feas = np.maximum(
         np.abs(w_diagonals - y[:, None]).max(axis=(1, 2)), np.abs(_running_sum(y) - d)
@@ -517,7 +511,7 @@ def _solve_blocks(blocks):
             primal_feas.tolist(), dual_feas.tolist(), gap.tolist(), width.tolist()
         )
     ]
-    return upper, results["primal"], dual, residuals
+    return upper, best["primal"], dual, residuals
 
 
 def _width_failure(record):

@@ -13,6 +13,8 @@ interior point alone, in the run that ``crolab.measures`` made before it
 solved all of them in one loop over certified points, with or without
 the screen that spares the repair of iterates whose gap cannot close
 the interval;
+``certified_loop_by_problem`` runs the loop over certified points one
+problem at a time, each with its own record of ends;
 ``null_space_hkm_step`` is the Newton step that ``crolab.measures`` took
 in the dense null-space basis ``row_sum_basis`` before it stated the step
 by its d + 1 multipliers;
@@ -885,6 +887,84 @@ def interior_point_intervals(chois, screen=True):
     below = ~(solved["lower"] >= 0.0)
     dual = np.where(below[:, None, None, None], np.eye(d), solved["dual"])
     return np.where(below, 0.0, solved["lower"]), solved["upper"], choi_from_output_blocks(dual)
+
+
+def certified_loop_by_problem(chois):
+    """``measures._solve_blocks`` on the output blocks of a (batch, d^2,
+    d^2) Choi stack, one problem at a time, each with its own record of
+    ends: (upper, primal, dual, residuals), one entry per problem.
+
+    A problem visits the three fixed points, each judged on its own ends,
+    then the steps of ``measures._hkm_steps``; a step's repaired ends
+    replace the recorded ones where they are better, once
+    ``measures._screen`` passes, the factorization failed, or at the last
+    step.  It stops at the first interval at most ``_TARGET_WIDTH`` (1 +
+    upper) wide, at a failed factorization, or after ``_MAX_STEPS`` steps.
+    The residuals are read off the p and W behind the ends, and a lower end
+    below zero gives way to zero and the identity witness.
+    """
+    from crolab.channels import choi_output_blocks
+    from crolab.measures import (
+        _MAX_STEPS,
+        _TARGET_WIDTH,
+        _certify,
+        _diagonal_point,
+        _hkm_steps,
+        _interior_start,
+        _running_sum,
+        _screen,
+        _singular_vector_point,
+        _slack,
+    )
+
+    def narrow(ends):
+        return ends["upper"][0] - ends["lower"][0] <= _TARGET_WIDTH * (1.0 + ends["upper"][0])
+
+    d = int(round(np.sqrt(chois.shape[-1])))
+    records = []
+    for choi in chois:
+        blocks = np.ascontiguousarray(choi_output_blocks(choi[None], d))
+        for point in (_singular_vector_point, _diagonal_point, _interior_start):
+            p, w = point(blocks)
+            s, best = _certify(blocks, p, w)
+            if narrow(best):
+                break
+        else:
+            for step in range(1, _MAX_STEPS + 1):
+                dp, dw, failed = _hkm_steps(s, w)
+                p, w = p + dp, w + dw
+                s = _slack(blocks, p)
+                failed = failed is not None and bool(failed[0])
+                if failed or step == _MAX_STEPS or _screen(s, w, best["upper"])[0]:
+                    ends = _certify(blocks, p, w)[1]
+                    if ends["upper"][0] < best["upper"][0]:
+                        best.update({key: ends[key] for key in ("upper", "primal", "p")})
+                    if ends["lower"][0] > best["lower"][0]:
+                        best.update({key: ends[key] for key in ("lower", "dual", "w")})
+                if failed or narrow(best):
+                    break
+        records.append(best)
+    upper, lower, primal, dual, p, w = (
+        np.concatenate([record[key] for record in records])
+        for key in ("upper", "lower", "primal", "dual", "p", "w")
+    )
+    below = ~(lower >= 0.0)
+    lower = np.where(below, 0.0, lower)
+    dual = np.where(below[:, None, None, None], np.eye(d), dual)
+    width = np.maximum(upper - lower, 0.0)
+    row_sums = _running_sum(p.swapaxes(-1, -2))
+    w_diagonals = np.real(np.einsum("...ii->...i", w))
+    y = _running_sum(w_diagonals.swapaxes(-1, -2)) / d
+    residuals = [
+        {
+            "primal_feas": float(rows.max() - rows.min()),
+            "dual_feas": float(max(np.abs(diagonals - shared).max(), abs(_running_sum(shared) - d))),
+            "gap": float(wp / (1.0 + abs(up) + abs(lo))),
+            "witness_pairing": float(wp),
+        }
+        for rows, diagonals, shared, up, lo, wp in zip(row_sums, w_diagonals, y, upper, lower, width)
+    ]
+    return upper, primal, dual, residuals
 
 
 def row_sum_basis(d):

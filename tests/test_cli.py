@@ -367,6 +367,36 @@ class TestSpecParsing:
         assert proc.returncode == 3
         assert json.loads(proc.stderr)["kind"] == "invalid-channel"
 
+    _INFINITE_KRAUS = {
+        "kind": "kraus",
+        "dim": 2,
+        "operators": [[[[float("inf"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]],
+    }
+    _INFINITE_CHOI = {"kind": "choi", "dim": 1, "matrix": [[[float("inf"), 0.0]]]}
+    _NOT_HERMITIAN = "choi matrix is not Hermitian within tol=1e-09"
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            (
+                {"kind": "kraus", "dim": 1, "operators": [[[[float("inf"), 0.0]]]]},
+                "kraus completeness violated by inf (tol=1e-09)",
+            ),
+            ({"kind": "tensor", "children": [{"kind": "gate", "name": "H"}, _INFINITE_KRAUS]}, _NOT_HERMITIAN),
+            ({"kind": "composition", "children": [{"kind": "gate", "name": "H"}, _INFINITE_KRAUS]}, _NOT_HERMITIAN),
+            (_INFINITE_CHOI, _NOT_HERMITIAN),
+            ({"kind": "tensor", "children": [{"kind": "gate", "name": "H"}, _INFINITE_CHOI]}, _NOT_HERMITIAN),
+        ],
+        ids=["kraus", "tensor", "composition", "choi", "choi-in-tensor"],
+    )
+    def test_infinite_entry_gives_one_json_diagnostic(self, tmp_path, spec, message):
+        """A spec with an infinite entry exits 3, and stderr holds only its
+        JSON diagnostic: no numpy warning precedes it."""
+        proc = run_cli("classify", write_spec(tmp_path, "infinite.json", spec))
+        assert proc.returncode == 3
+        assert proc.stderr.count("\n") == 1
+        assert json.loads(proc.stderr) == {"kind": "invalid-channel", "error": message}
+
     def test_missing_file_exits_2(self, tmp_path):
         proc = run_cli("classify", str(tmp_path / "absent.json"))
         assert proc.returncode == 2

@@ -319,6 +319,46 @@ class TestInteriorPointSolver:
             assert np.array_equal(result.witness, single.witness)
             assert np.array_equal(result.optimal_psi, single.optimal_psi)
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_record_in_every_rotation(self, monkeypatch, d):
+        """In every rotation of a stack that stops at each kind of point (a
+        unitary, a qc member, a near-qc mixture, random channels of rank 2
+        and of full rank, whose closed forms are rejected so that they take
+        steps also at d = 2), each entry's upper end, optimizer, witness and
+        residuals are its batch-of-one solve's and those of the loop run one
+        problem at a time (``oracles.certified_loop_by_problem``), bit for
+        bit: the record keeps every problem's ends at its own place."""
+        rng = np.random.default_rng(d)
+        # A qc member with a positive diagonal: at d = 4 the singular-vector
+        # point leaves it open, with other residuals than the diagonal point
+        # that settles it.
+        qc = 0.5 * random_qccro(d, seed=1).choi + 0.5 * np.eye(d * d) / (d * d)
+        chois = np.stack([
+            unitary_channel(oracles.haar_unitary(d, rng)).choi,
+            qc,
+            0.999 * qc + 0.001 * random_channel(d, seed=d).choi,
+            random_channel(d, rank=2, seed=d + 1).choi,
+            random_channel(d, rank=d * d, seed=d + 2).choi,
+        ])
+        targets = choi_output_blocks(chois[3:], d)
+        _reject_closed_form(monkeypatch, lambda b: any(np.array_equal(b, t) for t in targets))
+        expected = oracles.certified_loop_by_problem(chois)
+
+        def assert_solved(order):
+            """Each entry of the solve of chois[order] is the oracle's."""
+            solved = crolab.measures._solve_chois(chois[order])[:4]
+            for got, want in zip(solved, expected):
+                for position, b in enumerate(order):
+                    if isinstance(got, np.ndarray):
+                        assert np.array_equal(got[position], want[b]), (order, b)
+                    else:
+                        assert got[position] == want[b], (order, b)
+
+        for b in range(len(chois)):
+            assert_solved([b])
+        for shift in range(len(chois)):
+            assert_solved(np.roll(np.arange(len(chois)), shift))
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_step_closes_dual_residual(self, d):
         """From the primal start and duals W whose diagonals miss the
