@@ -65,6 +65,12 @@ from .paulis import CNOT_01, HADAMARD, PAULI_I, PAULI_X, PAULI_Y, PAULI_Z, PHASE
 
 KRAUS_DROP = 1e-12
 _EPS = np.finfo(float).eps
+MAX_DIM = 32  # the largest channel dimension that the CLI loads and every measure accepts
+
+
+def check_dim(dim: int, where: str) -> None:
+    if dim > MAX_DIM:
+        raise ValueError(f"{where}: dimension {dim} exceeds the limit of {MAX_DIM}")
 
 
 class _Immutable:

@@ -27,10 +27,11 @@ becoming ``complex(re, im)`` bit for bit.  ``--tol`` must be finite and
 nonnegative.  Exit codes: 0 success, 2 unparseable specification or
 arguments (a malformed matrix, a bad ``theta`` or ``--points``, nesting too
 deep, a ``dim`` or ``theta`` that is a JSON boolean), 3 channel invariant
-violation (also a spec above ``MAX_SPEC_DIM``, or one whose loading would
-cost more than ``MAX_SPEC_WORK``, both refused before any matrix is
-decoded), 4 solver failure.  On failure a single JSON diagnostic object is
-written to stderr.
+violation (also a spec above ``channels.MAX_DIM`` = 32, or one whose
+loading would cost more than ``MAX_SPEC_WORK``, both refused before any
+matrix is decoded), 4 solver failure.  Every command accepts every spec
+that loads (``vqa-check`` up to five qubits).  On failure a single JSON
+diagnostic object is written to stderr.
 """
 
 import argparse
@@ -45,10 +46,12 @@ import numpy as np
 
 from . import __version__
 from .channels import (
+    MAX_DIM,
     Channel,
     _completeness_deviation,
     _validated_kraus_stack,
     channel_from_kraus,
+    check_dim,
     compose,
     gate_matrix,
     interpolation_unitary,
@@ -66,13 +69,12 @@ from .measures import (
 from .paulis import pauli_index, pauli_label
 
 SWEEP_FAMILY = "u-theta"
-MAX_SPEC_DIM = 32  # largest channel dimension a spec may describe
 # Building or composing a channel of dimension d takes about d^6 operations:
 # a product of d^2 x d^2 matrices, or the eigendecomposition that checks a
 # Choi leaf, or a tensor or composition whose positivity bound misses the
 # floor (channels.py).  A spec may cost as much as eight channels of the
 # largest dimension (about 2 s on one core).
-MAX_SPEC_WORK = 8 * MAX_SPEC_DIM**6
+MAX_SPEC_WORK = 8 * MAX_DIM**6
 MAX_SWEEP_POINTS = 10_000
 
 
@@ -89,20 +91,6 @@ def _as_complex_array(node, where, ndim):
     if pairs.dtype.kind not in "iuf" or pairs.ndim != ndim + 1 or pairs.shape[-1] != 2:
         raise SpecError(f"{where}: expected a {ndim}-axis array of [re, im] number pairs")
     return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
-
-
-def _check_spec_dim(dim, where):
-    if dim > MAX_SPEC_DIM:
-        raise ValueError(f"{where}: dimension {dim} exceeds the limit of {MAX_SPEC_DIM}")
-
-
-def _expect_dim(node, where):
-    dim = node.get("dim")
-    # bool is an int subclass, but JSON true is not a dimension
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise SpecError(f"{where}: 'dim' must be a positive integer")
-    _check_spec_dim(dim, where)
-    return dim
 
 
 def _gate_unitary(node, where):
@@ -140,7 +128,11 @@ def _spec_work(node, where):
         raise SpecError(f"{where}: expected an object")
     kind = node.get("kind")
     if kind in ("kraus", "choi"):
-        dim = _expect_dim(node, where)
+        dim = node.get("dim")
+        # bool is an int subclass, but JSON true is not a dimension
+        if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
+            raise SpecError(f"{where}: 'dim' must be a positive integer")
+        check_dim(dim, where)
         return dim, dim**6
     if kind == "gate":
         dim = len(_gate_unitary(node, where))
@@ -158,7 +150,7 @@ def _spec_work(node, where):
         if kind == "composition":
             return dims[0], sum(works) + (len(dims) - 1) * max(dims) ** 6
         products = list(accumulate(dims, operator.mul))[1:]
-        _check_spec_dim(products[-1], where)
+        check_dim(products[-1], where)
         return products[-1], sum(works) + sum(d**6 for d in products)
     raise SpecError(
         f"{where}: unknown kind {kind!r} (expected kraus, choi, gate, "
@@ -250,10 +242,10 @@ def load_channel(path, tol):
             raise SpecError(f"{path} is not valid JSON: {exc}") from exc
         _, work = _spec_work(node, path)
         if work > MAX_SPEC_WORK:
-            unit = MAX_SPEC_DIM**6
+            unit = MAX_DIM**6
             raise ValueError(
                 f"{path}: loading builds the work of {work / unit:.4g} channels of "
-                f"dimension {MAX_SPEC_DIM}, above the limit of {MAX_SPEC_WORK // unit}"
+                f"dimension {MAX_DIM}, above the limit of {MAX_SPEC_WORK // unit}"
             )
         # Validation refuses non-finite entries with its own message; the
         # arithmetic before it would print numpy warnings to stderr first.

@@ -38,6 +38,7 @@ import numpy as np
 from .channels import (
     Channel,
     ProjectorSet,
+    check_dim,
     choi_apply,
     choi_measure,
     choi_stack_from_kraus,
@@ -297,16 +298,19 @@ def vqa_replaceable_set_R(
     With T_i the measure-and-reprepare channel of Pauli string i, the channel
     is a member iff one index j in [0, 4^n) satisfies T_i O = T_i O T_j for
     every i in ``observables``.  Returns (True, first such j) or (False,
-    None).  The channel dimension must be 2^n with n <= 3.
+    None).  The channel dimension must be 2^n, n <= 5 (``channels.MAX_DIM``).
 
     For trace-preserving O, ``T_i O - T_i O T_j`` is ``rho -> tr(R rho) P_i
     / d`` where R is ``A_i = O^dag(P_i)`` less its I and P_j terms in the
     Pauli expansion ``A_i = sum_c tr(P_c A_i) P_c / d``; its largest Choi
-    entry is ``max|R| / d^2``, the residual compared with ``tol``.
+    entry is ``max|R| / d^2``, the residual compared with ``tol``.  The
+    (observables, 4^n, d, d) array of R is built in chunks of at most 2^20
+    entries (one observable at n = 5), each folded into the maximum per j.
     """
+    check_dim(o.dim, "vqa_replaceable_set_R")
     n = int(round(np.log2(o.dim)))
-    if 2**n != o.dim or n > 3:
-        raise ValueError(f"channel dim {o.dim} is not 2^n with n <= 3")
+    if 2**n != o.dim:
+        raise ValueError(f"channel dim {o.dim} is not 2^n")
     observables = [int(i) for i in observables]
     if not observables:
         raise ValueError("need at least one observable index")
@@ -314,13 +318,16 @@ def vqa_replaceable_set_R(
         if not 0 <= i < 4**n:
             raise ValueError(f"observable index {i} out of range for n={n}")
     d, paulis = o.dim, pauli_stack(n)
-    # A_i[b, a] = tr(P_i O(|a><b|)) = d sum_kl J[(a,k),(b,l)] P_i[l,k]
-    pulled = d * np.einsum("akbl,ilk->iba", o.choi.reshape(d, d, d, d), paulis[observables])
-    coeffs = np.einsum("cxy,iyx->ic", paulis, pulled) / d
-    rest = pulled[:, None] - coeffs[:, :, None, None] * paulis  # A_i - a_i[j] P_j
-    rest[:, 1:] -= coeffs[:, :1, None, None] * paulis[0]  # and a_i[0] I for j > 0
-    residuals = np.max(np.abs(rest), axis=(0, 2, 3)) / d**2
-    matches = np.flatnonzero(residuals <= tol)
+    size, worst = max(1, 2**20 // paulis.size), np.zeros(len(paulis))
+    for start in range(0, len(observables), size):
+        chunk = paulis[observables[start : start + size]]
+        # A_i[b, a] = tr(P_i O(|a><b|)) = d sum_kl J[(a,k),(b,l)] P_i[l,k]
+        pulled = d * np.einsum("akbl,ilk->iba", o.choi.reshape(d, d, d, d), chunk)
+        coeffs = np.einsum("cxy,iyx->ic", paulis, pulled) / d
+        rest = pulled[:, None] - coeffs[:, :, None, None] * paulis  # A_i - a_i[j] P_j
+        rest[:, 1:] -= coeffs[:, :1, None, None] * paulis[0]  # and a_i[0] I for j > 0
+        worst = np.maximum(worst, np.max(np.abs(rest), axis=(0, 2, 3)))
+    matches = np.flatnonzero(worst / d**2 <= tol)
     return (True, int(matches[0])) if matches.size else (False, None)
 
 

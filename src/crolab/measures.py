@@ -19,21 +19,22 @@ repaired only once its raw duality gap sum_k tr(S_k W_k), which bounds
 the certified width from above, is within ``_SCREEN`` times that target
 (``_screen``), or at the last step: before that, the repair's two
 eigendecompositions could not stop the problem, and a stop the screen
-misses costs one more step.  One run solves a whole
-stack of channels of one dimension, in complex arithmetic: each problem
-has its own points, centring, step length and stop rule, and gets the same
-result, bit for bit, in a stack of any size.  ``robustness`` is a stack of one, and the
-property suite solves its channels in one stack per dimension.  The CLI
-sweep builds, validates and measures its whole grid as one stack: one array
-of Choi states, checked by ``channels.validate_choi_stack``, one solve
-(``_solve_chois``; every point of the sweep family is a unitary, so the
-singular-vector point settles it) and one batched entropy
-(``_entropy_gaps``, whose terms are computed over the whole stack), with no
-per-point ``Channel`` or ``RobustnessResult``.  The relative entropy measure
-has a closed form: the entropy gap between the fully dephased and the
-output-dephased Choi states, read off the same output blocks
-(``channels.choi_output_blocks``).  The property suite maps Choi arrays and
-validates, solves and measures them as one stack.
+misses costs one more step.  One run solves a whole stack of channels of
+one dimension, in complex arithmetic: each problem has its own points,
+centring, step length and stop rule, and gets the same result, bit for
+bit, in a stack of any size.  ``robustness`` is a stack of one, and the
+property suite maps Choi arrays and validates, solves and measures them
+in one stack per dimension.  The CLI sweep builds, validates and measures
+its whole grid as one stack: one array of Choi states, checked by
+``channels.validate_choi_stack``, one solve (``_solve_chois``; every point
+of the sweep family is a unitary, so the singular-vector point settles
+it) and one batched entropy (``_entropy_gaps``, whose terms are computed
+over the whole stack), with no per-point ``Channel`` or
+``RobustnessResult``.  The relative entropy measure has a closed form:
+the entropy gap between the fully dephased and the output-dephased Choi
+states, read off the same output blocks (``channels.choi_output_blocks``).
+Every measure accepts d <= ``channels.MAX_DIM`` = 32; ``robustness_equivalents``
+stops at d = 8, where its d^2 x d^2 block reaches ``sdp.MAX_BLOCK_SIDE``.
 """
 
 import math
@@ -42,7 +43,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import (
+    MAX_DIM,
     Channel,
+    check_dim,
     choi_dephase_output,
     choi_from_output_blocks,
     choi_output_blocks,
@@ -53,8 +56,6 @@ from .channels import (
 )
 from .cro import _stochastic_from_choi, random_qccro
 from .linalg import _TO_BOUNDARY, DEFAULT_TOL, hermitianize, partial_trace, psd_part
-
-MAX_DIM = 8
 
 # Interior-point robustness: step cap, target and accepted interval widths.
 # Each step goes ``linalg._TO_BOUNDARY`` of the way to the cone boundary.
@@ -143,13 +144,6 @@ def _structured_program(floor, d, diagonal):
         psd=psd,
         variables=dict(zip([f"x{j}" for j in range(count)] if diagonal else ["x"], psd)),
     )
-
-
-def _check_dim(d):
-    if d > MAX_DIM:
-        raise ValueError(
-            f"robustness supports dimension up to {MAX_DIM}, got {d}"
-        )
 
 
 def _diagonals(x):
@@ -533,7 +527,7 @@ def _solve_chois(chois):
     every point of the sweep and most other unitaries, and only the
     problems that no candidate point settles reach the interior point."""
     d = math.isqrt(chois.shape[-1])
-    _check_dim(d)
+    check_dim(d, "robustness")
     solved = _solve_blocks(np.ascontiguousarray(choi_output_blocks(chois, d)))
     return (*solved, [_width_failure(record) for record in solved[3]])
 
@@ -614,12 +608,13 @@ def robustness_equivalents(channel):
     The second is stated over X's d output blocks, the others over X.  Only
     this cross-check loads ``sdp``.
     """
-    from .sdp import solve
+    from .sdp import MAX_BLOCK_SIDE, solve
 
     if not isinstance(channel, Channel):
         raise TypeError("robustness_equivalents expects a Channel")
     d = channel.dim
-    _check_dim(d)
+    if d * d > MAX_BLOCK_SIDE:  # the side of the plain program's one PSD block
+        raise ValueError(f"robustness_equivalents: block side {d * d} exceeds the sdp limit of {MAX_BLOCK_SIDE}")
     dephased = choi_dephase_output(channel.choi, d)
     programs = ((channel.choi, False), (dephased, True), (dephased, False))
     values = []
@@ -712,7 +707,7 @@ def measure_property_suite(channel, seed=0):
     if not isinstance(channel, Channel):
         raise TypeError("measure_property_suite expects a Channel")
     d = channel.dim
-    _check_dim(d)
+    check_dim(d, "measure_property_suite")
     rng = np.random.default_rng(seed)
     report = {}
 

@@ -1180,7 +1180,9 @@ def property_suite_per_channel(channel, seed=0):
     ``is_qccro`` and each entropy by ``relative_entropy_irreplaceability``.
     Its body is the old one; it returns the same report."""
     from crolab.channels import (
+        MAX_DIM,
         Channel,
+        check_dim,
         choi_dephase_output,
         identity_channel,
         mix,
@@ -1190,8 +1192,6 @@ def property_suite_per_channel(channel, seed=0):
     from crolab.cro import _stochastic_from_choi, is_qccro, random_qccro
     from crolab.linalg import DEFAULT_TOL
     from crolab.measures import (
-        MAX_DIM,
-        _check_dim,
         _checked,
         _permute,
         _postcompose,
@@ -1203,7 +1203,7 @@ def property_suite_per_channel(channel, seed=0):
     if not isinstance(channel, Channel):
         raise TypeError("measure_property_suite expects a Channel")
     d = channel.dim
-    _check_dim(d)
+    check_dim(d, "measure_property_suite")
     rng = np.random.default_rng(seed)
     report = {}
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import crolab
 import oracles
 from crolab import cli, cro
-from crolab.channels import apply, named_gate, random_channel
+from crolab.channels import MAX_DIM, apply, named_gate, random_channel
 
 # The subprocess imports the same crolab sources as this test session.
 SRC = str(Path(crolab.__file__).resolve().parents[1])
@@ -46,6 +46,14 @@ def gate_spec(tmp_path, name, theta=None):
     if theta is not None:
         payload["params"] = {"theta": theta}
     return write_spec(tmp_path, f"{name.lower()}.json", payload)
+
+
+def random_kraus_spec(tmp_path, d, seed):
+    """A spec file of two random Kraus operators of dimension d: the two
+    d x d halves of a Haar isometry."""
+    ops = oracles.haar_unitary(2 * d, np.random.default_rng(seed))[:, :d].reshape(2, d, d)
+    operators = np.stack([ops.real, ops.imag], axis=-1).tolist()
+    return write_spec(tmp_path, f"kraus{d}.json", _kraus_spec(operators, dim=d))
 
 
 class TestClassifyCommand:
@@ -166,6 +174,19 @@ class TestMeasuresCommand:
         assert report["robustness"] == pytest.approx(1.0, abs=1e-4)
         assert report["relative_entropy_bits"] == pytest.approx(1.0, abs=1e-6)
         assert report["witness_trace_check"] <= 1e-5
+
+    @pytest.mark.parametrize("d", [16, MAX_DIM])
+    def test_random_kraus_spec_at_four_and_five_qubits(self, tmp_path, d):
+        """measures and game accept every spec that loads: on a random
+        two-operator Kraus spec at d = 16 and 32 both exit 0, the certified
+        interval is at most 1e-6 wide, and the game's ratio is 1 + R."""
+        spec = random_kraus_spec(tmp_path, d, seed=d)
+        measured, played = (run_cli(command, spec) for command in ("measures", "game"))
+        assert (measured.returncode, played.returncode) == (0, 0), measured.stderr + played.stderr
+        report, game = json.loads(measured.stdout), json.loads(played.stdout)
+        assert report["witness_trace_check"] <= 1e-6
+        assert game["one_plus_R"] == pytest.approx(1.0 + report["robustness"], abs=1e-9)
+        assert game["gap"] <= 1e-6
 
 
 class TestSweepCommand:
@@ -323,6 +344,14 @@ class TestVqaCheckCommand:
         report = json.loads(proc.stdout)
         assert not report["member"]
         assert report["replacing_pauli_j"] is None
+
+    def test_five_qubit_hadamards(self, tmp_path):
+        """vqa-check takes up to five qubits: H^5 maps ZZZZZ to XXXXX."""
+        spec = {"kind": "tensor", "children": [{"kind": "gate", "name": "H"}] * 5}
+        proc = run_cli("vqa-check", write_spec(tmp_path, "h5.json", spec), "ZZZZZ")
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert (report["member"], report["replacing_pauli_j"]) == (True, "XXXXX")
 
 
 class TestSpecParsing:
@@ -518,9 +547,10 @@ class TestSpecParsing:
 
     def test_sweep_and_gate_measures_ignore_thread_count(self, tmp_path):
         """The 50-point sweep CSV, measures on gate specs, which the closed
-        form settles (game too on CNOT), and classify on CCX and on a d = 32
-        one-Kraus unitary are byte for byte the same under one and two BLAS
-        threads."""
+        form settles (game too on CNOT), classify on CCX and on a d = 32
+        one-Kraus unitary, and measures and game on random two-operator
+        Kraus specs at d = 16 and 32 are byte for byte the same under one
+        and two BLAS threads."""
         runs = [("sweep", "u-theta", "--points", "50")]
         for name, theta in (("CNOT", None), ("CCX", None), ("U", 0.3)):
             runs.append(("measures", gate_spec(tmp_path, name, theta)))
@@ -531,6 +561,9 @@ class TestSpecParsing:
         unitary = _kraus_spec([np.stack([u.real, u.imag], axis=-1).tolist()], dim=32)
         runs.append(("classify", gate_spec(tmp_path, "CCX")))
         runs.append(("classify", write_spec(tmp_path, "haar32.json", unitary)))
+        for d in (16, MAX_DIM):
+            spec = random_kraus_spec(tmp_path, d, seed=d)
+            runs += [("measures", spec), ("game", spec)]
         for argv in runs:
             outputs = [run_cli(*argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
             assert [p.returncode for p in outputs] == [0, 0]
@@ -732,7 +765,7 @@ class TestConstructionSkipsEigendecomposition:
 
 
 class TestSpecLimits:
-    """The spec dimension cap, the spec work bound and the sweep point
+    """The dimension cap, the spec work bound and the sweep point
     bound, at and past the edge."""
 
     @pytest.mark.parametrize("kind, key", [("kraus", "operators"), ("choi", "matrix")])
@@ -740,8 +773,8 @@ class TestSpecLimits:
         # The matrix is null: at the cap it is decoded and refused as a parse
         # error; past the cap the dimension is refused first.
         for dim, code, diagnostic in (
-            (cli.MAX_SPEC_DIM, 2, "parse"),
-            (cli.MAX_SPEC_DIM + 1, 3, "invalid-channel"),
+            (MAX_DIM, 2, "parse"),
+            (MAX_DIM + 1, 3, "invalid-channel"),
         ):
             spec = write_spec(tmp_path, "leaf.json", {"kind": kind, "dim": dim, key: None})
             got = _main(capsys, "classify", spec)
@@ -765,7 +798,7 @@ class TestSpecLimits:
         monkeypatch.setattr(cli, "tensor", counting_tensor)
         h = {"kind": "gate", "name": "H"}
         five = write_spec(tmp_path, "h5.json", {"kind": "tensor", "children": [h] * 5})
-        assert cli.load_channel(five, 1e-9).dim == cli.MAX_SPEC_DIM
+        assert cli.load_channel(five, 1e-9).dim == MAX_DIM
         assert calls == [("tensor", [2] * 5)]
         calls.clear()
         six = write_spec(tmp_path, "h6.json", {"kind": "tensor", "children": [h] * 6})
@@ -812,7 +845,7 @@ class TestSpecLimits:
         """Four d = 32 children cost 4 + 3 channels of the largest dimension
         and reach the decoder (a null matrix is a parse error); a fifth
         child costs 9, above the bound of 8, and is refused first."""
-        leaf = {"kind": kind, "dim": cli.MAX_SPEC_DIM, key: None}
+        leaf = {"kind": kind, "dim": MAX_DIM, key: None}
         for children, code, diagnostic in ((4, 2, "parse"), (5, 3, "invalid-channel")):
             spec = write_spec(
                 tmp_path, "wide.json", {"kind": "composition", "children": [leaf] * children}

@@ -1,3 +1,6 @@
+import functools
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import oracles
 from crolab import cro
 from crolab.channels import (
     _FIXED_GATES,
+    MAX_DIM,
     Channel,
     ProjectorSet,
     apply,
@@ -426,6 +430,47 @@ class TestVqaSet:
     def test_dimension_guard(self):
         with pytest.raises(ValueError, match="2\\^n"):
             vqa_replaceable_set_R(identity_channel(3), [0])
+        with pytest.raises(ValueError, match="dimension 33 exceeds the limit of 32"):
+            vqa_replaceable_set_R(identity_channel(MAX_DIM + 1), [0])
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_known_answers_at_four_and_five_qubits(self, n):
+        """H^n conjugates Z^n to X^n, a member with j = X^n; T (x) I^(n-1)
+        turns X I^(n-1) into (X + Y) I^(n-1) / sqrt(2), which no single
+        Pauli measurement reproduces."""
+        hadamards = functools.reduce(tensor, [named_gate("H")] * n)
+        zs, xs = pauli_index("Z" * n), pauli_index("X" * n)
+        assert vqa_replaceable_set_R(hadamards, [zs]) == (True, xs)
+        t_gate = tensor(named_gate("T"), identity_channel(2 ** (n - 1)))
+        assert vqa_replaceable_set_R(t_gate, [pauli_index("X" + "I" * (n - 1))]) == (False, None)
+
+    def test_observables_are_folded_across_chunks(self):
+        """At n = 4 a chunk holds 16 observables.  Under H^4, Z^4 repeated
+        20 times spans two chunks and stays a member with j = X^4; after 16
+        of them, Z I I I alone in the second chunk (a member with j = X I I
+        I by itself) leaves no common j."""
+        hadamards = functools.reduce(tensor, [named_gate("H")] * 4)
+        zs = pauli_index("ZZZZ")
+        assert vqa_replaceable_set_R(hadamards, [zs] * 20) == (True, pauli_index("XXXX"))
+        assert vqa_replaceable_set_R(hadamards, [pauli_index("ZIII")]) == (True, pauli_index("XIII"))
+        assert vqa_replaceable_set_R(hadamards, [zs] * 16 + [pauli_index("ZIII")]) == (False, None)
+
+    def test_thirty_two_observables_at_five_qubits_stay_small(self):
+        """The traced peak of 32 observables at n = 5, the Pauli stack's
+        build included, stays under 100 MB: one observable's (4^5, 32, 32)
+        array of residual operators, 16 MiB, at a time rather than 512 MiB
+        for all of them."""
+        channel = functools.reduce(tensor, [named_gate("H")] * 5)
+        observables = list(range(0, 4**5, 32))
+        pauli_stack.cache_clear()
+        tracemalloc.start()
+        try:
+            member, _ = vqa_replaceable_set_R(channel, observables)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not member
+        assert peak < 100 * 2**20
 
     def test_observable_range_guard(self):
         with pytest.raises(ValueError, match="out of range"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from crolab import cli
 from crolab.channels import (
+    MAX_DIM,
     choi_dephase_output,
     choi_output_blocks,
     identity_channel,
@@ -245,7 +246,7 @@ class TestWitnessGames:
         ratio = payoff(channel, game) / game.normalization["max"]
         assert ratio == pytest.approx(1.0, abs=1e-12)
         with pytest.raises(ValueError, match="dimension"):
-            game_from_witness(identity_channel(9))
+            game_from_witness(identity_channel(MAX_DIM + 1))
         with pytest.raises(TypeError, match="Channel"):
             game_from_witness(np.eye(4))
 

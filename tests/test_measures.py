@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ import oracles
 from crolab import cli
 from crolab.channels import (
     _FIXED_GATES,
+    MAX_DIM,
     Channel,
     choi_dephase_output,
     choi_output_blocks,
@@ -88,11 +90,12 @@ class TestRobustnessValues:
             member = random_qccro(2, seed=seed)
             assert robustness(member).value <= 1e-6
 
-    def test_documented_ceiling(self):
-        """U(pi/8) (x) I (x) I at d = MAX_DIM: the certified interval brackets
-        the closed form sin(pi/4)."""
-        channel = tensor(named_gate("U", np.pi / 8), identity_channel(4))
-        assert channel.dim == crolab.measures.MAX_DIM
+    @pytest.mark.parametrize("d", [8, MAX_DIM])
+    def test_documented_ceiling(self, d):
+        """U(pi/8) with idle qubits at d = 8 and at d = MAX_DIM: the
+        certified interval brackets the closed form sin(pi/4)."""
+        channel = tensor(named_gate("U", np.pi / 8), identity_channel(d // 2))
+        assert channel.dim == d
         result = robustness(channel)
         lower = result.value - result.residuals["witness_pairing"]
         assert lower - 1e-6 <= np.sin(np.pi / 4) <= result.value + 1e-6
@@ -136,8 +139,8 @@ class TestRobustnessResultInvariants:
     def test_type_and_dimension_guards(self):
         with pytest.raises(TypeError, match="Channel"):
             robustness(np.eye(4))
-        with pytest.raises(ValueError, match="dimension"):
-            robustness(identity_channel(16))
+        with pytest.raises(ValueError, match="dimension 33 exceeds the limit of 32"):
+            robustness(identity_channel(MAX_DIM + 1))
 
 
 class TestSolveCount:
@@ -180,7 +183,7 @@ class TestSolveCount:
         assert len(out.read_text().splitlines()) == 51
         assert calls == {"blocks": 1, "solve": 0}
 
-    @pytest.mark.parametrize("d, stacks", [(2, 2), (8, 1)])
+    @pytest.mark.parametrize("d, stacks", [(2, 2), (8, 2)])
     def test_property_suite_solves_one_stack_per_dimension(self, calls, d, stacks):
         """Base channels, mixtures and family images in one stack; the
         extension, at twice the dimension, in a second one."""
@@ -469,10 +472,9 @@ class TestInteriorPointSolver:
 
     def test_d16_intervals_overlap_the_null_space_run(self, monkeypatch):
         """Random channels at d = 16 (Kraus rank 2 and d^2, and a real
-        one), with ``MAX_DIM`` raised: the solve with the step of the d + 1
-        multipliers and the one with the null-space step give narrow,
-        overlapping intervals, and the first takes no more steps."""
-        monkeypatch.setattr(crolab.measures, "MAX_DIM", 16)
+        one): the solve with the step of the d + 1 multipliers and the one
+        with the null-space step give narrow, overlapping intervals, and the
+        first takes no more steps."""
         chois = np.stack([
             random_channel(16, rank=2, seed=0).choi,
             random_channel(16, seed=0).choi,
@@ -1079,6 +1081,43 @@ class TestEquivalentFormulations:
             plain = robustness(channel).value
             dephased = robustness(compose(dephasing(2), channel)).value
             assert plain == pytest.approx(dephased, abs=1e-5)
+
+    def test_refused_above_the_block_side_limit(self, monkeypatch):
+        """At d = 9 the plain program's block would have side 81, above
+        ``sdp.MAX_BLOCK_SIDE`` = 64: refused before any program is built."""
+        built = []
+        real_program = crolab.measures._structured_program
+
+        def counting(*args):
+            built.append(args[1])
+            return real_program(*args)
+
+        monkeypatch.setattr(crolab.measures, "_structured_program", counting)
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="block side 81 exceeds the sdp limit of 64"):
+            robustness_equivalents(identity_channel(9))
+        assert time.perf_counter() - start < 1.0
+        assert built == []
+
+
+class TestTensorMultiplicativity:
+    """1 + R is multiplicative under the tensor product: the Kronecker
+    products of the factors' certified points are certified points of the
+    product (the output blocks of N1 (x) N2 are B1_k1 (x) B2_k2).  An
+    exact relation, so it checks solves above d = 8, where no independent
+    program runs."""
+
+    @pytest.mark.parametrize("d1, d2", [(4, 4), (2, 8), (4, 8)])
+    def test_product_interval_meets_the_factors(self, d1, d2):
+        """The product of the factors' intervals [(1 + L1)(1 + L2), (1 +
+        U1)(1 + U2)] meets [1 + L12, 1 + U12] of the d1 d2 solve.  These
+        pairs overlap outright; the room of 1e-9 relative, the solver's
+        target width, absorbs the rounding of the products."""
+        first, second = random_channel(d1, seed=d1), random_channel(d2, seed=d2 + 1)
+        ends = [_interval(robustness(c)) for c in (first, second, tensor(first, second))]
+        (l1, u1), (l2, u2), (l12, u12) = ((1.0 + low, 1.0 + high) for low, high in ends)
+        room = 1e-9 * u12
+        assert max(l1 * l2, l12) <= min(u1 * u2, u12) + room
 
 
 class TestRelativeEntropy:
