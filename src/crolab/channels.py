@@ -573,6 +573,11 @@ def random_channel(dim: int, rank: int | None = None, seed=None, tol: float = DE
     and conjugates by ``R^{-1/2} (x) I`` with ``R = d * tr_out(X)``, which
     enforces the uniform reference marginal exactly.  Deterministic per seed.
     """
+    return Channel(_random_choi(dim, rank, seed), tol=tol)
+
+
+def _random_choi(dim: int, rank: int | None, seed) -> np.ndarray:
+    """``random_channel``'s Choi array, not validated."""
     dim = int(dim)
     rank = dim * dim if rank is None else int(rank)
     if rank < 1:
@@ -586,7 +591,7 @@ def random_channel(dim: int, rank: int | None = None, seed=None, tol: float = DE
         raise ValueError("degenerate sample: reference marginal not invertible")
     r_isqrt = v @ np.diag(1.0 / np.sqrt(w)) @ v.conj().T
     a = kron(r_isqrt, np.eye(dim))
-    return Channel(hermitianize(a @ x @ a), tol=tol)
+    return hermitianize(a @ x @ a)
 
 
 def choi_max_diff(a: Channel, b: Channel) -> float:

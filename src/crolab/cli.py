@@ -261,9 +261,9 @@ def _verdict_entry(verdict):
 
 def _classify(channel, args):
     # is_cqcro, is_qqcro, is_qccro and is_dio in one pass over the masks,
-    # without the probe witnesses that the report leaves out
+    # without the witnesses that the report leaves out
     kinds = {"cqcro": "cq", "qqcro": "qq", "qccro": "qc", "dio": "dio"}
-    found = _masked_verdicts(channel.choi, channel.dim, tuple(kinds.values()), args.tol, witnesses=False)
+    found = _masked_verdicts(channel.choi, channel.dim, tuple(kinds.values()), args.tol)
     verdicts = {key: found[kind] for key, kind in kinds.items()}
     replacement = None
     for verdict in verdicts.values():
@@ -286,17 +286,17 @@ def _measures(channel, args):
     }
 
 
-def _sweep_grid(points):
+def _sweep_grid(points, tol):
     """The u-theta grid and, per point, its robustness, entropy measure in
     bits and note, as lists.
 
-    The grid's unitaries, Choi arrays, validation, solve and entropies are
-    one stack each.  A point whose solve fails has NaN values and the
-    failure's message as its note; the others have an empty note.
+    The grid's unitaries, Choi arrays, validation (at ``tol``), solve and
+    entropies are one stack each.  A point whose solve fails has NaN values
+    and the failure's message as its note; the others have an empty note.
     """
     thetas = np.linspace(0.0, np.pi / 2, points)
     kraus = interpolation_unitary(thetas)[:, None]
-    chois = _validated_kraus_stack(kraus)
+    chois = _validated_kraus_stack(kraus, tol)
     upper, _, _, _, failures = _solve_chois(chois)
     nan = float("nan")
     values, entropies, notes = [], [], []
@@ -315,7 +315,7 @@ def _sweep(args):
     if not 2 <= args.points <= MAX_SWEEP_POINTS:
         raise SpecError(f"--points must be between 2 and {MAX_SWEEP_POINTS}, got {args.points}")
     lines = ["theta,robustness,relative_entropy_bits,note"]
-    for row in zip(*_sweep_grid(args.points)):
+    for row in zip(*_sweep_grid(args.points, args.tol)):
         lines.append("{:.12g},{:.12g},{:.12g},{}".format(*row))
     return "\n".join(lines) + "\n"
 

@@ -13,10 +13,10 @@ On the trace-1 Choi matrix J each identity says that two entry masks agree:
 ``linalg.dephase(J, [d, d], S)`` with S = (0,) for O D (input dephased),
 (1,) for D O, (0, 1) for D O D and none for O.  It holds iff the largest
 entrywise deviation between the two masks is at most ``tol``.  Members come
-with the column-stochastic matrix that replaces them on classical data;
-non-members, from the public tests, with the probe state on which the two
-sides differ most.  ``crolab classify`` reports only membership, residual
-and replacement, so it asks ``_masked_verdicts`` for no probe witness.
+with the column-stochastic matrix that replaces them on classical data.
+``_masked_verdicts``, which ``crolab classify`` calls, only decides; the
+public tests give a non-member the witness of ``_witness``, a pure state
+on which the two sides' outputs differ by at least d * residual / 4.
 
 The PVM generalizations swap D for the measure-and-reprepare channel T_E of
 a projector set and state each identity with the same side table, applying
@@ -29,7 +29,6 @@ Pauli expansion of O^dag(P_i).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -38,11 +37,11 @@ import numpy as np
 from .channels import (
     Channel,
     ProjectorSet,
+    _random_choi,
     check_dim,
     choi_apply,
     choi_measure,
     choi_stack_from_kraus,
-    random_channel,
 )
 from .linalg import DEFAULT_TOL, dephase, hermitianize
 from .paulis import pauli_stack
@@ -54,9 +53,10 @@ class CroVerdict:
 
     ``residual`` is the largest Choi-entry deviation of the defining
     identity.  ``replacement`` is the column-stochastic matrix (present iff
-    member); ``witness_state`` is a probe density matrix on which the two
-    sides of the identity visibly differ (from the public tests, present
-    iff non-member; the CLI's witness-free verdicts leave it ``None``).
+    member); ``witness_state`` is a pure density matrix on whose image the
+    two sides of the identity differ by at least d * residual / 4 in one
+    entry (from the public tests, present iff non-member; the deciding
+    helpers that ``crolab classify`` calls leave it ``None``).
     ``matched_unitary`` is only set by the unitary-ensemble test.
     """
 
@@ -70,23 +70,6 @@ class CroVerdict:
 class EbVerdict(NamedTuple):
     status: str  # eb_confirmed | not_eb_confirmed | inconclusive
     min_eigenvalue: float
-
-
-@functools.lru_cache(maxsize=None)
-def probe_states(dim: int) -> np.ndarray:
-    """An informationally complete family of pure probe states, stacked,
-    read-only and built once per dimension.
-
-    Computational basis projectors, then, for every pair k < l in order, the
-    real and imaginary superposition projectors; shape (d^2, d, d).
-    """
-    eye = np.eye(dim, dtype=complex)
-    k, l = np.triu_indices(dim, 1)
-    pairs = (eye[k, None] + np.array([1.0, 1.0j])[:, None] * eye[l, None]) / np.sqrt(2.0)
-    vectors = np.concatenate([eye, pairs.reshape(-1, dim)])
-    probes = vectors[:, :, None] * vectors[:, None, :].conj()
-    probes.flags.writeable = False
-    return probes
 
 
 def _stochastic_from_choi(choi: np.ndarray, d: int, tol: float) -> np.ndarray:
@@ -109,25 +92,42 @@ def _validated_stochastic(t: np.ndarray, tol: float) -> np.ndarray:
     return t
 
 
-def _identity_verdict(
-    lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.ndarray | None, tol: float, witnesses: bool = True
-) -> CroVerdict:
-    """Decide ``lhs = rhs`` between two Choi matrices.
+def _identity_verdict(lhs: np.ndarray, rhs: np.ndarray, replacement: np.ndarray | None, tol: float) -> CroVerdict:
+    """Decide ``lhs = rhs`` between two Choi matrices, without a witness."""
+    residual = float(np.max(np.abs(lhs - rhs)))
+    member = residual <= tol
+    return CroVerdict(is_member=member, residual=residual, replacement=replacement if member else None)
 
-    With ``witnesses``, a non-member's witness is the first probe state
-    maximizing the largest entry of the two sides' output difference, found
-    by applying the difference's Choi array to the stacked probes at once.
+
+def _witness(diff: np.ndarray, d: int) -> np.ndarray:
+    """A pure state whose image under the map with Choi array ``diff`` has
+    an entry of at least d |x| / 4, x = diff[(a,k),(b,l)] the first largest.
+
+    With J_ij the (k, l) entry of diff's (i, j) block, the probes |a>, |b>,
+    (|a> + |b>)/sqrt2 and (|a> + i|b>)/sqrt2 have the image entries d J_aa,
+    d J_bb and (d/2)(J_aa + J_bb + conj(c) J_ab + c J_ba), c = 1 and i.  The
+    first two sum in size to at least d |J_aa + J_bb|; less (d/2)(J_aa +
+    J_bb), the last two sum to at least d |x|.  The first largest of the
+    four is returned, or |a> (entry d |x|) when a = b.
     """
-    diff = lhs - rhs
-    residual = float(np.max(np.abs(diff)))
-    if residual <= tol:
-        return CroVerdict(is_member=True, residual=residual, replacement=replacement)
-    if not witnesses:
-        return CroVerdict(is_member=False, residual=residual)
-    probes = probe_states(d)
-    outputs = choi_apply(diff, probes)
-    witness = probes[int(np.argmax(np.max(np.abs(outputs), axis=(1, 2))))].copy()
-    return CroVerdict(is_member=False, residual=residual, witness_state=witness)
+    row, col = divmod(int(np.argmax(np.abs(diff))), d * d)
+    (a, k), (b, l) = divmod(row, d), divmod(col, d)
+    vector = np.zeros(d, dtype=complex)
+    vector[a] = 1.0
+    if a != b:
+        jaa, jbb, jab, jba = diff[row, a * d + l], diff[b * d + k, col], diff[row, col], diff[b * d + k, a * d + l]
+        scores = [abs(jaa), abs(jbb), abs(jaa + jbb + jab + jba) / 2, abs(jaa + jbb - 1j * jab + 1j * jba) / 2]
+        s = 1 / np.sqrt(2.0)
+        vector[a], vector[b] = ((1.0, 0.0), (0.0, 1.0), (s, s), (s, 1j * s))[scores.index(max(scores))]
+    return np.outer(vector, vector.conj())
+
+
+def _witnessed_verdict(lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.ndarray | None, tol: float) -> CroVerdict:
+    """The public tests' verdict: ``_identity_verdict``, with a non-member's ``_witness``."""
+    verdict = _identity_verdict(lhs, rhs, replacement, tol)
+    if verdict.is_member:
+        return verdict
+    return CroVerdict(is_member=False, residual=verdict.residual, witness_state=_witness(lhs - rhs, d))
 
 
 # Subsystems of the Choi matrix that D (or T_E) acts on, on each side of the
@@ -140,30 +140,23 @@ _MASKS = {
 }
 
 
-def _masked_verdicts(
-    choi: np.ndarray, d: int, kinds: Sequence[str], tol: float, witnesses: bool = True
-) -> dict[str, CroVerdict]:
-    """Verdicts of the listed basis classes on one Choi array, in order.
-
-    Each distinct mask is applied once, and the members share one validated
-    replacement matrix.  Non-members carry the public tests' probe witness
-    unless ``witnesses`` is false, which skips the O(d^6) probe search;
-    membership, residual and replacement are the same either way.
-    """
+def _masked_verdicts(choi: np.ndarray, d: int, kinds: Sequence[str], tol: float) -> dict[str, CroVerdict]:
+    """Witness-free verdicts of the listed basis classes on one Choi array,
+    in order.  Each distinct mask is applied once, and the members share
+    one validated replacement matrix."""
     masked = {}
     for kind in kinds:
         for s in _MASKS[kind]:
             if s not in masked:
                 masked[s] = dephase(choi, [d, d], s)
     replacement = _stochastic_from_choi(choi, d, tol)
-    return {
-        kind: _identity_verdict(*(masked[s] for s in _MASKS[kind]), d, replacement, tol, witnesses)
-        for kind in kinds
-    }
+    return {kind: _identity_verdict(*(masked[s] for s in _MASKS[kind]), replacement, tol) for kind in kinds}
 
 
 def _masked_verdict(choi: np.ndarray, d: int, kind: str, tol: float) -> CroVerdict:
-    return _masked_verdicts(choi, d, (kind,), tol)[kind]
+    """One basis class's public verdict, with a non-member's witness."""
+    lhs, rhs = (dephase(choi, [d, d], s) for s in _MASKS[kind])
+    return _witnessed_verdict(lhs, rhs, d, _stochastic_from_choi(choi, d, tol), tol)
 
 
 def is_cqcro(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -212,7 +205,7 @@ def is_cro_pvm(o: Channel, projectors: ProjectorSet | Sequence[np.ndarray], kind
         raise ValueError(f"kind must be one of 'cq', 'qq', 'qc'; got {kind!r}")
     lhs, rhs = (choi_measure(o.choi, projectors, s) for s in _MASKS[kind])
     replacement = _pvm_stochastic(o, projectors, projectors, tol)
-    return _identity_verdict(lhs, rhs, o.dim, replacement, tol)
+    return _witnessed_verdict(lhs, rhs, o.dim, replacement, tol)
 
 
 def is_qccro_two_pvm(
@@ -232,7 +225,7 @@ def is_qccro_two_pvm(
     lhs = choi_measure(o.choi, outcomes, (1,))
     rhs = choi_measure(lhs, inputs, (0,))
     replacement = _pvm_stochastic(o, outcomes, inputs, tol)
-    return _identity_verdict(lhs, rhs, d, replacement, tol)
+    return _witnessed_verdict(lhs, rhs, d, replacement, tol)
 
 
 def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -241,24 +234,24 @@ def is_qccro_under_unitaries(o: Channel, unitaries: Sequence[np.ndarray], tol: f
     Member iff some U in the list makes O U† a qc member, i.e.
     D (O U†) = D (O U†) D.  The first matching U is reported together with
     the stochastic replacement of O U†; for non-members the residual and
-    witness refer to the closest candidate.
+    witness refer to the first closest candidate, the only one witnessed.
     """
     if len(unitaries) == 0:
         raise ValueError("need at least one candidate unitary")
     d = o.dim
-    best = None
+    best = closest = None
     for u in unitaries:
         u = _as_unitary(u, tol)
         if u.shape != (d, d):
             raise ValueError(f"unitary shape {u.shape} does not match channel dim {d}")
         # Choi state of rho -> O(U^dag rho U): (conj U (x) I) J (U^T (x) I)
         rotated = (u @ (u.conj() @ o.choi.reshape(d, -1)).reshape(d * d, d, d)).reshape(d * d, d * d)
-        verdict = _masked_verdict(rotated, d, "qc", tol)
+        verdict = _masked_verdicts(rotated, d, ("qc",), tol)["qc"]
         if verdict.is_member:
             return replace(verdict, matched_unitary=u)
         if best is None or verdict.residual < best.residual:
-            best = verdict
-    return best
+            best, closest = verdict, rotated
+    return _masked_verdict(closest, d, "qc", tol)
 
 
 def _as_unitary(u: np.ndarray, tol: float) -> np.ndarray:
@@ -384,11 +377,16 @@ def random_qccro(dim: int, seed=None, qq_weight: float = 0.0, tol: float = DEFAU
     D M D sample with weight ``qq_weight``.  On Choi states, N D is N's Choi
     state dephased on the input and D M D is M's dephased on both sides.
     """
+    return Channel(_random_qccro_choi(dim, seed, qq_weight), tol=tol)
+
+
+def _random_qccro_choi(dim: int, seed, qq_weight: float = 0.0) -> np.ndarray:
+    """``random_qccro``'s Choi array, not validated."""
     rng = np.random.default_rng(seed)
-    base = dephase(random_channel(dim, seed=rng).choi, [dim, dim], (0,))
+    base = dephase(_random_choi(dim, None, rng), [dim, dim], (0,))
     if qq_weight == 0.0:
-        return Channel(base, tol=tol)
+        return base
     if not 0.0 <= qq_weight <= 1.0:
         raise ValueError(f"qq_weight must sit in [0, 1], got {qq_weight}")
-    qq = dephase(random_channel(dim, seed=rng).choi, [dim, dim], (0, 1))
-    return Channel((1.0 - qq_weight) * base + qq_weight * qq, tol=tol)
+    qq = dephase(_random_choi(dim, None, rng), [dim, dim], (0, 1))
+    return (1.0 - qq_weight) * base + qq_weight * qq

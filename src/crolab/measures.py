@@ -45,16 +45,16 @@ import numpy as np
 from .channels import (
     MAX_DIM,
     Channel,
+    _random_choi,
     check_dim,
     choi_dephase_output,
     choi_from_output_blocks,
     choi_output_blocks,
     identity_channel,
-    random_channel,
     tensor,
     validate_choi_stack,
 )
-from .cro import _stochastic_from_choi, random_qccro
+from .cro import _random_qccro_choi, _stochastic_from_choi
 from .linalg import _TO_BOUNDARY, DEFAULT_TOL, hermitianize, partial_trace, psd_part
 
 # Interior-point robustness: step cap, target and accepted interval widths.
@@ -711,16 +711,14 @@ def measure_property_suite(channel, seed=0):
     rng = np.random.default_rng(seed)
     report = {}
 
-    bases = [channel.choi] + [
-        random_channel(d, seed=int(rng.integers(2**31))).choi for _ in range(2)
-    ]
+    # Random channels and samples are Choi arrays, validated in two stacks.
+    bases = [channel.choi] + [_random_choi(d, None, int(rng.integers(2**31))) for _ in range(2)]
     pairs = ((0, 1), (1, 2))
     weights = [float(rng.uniform(0.2, 0.8)) for _ in pairs]
     mixtures = [w * bases[i] + (1.0 - w) * bases[j] for (i, j), w in zip(pairs, weights)]
 
     # Two concrete families of free transformations, as maps on Choi states.
-    inner = random_channel(d, seed=int(rng.integers(2**31)))
-    t = _stochastic_from_choi(inner.choi, d, DEFAULT_TOL)
+    t = _stochastic_from_choi(_random_choi(d, None, int(rng.integers(2**31))), d, DEFAULT_TOL)
     perm = rng.permutation(d)
     families = {
         "monotonicity_postcompose": lambda m: _postcompose(m, t),
@@ -732,9 +730,7 @@ def measure_property_suite(channel, seed=0):
     # meaningful.  An image is qc-replaceable when its output blocks are
     # diagonal, so its residual is their largest off-diagonal entry.
     samples = validate_choi_stack([
-        family(random_qccro(d, seed=int(rng.integers(2**31))).choi)
-        for family in families.values()
-        for _ in range(5)
+        family(_random_qccro_choi(d, int(rng.integers(2**31)))) for family in families.values() for _ in range(5)
     ])
     off_diagonal = np.where(np.eye(d, dtype=bool), 0.0, choi_output_blocks(samples, d))
     worst_membership = float(np.max(np.abs(off_diagonal)))

@@ -24,6 +24,9 @@ node, as ``crolab.cli`` did before it multiplied Kraus leaves into one
 product list;
 ``eb_ppt_verdict`` is the PPT screen that ``crolab.cro.eb_ppt_test`` ran
 on every channel before one-Kraus channels read its minimum in closed form;
+``probe_search_witness`` is the membership witness that ``crolab.cro``
+searched for over all of ``probe_frame`` before it read one off the
+residual's largest entry;
 and ``property_suite_per_channel`` is the property suite that built every
 mixture, sample and image as a ``Channel``.  The
 robustness oracles solve the same question as the production solvers but
@@ -326,6 +329,23 @@ def probe_frame(d):
         for l in range(k + 1, d):
             vectors += [(eye[k] + phase * eye[l]) / np.sqrt(2.0) for phase in (1.0, 1.0j)]
     return np.array([np.outer(v, v.conj()) for v in vectors])
+
+
+def choi_image(m, rho):
+    """N(rho)[k, l] = d sum_ij rho[i, j] m[(i,k),(j,l)] for the map N with
+    trace-1 Choi array m."""
+    d = rho.shape[-1]
+    return d * np.einsum("ij,ikjl->kl", rho, m.reshape(d, d, d, d))
+
+
+def probe_search_witness(diff, d):
+    """The first ``probe_frame`` state whose image under the map with Choi
+    array ``diff`` has the largest entry, all d^2 images from one stacked
+    product: O(d^6)."""
+    frame = probe_frame(d)
+    realigned = diff.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    images = d * (frame.reshape(-1, d * d) @ realigned)
+    return frame[int(np.argmax(np.max(np.abs(images), axis=1)))]
 
 
 def _hermitian_coordinates(m):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import crolab
 import oracles
 from crolab import cli, cro
-from crolab.channels import MAX_DIM, apply, named_gate, random_channel
+from crolab.channels import MAX_DIM, apply, interpolation_unitary, named_gate, random_channel
 
 # The subprocess imports the same crolab sources as this test session.
 SRC = str(Path(crolab.__file__).resolve().parents[1])
@@ -98,7 +98,7 @@ class TestClassifyCommand:
             assert np.max(np.abs(t[:, i] - diag)) < 1e-9
 
     def test_report_builds_no_witness(self, tmp_path, capsys, monkeypatch):
-        """classify applies no map to the probe states: each report on
+        """classify builds no witness: each report on
         non-member specs at d = 2..8 equals the one assembled from the
         public is_* verdicts and the replaced PPT screen
         (``oracles.eb_ppt_verdict``); only one-Kraus specs, which read the
@@ -125,12 +125,12 @@ class TestClassifyCommand:
         tests = {"cqcro": cro.is_cqcro, "qqcro": cro.is_qqcro, "qccro": cro.is_qccro, "dio": cro.is_dio}
 
         def refuse(*args):
-            raise AssertionError("classify built a probe witness")
+            raise AssertionError("classify built a witness")
 
         for k, (spec, one_kraus) in enumerate(specs):
             path = write_spec(tmp_path, f"spec{k}.json", spec)
             monkeypatch.setattr(cro, "choi_apply", refuse)
-            monkeypatch.setattr(cro, "probe_states", refuse)
+            monkeypatch.setattr(cro, "_witness", refuse)
             code, out, _ = _main(capsys, "classify", path)
             monkeypatch.undo()
             assert code == 0
@@ -224,11 +224,34 @@ class TestSweepCommand:
         reference = Path(__file__).parent / "data" / f"sweep_u_theta_{points}.csv"
         assert out.read_bytes() == reference.read_bytes()
 
+    def test_sweep_validates_at_tol(self, tmp_path, capsys):
+        """The grid's Kraus stack is checked at ``--tol``, as a gate spec
+        is: at --tol 0 both the U(pi/4) spec and the 50-point sweep exit 3
+        on the rounding of U^dag U, the sweep naming its first grid point
+        whose deviation is not zero."""
+        spec = gate_spec(tmp_path, "U", np.pi / 4)
+        thetas = np.linspace(0.0, np.pi / 2, 50)
+        deviations = [
+            float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) for u in interpolation_unitary(thetas)
+        ]
+        first = next(dev for dev in deviations if dev > 0.0)
+        for argv, deviation in ((["measures", spec], None), (["sweep", "u-theta"], first)):
+            assert cli.main([*argv, "--tol", "0"]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            error = json.loads(captured.err)
+            assert error["kind"] == "invalid-channel"
+            assert error["error"].startswith("kraus completeness violated by ")
+            assert error["error"].endswith(" (tol=0)")
+            if deviation is not None:
+                assert error["error"] == f"kraus completeness violated by {deviation:.3e} (tol=0)"
+        assert cli.main(["sweep", "u-theta", "--points", "2", "--tol", "0"]) == 0
+
     @pytest.mark.parametrize("points", [2, 9, 50, 257])
     def test_stacked_grid_equals_per_point_path(self, points):
         """Every theta, robustness and entropy of the stacked grid is the
         per-point path's float bit for bit, and every note is equal."""
-        got = cli._sweep_grid(points)
+        got = cli._sweep_grid(points, 1e-9)
         expected = oracles.sweep_per_point(points)
         for column, reference in zip(got[:3], expected[:3]):
             assert np.array(column).tobytes() == np.array(reference).tobytes()
@@ -536,8 +559,8 @@ class TestSpecParsing:
             assert [p.returncode for p in outputs] == [0, 0]
             assert outputs[0].stdout == outputs[1].stdout
 
-        # d = 8 classify of that tensor followed by CCX: compose through
-        # choi_apply and the non-members' probe witnesses.
+        # d = 8 classify of that tensor followed by CCX, composed through
+        # choi_apply.
         composed = {"kind": "composition", "children": [spec, {"kind": "gate", "name": "CCX"}]}
         path = write_spec(tmp_path, "h_u_damp_ccx.json", composed)
         outputs = [run_cli("classify", path, env={"OPENBLAS_NUM_THREADS": threads}) for threads in ("1", "2")]

@@ -14,6 +14,7 @@ from crolab.channels import (
     apply,
     basis_pvm,
     channel_from_kraus,
+    choi_measure,
     choi_max_diff,
     compose,
     dephasing,
@@ -35,11 +36,10 @@ from crolab.cro import (
     is_qccro_two_pvm,
     is_qccro_under_unitaries,
     is_qqcro,
-    probe_states,
     random_qccro,
     vqa_replaceable_set_R,
 )
-from crolab.linalg import DEFAULT_TOL
+from crolab.linalg import DEFAULT_TOL, dephase
 from crolab.paulis import HADAMARD, PAULI_X, pauli_index, pauli_stack, random_clifford
 
 
@@ -165,27 +165,25 @@ class TestVerdictContents:
         v1 = is_qccro(named_gate("U", np.pi / 4))
         assert 0 < v0.residual < v1.residual
 
-    def test_probe_states_are_informationally_complete(self):
+    def test_probe_frame_is_informationally_complete(self):
         for d in (2, 3):
-            probes = probe_states(d)
+            probes = oracles.probe_frame(d)
             assert len(probes) == d * d
             stacked = np.stack([p.reshape(-1) for p in probes])
             assert np.linalg.matrix_rank(stacked) == d * d
 
-    def test_probe_states_are_cached_read_only(self):
-        probes = probe_states(3)
-        assert probe_states(3) is probes
-        assert not probes.flags.writeable
-        with pytest.raises(ValueError):
-            probes[0, 0, 0] = 1.0
-        witness = is_qccro(named_gate("H")).witness_state
-        assert witness.flags.writeable
-        assert not np.shares_memory(witness, probe_states(2))
+    def test_witness_is_writable_and_fresh(self):
+        h = named_gate("H")
+        first, second = is_qccro(h).witness_state, is_qccro(h).witness_state
+        assert first.flags.writeable
+        assert first.tobytes() == second.tobytes()
+        assert not np.shares_memory(first, second)
+        assert not np.shares_memory(first, h.choi)
 
     def test_one_pass_equals_the_four_tests(self, monkeypatch):
         """``_masked_verdicts`` dephases each of the four distinct masks
         once and builds one replacement, and gives each public test's
-        verdict bit for bit."""
+        membership, residual and replacement bit for bit, with no witness."""
         tests = {"cq": is_cqcro, "qq": is_qqcro, "qc": is_qccro, "dio": is_dio}
         channels = [named_gate(g) for g in ("H", "Z", "CNOT")]
         channels += [random_channel(3, seed=4), random_qccro(3, seed=5), dephasing(4)]
@@ -203,15 +201,95 @@ class TestVerdictContents:
             for kind, test in tests.items():
                 got, expected = verdicts[kind], test(channel)
                 assert (got.is_member, got.residual) == (expected.is_member, expected.residual)
-                for field in ("replacement", "witness_state"):
-                    a, b = getattr(got, field), getattr(expected, field)
-                    assert (a is None and b is None) or a.tobytes() == b.tobytes()
+                a, b = got.replacement, expected.replacement
+                assert (a is None and b is None) or a.tobytes() == b.tobytes()
+                assert got.witness_state is None
+                assert (expected.witness_state is None) == expected.is_member
 
-    def test_probe_states_match_the_oracle_frame(self):
-        for d in range(1, 9):
-            probes = probe_states(d)
-            assert probes.shape == (d * d, d, d)
-            assert np.max(np.abs(probes - oracles.probe_frame(d))) <= 1e-15
+
+class TestWitnessBound:
+    """Every public non-member verdict carries a pure witness whose image
+    under the difference of the identity's two sides has an entry of at
+    least d * residual / 4 (``cro._witness``)."""
+
+    BASIS = {"cq": is_cqcro, "qq": is_qqcro, "qc": is_qccro, "dio": is_dio}
+
+    @classmethod
+    def _verdicts_and_sides(cls, o, pvm):
+        """(verdict, lhs, rhs) of the four basis tests, the three PVM
+        tests for ``pvm`` and the two-PVM test (``pvm`` out, basis in)."""
+        d, choi = o.dim, o.choi
+        for kind, test in cls.BASIS.items():
+            yield (test(o), *(dephase(choi, [d, d], s) for s in cro._MASKS[kind]))
+        for kind in ("cq", "qq", "qc"):
+            yield (is_cro_pvm(o, pvm, kind), *(choi_measure(choi, pvm, s) for s in cro._MASKS[kind]))
+        lhs = choi_measure(choi, pvm, (1,))
+        yield is_qccro_two_pvm(o, pvm, basis_pvm(d)), lhs, choi_measure(lhs, basis_pvm(d), (0,))
+
+    @pytest.mark.parametrize("d", [*range(1, 9), 16])
+    def test_image_entry_is_at_least_a_quarter_of_d_residual(self, d):
+        """A Haar unitary and random channels of every Kraus rank (at d =
+        16, the ranks 1, 2, 4, ..., 256), against a random rank-one PVM."""
+        rng = np.random.default_rng(d)
+        u = oracles.haar_unitary(d, rng)
+        pvm = ProjectorSet([np.outer(u[:, k], u[:, k].conj()) for k in range(d)])
+        ranks = range(1, d * d + 1) if d <= 8 else [2**j for j in range(9)]
+        channels = [unitary_channel(oracles.haar_unitary(d, rng))]
+        channels += [random_channel(d, rank=rank, seed=100 * d + rank) for rank in ranks]
+        ratios = []
+        for o in channels:
+            for verdict, lhs, rhs in self._verdicts_and_sides(o, pvm):
+                if verdict.is_member:
+                    assert verdict.witness_state is None
+                    continue
+                sigma = verdict.witness_state
+                assert np.trace(sigma) == pytest.approx(1.0, abs=1e-15)
+                assert np.linalg.matrix_rank(sigma) == 1
+                image = oracles.choi_image(lhs - rhs, sigma)
+                ratios.append(np.max(np.abs(image)) / (d * verdict.residual))
+        # At d = 1 every channel is in every class.
+        assert (d == 1) == (not ratios)
+        assert min(ratios, default=1.0) >= 0.25
+
+    def test_under_unitaries_witnesses_only_the_returned_verdict(self, monkeypatch):
+        built = []
+        real = cro._witness
+        monkeypatch.setattr(cro, "_witness", lambda diff, d: built.append(d) or real(diff, d))
+        rng = np.random.default_rng(3)
+        o = random_channel(4, seed=3)
+        candidates = [oracles.haar_unitary(4, rng) for _ in range(6)]
+        verdict = is_qccro_under_unitaries(o, candidates)
+        assert not verdict.is_member and built == [4]
+        rotated = [compose(o, unitary_channel(u.conj().T)) for u in candidates]
+        closest = min(rotated, key=lambda c: is_qccro(c).residual)
+        assert verdict.residual == pytest.approx(is_qccro(closest).residual, abs=1e-14)
+        lhs, rhs = (dephase(closest.choi, [4, 4], s) for s in cro._MASKS["qc"])
+        image = oracles.choi_image(lhs - rhs, verdict.witness_state)
+        assert np.max(np.abs(image)) >= verdict.residual - 1e-12  # d * residual / 4 at d = 4
+        built.clear()
+        assert is_qccro_under_unitaries(named_gate("H"), [PAULI_X, HADAMARD]).is_member
+        assert built == []
+
+    def test_basis_tests_at_five_qubits_apply_no_map_and_stay_small(self, monkeypatch):
+        """At d = 32 no basis test calls ``choi_apply``, and each one's
+        traced peak is at most 80 MiB (the O(d^6) probe search it replaced
+        kept a 16 MiB probe stack and peaked at about 80 MiB warm, 112 MiB
+        cold)."""
+        o = unitary_channel(oracles.haar_unitary(MAX_DIM, np.random.default_rng(32)))
+
+        def refuse(*args):
+            raise AssertionError("a basis test applied a map")
+
+        monkeypatch.setattr(cro, "choi_apply", refuse)
+        for test in self.BASIS.values():
+            tracemalloc.start()
+            try:
+                verdict = test(o)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert not verdict.is_member and verdict.witness_state.shape == (MAX_DIM, MAX_DIM)
+            assert peak <= 80 * 2**20
 
 
 class TestPvmVariants:
@@ -586,6 +664,21 @@ class TestRandomQccro:
     def test_weight_validation(self):
         with pytest.raises(ValueError, match="qq_weight"):
             random_qccro(2, seed=1, qq_weight=1.5)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16])
+    def test_choi_equals_the_two_channel_path(self, d):
+        """One ``Channel`` from the dephased (and mixed) array holds, byte
+        for byte, the Choi array that the path through two validated
+        ``random_channel`` samples built."""
+        for seed, weight in ((0, 0.0), (1, 0.3), (2, 1.0)):
+            rng = np.random.default_rng(seed)
+            base = dephase(random_channel(d, seed=rng).choi, [d, d], (0,))
+            if weight == 0.0:
+                expected = Channel(base)
+            else:
+                qq = dephase(random_channel(d, seed=rng).choi, [d, d], (0, 1))
+                expected = Channel((1.0 - weight) * base + weight * qq)
+            assert random_qccro(d, seed, weight).choi.tobytes() == expected.choi.tobytes()
 
 
 class TestClosure:

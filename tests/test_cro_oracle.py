@@ -7,13 +7,15 @@ O^dag(P_i).  The oracle builds every map's superoperator from Kraus
 operators, writes D as ``diag(vec(I))`` and compares the Choi matrices of the
 composed products.  Both must agree on membership, on the residual to 1e-12
 and, for the Pauli set, on the replacing index; a reported witness must
-separate the oracle's two sides.
+separate the oracle's two sides by at least d * residual / 4 in one entry,
+at most 8 times less than the best state of ``oracles.probe_frame`` does.
 """
 
 import numpy as np
 import pytest
 
 import oracles
+from crolab import cro
 from crolab.channels import (
     ProjectorSet,
     basis_pvm,
@@ -74,7 +76,7 @@ def assert_agrees(verdict, lhs, rhs, d):
     if not verdict.is_member:
         sigma = verdict.witness_state
         gap = oracles.apply_superop(lhs, sigma) - oracles.apply_superop(rhs, sigma)
-        assert np.max(np.abs(gap)) > TOL
+        assert np.max(np.abs(gap)) >= d * verdict.residual / 4 - 1e-12
 
 
 @pytest.mark.parametrize("name", sorted(CHANNELS))
@@ -85,6 +87,32 @@ def test_basis_classes_match_composition(name, kind):
     s = oracles.superop_of_kraus(o.kraus)
     lhs, rhs = oracles.identity_sides(s, oracles.dephasing_superop(d), kind)
     assert_agrees(BASIS_TESTS[kind](o, TOL), lhs, rhs, d)
+
+
+@pytest.mark.parametrize("name", sorted(CHANNELS))
+def test_witness_against_the_probe_search(name):
+    """The stacked search over all of ``oracles.probe_frame`` finds a
+    largest image entry at most 8 times the witness's: a frame state's
+    entries sum in size to at most 2, so its image entries are at most
+    2 d * residual, against the witness's d * residual / 4.  Where the
+    witness is itself a frame state, the search does at least as well."""
+    o = CHANNELS[name]
+    d = o.dim
+    frame = oracles.probe_frame(d)
+    for kind, test in BASIS_TESTS.items():
+        verdict = test(o, TOL)
+        if verdict.is_member:
+            continue
+        lhs, rhs = (dephase(o.choi, [d, d], s) for s in cro._MASKS[kind])
+        diff = lhs - rhs
+
+        def score(sigma):
+            return np.max(np.abs(oracles.choi_image(diff, sigma)))
+
+        best, witness = score(oracles.probe_search_witness(diff, d)), score(verdict.witness_state)
+        assert best <= 8 * witness
+        if any(np.array_equal(verdict.witness_state, probe) for probe in frame):
+            assert witness <= best
 
 
 def pvms(d):

@@ -772,6 +772,41 @@ class TestCertificationScreen:
             assert max(low, lower[b]) <= min(high, upper[b])
             assert live <= every + 1
 
+    def test_each_problem_screens_its_own_upper(self, monkeypatch, interior_point_runs):
+        """A stack whose first problem, the qutrit shift, settles at a fixed
+        point and whose other three reach the interior point: every upper
+        end that ``_screen`` receives for a problem is the one its
+        batch-of-one solve screens at the same step, bit for bit."""
+        channels = [qutrit_shift(), random_channel(3, seed=1), random_channel(3, rank=2, seed=7), real_channel(3, seed=2)]
+        blocks = [choi_output_blocks(c.choi, 3) for c in channels]
+        calls = []
+        real_screen = crolab.measures._screen
+
+        def recording(s, w, upper):
+            calls.append((s.copy(), upper.copy()))
+            return real_screen(s, w, upper)
+
+        monkeypatch.setattr(crolab.measures, "_screen", recording)
+
+        def by_problem():
+            # A row of S belongs to the problem whose off-diagonals it has.
+            seen = [[] for _ in channels]
+            for s, upper in calls:
+                for row, end in zip(s, upper):
+                    (b,) = [b for b, target in enumerate(blocks) if _targeted(-row, [target])]
+                    seen[b].append(end)
+            calls.clear()
+            return seen
+
+        robustness_stack(channels)
+        stacked = by_problem()
+        assert not reached(interior_point_runs, channels[0]) and stacked[0] == []
+        for b in range(1, len(channels)):
+            robustness_stack([channels[b]])
+            alone = by_problem()[b]
+            assert len(alone) > 0
+            assert np.array(stacked[b]).tobytes() == np.array(alone).tobytes()
+
     @pytest.mark.parametrize("rank", [2, 16])
     def test_few_steps_are_certified(self, monkeypatch, rank):
         """A d = 4 random channel takes nine steps, of which at most three
@@ -1274,6 +1309,23 @@ class TestPropertySuite:
             report = measure_property_suite(channel, seed=seed)
             expected = oracles.property_suite_per_channel(channel, seed=seed)
             assert json.dumps(report) == json.dumps(expected)
+
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_builds_only_the_extension_channels(self, monkeypatch, d):
+        """Random channels, mixtures, free-family samples and images are
+        Choi arrays: the suite's only ``Channel`` objects are the I_2 and
+        the N (x) I_2 of its extension check."""
+        channel = random_channel(d, seed=d)
+        built = []
+        real_init = Channel.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(1)
+            real_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Channel, "__init__", counting)
+        report = measure_property_suite(channel, seed=1)
+        assert report["passed"] and len(built) == 2
 
     def test_permutation_family_is_exactly_invariant(self):
         report = measure_property_suite(named_gate("H"), seed=12)
