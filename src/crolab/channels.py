@@ -15,8 +15,16 @@ operators through it and ``choi_measure`` composes it with a PVM's
 measure-and-reprepare map.  Only square channels (equal input and output
 dimension) are supported.
 
-Every channel records, as ``Channel._min_eig``, a lower bound l on the
-smallest eigenvalue of its n x n Choi array J (n = d^2).  Validation runs
+Construction records two facts that later checks read instead of
+recomputing them.  ``Channel._gram`` is True when the Choi array J is the
+Gram sum of the channel's own Kraus list ``Channel._kraus``, which only
+``channel_from_kraus`` sets: ``cro.eb_ppt_test`` then reads the partial
+transpose's minimum off that list's one operator.  A ``kraus`` that a
+caller passes to ``Channel`` is checked for completeness only, not against
+J, and sets no record.
+
+Every channel also records, as ``Channel._min_eig``, a lower bound l on the
+smallest eigenvalue of J, an n x n array (n = d^2).  Validation runs
 ``eigvalsh`` only where that bound does not clear the positivity floor
 -max(tol, 1e-7).  An array that a caller passes to ``Channel`` or
 ``validate_choi_stack`` has no bound, with or without ``kraus``, and is
@@ -102,18 +110,21 @@ class Channel(_Immutable):
     state (trace preservation); Kraus operators passed in must be complete.
     ``kraus`` is computed from the Choi state on first access unless it was
     passed in.  ``_min_eig`` is a lower bound on the smallest eigenvalue of
-    ``choi``.  The PSD check eigendecomposes every array passed in, with or
-    without ``kraus``.  Only the channels that ``channel_from_kraus``,
-    ``tensor`` and ``compose`` build skip it, when the bound that their
-    construction proves clears the floor (see the module docstring).
+    ``choi``, and ``_gram`` whether ``choi`` is the Gram sum of ``_kraus``.
+    The PSD check eigendecomposes every array passed in, with or without
+    ``kraus``, and a ``kraus`` passed in sets no ``_gram``.  Only the
+    channels that ``channel_from_kraus``, ``tensor`` and ``compose`` build
+    skip it, when the bound that their construction proves clears the
+    floor, and only ``channel_from_kraus`` records ``_gram`` (see the
+    module docstring).
     """
 
-    __slots__ = ("dim", "choi", "_kraus", "_min_eig")
+    __slots__ = ("dim", "choi", "_kraus", "_min_eig", "_gram")
 
     def __init__(self, choi: np.ndarray, tol: float = DEFAULT_TOL, kraus=None):
-        bound = None
+        bound, gram = None, False
         if isinstance(choi, _Built):
-            choi, bound = choi
+            choi, bound, gram = choi
         choi = np.asarray(choi, dtype=complex)
         if choi.ndim != 2:
             raise ValueError(_shape_message(choi.shape))
@@ -124,6 +135,7 @@ class Channel(_Immutable):
         object.__setattr__(self, "choi", stack[0])
         object.__setattr__(self, "_kraus", None if kraus is None else tuple(kraus))
         object.__setattr__(self, "_min_eig", min_eig)
+        object.__setattr__(self, "_gram", gram)
 
     @property
     def kraus(self) -> tuple:
@@ -138,11 +150,13 @@ class Channel(_Immutable):
 
 class _Built(NamedTuple):
     """A Choi array that this module built, with the lower bound on its
-    smallest eigenvalue that the construction proves; ``Channel`` reads
-    the bound only from this wrapper."""
+    smallest eigenvalue that the construction proves and whether it is the
+    Gram sum of the Kraus list passed with it; ``Channel`` reads both only
+    from this wrapper."""
 
     choi: np.ndarray
     min_eig: float
+    gram: bool = False
 
 
 def _rounding(n: int, scale: float) -> float:
@@ -193,12 +207,13 @@ def _validated(chois, tol, kraus=None, bound=None):
     if kraus is not None:
         dev = _completeness_deviation(np.asarray(kraus, dtype=complex).reshape(len(stack), -1, dim, dim))
         checks.append((dev > tol, dev, "kraus completeness violated by {:.3e} (tol={tol:g})"))
-    asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
+    adjoint = stack.conj().swapaxes(-1, -2)
+    asym = np.abs(stack - adjoint).max(axis=(1, 2))
     checks.append((~(asym <= tol), asym, "choi matrix is not Hermitian within tol={tol:g}"))
-    tr = np.real(np.trace(stack, axis1=1, axis2=2))
+    tr = stack.trace(axis1=1, axis2=2).real
     checks.append((np.abs(tr - 1.0) > tol, tr, "choi trace {:.12g} is not 1 within tol={tol:g}"))
-    marginal = np.trace(stack.reshape(-1, dim, dim, dim, dim), axis1=2, axis2=4)
-    dev = np.max(np.abs(marginal - np.eye(dim) / dim), axis=(1, 2))
+    marginal = stack.reshape(-1, dim, dim, dim, dim).trace(axis1=2, axis2=4)
+    dev = np.abs(marginal - np.eye(dim) / dim).max(axis=(1, 2))
     checks.append((
         dev > tol,
         dev,
@@ -206,7 +221,7 @@ def _validated(chois, tol, kraus=None, bound=None):
         "the map is not trace preserving",
     ))
     failing = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
-    hermitian = hermitianize(stack)
+    hermitian = 0.5 * (stack + adjoint)
     floor = -max(tol, 1e-7)
     proven = bound is not None and bound >= floor
     if proven:
@@ -273,17 +288,22 @@ def kraus_from_choi(choi: np.ndarray, tol: float = DEFAULT_TOL, drop: float = KR
     return tuple(ops)
 
 
-def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Channel:
-    """Build a channel from Kraus operators (must be complete within tol)."""
-    ops = [np.asarray(k, dtype=complex) for k in ops]
-    if not ops:
-        raise ValueError("need at least one Kraus operator")
-    dim = ops[0].shape[0] if ops[0].ndim else 0
-    for k in ops:
-        if k.shape != (dim, dim):
-            raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
-    ops = np.stack(ops)
-    choi = _Built(choi_stack_from_kraus(ops), _gram_bound(ops.shape, tol))
+def channel_from_kraus(ops: Sequence[np.ndarray] | np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
+    """Build a channel from Kraus operators (must be complete within tol):
+    a sequence of d x d matrices, or one (r, d, d) array, copied whole.
+    The channel records that its Choi array is their Gram sum."""
+    if isinstance(ops, np.ndarray) and ops.ndim == 3 and len(ops) and ops.shape[1] == ops.shape[2]:
+        ops = np.array(ops, dtype=complex)
+    else:
+        ops = [np.asarray(k, dtype=complex) for k in ops]
+        if not ops:
+            raise ValueError("need at least one Kraus operator")
+        dim = ops[0].shape[0] if ops[0].ndim else 0
+        for k in ops:
+            if k.shape != (dim, dim):
+                raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
+        ops = np.stack(ops)
+    choi = _Built(choi_stack_from_kraus(ops), _gram_bound(ops.shape, tol), gram=True)
     return Channel(choi, tol=tol, kraus=ops)
 
 

@@ -260,7 +260,7 @@ def _verdict_entry(verdict):
 
 
 def _classify(channel, args):
-    # is_cqcro, is_qqcro, is_qccro and is_dio in one pass over the masks,
+    # is_cqcro, is_qqcro, is_qccro and is_dio in one pass over the entry sets,
     # without the witnesses that the report leaves out
     kinds = {"cqcro": "cq", "qqcro": "qq", "qccro": "qc", "dio": "dio"}
     found = _masked_verdicts(channel.choi, channel.dim, tuple(kinds.values()), args.tol)

@@ -11,12 +11,15 @@ in that mode.  Writing compositions right-to-left:
 
 On the trace-1 Choi matrix J each identity says that two entry masks agree:
 ``linalg.dephase(J, [d, d], S)`` with S = (0,) for O D (input dephased),
-(1,) for D O, (0, 1) for D O D and none for O.  It holds iff the largest
-entrywise deviation between the two masks is at most ``tol``.  Members come
-with the column-stochastic matrix that replaces them on classical data.
-``_masked_verdicts``, which ``crolab classify`` calls, only decides; the
-public tests give a non-member the witness of ``_witness``, a pure state
-on which the two sides' outputs differ by at least d * residual / 4.
+(1,) for D O, (0, 1) for D O D and none for O.  The two sides differ by J
+times a 0/+-1 mask, a signed sum of three entry sets J[(i,k),(j,l)]: k != l
+with i = j, i != j with k = l, and both unequal (``_SIGNS``).  So an
+identity holds iff the largest |J| over its sets is at most ``tol``, and
+no side is built.  Members come with the column-stochastic matrix that
+replaces them on classical data.  ``_masked_verdicts``, which ``crolab
+classify`` calls, only decides; the public tests give a non-member the
+witness of ``_witness``, a pure state on which the two sides' outputs
+differ by at least d * residual / 4.
 
 The PVM generalizations swap D for the measure-and-reprepare channel T_E of
 a projector set and state each identity with the same side table, applying
@@ -29,6 +32,7 @@ Pauli expansion of O^dag(P_i).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
@@ -38,10 +42,10 @@ from .channels import (
     Channel,
     ProjectorSet,
     _random_choi,
+    _rounding,
     check_dim,
     choi_apply,
     choi_measure,
-    choi_stack_from_kraus,
 )
 from .linalg import DEFAULT_TOL, dephase, hermitianize
 from .paulis import pauli_stack
@@ -73,30 +77,29 @@ class EbVerdict(NamedTuple):
 
 
 def _stochastic_from_choi(choi: np.ndarray, d: int, tol: float) -> np.ndarray:
-    """T[j, i] = <j| O(|i><i|) |j>, validated column-stochastic."""
-    # Diagonal of the output for basis input |i><i| sits in the Choi state:
-    # choi[(i,j),(i,j)] = <j|O(|i><i|)|j> / d.
-    t = d * np.real(np.diag(choi)).reshape(d, d).T
-    return _validated_stochastic(t, tol)
+    """T[j, i] = <j| O(|i><i|) |j>, validated column-stochastic within what
+    ``Channel``'s checks at ``tol`` leave.
+
+    Entry T[j, i] is d choi[(i,j),(i,j)], at least d times the positivity
+    floor -max(tol, 1e-7), and column i sums to d times the reference
+    marginal's entry (i, i), within d tol of 1; the room is d max(tol,
+    1e-7), plus ``channels._rounding`` for the checks' own rounding.
+    """
+    t = d * choi.real.diagonal().reshape(d, d).T
+    return _validated_stochastic(t, d * (max(tol, 1e-7) + _rounding(d * d, 1 + tol)))
 
 
-def _validated_stochastic(t: np.ndarray, tol: float) -> np.ndarray:
+def _validated_stochastic(t: np.ndarray, room: float) -> np.ndarray:
+    """A new array of ``t``'s entries, the negative ones zeroed, once its
+    column sums are within ``room`` of 1 and no entry is below -room."""
     t = np.asarray(t, dtype=float)
-    col_dev = float(np.max(np.abs(t.sum(axis=0) - 1.0)))
-    if col_dev > max(tol, 1e-7):
+    col_dev = float(np.abs(t.sum(axis=0) - 1.0).max())
+    if col_dev > room:
         raise ValueError(f"column sums deviate from 1 by {col_dev:.3e}")
-    if float(t.min()) < -max(tol, 1e-7):
-        raise ValueError(f"negative entry {t.min():.3e} in stochastic matrix")
-    t = t.copy()
-    t[t < 0.0] = 0.0
-    return t
-
-
-def _identity_verdict(lhs: np.ndarray, rhs: np.ndarray, replacement: np.ndarray | None, tol: float) -> CroVerdict:
-    """Decide ``lhs = rhs`` between two Choi matrices, without a witness."""
-    residual = float(np.max(np.abs(lhs - rhs)))
-    member = residual <= tol
-    return CroVerdict(is_member=member, residual=residual, replacement=replacement if member else None)
+    low = float(t.min())
+    if low < -room:
+        raise ValueError(f"negative entry {low:.3e} in stochastic matrix")
+    return np.where(t < 0.0, 0.0, t)
 
 
 def _witness(diff: np.ndarray, d: int) -> np.ndarray:
@@ -123,11 +126,13 @@ def _witness(diff: np.ndarray, d: int) -> np.ndarray:
 
 
 def _witnessed_verdict(lhs: np.ndarray, rhs: np.ndarray, d: int, replacement: np.ndarray | None, tol: float) -> CroVerdict:
-    """The public tests' verdict: ``_identity_verdict``, with a non-member's ``_witness``."""
-    verdict = _identity_verdict(lhs, rhs, replacement, tol)
-    if verdict.is_member:
-        return verdict
-    return CroVerdict(is_member=False, residual=verdict.residual, witness_state=_witness(lhs - rhs, d))
+    """The PVM tests' verdict on ``lhs = rhs`` between two Choi matrices,
+    with a non-member's ``_witness``."""
+    diff = lhs - rhs
+    residual = float(np.max(np.abs(diff)))
+    if residual <= tol:
+        return CroVerdict(is_member=True, residual=residual, replacement=replacement)
+    return CroVerdict(is_member=False, residual=residual, witness_state=_witness(diff, d))
 
 
 # Subsystems of the Choi matrix that D (or T_E) acts on, on each side of the
@@ -139,24 +144,52 @@ _MASKS = {
     "dio": ((1,), (0,)),
 }
 
+# The same identities on the basis: lhs - rhs is J times the signed sum of
+# the three entry sets of ``_entry_sets`` with these weights.
+_SIGNS = {
+    "cq": (1, 0, 0),
+    "qq": (1, 1, 1),
+    "qc": (0, 1, 0),
+    "dio": (-1, 1, 0),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_sets(d: int) -> np.ndarray:
+    """Read-only (3, d^2, d^2) stack of 0/1 masks of the entries
+    J[(i,k),(j,l)] with k != l and i = j, with i != j and k = l, and with
+    both unequal."""
+    i, k = np.divmod(np.arange(d * d), d)
+    inputs, outputs = i[:, None] != i, k[:, None] != k
+    sets = np.stack([outputs & ~inputs, inputs & ~outputs, inputs & outputs]).astype(float)
+    sets.flags.writeable = False
+    return sets
+
 
 def _masked_verdicts(choi: np.ndarray, d: int, kinds: Sequence[str], tol: float) -> dict[str, CroVerdict]:
     """Witness-free verdicts of the listed basis classes on one Choi array,
-    in order.  Each distinct mask is applied once, and the members share
-    one validated replacement matrix."""
-    masked = {}
-    for kind in kinds:
-        for s in _MASKS[kind]:
-            if s not in masked:
-                masked[s] = dephase(choi, [d, d], s)
+    in order.  Each residual is the largest of the maxima of |J| over the
+    class's entry sets, which one product with the ``_entry_sets`` stack
+    gives for every class; the members share one validated replacement
+    matrix."""
     replacement = _stochastic_from_choi(choi, d, tol)
-    return {kind: _identity_verdict(*(masked[s] for s in _MASKS[kind]), replacement, tol) for kind in kinds}
+    maxima = (np.abs(choi) * _entry_sets(d)).max(axis=(1, 2)).tolist()
+    verdicts = {}
+    for kind in kinds:
+        residual = max(m for m, sign in zip(maxima, _SIGNS[kind]) if sign)
+        member = residual <= tol
+        verdicts[kind] = CroVerdict(is_member=member, residual=residual, replacement=replacement if member else None)
+    return verdicts
 
 
 def _masked_verdict(choi: np.ndarray, d: int, kind: str, tol: float) -> CroVerdict:
-    """One basis class's public verdict, with a non-member's witness."""
-    lhs, rhs = (dephase(choi, [d, d], s) for s in _MASKS[kind])
-    return _witnessed_verdict(lhs, rhs, d, _stochastic_from_choi(choi, d, tol), tol)
+    """One basis class's public verdict, with a non-member's witness read
+    from lhs - rhs, J times the class's signed mask."""
+    verdict = _masked_verdicts(choi, d, (kind,), tol)[kind]
+    if verdict.is_member:
+        return verdict
+    signed = sum(sign * mask for sign, mask in zip(_SIGNS[kind], _entry_sets(d)) if sign)
+    return replace(verdict, witness_state=_witness(choi * signed, d))
 
 
 def is_cqcro(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
@@ -182,7 +215,13 @@ def is_dio(o: Channel, tol: float = DEFAULT_TOL) -> CroVerdict:
 def _pvm_stochastic(o: Channel, outcomes: ProjectorSet, inputs: ProjectorSet, tol: float) -> np.ndarray:
     """T[n, m] = tr(E_n O(F_m)) / tr F_m, on the stack of images O(F_m)."""
     t = np.einsum("nlk,mkl->nm", np.stack(outcomes.projectors), choi_apply(o.choi, np.stack(inputs.projectors)))
-    return _validated_stochastic(np.real(t) / np.asarray(inputs.ranks), tol)
+    # Column m sums to tr O(F_m) / r_m = 1 + d tr(F_m Delta^T) / r_m, with
+    # Delta the marginal's deviation from I/d (operator norm at most d tol),
+    # and T[n, m] >= d r_n times the positivity floor: for exact projectors
+    # both are within d^2 max(tol, 1e-7) of a stochastic matrix.
+    d = o.dim
+    room = d * d * (max(tol, 1e-7) + _rounding(d * d, 1 + tol))
+    return _validated_stochastic(np.real(t) / np.asarray(inputs.ranks), room)
 
 
 def _as_pvm(projectors: ProjectorSet | Sequence[np.ndarray], dim: int, tol: float) -> ProjectorSet:
@@ -279,7 +318,7 @@ def is_deterministic_cru(u: np.ndarray, tol: float = DEFAULT_TOL) -> CroVerdict:
             residual = max(residual, float(row[0] * row[1]))
     if residual <= tol:
         t = (mags**2 > 0.5).astype(float)
-        return CroVerdict(is_member=True, residual=residual, replacement=_validated_stochastic(t, tol))
+        return CroVerdict(is_member=True, residual=residual, replacement=_validated_stochastic(t, max(tol, 1e-7)))
     return CroVerdict(is_member=False, residual=residual)
 
 
@@ -340,10 +379,10 @@ def eb_ppt_test(o: Channel, tol: float = DEFAULT_TOL) -> EbVerdict:
     values.  Its partial transpose has the eigenvalues sigma_i^2 / d and
     +-sigma_i sigma_j / d for i < j (Peres, PRL 77, 1413, 1996), so the
     minimum is -sigma_1 sigma_2 / d, or sigma_1^2 / d at d = 1, from one
-    d x d SVD.  That holds only when ``o.choi`` is exactly the array K
-    builds, which ``Channel(choi, kraus=[K])`` does not check, so it is
-    compared first.  Every other channel eigendecomposes the Hermitian part
-    of the d^2 x d^2 partial transpose.
+    d x d SVD.  That holds only when ``o.choi`` is the array K builds,
+    which ``channel_from_kraus`` records (``Channel._gram``); a caller's
+    ``Channel(choi, kraus=[K])`` has no record.  Every other channel
+    eigendecomposes the Hermitian part of the d^2 x d^2 partial transpose.
     """
     d = o.dim
     min_eig = _pure_ppt_minimum(o)
@@ -359,13 +398,11 @@ def eb_ppt_test(o: Channel, tol: float = DEFAULT_TOL) -> EbVerdict:
 
 def _pure_ppt_minimum(o: Channel) -> float | None:
     """The closed-form partial-transpose minimum of ``eb_ppt_test``, or None
-    unless ``o`` carries one Kraus operator whose Choi array is ``o.choi``."""
-    if o._kraus is None or len(o._kraus) != 1:
+    unless ``o`` was built from one Kraus operator, whose Gram sum
+    ``o.choi`` is."""
+    if not o._gram or len(o._kraus) != 1:
         return None
-    kraus = np.asarray(o._kraus)
-    if not np.array_equal(o.choi, hermitianize(choi_stack_from_kraus(kraus))):
-        return None
-    s = np.linalg.svd(kraus[0], compute_uv=False)
+    s = np.linalg.svd(o._kraus[0], compute_uv=False)
     return float(s[0] ** 2 / o.dim if o.dim == 1 else -(s[0] * s[1]) / o.dim)
 
 

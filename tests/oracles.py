@@ -24,6 +24,9 @@ node, as ``crolab.cli`` did before it multiplied Kraus leaves into one
 product list;
 ``eb_ppt_verdict`` is the PPT screen that ``crolab.cro.eb_ppt_test`` ran
 on every channel before one-Kraus channels read its minimum in closed form;
+``two_mask_verdict`` is the basis-class test that ``crolab.cro`` ran by
+dephasing both sides of the identity and subtracting them, before it read
+each residual from the entry sets where the two sides differ;
 ``probe_search_witness`` is the membership witness that ``crolab.cro``
 searched for over all of ``probe_frame`` before it read one off the
 residual's largest entry;
@@ -1153,6 +1156,43 @@ def eb_ppt_verdict(choi, d, tol):
     if min_eig < -tol:
         return "not_eb_confirmed", min_eig
     return ("eb_confirmed" if d == 2 else "inconclusive"), min_eig
+
+
+# Subsystems that the dephasing acts on, on each side of a basis identity
+# (0 the input, 1 the output): O D = D O D, O = D O D, D O = D O D, D O = O D.
+BASIS_SIDES = {
+    "cq": ((0,), (0, 1)),
+    "qq": ((), (0, 1)),
+    "qc": ((1,), (0, 1)),
+    "dio": ((1,), (0,)),
+}
+
+
+def dephase_sides(choi, d, sides):
+    """Zero every Choi entry J[(i,k),(j,l)] with i != j (side 0 listed) or
+    k != l (side 1 listed)."""
+    i, k, j, l = np.indices((d, d, d, d))
+    keep = np.ones((d, d, d, d), dtype=bool)
+    if 0 in sides:
+        keep &= i == j
+    if 1 in sides:
+        keep &= k == l
+    return np.where(keep, choi.reshape(d, d, d, d), 0.0).reshape(d * d, d * d)
+
+
+def two_mask_verdict(choi, d, kind, tol):
+    """The replaced basis-class test: both sides of the identity dephased,
+    then subtracted; (member, residual, replacement, witness), the last two
+    from ``crolab.cro``'s replacement matrix and witness on the difference."""
+    from crolab.cro import _stochastic_from_choi, _witness
+
+    lhs, rhs = (dephase_sides(choi, d, sides) for sides in BASIS_SIDES[kind])
+    diff = lhs - rhs
+    residual = float(np.max(np.abs(diff)))
+    replacement = _stochastic_from_choi(choi, d, tol)
+    if residual <= tol:
+        return True, residual, replacement, None
+    return False, residual, None, _witness(diff, d)
 
 
 def entropy_gap_one(choi, d):

@@ -149,6 +149,30 @@ class TestClassifyCommand:
                 expected["eb_ppt"]["min_eigenvalue"] = report["eb_ppt"]["min_eigenvalue"]
             assert report == expected
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_spec_that_loads_is_classified(self, tmp_path, capsys, d):
+        """The identity's Choi array with 0.8 tol moved from J[(1,0),(1,0)]
+        to J[(0,0),(0,0)] loads at --tol 1e-6: its marginal is off by 0.8
+        tol and one eigenvalue is -0.8 tol.  Its replacement's first column
+        then sums to 1 + 0.8 d tol, with an entry of -0.8 d tol, within what
+        the load guarantees (d tol, and d times the positivity floor)."""
+        tol = 1e-6
+        omega = np.eye(d).reshape(-1)
+        choi = np.outer(omega, omega) / d
+        choi[0, 0] += 0.8 * tol
+        choi[d, d] -= 0.8 * tol
+        spec = {"kind": "choi", "dim": d, "matrix": np.stack([choi, 0 * choi], -1).tolist()}
+        path = write_spec(tmp_path, "shifted.json", spec)
+        for command in ("measures", "classify"):
+            code, out, err = _main(capsys, command, path, "--tol", str(tol))
+            assert (code, err) == (0, ""), command
+        report = json.loads(out)
+        assert [report[key]["member"] for key in ("cqcro", "qqcro", "qccro", "dio")] == [True, False, True, True]
+        t = np.array(report["replacement"])
+        assert t[0, 0] == pytest.approx(1 + 0.8 * d * tol, rel=0, abs=1e-15)
+        assert t[1, 0] == 0.0 and t.min() == 0.0
+        np.testing.assert_allclose(t.sum(axis=0), 1.0, rtol=0, atol=d * tol)
+
     def test_out_flag_writes_file(self, tmp_path):
         out = tmp_path / "report.json"
         proc = run_cli("classify", gate_spec(tmp_path, "Z"), "--out", str(out))

@@ -1,11 +1,15 @@
+import copy
 import functools
+import json
+import pickle
 import tracemalloc
 
 import numpy as np
 import pytest
 
 import oracles
-from crolab import cro
+from crolab import channels as channels_module
+from crolab import cli, cro
 from crolab.channels import (
     _FIXED_GATES,
     MAX_DIM,
@@ -181,21 +185,23 @@ class TestVerdictContents:
         assert not np.shares_memory(first, h.choi)
 
     def test_one_pass_equals_the_four_tests(self, monkeypatch):
-        """``_masked_verdicts`` dephases each of the four distinct masks
-        once and builds one replacement, and gives each public test's
-        membership, residual and replacement bit for bit, with no witness."""
+        """``_masked_verdicts`` dephases nothing and builds one replacement,
+        and gives each public test's membership, residual and replacement
+        bit for bit, with no witness."""
         tests = {"cq": is_cqcro, "qq": is_qqcro, "qc": is_qccro, "dio": is_dio}
         channels = [named_gate(g) for g in ("H", "Z", "CNOT")]
         channels += [random_channel(3, seed=4), random_qccro(3, seed=5), dephasing(4)]
+
+        def refuse(*args):
+            raise AssertionError("a side of an identity was dephased")
+
         for channel in channels:
-            masks = []
-            dephase = cro.dephase
-            monkeypatch.setattr(cro, "dephase", lambda m, dims, s: masks.append(s) or dephase(m, dims, s))
+            monkeypatch.setattr(cro, "dephase", refuse)
             built = []
             stochastic = cro._stochastic_from_choi
             monkeypatch.setattr(cro, "_stochastic_from_choi", lambda *a: built.append(1) or stochastic(*a))
             verdicts = cro._masked_verdicts(channel.choi, channel.dim, tuple(tests), 1e-9)
-            assert sorted(masks) == [(), (0,), (0, 1), (1,)] and built == [1]
+            assert built == [1]
             monkeypatch.undo()
             assert list(verdicts) == list(tests)
             for kind, test in tests.items():
@@ -205,6 +211,53 @@ class TestVerdictContents:
                 assert (a is None and b is None) or a.tobytes() == b.tobytes()
                 assert got.witness_state is None
                 assert (expected.witness_state is None) == expected.is_member
+
+
+class TestOnePassAgainstTwoMasks:
+    """Every basis class, in ``_masked_verdicts`` and in the public test,
+    against the replaced path that dephases both sides of the identity
+    and subtracts them (``oracles.two_mask_verdict``), bit for bit."""
+
+    TESTS = {"cq": is_cqcro, "qq": is_qqcro, "qc": is_qccro, "dio": is_dio}
+
+    @staticmethod
+    def _channels(d):
+        """Random channels, qc members, near-members (1 - eps) qc + eps
+        random on both sides of the tolerance, and the named gates of
+        dimension d."""
+        rng = np.random.default_rng(33 + d)
+        channels = [random_channel(d, rank=rank, seed=rng) for rank in (1, 2, d * d)]
+        members = [random_qccro(d, seed=rng), random_qccro(d, seed=rng, qq_weight=0.5)]
+        channels += members
+        for eps in (1e-12, 1e-9, 1e-8, 3e-8, 1e-7, 1e-6):
+            noise = random_channel(d, seed=rng)
+            channels += [Channel((1 - eps) * m.choi + eps * noise.choi) for m in members]
+        channels += [named_gate(name) for name, u in _FIXED_GATES.items() if len(u) == d]
+        if d == 2:
+            channels += [named_gate(name, theta) for name in ("RZ", "RX", "U") for theta in (0.0, 0.3, np.pi / 2)]
+        return channels
+
+    @staticmethod
+    def _same(a, b):
+        return (a is None and b is None) or (a is not None and b is not None and a.tobytes() == b.tobytes())
+
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_membership_residual_replacement_and_witness(self, d):
+        verdicts = members = 0
+        for channel in self._channels(d):
+            one_pass = cro._masked_verdicts(channel.choi, d, tuple(self.TESTS), DEFAULT_TOL)
+            for kind, test in self.TESTS.items():
+                member, residual, replacement, witness = oracles.two_mask_verdict(channel.choi, d, kind, DEFAULT_TOL)
+                for got in (one_pass[kind], test(channel)):
+                    assert (got.is_member, got.residual) == (member, residual)
+                    assert self._same(got.replacement, replacement)
+                verdict = test(channel)
+                assert self._same(verdict.witness_state, witness)
+                assert one_pass[kind].witness_state is None
+                verdicts += 1
+                members += member
+        # Both verdicts occur at every d > 1; at d = 1 every channel is a member.
+        assert 0 < members <= verdicts and (members < verdicts) == (d > 1)
 
 
 class TestWitnessBound:
@@ -299,6 +352,27 @@ class TestPvmVariants:
             assert is_cro_pvm(o, pvm, "cq").is_member == is_cqcro(o).is_member
             assert is_cro_pvm(o, pvm, "qq").is_member == is_qqcro(o).is_member
             assert is_cro_pvm(o, pvm, "qc").is_member == is_qccro(o).is_member
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_replacement_accepts_every_channel_that_loads(self, d):
+        """A channel validated at tol = 1e-6 whose reference marginal has
+        off-diagonal entries 0.8 tol: against the Fourier basis its PVM
+        replacement's column sums are off by 1.6 (d - 1) tol, within the
+        d^2 tol that the marginal check leaves (the check at tol refused
+        them)."""
+        tol = 1e-6
+        choi = random_channel(d, seed=1).choi.copy()
+        for i in range(1, d):
+            choi[0, i * d] += 0.8 * tol
+            choi[i * d, 0] += 0.8 * tol
+        o = Channel(choi, tol=tol)
+        f = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+        pvm = ProjectorSet([np.outer(f[:, k], f[:, k].conj()) for k in range(d)])
+        for kind in ("cq", "qq", "qc"):
+            assert not is_cro_pvm(o, pvm, kind, tol).is_member
+        assert not is_qccro_two_pvm(o, pvm, pvm, tol).is_member
+        t = cro._pvm_stochastic(o, pvm, pvm, tol)
+        assert np.max(np.abs(t.sum(axis=0) - 1)) == pytest.approx(1.6 * (d - 1) * tol, rel=1e-6)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="kind"):
@@ -613,15 +687,72 @@ class TestEbPptClosedForm:
         channels.append(("near-unitary", channel_from_kraus([k], tol=1e-3), 1e-3))
         return channels
 
-    def test_one_kraus_channels_match_the_replaced_path(self, monkeypatch):
-        for name, channel, tol in self._one_kraus_channels():
+    @staticmethod
+    def _loaded_channels(tmp_path):
+        """Gate tensors and compositions, and compositions and tensors of
+        one-operator Kraus leaves, as the CLI loads them, at d = 1..8."""
+        rng = np.random.default_rng(33)
+
+        def leaf(d):
+            u = oracles.haar_unitary(d, rng)
+            return {"kind": "kraus", "dim": d, "operators": [np.stack([u.real, u.imag], -1).tolist()]}
+
+        def gates(kind, *names):
+            return {"kind": kind, "children": [{"kind": "gate", "name": name} for name in names]}
+
+        specs = [gates("tensor", "H", "T"), gates("tensor", "X", "H", "S"), gates("tensor", "H", "CNOT")]
+        specs += [gates("composition", "H", "T"), gates("composition", "CNOT", "CNOT"), gates("composition", "CCX", "CCX")]
+        specs += [{"kind": "composition", "children": [leaf(d), leaf(d)]} for d in range(1, 9)]
+        specs += [{"kind": "tensor", "children": [leaf(a), leaf(b)]} for a, b in ((1, 1), (1, 2), (2, 2), (2, 3), (4, 2))]
+        specs.append({"kind": "composition", "children": [gates("tensor", "H", "I"), {"kind": "gate", "name": "CNOT"}, leaf(4)]})
+        for k, spec in enumerate(specs):
+            path = tmp_path / f"spec{k}.json"
+            path.write_text(json.dumps(spec), encoding="utf-8")
+            yield f"spec {k}", cli.load_channel(str(path), DEFAULT_TOL), DEFAULT_TOL
+
+    def test_one_kraus_channels_match_the_replaced_path(self, monkeypatch, tmp_path):
+        """Each reads the record that ``channel_from_kraus`` left: no Choi
+        array is built and no eigvalsh runs."""
+
+        def refuse(*args):
+            raise AssertionError("a Choi array was built from the Kraus operator")
+
+        for name, channel, tol in [*self._one_kraus_channels(), *self._loaded_channels(tmp_path)]:
             d = channel.dim
+            assert channel._gram and len(channel._kraus) == 1, name
             status, expected = oracles.eb_ppt_verdict(channel.choi, d, tol)
             monkeypatch.setattr(np.linalg, "eigvalsh", _no_eigvalsh)
+            monkeypatch.setattr(channels_module, "choi_stack_from_kraus", refuse)
+            monkeypatch.setattr(cro, "choi_stack_from_kraus", refuse, raising=False)
             got = eb_ppt_test(channel, tol)
             monkeypatch.undo()
             assert got.status == status, name
             assert abs(got.min_eigenvalue - expected) <= _ppt_bound(d, tol), name
+
+    def test_copies_keep_the_record(self):
+        rng = np.random.default_rng(34)
+        channels = [named_gate("H"), unitary_channel(oracles.haar_unitary(3, rng)), dephasing(2), random_channel(2, seed=0)]
+        for channel in channels:
+            for copied in (copy.deepcopy(channel), pickle.loads(pickle.dumps(channel))):
+                assert copied._gram == channel._gram
+                assert eb_ppt_test(copied) == eb_ppt_test(channel)
+        assert [c._gram for c in channels] == [True, True, True, False]
+
+    def test_a_matching_kraus_operator_passed_in_keeps_eigvalsh(self, monkeypatch):
+        """``Channel(choi, kraus=[K])`` records nothing, even when ``choi``
+        is exactly the Gram sum of K."""
+        rng = np.random.default_rng(35)
+        for u in (HADAMARD, _FIXED_GATES["CNOT"], oracles.haar_unitary(3, rng)):
+            channel = Channel(unitary_channel(u).choi, kraus=[u])
+            assert channel.choi.tobytes() == unitary_channel(u).choi.tobytes()
+            assert not channel._gram
+            calls = []
+            eigvalsh = np.linalg.eigvalsh
+            monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+            got = eb_ppt_test(channel)
+            monkeypatch.undo()
+            assert calls == [channel.choi.shape]
+            assert tuple(got) == oracles.eb_ppt_verdict(channel.choi, channel.dim, DEFAULT_TOL)
 
     def test_permutation_gates_are_exact(self):
         for name in ("X", "CNOT", "CCX"):
