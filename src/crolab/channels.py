@@ -207,13 +207,12 @@ def _validated(chois, tol, kraus=None, bound=None):
     if kraus is not None:
         dev = _completeness_deviation(np.asarray(kraus, dtype=complex).reshape(len(stack), -1, dim, dim))
         checks.append((dev > tol, dev, "kraus completeness violated by {:.3e} (tol={tol:g})"))
-    adjoint = stack.conj().swapaxes(-1, -2)
-    asym = np.abs(stack - adjoint).max(axis=(1, 2))
+    asym = np.max(np.abs(stack - stack.conj().swapaxes(-1, -2)), axis=(1, 2))
     checks.append((~(asym <= tol), asym, "choi matrix is not Hermitian within tol={tol:g}"))
-    tr = stack.trace(axis1=1, axis2=2).real
+    tr = np.real(np.trace(stack, axis1=1, axis2=2))
     checks.append((np.abs(tr - 1.0) > tol, tr, "choi trace {:.12g} is not 1 within tol={tol:g}"))
-    marginal = stack.reshape(-1, dim, dim, dim, dim).trace(axis1=2, axis2=4)
-    dev = np.abs(marginal - np.eye(dim) / dim).max(axis=(1, 2))
+    marginal = np.trace(stack.reshape(-1, dim, dim, dim, dim), axis1=2, axis2=4)
+    dev = np.max(np.abs(marginal - np.eye(dim) / dim), axis=(1, 2))
     checks.append((
         dev > tol,
         dev,
@@ -221,7 +220,7 @@ def _validated(chois, tol, kraus=None, bound=None):
         "the map is not trace preserving",
     ))
     failing = functools.reduce(operator.or_, (mask for mask, _, _ in checks))
-    hermitian = 0.5 * (stack + adjoint)
+    hermitian = hermitianize(stack)
     floor = -max(tol, 1e-7)
     proven = bound is not None and bound >= floor
     if proven:
@@ -288,21 +287,17 @@ def kraus_from_choi(choi: np.ndarray, tol: float = DEFAULT_TOL, drop: float = KR
     return tuple(ops)
 
 
-def channel_from_kraus(ops: Sequence[np.ndarray] | np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
-    """Build a channel from Kraus operators (must be complete within tol):
-    a sequence of d x d matrices, or one (r, d, d) array, copied whole.
+def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Channel:
+    """Build a channel from Kraus operators (must be complete within tol).
     The channel records that its Choi array is their Gram sum."""
-    if isinstance(ops, np.ndarray) and ops.ndim == 3 and len(ops) and ops.shape[1] == ops.shape[2]:
-        ops = np.array(ops, dtype=complex)
-    else:
-        ops = [np.asarray(k, dtype=complex) for k in ops]
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        dim = ops[0].shape[0] if ops[0].ndim else 0
-        for k in ops:
-            if k.shape != (dim, dim):
-                raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
-        ops = np.stack(ops)
+    ops = [np.asarray(k, dtype=complex) for k in ops]
+    if not ops:
+        raise ValueError("need at least one Kraus operator")
+    dim = ops[0].shape[0] if ops[0].ndim else 0
+    for k in ops:
+        if k.shape != (dim, dim):
+            raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
+    ops = np.stack(ops)
     choi = _Built(choi_stack_from_kraus(ops), _gram_bound(ops.shape, tol), gram=True)
     return Channel(choi, tol=tol, kraus=ops)
 

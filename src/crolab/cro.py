@@ -13,7 +13,7 @@ On the trace-1 Choi matrix J each identity says that two entry masks agree:
 ``linalg.dephase(J, [d, d], S)`` with S = (0,) for O D (input dephased),
 (1,) for D O, (0, 1) for D O D and none for O.  The two sides differ by J
 times a 0/+-1 mask, a signed sum of three entry sets J[(i,k),(j,l)]: k != l
-with i = j, i != j with k = l, and both unequal (``_SIGNS``).  So an
+with i = j, i != j with k = l, and both unequal (``_signs``).  So an
 identity holds iff the largest |J| over its sets is at most ``tol``, and
 no side is built.  Members come with the column-stochastic matrix that
 replaces them on classical data.  ``_masked_verdicts``, which ``crolab
@@ -85,7 +85,7 @@ def _stochastic_from_choi(choi: np.ndarray, d: int, tol: float) -> np.ndarray:
     marginal's entry (i, i), within d tol of 1; the room is d max(tol,
     1e-7), plus ``channels._rounding`` for the checks' own rounding.
     """
-    t = d * choi.real.diagonal().reshape(d, d).T
+    t = d * np.real(np.diag(choi)).reshape(d, d).T
     return _validated_stochastic(t, d * (max(tol, 1e-7) + _rounding(d * d, 1 + tol)))
 
 
@@ -93,13 +93,14 @@ def _validated_stochastic(t: np.ndarray, room: float) -> np.ndarray:
     """A new array of ``t``'s entries, the negative ones zeroed, once its
     column sums are within ``room`` of 1 and no entry is below -room."""
     t = np.asarray(t, dtype=float)
-    col_dev = float(np.abs(t.sum(axis=0) - 1.0).max())
+    col_dev = float(np.max(np.abs(t.sum(axis=0) - 1.0)))
     if col_dev > room:
         raise ValueError(f"column sums deviate from 1 by {col_dev:.3e}")
-    low = float(t.min())
-    if low < -room:
-        raise ValueError(f"negative entry {low:.3e} in stochastic matrix")
-    return np.where(t < 0.0, 0.0, t)
+    if float(t.min()) < -room:
+        raise ValueError(f"negative entry {t.min():.3e} in stochastic matrix")
+    t = t.copy()
+    t[t < 0.0] = 0.0
+    return t
 
 
 def _witness(diff: np.ndarray, d: int) -> np.ndarray:
@@ -144,14 +145,17 @@ _MASKS = {
     "dio": ((1,), (0,)),
 }
 
-# The same identities on the basis: lhs - rhs is J times the signed sum of
-# the three entry sets of ``_entry_sets`` with these weights.
-_SIGNS = {
-    "cq": (1, 0, 0),
-    "qq": (1, 1, 1),
-    "qc": (0, 1, 0),
-    "dio": (-1, 1, 0),
-}
+# Subsystems on which the indices of each ``_entry_sets`` set differ.
+_SET_SUBSYSTEMS = ({1}, {0}, {0, 1})
+
+
+@functools.lru_cache(maxsize=None)
+def _signs(kind: str) -> tuple[int, ...]:
+    """Weights of the ``_entry_sets`` sets in lhs - rhs of a basis class:
+    a side keeps a set unless it dephases a subsystem on which the set's
+    indices differ."""
+    lhs, rhs = _MASKS[kind]
+    return tuple(int(not sub & set(lhs)) - int(not sub & set(rhs)) for sub in _SET_SUBSYSTEMS)
 
 
 @functools.lru_cache(maxsize=None)
@@ -176,7 +180,7 @@ def _masked_verdicts(choi: np.ndarray, d: int, kinds: Sequence[str], tol: float)
     maxima = (np.abs(choi) * _entry_sets(d)).max(axis=(1, 2)).tolist()
     verdicts = {}
     for kind in kinds:
-        residual = max(m for m, sign in zip(maxima, _SIGNS[kind]) if sign)
+        residual = max(m for m, sign in zip(maxima, _signs(kind)) if sign)
         member = residual <= tol
         verdicts[kind] = CroVerdict(is_member=member, residual=residual, replacement=replacement if member else None)
     return verdicts
@@ -188,7 +192,7 @@ def _masked_verdict(choi: np.ndarray, d: int, kind: str, tol: float) -> CroVerdi
     verdict = _masked_verdicts(choi, d, (kind,), tol)[kind]
     if verdict.is_member:
         return verdict
-    signed = sum(sign * mask for sign, mask in zip(_SIGNS[kind], _entry_sets(d)) if sign)
+    signed = sum(sign * mask for sign, mask in zip(_signs(kind), _entry_sets(d)) if sign)
     return replace(verdict, witness_state=_witness(choi * signed, d))
 
 
