@@ -109,8 +109,10 @@ class Channel(_Immutable):
     ``tol``, unit trace, and reference marginal equal to the maximally mixed
     state (trace preservation); Kraus operators passed in must be complete.
     ``kraus`` is computed from the Choi state on first access unless it was
-    passed in.  ``_min_eig`` is a lower bound on the smallest eigenvalue of
-    ``choi``, and ``_gram`` whether ``choi`` is the Gram sum of ``_kraus``.
+    passed in, and then holds a copy: writing into the caller's array later
+    changes no channel.  ``_min_eig`` is a lower bound on the smallest
+    eigenvalue of ``choi``, and ``_gram`` whether ``choi`` is the Gram sum
+    of ``_kraus``.
     The PSD check eigendecomposes every array passed in, with or without
     ``kraus``, and a ``kraus`` passed in sets no ``_gram``.  Only the
     channels that ``channel_from_kraus``, ``tensor`` and ``compose`` build
@@ -129,7 +131,9 @@ class Channel(_Immutable):
         if choi.ndim != 2:
             raise ValueError(_shape_message(choi.shape))
         if kraus is not None:
-            kraus = np.asarray(kraus, dtype=complex)
+            # A copy, so that no caller's array aliases the channel's list;
+            # channel_from_kraus (the only source of ``gram``) made it.
+            kraus = (np.asarray if gram else np.array)(kraus, dtype=complex)
         stack, min_eig = _validated(choi[None], tol, None if kraus is None else kraus[None], bound)
         object.__setattr__(self, "dim", math.isqrt(choi.shape[0]))
         object.__setattr__(self, "choi", stack[0])
@@ -287,19 +291,23 @@ def kraus_from_choi(choi: np.ndarray, tol: float = DEFAULT_TOL, drop: float = KR
     return tuple(ops)
 
 
-def channel_from_kraus(ops: Sequence[np.ndarray], tol: float = DEFAULT_TOL) -> Channel:
-    """Build a channel from Kraus operators (must be complete within tol).
-    The channel records that its Choi array is their Gram sum."""
-    ops = [np.asarray(k, dtype=complex) for k in ops]
-    if not ops:
-        raise ValueError("need at least one Kraus operator")
-    dim = ops[0].shape[0] if ops[0].ndim else 0
-    for k in ops:
-        if k.shape != (dim, dim):
-            raise ValueError(f"kraus operator shape {k.shape} is not ({dim}, {dim})")
-    ops = np.stack(ops)
-    choi = _Built(choi_stack_from_kraus(ops), _gram_bound(ops.shape, tol), gram=True)
-    return Channel(choi, tol=tol, kraus=ops)
+def channel_from_kraus(ops: Sequence[np.ndarray] | np.ndarray, tol: float = DEFAULT_TOL) -> Channel:
+    """Build a channel from Kraus operators (must be complete within tol):
+    a list of (d, d) matrices or one (r, d, d) array, copied once.  The
+    channel records that its Choi array is their Gram sum."""
+    try:
+        stack = np.array(ops, dtype=complex)
+    except ValueError:  # ragged; the shapes below name the operator
+        stack = None
+    if stack is None or stack.ndim != 3 or not len(stack) or stack.shape[1] != stack.shape[2]:
+        shapes = [np.asarray(k, dtype=complex).shape for k in ops]
+        if not shapes:
+            raise ValueError("need at least one Kraus operator")
+        dim = shapes[0][0] if shapes[0] else 0
+        shape = next(shape for shape in shapes if shape != (dim, dim))
+        raise ValueError(f"kraus operator shape {shape} is not ({dim}, {dim})")
+    choi = _Built(choi_stack_from_kraus(stack), _gram_bound(stack.shape, tol), gram=True)
+    return Channel(choi, tol=tol, kraus=stack)
 
 
 def _gram_bound(shape, tol: float) -> float:

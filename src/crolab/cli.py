@@ -60,12 +60,7 @@ from .channels import (
 from .cro import _masked_verdicts, eb_ppt_test, vqa_replaceable_set_R
 from .game import _witness_game, payoff
 from .linalg import DEFAULT_TOL
-from .measures import (
-    _entropy_gaps,
-    _solve_chois,
-    relative_entropy_irreplaceability,
-    robustness,
-)
+from .measures import _checked, _entropy_gaps, _solve_chois, relative_entropy_irreplaceability
 from .paulis import pauli_index, pauli_label
 
 SWEEP_FAMILY = "u-theta"
@@ -278,11 +273,11 @@ def _classify(channel, args):
 
 
 def _measures(channel, args):
-    result = robustness(channel)
+    upper, _, _, residuals, _ = _checked(_solve_chois(channel.choi[None]))
     return {
-        "robustness": result.value,
+        "robustness": float(upper[0]),
         "relative_entropy_bits": relative_entropy_irreplaceability(channel),
-        "witness_trace_check": result.residuals["witness_pairing"],
+        "witness_trace_check": residuals[0]["witness_pairing"],
     }
 
 
@@ -321,11 +316,11 @@ def _sweep(args):
 
 
 def _game(channel, args):
-    game, result = _witness_game(channel)
+    game, value = _witness_game(channel)
     score = payoff(channel, game)
     qccro_max = game.normalization["max"]
     ratio = score / qccro_max
-    one_plus_r = 1.0 + result.value
+    one_plus_r = 1.0 + value
     return {
         "payoff": score,
         "qccro_max": qccro_max,

@@ -340,8 +340,8 @@ def vqa_replaceable_set_R(
     / d`` where R is ``A_i = O^dag(P_i)`` less its I and P_j terms in the
     Pauli expansion ``A_i = sum_c tr(P_c A_i) P_c / d``; its largest Choi
     entry is ``max|R| / d^2``, the residual compared with ``tol``.  The
-    (observables, 4^n, d, d) array of R is built in chunks of at most 2^20
-    entries (one observable at n = 5), each folded into the maximum per j.
+    (4^n, d, d) array of R is built for one observable at a time (2^20
+    entries at n = 5) and folded into the maximum per j.
     """
     check_dim(o.dim, "vqa_replaceable_set_R")
     n = int(round(np.log2(o.dim)))
@@ -354,15 +354,14 @@ def vqa_replaceable_set_R(
         if not 0 <= i < 4**n:
             raise ValueError(f"observable index {i} out of range for n={n}")
     d, paulis = o.dim, pauli_stack(n)
-    size, worst = max(1, 2**20 // paulis.size), np.zeros(len(paulis))
-    for start in range(0, len(observables), size):
-        chunk = paulis[observables[start : start + size]]
+    worst = np.zeros(len(paulis))
+    for i in observables:
         # A_i[b, a] = tr(P_i O(|a><b|)) = d sum_kl J[(a,k),(b,l)] P_i[l,k]
-        pulled = d * np.einsum("akbl,ilk->iba", o.choi.reshape(d, d, d, d), chunk)
-        coeffs = np.einsum("cxy,iyx->ic", paulis, pulled) / d
-        rest = pulled[:, None] - coeffs[:, :, None, None] * paulis  # A_i - a_i[j] P_j
-        rest[:, 1:] -= coeffs[:, :1, None, None] * paulis[0]  # and a_i[0] I for j > 0
-        worst = np.maximum(worst, np.max(np.abs(rest), axis=(0, 2, 3)))
+        pulled = d * np.einsum("akbl,lk->ba", o.choi.reshape(d, d, d, d), paulis[i])
+        coeffs = np.einsum("cxy,yx->c", paulis, pulled) / d
+        rest = pulled - coeffs[:, None, None] * paulis  # A_i - a_i[j] P_j
+        rest[1:] -= coeffs[0] * paulis[0]  # and a_i[0] I for j > 0
+        worst = np.maximum(worst, np.max(np.abs(rest), axis=(1, 2)))
     matches = np.flatnonzero(worst / d**2 <= tol)
     return (True, int(matches[0])) if matches.size else (False, None)
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channels import Channel, choi_from_output_blocks, choi_output_blocks
 from .linalg import assert_density_matrix
-from .measures import robustness
+from .measures import _checked, _solve_chois
 
 
 @dataclass(frozen=True, eq=False)
@@ -152,12 +152,16 @@ def game_from_witness(channel):
 
 
 def _witness_game(channel):
-    """The witness game together with the robustness result it came from."""
+    """The witness game and the robustness value it certifies, from one
+    ``measures._solve_chois`` run on the channel, whose dual blocks W_k it
+    eigendecomposes as they come, with no ``RobustnessResult`` and no
+    d^2 x d^2 witness array.  A failed solve raises ``robustness``'s
+    RuntimeError."""
     if not isinstance(channel, Channel):
         raise TypeError("game_from_witness expects a Channel")
     d = channel.dim
-    result = robustness(channel)
-    lam, vecs = np.linalg.eigh(choi_output_blocks(result.witness, d))
+    upper, _, dual, _, _ = _checked(_solve_chois(channel.choi[None]))
+    lam, vecs = np.linalg.eigh(dual[0])
     # Eigenvalues within eigh's rounding of zero (the cut of
     # numpy.linalg.matrix_rank) give no state, so a rank-one block gives one.
     outcome, index = np.nonzero(lam > lam[:, -1:] * d * np.finfo(float).eps)
@@ -165,4 +169,4 @@ def _witness_game(channel):
     states = v[:, :, None] * v[:, None, :].conj()
     payoffs = np.zeros((len(outcome), d))
     payoffs[np.arange(len(outcome)), outcome] = lam[outcome, index] / d
-    return certified_game(d, states, payoffs), result
+    return certified_game(d, states, payoffs), float(upper[0])

@@ -22,17 +22,21 @@ eigendecompositions could not stop the problem, and a stop the screen
 misses costs one more step.  One run solves a whole stack of channels of
 one dimension, in complex arithmetic: each problem has its own points,
 centring, step length and stop rule, and gets the same result, bit for
-bit, in a stack of any size.  ``robustness`` is a stack of one, and the
-property suite maps Choi arrays and validates, solves and measures them
-in one stack per dimension.  The CLI sweep builds, validates and measures
-its whole grid as one stack: one array of Choi states, checked by
-``channels.validate_choi_stack``, one solve (``_solve_chois``; every point
-of the sweep family is a unitary, so the singular-vector point settles
-it) and one batched entropy (``_entropy_gaps``, whose terms are computed
-over the whole stack), with no per-point ``Channel`` or
-``RobustnessResult``.  The relative entropy measure has a closed form:
-the entropy gap between the fully dephased and the output-dephased Choi
-states, read off the same output blocks (``channels.choi_output_blocks``).
+bit, in a stack of any size.  Callers read that run through
+``_solve_chois``, whose per-problem arrays are the output blocks of the
+optimizer and the witness.  Only ``robustness``, a stack of one, builds a
+``RobustnessResult`` from them, with its d^2 x d^2 arrays.  ``crolab
+measures`` reads the value and width, the witness game
+(``game._witness_game``) the dual blocks, and the property suite the
+values of one stack per dimension.  The CLI sweep builds, validates and
+measures its whole grid as one stack: one array of Choi states, checked
+by ``channels.validate_choi_stack``, one solve (every point of the sweep
+family is a unitary, so the singular-vector point settles it) and one
+batched entropy (``_entropy_gaps``, whose terms are computed over the
+whole stack), with no per-point ``Channel``.  The relative entropy
+measure has a closed form: the entropy gap between the fully dephased and
+the output-dephased Choi states, read off the same output blocks
+(``channels.choi_output_blocks``).
 Every measure accepts d <= ``channels.MAX_DIM`` = 32; ``robustness_equivalents``
 stops at d = 8, where its d^2 x d^2 block reaches ``sdp.MAX_BLOCK_SIDE``.
 """
@@ -532,32 +536,6 @@ def _solve_chois(chois):
     return (*solved, [_width_failure(record) for record in solved[3]])
 
 
-def _robustness_stack(chois):
-    """``robustness`` of a validated (batch, d^2, d^2) Choi stack, from one
-    stacked solve.
-
-    Entry b is entry b's ``RobustnessResult``, or the RuntimeError that
-    ``robustness`` raises for it when its interval stays wider than
-    ``_ACCEPT_WIDTH``; one entry's failure leaves the others' results as
-    they are in any other stack.
-    """
-    upper, primal, dual, residuals, failures = _solve_chois(chois)
-    psi = chois + choi_from_output_blocks(primal)
-    witness = choi_from_output_blocks(dual)
-    return [
-        RuntimeError(failure)
-        if failure is not None
-        else RobustnessResult(
-            value=float(upper[b]),
-            optimal_psi=psi[b],
-            witness=witness[b],
-            residuals=residuals[b],
-            status="optimal",
-        )
-        for b, failure in enumerate(failures)
-    ]
-
-
 def robustness(channel):
     """Least mixing weight that makes the channel classically replaceable.
 
@@ -584,16 +562,23 @@ def robustness(channel):
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
-    return _checked(_robustness_stack(channel.choi[None]))[0]
+    upper, primal, dual, residuals, _ = _checked(_solve_chois(channel.choi[None]))
+    return RobustnessResult(
+        value=float(upper[0]),
+        optimal_psi=channel.choi + choi_from_output_blocks(primal[0]),
+        witness=choi_from_output_blocks(dual[0]),
+        residuals=residuals[0],
+        status="optimal",
+    )
 
 
-def _checked(results):
-    """Entries of ``_robustness_stack``, once none of them is a failure:
-    the first RuntimeError among them, in order, is raised."""
-    for result in results:
-        if isinstance(result, RuntimeError):
-            raise result
-    return results
+def _checked(solved):
+    """``_solve_chois``' result, once none of its problems failed: the
+    first failure's message, in stack order, is raised as a RuntimeError."""
+    for failure in solved[4]:
+        if failure is not None:
+            raise RuntimeError(failure)
+    return solved
 
 
 def robustness_equivalents(channel):
@@ -744,7 +729,7 @@ def measure_property_suite(channel, seed=0):
     # the first five one entropy call.
     images = [family(channel.choi) for family in families.values()]
     stack = validate_choi_stack(np.stack(bases + mixtures + images))
-    values = [r.value for r in _checked(_robustness_stack(stack))]
+    values = _checked(_solve_chois(stack))[0].tolist()
     entropies = _entropy_gaps(stack[:5])
     base_value, base_entropy, image_values = values[0], entropies[0], values[5:]
 
@@ -768,7 +753,7 @@ def measure_property_suite(channel, seed=0):
 
     if 2 * d <= MAX_DIM:
         extended = tensor(channel, identity_channel(2)).choi[None]
-        gap = abs(_checked(_robustness_stack(extended))[0].value - base_value)
+        gap = abs(float(_checked(_solve_chois(extended))[0][0]) - base_value)
         report["extension_robustness"] = _check(gap <= 1e-5, gap)
         entropy_gap = abs(_entropy_gaps(extended)[0] - base_entropy)
         report["extension_relative_entropy"] = _check(entropy_gap <= 1e-6, entropy_gap)

@@ -360,6 +360,23 @@ def _hermitian_coordinates(m):
     return np.concatenate([diagonal, np.real(upper), np.imag(upper)], axis=-1)
 
 
+def result_witness_game(channel):
+    """The replaced ``game._witness_game``: the witness game read off the
+    d^2 x d^2 witness of ``robustness(channel)``, re-blocked, and that
+    result.  Returns (states, payoffs, result)."""
+    from crolab.channels import choi_output_blocks
+    from crolab.measures import robustness
+
+    d = channel.dim
+    result = robustness(channel)
+    lam, vecs = np.linalg.eigh(choi_output_blocks(result.witness, d))
+    outcome, index = np.nonzero(lam > lam[:, -1:] * d * np.finfo(float).eps)
+    v = vecs[outcome, :, index].conj()
+    payoffs = np.zeros((len(outcome), d))
+    payoffs[np.arange(len(outcome)), outcome] = lam[outcome, index] / d
+    return v[:, :, None] * v[:, None, :].conj(), payoffs, result
+
+
 def frame_witness_game(witness, d):
     """States and payoffs of the witness game by frame decomposition.
 
@@ -1211,24 +1228,25 @@ def entropy_gap_one(choi, d):
 
 def sweep_per_point(points):
     """The replaced ``crolab sweep u-theta`` path: one ``named_gate``
-    channel per grid point, their robustness from one ``_robustness_stack``
-    and each one's ``relative_entropy_irreplaceability``.  Returns lists of
-    theta, robustness, entropy and note, NaN values and the error message
-    for a failed point."""
+    channel per grid point, and each one's ``robustness`` and
+    ``relative_entropy_irreplaceability``.  Returns lists of theta,
+    robustness, entropy and note, NaN values and the error message for a
+    failed point."""
     from crolab.channels import named_gate
-    from crolab.measures import _robustness_stack, relative_entropy_irreplaceability
+    from crolab.measures import relative_entropy_irreplaceability, robustness
 
     thetas = np.linspace(0.0, np.pi / 2, points)
-    channels = [named_gate("U", theta) for theta in thetas]
-    results = _robustness_stack(np.stack([channel.choi for channel in channels]))
     values, entropies, notes = [], [], []
-    for channel, result in zip(channels, results):
-        if isinstance(result, RuntimeError):
+    for theta in thetas:
+        channel = named_gate("U", theta)
+        try:
+            value = robustness(channel).value
+        except RuntimeError as exc:
             values.append(float("nan"))
             entropies.append(float("nan"))
-            notes.append(str(result))
+            notes.append(str(exc))
         else:
-            values.append(result.value)
+            values.append(value)
             entropies.append(relative_entropy_irreplaceability(channel))
             notes.append("")
     return thetas.tolist(), values, entropies, notes
@@ -1252,10 +1270,8 @@ def property_suite_per_channel(channel, seed=0):
     from crolab.cro import _stochastic_from_choi, is_qccro, random_qccro
     from crolab.linalg import DEFAULT_TOL
     from crolab.measures import (
-        _checked,
         _permute,
         _postcompose,
-        _robustness_stack,
         relative_entropy_irreplaceability,
         robustness,
     )
@@ -1303,9 +1319,8 @@ def property_suite_per_channel(channel, seed=0):
         )
     images = [Channel(family(channel.choi)) for family in families.values()]
 
-    # The base channels, the mixtures and the images share one solve.
-    stack = np.stack([ch.choi for ch in channels + mixtures + images])
-    values = [r.value for r in _checked(_robustness_stack(stack))]
+    # The base channels, the mixtures and the images, solved one by one.
+    values = [robustness(ch).value for ch in channels + mixtures + images]
     pair_values, mixture_values, image_values = values[:3], values[3:5], values[5:]
     entropies = [relative_entropy_irreplaceability(ch) for ch in channels]
     base_value, base_entropy = pair_values[0], entropies[0]

@@ -36,6 +36,7 @@ from crolab.channels import (
     unitary_channel,
     validate_choi_stack,
 )
+from crolab.cro import eb_ppt_test
 from crolab.linalg import kron, partial_trace
 
 import oracles
@@ -94,6 +95,41 @@ class TestChannelConstruction:
         c = random_channel(3, seed=rng_seed)
         rebuilt = channel_from_kraus(c.kraus)
         assert choi_max_diff(c, rebuilt) < 1e-12
+
+    @pytest.mark.parametrize(
+        "build",
+        [channel_from_kraus, lambda ops: Channel(channel_from_kraus(ops.copy()).choi, kraus=ops)],
+        ids=["channel_from_kraus", "Channel"],
+    )
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_kraus_input_is_copied(self, build, rank):
+        """Writing into the caller's (r, d, d) array after construction
+        changes neither ``kraus`` nor the PPT screen."""
+        ops = oracles.haar_unitary(3 * rank, np.random.default_rng(rank))[:, :3]
+        ops = np.ascontiguousarray(ops).reshape(rank, 3, 3)
+        channel = build(ops)
+        kraus, screen = np.array(channel.kraus), eb_ppt_test(channel)
+        ops[...] = 0.0
+        assert np.array(channel.kraus).tobytes() == kraus.tobytes()
+        assert eb_ppt_test(channel) == screen
+
+    def test_kraus_array_and_list_give_one_channel(self):
+        ops = oracles.haar_unitary(8, np.random.default_rng(0))[:, :4]
+        ops = np.ascontiguousarray(ops).reshape(2, 4, 4)
+        stacked, listed = channel_from_kraus(ops), channel_from_kraus(list(ops))
+        assert stacked.choi.tobytes() == listed.choi.tobytes()
+        assert np.array(stacked.kraus).tobytes() == np.array(listed.kraus).tobytes()
+        assert (stacked._min_eig, stacked._gram) == (listed._min_eig, listed._gram)
+
+    def test_kraus_shapes_are_named(self):
+        """A ragged list, and operators that are not square, name the
+        first operator whose shape is not that of the first's rows."""
+        with pytest.raises(ValueError, match=r"^kraus operator shape \(3, 3\) is not \(2, 2\)$"):
+            channel_from_kraus([np.eye(2), np.eye(3)])
+        with pytest.raises(ValueError, match=r"^kraus operator shape \(2, 3\) is not \(2, 2\)$"):
+            channel_from_kraus(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError, match="need at least one Kraus operator"):
+            channel_from_kraus(np.zeros((0, 2, 2)))
 
     def test_kraus_from_choi_drops_null_directions(self):
         ops = kraus_from_choi(dephasing(3).choi)

@@ -17,6 +17,7 @@ import crolab
 import oracles
 from crolab import cli, cro
 from crolab.channels import MAX_DIM, apply, interpolation_unitary, named_gate, random_channel
+from crolab.game import certified_game, payoff
 
 # The subprocess imports the same crolab sources as this test session.
 SRC = str(Path(crolab.__file__).resolve().parents[1])
@@ -648,6 +649,37 @@ class TestPipeline:
         done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "False"
+
+    def test_commands_build_no_robustness_result(self, tmp_path, capsys, monkeypatch):
+        """Every command, on the H gate (d = 2) and on a random two-operator
+        Kraus spec at d = 4, and the sweep, writes the same bytes with
+        ``measures.RobustnessResult`` and ``measures.choi_from_output_blocks``
+        refused: ``measures`` and ``game`` read ``_solve_chois``' blocks.
+        Their reports hold the values of the path they replaced, through
+        ``robustness``' result (``oracles.result_witness_game``)."""
+        specs = [(gate_spec(tmp_path, "H"), "Z"), (random_kraus_spec(tmp_path, 4, seed=4), "ZZ")]
+        runs = [("sweep", "u-theta", "--points", "11")]
+        for spec, label in specs:
+            runs += [("classify", spec), ("measures", spec), ("game", spec), ("vqa-check", spec, label)]
+        expected = [_main(capsys, *run) for run in runs]
+        assert all((code, err) == (0, "") for code, _, err in expected)
+        for spec, _ in specs:
+            channel = cli.load_channel(spec, 1e-9)
+            states, payoffs, result = oracles.result_witness_game(channel)
+            measured = json.loads(expected[runs.index(("measures", spec))][1])
+            assert measured["robustness"] == result.value
+            assert measured["witness_trace_check"] == result.residuals["witness_pairing"]
+            played = json.loads(expected[runs.index(("game", spec))][1])
+            assert played["one_plus_R"] == 1.0 + result.value
+            assert played["payoff"] == payoff(channel, certified_game(channel.dim, states, payoffs))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a command built a robustness result")
+
+        monkeypatch.setattr(crolab.measures, "RobustnessResult", refuse)
+        monkeypatch.setattr(crolab.measures, "choi_from_output_blocks", refuse)
+        for run, reference in zip(runs, expected):
+            assert _main(capsys, *run) == reference
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):

@@ -597,10 +597,10 @@ class TestVqaSet:
         assert vqa_replaceable_set_R(t_gate, [pauli_index("X" + "I" * (n - 1))]) == (False, None)
 
     def test_observables_are_folded_across_chunks(self):
-        """At n = 4 a chunk holds 16 observables.  Under H^4, Z^4 repeated
-        20 times spans two chunks and stays a member with j = X^4; after 16
-        of them, Z I I I alone in the second chunk (a member with j = X I I
-        I by itself) leaves no common j."""
+        """Each observable's residuals are folded into the maximum per j,
+        one observable at a time.  Under H^4, Z^4 repeated 20 times stays a
+        member with j = X^4; Z I I I after 16 of them (a member with j =
+        X I I I by itself) leaves no common j."""
         hadamards = functools.reduce(tensor, [named_gate("H")] * 4)
         zs = pauli_index("ZZZZ")
         assert vqa_replaceable_set_R(hadamards, [zs] * 20) == (True, pauli_index("XXXX"))

@@ -18,7 +18,7 @@ from crolab.channels import (
     pauli_channel_T,
     random_channel,
 )
-from crolab.cro import is_qccro
+from crolab.cro import is_qccro, random_qccro
 from crolab.game import (
     GameSpec,
     _witness_game,
@@ -213,7 +213,8 @@ class TestWitnessGames:
         ]
         for channel in channels:
             d = channel.dim
-            game, result = _witness_game(channel)
+            game, _ = _witness_game(channel)
+            result = robustness(channel)
             spectra = np.linalg.eigvalsh(choi_output_blocks(result.witness, d))
             above = spectra > spectra[:, -1:] * d * np.finfo(float).eps
             assert len(game.states) == np.count_nonzero(above) <= d * d
@@ -251,6 +252,31 @@ class TestWitnessGames:
             game_from_witness(np.eye(4))
 
 
+class TestDualBlockGame:
+    """``_witness_game`` eigendecomposes the solver's dual blocks as they
+    come; the path it replaced (``oracles.result_witness_game``) re-blocked
+    the d^2 x d^2 witness of ``robustness``."""
+
+    def test_game_and_value_equal_the_result_path(self):
+        """Gates, qc members and random channels at d = 1 to 16: the same
+        states, payoffs and value, bit for bit."""
+        channels = [named_gate(name) for name in ("H", "Z", "T", "CNOT")]
+        channels += [random_qccro(d, seed=d) for d in (2, 3)]
+        channels += [
+            random_channel(d, rank=rank, seed=seed)
+            for d in (1, 2, 3, 4, 8)
+            for rank in (1, 2, None)
+            for seed in range(2)
+        ]
+        channels.append(random_channel(16, rank=2, seed=0))
+        for channel in channels:
+            game, value = _witness_game(channel)
+            states, payoffs, result = oracles.result_witness_game(channel)
+            assert value == result.value
+            assert np.array(game.states).tobytes() == states.tobytes()
+            assert game.payoffs.tobytes() == payoffs.tobytes()
+
+
 class TestFrameOracle:
     """The spectral witness game against the frame decomposition it replaced."""
 
@@ -258,7 +284,8 @@ class TestFrameOracle:
     def test_spectral_and_frame_games_agree(self, d):
         for seed in range(3):
             channel = random_channel(d, seed=seed)
-            spectral, result = _witness_game(channel)
+            spectral, _ = _witness_game(channel)
+            result = robustness(channel)
             frame = certified_game(d, *oracles.frame_witness_game(result.witness, d))
             ratios = []
             for game in (spectral, frame):

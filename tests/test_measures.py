@@ -18,6 +18,7 @@ from crolab.channels import (
     MAX_DIM,
     Channel,
     choi_dephase_output,
+    choi_from_output_blocks,
     choi_output_blocks,
     compose,
     dephasing,
@@ -49,9 +50,24 @@ def binary_entropy_bits(p):
     return -sum(terms)
 
 
+def stacked_results(chois):
+    """Each problem's ``robustness`` result, or the RuntimeError that
+    ``robustness`` raises for it, assembled from the output blocks of one
+    ``measures._solve_chois`` run on a validated Choi stack."""
+    upper, primal, dual, residuals, failures = crolab.measures._solve_chois(chois)
+    psi = chois + choi_from_output_blocks(primal)
+    witness = choi_from_output_blocks(dual)
+    return [
+        RuntimeError(failure)
+        if failure is not None
+        else RobustnessResult(float(upper[b]), psi[b], witness[b], residuals[b], "optimal")
+        for b, failure in enumerate(failures)
+    ]
+
+
 def robustness_stack(channels):
-    """``measures._robustness_stack`` on the Choi stack of ``channels``."""
-    return crolab.measures._robustness_stack(np.stack([ch.choi for ch in channels]))
+    """``stacked_results`` on the Choi stack of ``channels``."""
+    return stacked_results(np.stack([ch.choi for ch in channels]))
 
 
 class TestRobustnessValues:
@@ -429,7 +445,7 @@ class TestInteriorPointSolver:
         chois = np.stack([channel.choi for channel in channels])
         targets = choi_output_blocks(chois[::2], d)
         _reject_closed_form(monkeypatch, lambda b: any(np.array_equal(b, t) for t in targets))
-        results = crolab.measures._robustness_stack(chois)
+        results = stacked_results(chois)
         lower, upper, witness = oracles.interior_point_intervals(chois)
         open_problems = [b for b, c in enumerate(channels) if reached(interior_point_runs, c)]
         rejected = set(range(0, len(channels), 2))
@@ -489,7 +505,7 @@ class TestInteriorPointSolver:
                 return step(s, w)
 
             monkeypatch.setattr(crolab.measures, "_hkm_step", counting)
-            runs.append((crolab.measures._robustness_stack(chois), sum(sizes)))
+            runs.append((stacked_results(chois), sum(sizes)))
         (results, taken), (references, reference_taken) = runs
         assert taken <= reference_taken
         for result, reference in zip(results, references):
@@ -934,7 +950,7 @@ class TestClosedFormRoute:
         width and every interval overlaps the interior point's."""
         d = math.isqrt(chois.shape[-1])
         runs.clear()
-        results = crolab.measures._robustness_stack(chois)
+        results = stacked_results(chois)
         accepted = np.array([not _reached_blocks(runs, b) for b in choi_output_blocks(chois, d)])
         for result, settled in zip(results, accepted):
             width = result.residuals["witness_pairing"]
@@ -1286,12 +1302,14 @@ class TestPropertySuite:
         and bit for bit, the report from solving each channel alone."""
         channel = random_channel(d, seed=d)
         stacked = [measure_property_suite(channel, seed=seed) for seed in range(5)]
-        real_stack = crolab.measures._robustness_stack
-        monkeypatch.setattr(
-            crolab.measures,
-            "_robustness_stack",
-            lambda chois: [r for choi in chois for r in real_stack(choi[None])],
-        )
+        real_solve = crolab.measures._solve_chois
+
+        def one_by_one(chois):
+            runs = list(zip(*(real_solve(choi[None]) for choi in chois)))
+            arrays = [np.concatenate(part) for part in runs[:3]]
+            return (*arrays, *([entry for part in parts for entry in part] for parts in runs[3:]))
+
+        monkeypatch.setattr(crolab.measures, "_solve_chois", one_by_one)
         alone = [measure_property_suite(channel, seed=seed) for seed in range(5)]
         for a, b in zip(stacked, alone):
             assert list(a) == list(b)
