@@ -52,13 +52,14 @@ from .channels import (
     _validated_kraus_stack,
     channel_from_kraus,
     check_dim,
+    choi_output_blocks,
     compose,
     gate_matrix,
     interpolation_unitary,
     tensor,
 )
 from .cro import _masked_verdicts, eb_ppt_test, vqa_replaceable_set_R
-from .game import _witness_game, payoff
+from .game import _witness_game
 from .linalg import DEFAULT_TOL
 from .measures import _checked, _entropy_gaps, _solve_chois, relative_entropy_irreplaceability
 from .paulis import pauli_index, pauli_label
@@ -273,11 +274,11 @@ def _classify(channel, args):
 
 
 def _measures(channel, args):
-    upper, _, _, residuals, _ = _checked(_solve_chois(channel.choi[None]))
+    upper, _, _, width, *_ = _checked(_solve_chois(channel.choi[None]))
     return {
         "robustness": float(upper[0]),
         "relative_entropy_bits": relative_entropy_irreplaceability(channel),
-        "witness_trace_check": residuals[0]["witness_pairing"],
+        "witness_trace_check": float(width[0]),
     }
 
 
@@ -292,7 +293,7 @@ def _sweep_grid(points, tol):
     thetas = np.linspace(0.0, np.pi / 2, points)
     kraus = interpolation_unitary(thetas)[:, None]
     chois = _validated_kraus_stack(kraus, tol)
-    upper, _, _, _, failures = _solve_chois(chois)
+    upper, *_, failures = _solve_chois(chois)
     nan = float("nan")
     values, entropies, notes = [], [], []
     for value, entropy, failure in zip(upper.tolist(), _entropy_gaps(chois), failures):
@@ -316,15 +317,22 @@ def _sweep(args):
 
 
 def _game(channel, args):
-    game, value = _witness_game(channel)
-    score = payoff(channel, game)
-    qccro_max = game.normalization["max"]
+    # The game's witness blocks W_k = sum_kept lam v v^dagger: its payoff
+    # pairs them with the channel's output blocks, and its classical scores
+    # are c[i, k] = W_k[i, i] / d, whose best and worst deterministic maps
+    # are the normalization ends (game.extremal_payoff_over_qccro).
+    value, lam, vecs = _witness_game(channel)
+    d = channel.dim
+    blocks = np.einsum("kij,kj,klj->kil", vecs, lam, vecs.conj())
+    score = float(np.real(np.einsum("kij,kji->", blocks, choi_output_blocks(channel.choi, d))))
+    c = np.real(np.diagonal(blocks, axis1=1, axis2=2)).T / d
+    qccro_max = float(c.max(axis=1).sum())
     ratio = score / qccro_max
     one_plus_r = 1.0 + value
     return {
         "payoff": score,
         "qccro_max": qccro_max,
-        "qccro_min": game.normalization["min"],
+        "qccro_min": float(c.min(axis=1).sum()),
         "advantage_ratio": ratio,
         "one_plus_R": one_plus_r,
         "gap": abs(ratio - one_plus_r),

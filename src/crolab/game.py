@@ -11,7 +11,12 @@ witness, on which its score divided by the best replaceable score is 1 plus
 the robustness.  That game is read off the witness's block spectra: each
 eigenpair of a witness block ``W_k`` is one pure input state paying on
 outcome k alone (Takagi, Regula, Bu, Liu and Adesso, PRL 122, 140402, 2019;
-Takagi and Regula, PRX 9, 031053, 2019).
+Takagi and Regula, PRX 9, 031053, 2019).  Its numbers have a closed form in
+those eigenpairs (``_witness_game``): the payoff pairs the truncated blocks
+sum_kept lambda v v^dagger with the channel's output blocks, and the
+classical scores are their diagonals over d.  ``crolab game`` reads its
+report from them and builds no state; ``game_from_witness`` builds the
+``GameSpec`` with its states from the same eigenpairs.
 """
 
 from dataclasses import dataclass
@@ -112,23 +117,30 @@ def certified_game(dim, states, payoffs):
     ``sum_i min_j c[i, j]`` and ``sum_i max_j c[i, j]``, the values
     ``extremal_payoff_over_qccro`` returns.
     """
-    states = tuple(np.array(s, dtype=complex) for s in states)
-    for k, s in enumerate(states):
-        if s.shape != (dim, dim):
-            raise ValueError(f"state {k} has shape {s.shape}, expected ({dim}, {dim})")
-    stack = assert_density_matrix(np.reshape(states, (-1, dim, dim)))
+    try:
+        stack = np.array(states, dtype=complex)
+    except (TypeError, ValueError):  # ragged, or not a sequence: read below
+        stack = None
+    if stack is None or stack.ndim != 3 or stack.shape[1:] != (dim, dim):
+        # State by state, so the message names the first bad one.
+        converted = [np.array(s, dtype=complex) for s in states]
+        for k, s in enumerate(converted):
+            if s.shape != (dim, dim):
+                raise ValueError(f"state {k} has shape {s.shape}, expected ({dim}, {dim})")
+        stack = np.reshape(converted, (-1, dim, dim))
+    assert_density_matrix(stack)
     payoffs = np.array(payoffs, dtype=float)
-    if payoffs.shape != (len(states), dim):
+    if payoffs.shape != (len(stack), dim):
         raise ValueError(
             f"payoff table shape {payoffs.shape} does not match "
-            f"{len(states)} states and {dim} outcomes"
+            f"{len(stack)} states and {dim} outcomes"
         )
     if not np.all(np.isfinite(payoffs)):
         raise ValueError("payoffs must be finite")
     c = _classical_scores(dim, stack, payoffs)
     return GameSpec(
         dim=dim,
-        states=states,
+        states=tuple(stack),
         payoffs=payoffs,
         normalization={"min": float(c.min(axis=1).sum()), "max": float(c.max(axis=1).sum())},
     )
@@ -148,25 +160,30 @@ def game_from_witness(channel):
     witness blocks have rank one, so its game has d states.  The returned
     game carries its normalization certificate.
     """
-    return _witness_game(channel)[0]
+    _, lam, vecs = _witness_game(channel)
+    d = channel.dim
+    outcome, index = np.nonzero(lam > 0.0)
+    v = vecs[outcome, :, index].conj()
+    payoffs = np.zeros((len(outcome), d))
+    payoffs[np.arange(len(outcome)), outcome] = lam[outcome, index] / d
+    return certified_game(d, v[:, :, None] * v[:, None, :].conj(), payoffs)
 
 
 def _witness_game(channel):
-    """The witness game and the robustness value it certifies, from one
-    ``measures._solve_chois`` run on the channel, whose dual blocks W_k it
-    eigendecomposes as they come, with no ``RobustnessResult`` and no
-    d^2 x d^2 witness array.  A failed solve raises ``robustness``'s
-    RuntimeError."""
+    """The robustness value and the eigenpairs of the witness game, from
+    one ``measures._solve_chois`` run on the channel, whose dual blocks
+    W_k it eigendecomposes as they come: (value, lam, vecs), with
+    ``vecs[k][:, j]`` the eigenvector of ``lam[k, j]``, which is zero for
+    a pair the cut drops and positive for a kept one.  The game's witness
+    blocks are then the truncated W_k = sum_j lam[k, j] v v^dagger, and
+    the kept pairs are its states and payoffs (``game_from_witness``).  A
+    failed solve raises ``robustness``' RuntimeError."""
     if not isinstance(channel, Channel):
         raise TypeError("game_from_witness expects a Channel")
     d = channel.dim
-    upper, _, dual, _, _ = _checked(_solve_chois(channel.choi[None]))
+    upper, _, dual, *_ = _checked(_solve_chois(channel.choi[None]))
     lam, vecs = np.linalg.eigh(dual[0])
     # Eigenvalues within eigh's rounding of zero (the cut of
     # numpy.linalg.matrix_rank) give no state, so a rank-one block gives one.
-    outcome, index = np.nonzero(lam > lam[:, -1:] * d * np.finfo(float).eps)
-    v = vecs[outcome, :, index].conj()
-    states = v[:, :, None] * v[:, None, :].conj()
-    payoffs = np.zeros((len(outcome), d))
-    payoffs[np.arange(len(outcome)), outcome] = lam[outcome, index] / d
-    return certified_game(d, states, payoffs), float(upper[0])
+    lam = np.where(lam > lam[:, -1:] * d * np.finfo(float).eps, lam, 0.0)
+    return float(upper[0]), lam, vecs

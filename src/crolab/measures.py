@@ -23,16 +23,18 @@ misses costs one more step.  One run solves a whole stack of channels of
 one dimension, in complex arithmetic: each problem has its own points,
 centring, step length and stop rule, and gets the same result, bit for
 bit, in a stack of any size.  Callers read that run through
-``_solve_chois``, whose per-problem arrays are the output blocks of the
-optimizer and the witness.  Only ``robustness``, a stack of one, builds a
-``RobustnessResult`` from them, with its d^2 x d^2 arrays.  ``crolab
+``_solve_chois``, whose per-problem arrays are the upper ends, the output
+blocks of the optimizer and the witness, and the interval widths.  Only
+``robustness``, a stack of one, builds a ``RobustnessResult`` from them,
+with its d^2 x d^2 arrays, and only it and the message of a failing
+problem build a problem's residual record (``_residuals``).  ``crolab
 measures`` reads the value and width, the witness game
-(``game._witness_game``) the dual blocks, and the property suite the
-values of one stack per dimension.  The CLI sweep builds, validates and
-measures its whole grid as one stack: one array of Choi states, checked
-by ``channels.validate_choi_stack``, one solve (every point of the sweep
-family is a unitary, so the singular-vector point settles it) and one
-batched entropy (``_entropy_gaps``, whose terms are computed over the
+(``game._witness_game``) the value and the dual blocks, and the property
+suite the values of one stack per dimension.  The CLI sweep builds,
+validates and measures its whole grid as one stack: one array of Choi
+states, checked by ``channels.validate_choi_stack``, one solve (every
+point of the sweep family is a unitary, so the singular-vector point
+settles it) and one batched entropy (``_entropy_gaps``, whose terms are computed over the
 whole stack), with no per-point ``Channel``.  The relative entropy
 measure has a closed form: the entropy gap between the fully dephased and
 the output-dephased Choi states, read off the same output blocks
@@ -443,11 +445,11 @@ def _solve_blocks(blocks):
     that does not depend on the stack, so a problem's result is the same,
     bit for bit, in any stack and at any place in it.  The record is the
     result: a lower end below zero gives way to the identity witness at
-    zero.  Returns (upper, primal, dual, residuals), one entry per problem:
-    the residuals are the equality residuals of the points behind the two
-    ends (the spread of the row sums of p, and the largest of |W_k[i, i] -
-    y_i| and |sum_i y_i - d| with y the mean diagonal of the W_k), the
-    relative gap and the width ``witness_pairing`` of the interval.
+    zero.  Returns (upper, primal, dual, width, record): the upper ends, the
+    repaired S and W behind the two ends, the widths of the intervals, and
+    the record itself, with the clamped lower ends and the raw p and W
+    behind the ends, from which ``_residuals`` builds a problem's residual
+    record where one is reported.
     """
     n, d = blocks.shape[:2]
     points = (_singular_vector_point, _diagonal_point, _interior_start)
@@ -490,50 +492,68 @@ def _solve_blocks(blocks):
             keep = ~stop
             index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
 
-    upper, lower, dual = best["upper"], best["lower"], best["dual"]
+    upper, lower = best["upper"], best["lower"]
     below = ~(lower >= 0.0)
-    lower = np.where(below, 0.0, lower)
-    dual = np.where(below[:, None, None, None], np.eye(d), dual)
-    width = np.maximum(upper - lower, 0.0)
+    best["lower"] = np.where(below, 0.0, lower)
+    dual = np.where(below[:, None, None, None], np.eye(d), best["dual"])
+    width = np.maximum(upper - best["lower"], 0.0)
+    return upper, best["primal"], dual, width, best
+
+
+def _residuals(solved, b):
+    """The residual record of problem b of a ``_solve_blocks`` result.
+
+    Its entries are the equality residuals of the p and W behind the two
+    ends (``primal_feas``, the spread of the row sums of p, and
+    ``dual_feas``, the largest of |W_k[i, i] - y_i| and |sum_i y_i - d|
+    with y the mean diagonal of the W_k), the relative ``gap`` and the
+    width ``witness_pairing`` of the interval.  Only ``robustness`` and a
+    failing problem's message report it, so it is built for one problem
+    at a time, as a stack of one.
+    """
+    upper, width = solved[0][b : b + 1], solved[3][b : b + 1]
+    lower, p, w = (solved[4][key][b : b + 1] for key in ("lower", "p", "w"))
+    d = p.shape[-1]
     gap = width / (1.0 + np.abs(upper) + np.abs(lower))
-    row_sums = _running_sum(best["p"].swapaxes(-1, -2))
+    row_sums = _running_sum(p.swapaxes(-1, -2))
     primal_feas = row_sums.max(axis=-1) - row_sums.min(axis=-1)
-    w_diagonals = np.real(_diagonals(best["w"]))
+    w_diagonals = np.real(_diagonals(w))
     y = _running_sum(w_diagonals.swapaxes(-1, -2)) / d
     dual_feas = np.maximum(
         np.abs(w_diagonals - y[:, None]).max(axis=(1, 2)), np.abs(_running_sum(y) - d)
     )
-    residuals = [
-        {"primal_feas": pf, "dual_feas": df, "gap": g, "witness_pairing": wp}
-        for pf, df, g, wp in zip(
-            primal_feas.tolist(), dual_feas.tolist(), gap.tolist(), width.tolist()
-        )
-    ]
-    return upper, best["primal"], dual, residuals
+    return {
+        "primal_feas": float(primal_feas[0]),
+        "dual_feas": float(dual_feas[0]),
+        "gap": float(gap[0]),
+        "witness_pairing": float(width[0]),
+    }
 
 
-def _width_failure(record):
-    """The message of a solve whose certified interval stays wider than
-    ``_ACCEPT_WIDTH``, or None when it is narrow enough."""
-    width = record["witness_pairing"]
+def _width_failure(solved, b):
+    """The message of problem b of a ``_solve_blocks`` result when its
+    certified interval stays wider than ``_ACCEPT_WIDTH``, or None when
+    it is narrow enough."""
+    width = float(solved[3][b])
     if width <= _ACCEPT_WIDTH:
         return None
     return (
         f"robustness solve stopped with a certified interval of width "
-        f"{width:.3e}, above {_ACCEPT_WIDTH:g}; residuals {record}"
+        f"{width:.3e}, above {_ACCEPT_WIDTH:g}; residuals {_residuals(solved, b)}"
     )
 
 
 def _solve_chois(chois):
     """One ``_solve_blocks`` run on the output blocks of a validated
-    (batch, d^2, d^2) Choi stack: its (upper, primal, dual, residuals) and
-    each problem's ``_width_failure``.  The singular-vector point settles
-    every point of the sweep and most other unitaries, and only the
-    problems that no candidate point settles reach the interior point."""
+    (batch, d^2, d^2) Choi stack: its (upper, primal, dual, width, record)
+    and each problem's ``_width_failure``.  The singular-vector point
+    settles every point of the sweep and most other unitaries, and only
+    the problems that no candidate point settles reach the interior
+    point."""
     d = math.isqrt(chois.shape[-1])
     check_dim(d, "robustness")
     solved = _solve_blocks(np.ascontiguousarray(choi_output_blocks(chois, d)))
-    return (*solved, [_width_failure(record) for record in solved[3]])
+    return (*solved, [_width_failure(solved, b) for b in range(len(chois))])
 
 
 def robustness(channel):
@@ -562,12 +582,13 @@ def robustness(channel):
     """
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
-    upper, primal, dual, residuals, _ = _checked(_solve_chois(channel.choi[None]))
+    solved = _checked(_solve_chois(channel.choi[None]))
+    upper, primal, dual = solved[:3]
     return RobustnessResult(
         value=float(upper[0]),
         optimal_psi=channel.choi + choi_from_output_blocks(primal[0]),
         witness=choi_from_output_blocks(dual[0]),
-        residuals=residuals[0],
+        residuals=_residuals(solved, 0),
         status="optimal",
     )
 
@@ -575,7 +596,7 @@ def robustness(channel):
 def _checked(solved):
     """``_solve_chois``' result, once none of its problems failed: the
     first failure's message, in stack order, is raised as a RuntimeError."""
-    for failure in solved[4]:
+    for failure in solved[-1]:
         if failure is not None:
             raise RuntimeError(failure)
     return solved

@@ -377,6 +377,29 @@ def result_witness_game(channel):
     return v[:, :, None] * v[:, None, :].conj(), payoffs, result
 
 
+def state_stack_game_report(channel):
+    """The replaced report of ``crolab game``: the six numbers read off the
+    state stack of ``result_witness_game``, validated by
+    ``game.certified_game`` and scored by ``game.payoff``.  Returns the
+    report and that game."""
+    from crolab.game import certified_game, payoff
+
+    states, payoffs, result = result_witness_game(channel)
+    game = certified_game(channel.dim, states, payoffs)
+    score = payoff(channel, game)
+    ratio = score / game.normalization["max"]
+    one_plus_r = 1.0 + result.value
+    report = {
+        "payoff": score,
+        "qccro_max": game.normalization["max"],
+        "qccro_min": game.normalization["min"],
+        "advantage_ratio": ratio,
+        "one_plus_R": one_plus_r,
+        "gap": abs(ratio - one_plus_r),
+    }
+    return report, game
+
+
 def frame_witness_game(witness, d):
     """States and payoffs of the witness game by frame decomposition.
 

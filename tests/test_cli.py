@@ -17,7 +17,6 @@ import crolab
 import oracles
 from crolab import cli, cro
 from crolab.channels import MAX_DIM, apply, interpolation_unitary, named_gate, random_channel
-from crolab.game import certified_game, payoff
 
 # The subprocess imports the same crolab sources as this test session.
 SRC = str(Path(crolab.__file__).resolve().parents[1])
@@ -34,6 +33,37 @@ def run_cli(*argv, env=None):
         text=True,
         env=env,
     )
+
+
+# Runs each argv of the JSON list in argv[1] through cli.main and prints the
+# list of [exit code, stdout text] as JSON.
+_RUN_ALL = """
+import contextlib, io, json, sys
+from crolab import cli
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def run_cli_all(runs, env=None):
+    """Exit code and stdout of ``crolab argv`` for each argv of ``runs``,
+    all in one subprocess, with ``env`` added to the inherited
+    environment."""
+    env = {**os.environ, **(env or {})}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _RUN_ALL, json.dumps([list(argv) for argv in runs])],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    return [tuple(result) for result in json.loads(done.stdout)]
 
 
 def write_spec(tmp_path, name, payload):
@@ -330,6 +360,39 @@ class TestGameCommand:
         # sigma_max(|H (x) H (x) H|)^2 = 8
         assert report["one_plus_R"] == pytest.approx(8.0, abs=1e-6)
 
+    def test_report_equals_the_state_stack_oracle(self, monkeypatch):
+        """Gates, qc members and random channels at d = 1 to 16 of Kraus
+        rank 1, 2 and d^2: the report read off the witness eigenpairs
+        keeps one eigenpair per state of the replaced state-stack report
+        (``oracles.state_stack_game_report``), has the same 1 + R bit for
+        bit, and each other number x within 64 d eps (1 + |x|) of it; for
+        the gap, a difference of two numbers near 1 + R, x is 1 + R."""
+        channels = [named_gate(name) for name in ("H", "Z", "T", "CNOT", "CCX")]
+        channels += [cro.random_qccro(d, seed=d) for d in (2, 3, 4)]
+        channels += [
+            random_channel(d, rank=rank, seed=d) for d in range(1, 17) for rank in (1, 2, d * d)
+        ]
+        kept = []
+        real_witness_game = cli._witness_game
+
+        def recording(channel):
+            solved = real_witness_game(channel)
+            kept.append(np.count_nonzero(solved[1]))
+            return solved
+
+        monkeypatch.setattr(cli, "_witness_game", recording)
+        eps = np.finfo(float).eps
+        for channel in channels:
+            d = channel.dim
+            got = cli._game(channel, None)
+            want, game = oracles.state_stack_game_report(channel)
+            assert kept.pop() == len(game.states)
+            assert list(got) == list(want)
+            assert got["one_plus_R"] == want["one_plus_R"]
+            for key, value in want.items():
+                scale = want["one_plus_R"] if key == "gap" else value
+                assert abs(got[key] - value) <= 64 * d * eps * (1.0 + abs(scale)), (d, key)
+
 
 class TestVqaCheckCommand:
     """Pauli-observable replaceability checks."""
@@ -598,7 +661,8 @@ class TestSpecParsing:
         form settles (game too on CNOT), classify on CCX and on a d = 32
         one-Kraus unitary, and measures and game on random two-operator
         Kraus specs at d = 16 and 32 are byte for byte the same under one
-        and two BLAS threads."""
+        and two BLAS threads.  One interpreter per thread count runs every
+        command."""
         runs = [("sweep", "u-theta", "--points", "50")]
         for name, theta in (("CNOT", None), ("CCX", None), ("U", 0.3)):
             runs.append(("measures", gate_spec(tmp_path, name, theta)))
@@ -612,10 +676,11 @@ class TestSpecParsing:
         for d in (16, MAX_DIM):
             spec = random_kraus_spec(tmp_path, d, seed=d)
             runs += [("measures", spec), ("game", spec)]
-        for argv in runs:
-            outputs = [run_cli(*argv, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2")]
-            assert [p.returncode for p in outputs] == [0, 0]
-            assert outputs[0].stdout == outputs[1].stdout
+        one, two = (run_cli_all(runs, env={"OPENBLAS_NUM_THREADS": n}) for n in ("1", "2"))
+        assert len(one) == len(two) == len(runs)
+        for argv, outputs in zip(runs, zip(one, two)):
+            assert [code for code, _ in outputs] == [0, 0], argv
+            assert outputs[0][1] == outputs[1][1], argv
 
 
 class TestPipeline:
@@ -654,9 +719,14 @@ class TestPipeline:
         """Every command, on the H gate (d = 2) and on a random two-operator
         Kraus spec at d = 4, and the sweep, writes the same bytes with
         ``measures.RobustnessResult`` and ``measures.choi_from_output_blocks``
-        refused: ``measures`` and ``game`` read ``_solve_chois``' blocks.
-        Their reports hold the values of the path they replaced, through
-        ``robustness``' result (``oracles.result_witness_game``)."""
+        refused, and ``game`` also with ``game.certified_game``,
+        ``game.payoff`` and ``linalg.assert_density_matrix`` refused:
+        ``measures`` and ``game`` read ``_solve_chois``' blocks, and
+        ``game`` the eigenpairs of its dual blocks.  Their reports hold the
+        values of the paths they replaced, through ``robustness``' result
+        (``oracles.result_witness_game``): the robustness, width and 1 + R
+        bit for bit, the payoff of the replaced state-stack report
+        (``oracles.state_stack_game_report``) within 64 d eps (1 + |x|)."""
         specs = [(gate_spec(tmp_path, "H"), "Z"), (random_kraus_spec(tmp_path, 4, seed=4), "ZZ")]
         runs = [("sweep", "u-theta", "--points", "11")]
         for spec, label in specs:
@@ -665,21 +735,32 @@ class TestPipeline:
         assert all((code, err) == (0, "") for code, _, err in expected)
         for spec, _ in specs:
             channel = cli.load_channel(spec, 1e-9)
-            states, payoffs, result = oracles.result_witness_game(channel)
+            report, _ = oracles.state_stack_game_report(channel)
+            result = oracles.result_witness_game(channel)[2]
             measured = json.loads(expected[runs.index(("measures", spec))][1])
             assert measured["robustness"] == result.value
             assert measured["witness_trace_check"] == result.residuals["witness_pairing"]
             played = json.loads(expected[runs.index(("game", spec))][1])
             assert played["one_plus_R"] == 1.0 + result.value
-            assert played["payoff"] == payoff(channel, certified_game(channel.dim, states, payoffs))
+            bound = 64 * channel.dim * np.finfo(float).eps * (1.0 + abs(report["payoff"]))
+            assert abs(played["payoff"] - report["payoff"]) <= bound
 
         def refuse(*args, **kwargs):
-            raise AssertionError("a command built a robustness result")
+            raise AssertionError("a command built a robustness result or a game's states")
 
         monkeypatch.setattr(crolab.measures, "RobustnessResult", refuse)
         monkeypatch.setattr(crolab.measures, "choi_from_output_blocks", refuse)
         for run, reference in zip(runs, expected):
-            assert _main(capsys, *run) == reference
+            with monkeypatch.context() as patch:
+                if run[0] == "game":
+                    for module, name in (
+                        (crolab.game, "certified_game"),
+                        (crolab.game, "payoff"),
+                        (crolab.game, "assert_density_matrix"),
+                        (crolab.linalg, "assert_density_matrix"),
+                    ):
+                        patch.setattr(module, name, refuse)
+                assert _main(capsys, *run) == reference
 
     @pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
     def test_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
@@ -952,7 +1033,7 @@ class TestSpecLimits:
 
         def failing_solve(chois):
             n = len(chois)
-            return np.zeros(n), None, None, [{}] * n, ["stub"] * n
+            return np.zeros(n), None, None, np.zeros(n), {}, ["stub"] * n
 
         monkeypatch.setattr(cli, "interpolation_unitary", unitaries)
         monkeypatch.setattr(cli, "_solve_chois", failing_solve)

@@ -1,6 +1,7 @@
 """Tests for the discrimination-game layer."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -182,6 +183,30 @@ class TestCertifiedGameValidation:
         with pytest.raises(ValueError, match="state 0"):
             certified_game(2, states, np.eye(2))
 
+    @pytest.mark.parametrize("form", ["array", "list"])
+    def test_states_are_held_once(self, form):
+        """d^2 random pure states at d = 16, as one array or as a list: the
+        game's states are the rows of one copy, and validating them peaks at
+        three times the stack's size (the copy, and twice it inside
+        ``assert_density_matrix``), against four when the states were
+        copied one by one and stacked again."""
+        d = 16
+        rng = np.random.default_rng(d)
+        v = rng.normal(size=(d * d, d)) + 1j * rng.normal(size=(d * d, d))
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        stack = v[:, :, None] * v[:, None, :].conj()
+        states = stack if form == "array" else list(stack)
+        tracemalloc.start()
+        try:
+            game = certified_game(d, states, np.full((d * d, d), 1.0 / d))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.25 * stack.nbytes
+        assert np.array(game.states).tobytes() == stack.tobytes()
+        assert all(state.base is game.states[0].base is not None for state in game.states)
+        assert not np.shares_memory(game.states[0], stack)
+
 
 class TestWitnessGames:
     """Games constructed from the robustness dual witness."""
@@ -213,7 +238,7 @@ class TestWitnessGames:
         ]
         for channel in channels:
             d = channel.dim
-            game, _ = _witness_game(channel)
+            game = game_from_witness(channel)
             result = robustness(channel)
             spectra = np.linalg.eigvalsh(choi_output_blocks(result.witness, d))
             above = spectra > spectra[:, -1:] * d * np.finfo(float).eps
@@ -237,7 +262,7 @@ class TestWitnessGames:
         assert cli.main(["game", str(path)]) == 0
         assert json.loads(capsys.readouterr().out)["gap"] <= 1e-12
         channel = named_gate(name, theta)
-        game, _ = _witness_game(channel)
+        game = game_from_witness(channel)
         assert len(game.states) == channel.dim
         assert np.array_equal(np.count_nonzero(game.payoffs, axis=0), np.ones(channel.dim))
 
@@ -254,7 +279,8 @@ class TestWitnessGames:
 
 class TestDualBlockGame:
     """``_witness_game`` eigendecomposes the solver's dual blocks as they
-    come; the path it replaced (``oracles.result_witness_game``) re-blocked
+    come, and ``game_from_witness`` builds its game from those eigenpairs;
+    the path they replaced (``oracles.result_witness_game``) re-blocked
     the d^2 x d^2 witness of ``robustness``."""
 
     def test_game_and_value_equal_the_result_path(self):
@@ -270,7 +296,8 @@ class TestDualBlockGame:
         ]
         channels.append(random_channel(16, rank=2, seed=0))
         for channel in channels:
-            game, value = _witness_game(channel)
+            game = game_from_witness(channel)
+            value = _witness_game(channel)[0]
             states, payoffs, result = oracles.result_witness_game(channel)
             assert value == result.value
             assert np.array(game.states).tobytes() == states.tobytes()
@@ -284,7 +311,7 @@ class TestFrameOracle:
     def test_spectral_and_frame_games_agree(self, d):
         for seed in range(3):
             channel = random_channel(d, seed=seed)
-            spectral, _ = _witness_game(channel)
+            spectral = game_from_witness(channel)
             result = robustness(channel)
             frame = certified_game(d, *oracles.frame_witness_game(result.witness, d))
             ratios = []

@@ -54,13 +54,16 @@ def stacked_results(chois):
     """Each problem's ``robustness`` result, or the RuntimeError that
     ``robustness`` raises for it, assembled from the output blocks of one
     ``measures._solve_chois`` run on a validated Choi stack."""
-    upper, primal, dual, residuals, failures = crolab.measures._solve_chois(chois)
+    solved = crolab.measures._solve_chois(chois)
+    upper, primal, dual, *_, failures = solved
     psi = chois + choi_from_output_blocks(primal)
     witness = choi_from_output_blocks(dual)
     return [
         RuntimeError(failure)
         if failure is not None
-        else RobustnessResult(float(upper[b]), psi[b], witness[b], residuals[b], "optimal")
+        else RobustnessResult(
+            float(upper[b]), psi[b], witness[b], crolab.measures._residuals(solved, b), "optimal"
+        )
         for b, failure in enumerate(failures)
     ]
 
@@ -365,8 +368,9 @@ class TestInteriorPointSolver:
 
         def assert_solved(order):
             """Each entry of the solve of chois[order] is the oracle's."""
-            solved = crolab.measures._solve_chois(chois[order])[:4]
-            for got, want in zip(solved, expected):
+            solved = crolab.measures._solve_chois(chois[order])
+            residuals = [crolab.measures._residuals(solved, b) for b in range(len(order))]
+            for got, want in zip((*solved[:3], residuals), expected):
                 for position, b in enumerate(order):
                     if isinstance(got, np.ndarray):
                         assert np.array_equal(got[position], want[b]), (order, b)
@@ -847,12 +851,12 @@ class TestCertificationScreen:
             _fail_on(monkeypatch, [choi_output_blocks(channel.choi, 4)])
         steps = _recorded(monkeypatch, "_hkm_steps")
         certified = _recorded(monkeypatch, "_certify")
-        upper, _, _, residuals, failures = crolab.measures._solve_chois(channel.choi[None])
+        upper, _, _, width, _, failures = crolab.measures._solve_chois(channel.choi[None])
         assert len(steps) == 1 and len(certified) == 4
         assert failures[0] is not None
         lower, reference, _ = oracles.interior_point_intervals(channel.choi[None], screen=False)
         assert upper[0] == reference[0]
-        assert residuals[0]["witness_pairing"] == max(reference[0] - lower[0], 0.0)
+        assert width[0] == max(reference[0] - lower[0], 0.0)
 
 
 class TestAdmmOracle:
@@ -1306,8 +1310,9 @@ class TestPropertySuite:
 
         def one_by_one(chois):
             runs = list(zip(*(real_solve(choi[None]) for choi in chois)))
-            arrays = [np.concatenate(part) for part in runs[:3]]
-            return (*arrays, *([entry for part in parts for entry in part] for parts in runs[3:]))
+            arrays = [np.concatenate(part) for part in runs[:4]]
+            record = {key: np.concatenate([part[key] for part in runs[4]]) for key in runs[4][0]}
+            return (*arrays, record, [entry for part in runs[5] for entry in part])
 
         monkeypatch.setattr(crolab.measures, "_solve_chois", one_by_one)
         alone = [measure_property_suite(channel, seed=seed) for seed in range(5)]
