@@ -58,7 +58,7 @@ from .channels import (
     interpolation_unitary,
     tensor,
 )
-from .cro import _masked_verdicts, eb_ppt_test, vqa_replaceable_set_R
+from .cro import _masked_verdicts, _qubit_count, eb_ppt_test, vqa_replaceable_set_R
 from .game import _witness_game
 from .linalg import DEFAULT_TOL
 from .measures import _checked, _entropy_gaps, _solve_chois, relative_entropy_irreplaceability
@@ -274,11 +274,11 @@ def _classify(channel, args):
 
 
 def _measures(channel, args):
-    upper, _, _, width, *_ = _checked(_solve_chois(channel.choi[None]))
+    solved = _checked(_solve_chois(channel.choi[None]))
     return {
-        "robustness": float(upper[0]),
+        "robustness": float(solved["upper"][0]),
         "relative_entropy_bits": relative_entropy_irreplaceability(channel),
-        "witness_trace_check": float(width[0]),
+        "witness_trace_check": float(solved["width"][0]),
     }
 
 
@@ -293,10 +293,10 @@ def _sweep_grid(points, tol):
     thetas = np.linspace(0.0, np.pi / 2, points)
     kraus = interpolation_unitary(thetas)[:, None]
     chois = _validated_kraus_stack(kraus, tol)
-    upper, *_, failures = _solve_chois(chois)
+    solved = _solve_chois(chois)
     nan = float("nan")
     values, entropies, notes = [], [], []
-    for value, entropy, failure in zip(upper.tolist(), _entropy_gaps(chois), failures):
+    for value, entropy, failure in zip(solved["upper"].tolist(), _entropy_gaps(chois), solved["failure"]):
         values.append(nan if failure else value)
         entropies.append(nan if failure else entropy)
         notes.append(failure or "")
@@ -340,19 +340,23 @@ def _game(channel, args):
 
 
 def _vqa_check(channel, args):
-    n = max(channel.dim.bit_length() - 1, 1)
+    # The dimension comes first; at d = 1 a label is one letter, and only I.
+    n = _qubit_count(channel.dim)
+    letters = max(n, 1)
     indices = []
     for label in args.observables:
         try:
             indices.append(pauli_index(label))
         except ValueError as exc:
             raise SpecError(f"observable {label!r}: {exc}") from exc
-        if len(label.strip()) != n:
-            raise SpecError(f"observable {label!r}: expected {n} letters")
+        if len(label.strip()) != letters:
+            raise SpecError(f"observable {label!r}: expected {letters} letters")
+        if n == 0 and indices[-1] != 0:
+            raise SpecError(f"observable {label!r}: a channel of dimension 1 has only the observable I")
     member, j = vqa_replaceable_set_R(channel, indices, tol=args.tol)
     return {
         "member": member,
-        "replacing_pauli_j": pauli_label(j, n) if member else None,
+        "replacing_pauli_j": pauli_label(j, letters) if member else None,
     }
 
 

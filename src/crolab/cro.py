@@ -326,6 +326,13 @@ def is_deterministic_cru(u: np.ndarray, tol: float = DEFAULT_TOL) -> CroVerdict:
     return CroVerdict(is_member=False, residual=residual)
 
 
+def _qubit_count(dim):
+    """n for a dimension 2^n; a ValueError for any other dimension."""
+    if dim & (dim - 1):
+        raise ValueError(f"channel dim {dim} is not 2^n")
+    return dim.bit_length() - 1
+
+
 def vqa_replaceable_set_R(
     o: Channel, observables: Sequence[int], tol: float = DEFAULT_TOL
 ) -> tuple[bool, int | None]:
@@ -344,9 +351,7 @@ def vqa_replaceable_set_R(
     entries at n = 5) and folded into the maximum per j.
     """
     check_dim(o.dim, "vqa_replaceable_set_R")
-    n = int(round(np.log2(o.dim)))
-    if 2**n != o.dim:
-        raise ValueError(f"channel dim {o.dim} is not 2^n")
+    n = _qubit_count(o.dim)
     observables = [int(i) for i in observables]
     if not observables:
         raise ValueError("need at least one observable index")

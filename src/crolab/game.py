@@ -171,19 +171,20 @@ def game_from_witness(channel):
 
 def _witness_game(channel):
     """The robustness value and the eigenpairs of the witness game, from
-    one ``measures._solve_chois`` run on the channel, whose dual blocks
-    W_k it eigendecomposes as they come: (value, lam, vecs), with
-    ``vecs[k][:, j]`` the eigenvector of ``lam[k, j]``, which is zero for
-    a pair the cut drops and positive for a kept one.  The game's witness
-    blocks are then the truncated W_k = sum_j lam[k, j] v v^dagger, and
-    the kept pairs are its states and payoffs (``game_from_witness``).  A
-    failed solve raises ``robustness``' RuntimeError."""
+    one ``measures._solve_chois`` run on the channel: (value, lam, vecs),
+    its record's ``upper`` and the eigenpairs of its ``dual`` blocks W_k
+    as they come, ``vecs[k][:, j]`` the eigenvector of ``lam[k, j]``,
+    which is zero for a pair the cut drops and positive for a kept one.
+    The game's witness blocks are then the truncated W_k = sum_j lam[k, j]
+    v v^dagger, and the kept pairs are its states and payoffs
+    (``game_from_witness``).  A failed solve raises ``robustness``'
+    RuntimeError."""
     if not isinstance(channel, Channel):
         raise TypeError("game_from_witness expects a Channel")
     d = channel.dim
-    upper, _, dual, *_ = _checked(_solve_chois(channel.choi[None]))
-    lam, vecs = np.linalg.eigh(dual[0])
+    solved = _checked(_solve_chois(channel.choi[None]))
+    lam, vecs = np.linalg.eigh(solved["dual"][0])
     # Eigenvalues within eigh's rounding of zero (the cut of
     # numpy.linalg.matrix_rank) give no state, so a rank-one block gives one.
     lam = np.where(lam > lam[:, -1:] * d * np.finfo(float).eps, lam, 0.0)
-    return float(upper[0]), lam, vecs
+    return float(solved["upper"][0]), lam, vecs

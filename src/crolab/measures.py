@@ -22,15 +22,15 @@ eigendecompositions could not stop the problem, and a stop the screen
 misses costs one more step.  One run solves a whole stack of channels of
 one dimension, in complex arithmetic: each problem has its own points,
 centring, step length and stop rule, and gets the same result, bit for
-bit, in a stack of any size.  Callers read that run through
-``_solve_chois``, whose per-problem arrays are the upper ends, the output
-blocks of the optimizer and the witness, and the interval widths.  Only
-``robustness``, a stack of one, builds a ``RobustnessResult`` from them,
+bit, in a stack of any size.  Its result is its record of best ends, one
+dict of per-problem arrays that callers read by key through
+``_solve_chois``, which adds each problem's ``failure``.  Only
+``robustness``, a stack of one, builds a ``RobustnessResult`` from it,
 with its d^2 x d^2 arrays, and only it and the message of a failing
 problem build a problem's residual record (``_residuals``).  ``crolab
-measures`` reads the value and width, the witness game
-(``game._witness_game``) the value and the dual blocks, and the property
-suite the values of one stack per dimension.  The CLI sweep builds,
+measures`` reads ``upper`` and ``width``, the witness game
+(``game._witness_game``) ``upper`` and ``dual``, and the property suite
+the ``upper`` of one stack per dimension.  The CLI sweep builds,
 validates and measures its whole grid as one stack: one array of Choi
 states, checked by ``channels.validate_choi_stack``, one solve (every
 point of the sweep family is a unitary, so the singular-vector point
@@ -238,18 +238,17 @@ def _screen(s, w, upper):
     return _pairing(s, w) <= _SCREEN * _TARGET_WIDTH * (1.0 + upper)
 
 
-def _certify(blocks, p, w):
-    """Candidates p and W of a stack of output-block programs, repaired to
-    certified ends.
+def _certify(blocks, s, p, w):
+    """Candidates p and W of a stack of output-block programs, with the
+    slack ``s`` = ``_slack(blocks, p)``, repaired to certified ends.
 
-    Returns the slack S_k = diag(p_k) - B_k and each problem's entries:
-    the upper end and the repaired S behind it (``primal``), the lower end
-    and the repaired W behind it (``dual``), and p and W themselves.
+    Returns each problem's entries: the upper end and the repaired S
+    behind it (``primal``), the lower end and the repaired W behind it
+    (``dual``), and p and W themselves.
     """
-    s = _slack(blocks, p)
     primal = _certified_primal(s)
     dual = _certified_dual(w)
-    return s, {
+    return {
         "upper": _running_sum(np.einsum("bkii->bk", primal.real)),
         # Summed over k first: the order of the one-channel solver's einsum
         # over the strided block view, so lower ends and witnesses are the
@@ -424,10 +423,10 @@ def _solve_blocks(blocks):
     loop visits the points of ``_singular_vector_point``,
     ``_diagonal_point`` and ``_interior_start``, then takes at most
     ``_MAX_STEPS`` steps of ``_hkm_steps``, which keep the row sums of p
-    equal.  One record of ``_certify``'s keys holds each problem's best
-    ends, the repaired points behind them and the raw p and W behind those,
-    at the problem's place in the stack, and every update goes through
-    ``index``, the places of the running problems.  A fixed point, repaired
+    equal, and forms each point's slack once.  The record, a dict of
+    ``_certify``'s keys, holds each problem's best ends at its place in
+    the stack, and every update goes through ``index``, the places of the
+    running problems.  A fixed point, repaired
     to exact feasibility by ``_certify``, overwrites their entries, so it
     is judged on its own ends; a step's repaired ends replace an entry's
     upper or lower half where they are better.  A step's iterate is
@@ -443,13 +442,12 @@ def _solve_blocks(blocks):
     it leaves ``index``, and the working stack is compacted to the problems
     still running.  Every operation acts on each problem alone, in an order
     that does not depend on the stack, so a problem's result is the same,
-    bit for bit, in any stack and at any place in it.  The record is the
-    result: a lower end below zero gives way to the identity witness at
-    zero.  Returns (upper, primal, dual, width, record): the upper ends, the
-    repaired S and W behind the two ends, the widths of the intervals, and
-    the record itself, with the clamped lower ends and the raw p and W
-    behind the ends, from which ``_residuals`` builds a problem's residual
-    record where one is reported.
+    bit for bit, in any stack and at any place in it.  Returns the record:
+    ``upper``, ``lower`` (a lower end below zero gives way to zero, and
+    its ``dual`` to the identity witness), the interval ``width``, the
+    repaired S and W behind the two ends (``primal`` and ``dual``), and the
+    raw ``p`` and ``w`` behind those, from which ``_residuals`` builds a
+    problem's residual record where one is reported.
     """
     n, d = blocks.shape[:2]
     points = (_singular_vector_point, _diagonal_point, _interior_start)
@@ -459,7 +457,8 @@ def _solve_blocks(blocks):
     for step in range(last + 1):
         if step < len(points):
             p, w = points[step](blocks)
-            s, ends = _certify(blocks, p, w)
+            s = _slack(blocks, p)
+            ends = _certify(blocks, s, p, w)
             if step == 0:
                 best = ends
             else:
@@ -474,7 +473,7 @@ def _solve_blocks(blocks):
                 check |= failed
             if not check.any():
                 continue
-            ends = _certify(blocks, p, w)[1]
+            ends = _certify(blocks, s, p, w)
             for keys, better in (
                 (("upper", "primal", "p"), check & (ends["upper"] < best["upper"][index])),
                 (("lower", "dual", "w"), check & (ends["lower"] > best["lower"][index])),
@@ -492,16 +491,15 @@ def _solve_blocks(blocks):
             keep = ~stop
             index, blocks, p, w, s = index[keep], blocks[keep], p[keep], w[keep], s[keep]
 
-    upper, lower = best["upper"], best["lower"]
-    below = ~(lower >= 0.0)
-    best["lower"] = np.where(below, 0.0, lower)
-    dual = np.where(below[:, None, None, None], np.eye(d), best["dual"])
-    width = np.maximum(upper - best["lower"], 0.0)
-    return upper, best["primal"], dual, width, best
+    below = ~(best["lower"] >= 0.0)
+    best["lower"] = np.where(below, 0.0, best["lower"])
+    best["dual"] = np.where(below[:, None, None, None], np.eye(d), best["dual"])
+    best["width"] = np.maximum(best["upper"] - best["lower"], 0.0)
+    return best
 
 
 def _residuals(solved, b):
-    """The residual record of problem b of a ``_solve_blocks`` result.
+    """The residual record of problem b of a ``_solve_blocks`` record.
 
     Its entries are the equality residuals of the p and W behind the two
     ends (``primal_feas``, the spread of the row sums of p, and
@@ -511,8 +509,7 @@ def _residuals(solved, b):
     failing problem's message report it, so it is built for one problem
     at a time, as a stack of one.
     """
-    upper, width = solved[0][b : b + 1], solved[3][b : b + 1]
-    lower, p, w = (solved[4][key][b : b + 1] for key in ("lower", "p", "w"))
+    upper, lower, width, p, w = (solved[key][b : b + 1] for key in ("upper", "lower", "width", "p", "w"))
     d = p.shape[-1]
     gap = width / (1.0 + np.abs(upper) + np.abs(lower))
     row_sums = _running_sum(p.swapaxes(-1, -2))
@@ -530,30 +527,22 @@ def _residuals(solved, b):
     }
 
 
-def _width_failure(solved, b):
-    """The message of problem b of a ``_solve_blocks`` result when its
-    certified interval stays wider than ``_ACCEPT_WIDTH``, or None when
-    it is narrow enough."""
-    width = float(solved[3][b])
-    if width <= _ACCEPT_WIDTH:
-        return None
-    return (
-        f"robustness solve stopped with a certified interval of width "
-        f"{width:.3e}, above {_ACCEPT_WIDTH:g}; residuals {_residuals(solved, b)}"
-    )
-
-
 def _solve_chois(chois):
     """One ``_solve_blocks`` run on the output blocks of a validated
-    (batch, d^2, d^2) Choi stack: its (upper, primal, dual, width, record)
-    and each problem's ``_width_failure``.  The singular-vector point
-    settles every point of the sweep and most other unitaries, and only
-    the problems that no candidate point settles reach the interior
-    point."""
+    (batch, d^2, d^2) Choi stack: its record, plus each problem's
+    ``failure``, a message when its interval stays wider than
+    ``_ACCEPT_WIDTH`` and None otherwise.  The singular-vector point
+    settles every point of the sweep and most other unitaries; only the
+    problems no candidate point settles reach the interior point."""
     d = math.isqrt(chois.shape[-1])
     check_dim(d, "robustness")
     solved = _solve_blocks(np.ascontiguousarray(choi_output_blocks(chois, d)))
-    return (*solved, [_width_failure(solved, b) for b in range(len(chois))])
+    message = "robustness solve stopped with a certified interval of width {:.3e}, above {:g}; residuals {}"
+    solved["failure"] = [
+        None if width <= _ACCEPT_WIDTH else message.format(width, _ACCEPT_WIDTH, _residuals(solved, b))
+        for b, width in enumerate(solved["width"].tolist())
+    ]
+    return solved
 
 
 def robustness(channel):
@@ -583,20 +572,19 @@ def robustness(channel):
     if not isinstance(channel, Channel):
         raise TypeError("robustness expects a Channel")
     solved = _checked(_solve_chois(channel.choi[None]))
-    upper, primal, dual = solved[:3]
     return RobustnessResult(
-        value=float(upper[0]),
-        optimal_psi=channel.choi + choi_from_output_blocks(primal[0]),
-        witness=choi_from_output_blocks(dual[0]),
+        value=float(solved["upper"][0]),
+        optimal_psi=channel.choi + choi_from_output_blocks(solved["primal"][0]),
+        witness=choi_from_output_blocks(solved["dual"][0]),
         residuals=_residuals(solved, 0),
         status="optimal",
     )
 
 
 def _checked(solved):
-    """``_solve_chois``' result, once none of its problems failed: the
+    """``_solve_chois``' record, once none of its problems failed: the
     first failure's message, in stack order, is raised as a RuntimeError."""
-    for failure in solved[-1]:
+    for failure in solved["failure"]:
         if failure is not None:
             raise RuntimeError(failure)
     return solved
@@ -750,7 +738,7 @@ def measure_property_suite(channel, seed=0):
     # the first five one entropy call.
     images = [family(channel.choi) for family in families.values()]
     stack = validate_choi_stack(np.stack(bases + mixtures + images))
-    values = _checked(_solve_chois(stack))[0].tolist()
+    values = _checked(_solve_chois(stack))["upper"].tolist()
     entropies = _entropy_gaps(stack[:5])
     base_value, base_entropy, image_values = values[0], entropies[0], values[5:]
 
@@ -774,7 +762,7 @@ def measure_property_suite(channel, seed=0):
 
     if 2 * d <= MAX_DIM:
         extended = tensor(channel, identity_channel(2)).choi[None]
-        gap = abs(float(_checked(_solve_chois(extended))[0][0]) - base_value)
+        gap = abs(float(_checked(_solve_chois(extended))["upper"][0]) - base_value)
         report["extension_robustness"] = _check(gap <= 1e-5, gap)
         entropy_gap = abs(_entropy_gaps(extended)[0] - base_entropy)
         report["extension_relative_entropy"] = _check(entropy_gap <= 1e-6, entropy_gap)

@@ -920,11 +920,12 @@ def interior_point_intervals(chois, screen=True):
     best = failed = None
     for step in range(_MAX_STEPS + 1):
         check = np.ones(len(p), dtype=bool)
+        s = _slack(blocks, p)
         if screen and best is not None and step < _MAX_STEPS:
-            check = _screen(_slack(blocks, p), w, best["upper"])
+            check = _screen(s, w, best["upper"])
             if failed is not None:
                 check |= failed
-        s, ends = _certify(blocks, p, w)
+        ends = _certify(blocks, s, p, w)
         if best is None:
             best = ends
         upper = check & (ends["upper"] < best["upper"])
@@ -989,7 +990,8 @@ def certified_loop_by_problem(chois):
         blocks = np.ascontiguousarray(choi_output_blocks(choi[None], d))
         for point in (_singular_vector_point, _diagonal_point, _interior_start):
             p, w = point(blocks)
-            s, best = _certify(blocks, p, w)
+            s = _slack(blocks, p)
+            best = _certify(blocks, s, p, w)
             if narrow(best):
                 break
         else:
@@ -999,7 +1001,7 @@ def certified_loop_by_problem(chois):
                 s = _slack(blocks, p)
                 failed = failed is not None and bool(failed[0])
                 if failed or step == _MAX_STEPS or _screen(s, w, best["upper"])[0]:
-                    ends = _certify(blocks, p, w)[1]
+                    ends = _certify(blocks, s, p, w)
                     if ends["upper"][0] < best["upper"][0]:
                         best.update({key: ends[key] for key in ("upper", "primal", "p")})
                     if ends["lower"][0] > best["lower"][0]:

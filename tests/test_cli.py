@@ -376,9 +376,9 @@ class TestGameCommand:
         real_witness_game = cli._witness_game
 
         def recording(channel):
-            solved = real_witness_game(channel)
-            kept.append(np.count_nonzero(solved[1]))
-            return solved
+            value, lam, vecs = real_witness_game(channel)
+            kept.append(np.count_nonzero(lam))
+            return value, lam, vecs
 
         monkeypatch.setattr(cli, "_witness_game", recording)
         eps = np.finfo(float).eps
@@ -436,6 +436,26 @@ class TestVqaCheckCommand:
             assert proc.returncode == 2
             assert json.loads(proc.stderr)["kind"] == "parse"
         assert run_cli("vqa-check", pair, "IZ").returncode == 0
+
+    @pytest.mark.parametrize("d", [1, 3, 6])
+    def test_dimension_is_checked_before_the_labels(self, tmp_path, capsys, d):
+        """A dimension that is not a power of two exits 3 with the library's
+        message, whatever the labels.  At d = 1 a label has one letter: I
+        passes, and any other letter exits 2 with a message that names it."""
+        spec = random_kraus_spec(tmp_path, d, seed=d)
+        for label in ("I", "Z", "X", "ZZ", "Q"):
+            code, out, err = _main(capsys, "vqa-check", spec, label)
+            if d > 1:
+                assert (code, out) == (3, "")
+                assert json.loads(err) == {"kind": "invalid-channel", "error": f"channel dim {d} is not 2^n"}
+            elif label == "I":
+                assert (code, json.loads(out)["replacing_pauli_j"]) == (0, "I")
+            else:
+                assert (code, out, _one_diagnostic(err)) == (2, "", "parse")
+                message = json.loads(err)["error"]
+                assert message.startswith(f"observable {label!r}: ")
+                if label in ("Z", "X"):
+                    assert message.endswith("has only the observable I")
 
     def test_three_qubit_gates_with_zzz(self, tmp_path):
         """CCZ = (I I H) CCX (I I H) commutes with ZZZ; CCX maps it to a sum
@@ -1033,7 +1053,7 @@ class TestSpecLimits:
 
         def failing_solve(chois):
             n = len(chois)
-            return np.zeros(n), None, None, np.zeros(n), {}, ["stub"] * n
+            return {"upper": np.zeros(n), "width": np.zeros(n), "failure": ["stub"] * n}
 
         monkeypatch.setattr(cli, "interpolation_unitary", unitaries)
         monkeypatch.setattr(cli, "_solve_chois", failing_solve)

@@ -55,16 +55,15 @@ def stacked_results(chois):
     ``robustness`` raises for it, assembled from the output blocks of one
     ``measures._solve_chois`` run on a validated Choi stack."""
     solved = crolab.measures._solve_chois(chois)
-    upper, primal, dual, *_, failures = solved
-    psi = chois + choi_from_output_blocks(primal)
-    witness = choi_from_output_blocks(dual)
+    psi = chois + choi_from_output_blocks(solved["primal"])
+    witness = choi_from_output_blocks(solved["dual"])
     return [
         RuntimeError(failure)
         if failure is not None
         else RobustnessResult(
-            float(upper[b]), psi[b], witness[b], crolab.measures._residuals(solved, b), "optimal"
+            float(solved["upper"][b]), psi[b], witness[b], crolab.measures._residuals(solved, b), "optimal"
         )
-        for b, failure in enumerate(failures)
+        for b, failure in enumerate(solved["failure"])
     ]
 
 
@@ -341,15 +340,27 @@ class TestInteriorPointSolver:
             assert np.array_equal(result.witness, single.witness)
             assert np.array_equal(result.optimal_psi, single.optimal_psi)
 
-    @pytest.mark.parametrize("d", [2, 4])
-    def test_record_in_every_rotation(self, monkeypatch, d):
+    @pytest.mark.parametrize(
+        "d, stop",
+        [
+            pytest.param(2, None, id="2"),
+            pytest.param(4, None, id="4"),
+            pytest.param(4, "failure", id="4-failure"),
+            pytest.param(4, "cap", id="4-cap"),
+        ],
+    )
+    def test_record_in_every_rotation(self, monkeypatch, d, stop):
         """In every rotation of a stack that stops at each kind of point (a
         unitary, a qc member, a near-qc mixture, random channels of rank 2
         and of full rank, whose closed forms are rejected so that they take
         steps also at d = 2), each entry's upper end, optimizer, witness and
-        residuals are its batch-of-one solve's and those of the loop run one
-        problem at a time (``oracles.certified_loop_by_problem``), bit for
-        bit: the record keeps every problem's ends at its own place."""
+        residuals are those of the loop run one problem at a time
+        (``oracles.certified_loop_by_problem``), and every key of its
+        record, ``failure`` too, is its stack of one's, bit for bit: the
+        record keeps every problem's ends at its own place.  So too when
+        the full-rank channel's factorization fails (``failure``), and in a
+        run capped at one step (``cap``), where the near-qc mixture and the
+        random channels stop wide."""
         rng = np.random.default_rng(d)
         # A qc member with a positive diagonal: at d = 4 the singular-vector
         # point leaves it open, with other residuals than the diagonal point
@@ -364,18 +375,29 @@ class TestInteriorPointSolver:
         ])
         targets = choi_output_blocks(chois[3:], d)
         _reject_closed_form(monkeypatch, lambda b: any(np.array_equal(b, t) for t in targets))
+        if stop == "failure":
+            _fail_on(monkeypatch, targets[1:])
+        elif stop == "cap":
+            monkeypatch.setattr(crolab.measures, "_MAX_STEPS", 1)
         expected = oracles.certified_loop_by_problem(chois)
+        singles = [crolab.measures._solve_chois(chois[[b]]) for b in range(len(chois))]
+        failed = {None: [], "failure": [4], "cap": [2, 3, 4]}[stop]
+        assert [b for b, single in enumerate(singles) if single["failure"][0]] == failed
 
         def assert_solved(order):
-            """Each entry of the solve of chois[order] is the oracle's."""
+            """Each entry of the solve of chois[order] is the oracle's and
+            its stack of one's."""
             solved = crolab.measures._solve_chois(chois[order])
-            residuals = [crolab.measures._residuals(solved, b) for b in range(len(order))]
-            for got, want in zip((*solved[:3], residuals), expected):
-                for position, b in enumerate(order):
-                    if isinstance(got, np.ndarray):
-                        assert np.array_equal(got[position], want[b]), (order, b)
+            for position, b in enumerate(order):
+                for key, want in zip(("upper", "primal", "dual"), expected):
+                    assert np.array_equal(solved[key][position], want[b]), (order, b, key)
+                assert crolab.measures._residuals(solved, position) == expected[3][b], (order, b)
+                assert list(solved) == list(singles[b])
+                for key, want in singles[b].items():
+                    if key == "failure":
+                        assert solved[key][position] == want[0], (order, b)
                     else:
-                        assert got[position] == want[b], (order, b)
+                        assert np.array_equal(solved[key][position], want[0]), (order, b, key)
 
         for b in range(len(chois)):
             assert_solved([b])
@@ -839,6 +861,26 @@ class TestCertificationScreen:
         assert len(steps) >= 8
         assert 3 < len(certified) <= 6
 
+    @pytest.mark.parametrize(
+        "channel",
+        [named_gate("H"), random_channel(4, rank=2, seed=0), random_channel(4, seed=0)],
+        ids=["hadamard", "rank-2", "full-rank"],
+    )
+    def test_slack_is_formed_once_per_point(self, monkeypatch, channel):
+        """``_slack`` runs once for each point the loop visits, the fixed
+        points it reaches and every step, and not again when a step's
+        iterate is certified: once for the Hadamard gate, which the
+        singular-vector point settles, and three plus the step count for
+        d = 4 random channels."""
+        names = ("_singular_vector_point", "_diagonal_point", "_interior_start")
+        points = [_recorded(monkeypatch, name) for name in names]
+        steps = _recorded(monkeypatch, "_hkm_steps")
+        slacks = _recorded(monkeypatch, "_slack")
+        robustness(channel)
+        visited = sum(map(len, points))
+        assert (visited, len(steps) > 0) == ((1, False) if channel.dim == 2 else (3, True))
+        assert len(slacks) == visited + len(steps)
+
     @pytest.mark.parametrize("stop", ["cap", "failure"])
     def test_stopping_step_is_certified(self, monkeypatch, stop):
         """A run capped at one step, and one whose first step fails to
@@ -851,12 +893,12 @@ class TestCertificationScreen:
             _fail_on(monkeypatch, [choi_output_blocks(channel.choi, 4)])
         steps = _recorded(monkeypatch, "_hkm_steps")
         certified = _recorded(monkeypatch, "_certify")
-        upper, _, _, width, _, failures = crolab.measures._solve_chois(channel.choi[None])
+        solved = crolab.measures._solve_chois(channel.choi[None])
         assert len(steps) == 1 and len(certified) == 4
-        assert failures[0] is not None
+        assert solved["failure"][0] is not None
         lower, reference, _ = oracles.interior_point_intervals(channel.choi[None], screen=False)
-        assert upper[0] == reference[0]
-        assert width[0] == max(reference[0] - lower[0], 0.0)
+        assert solved["upper"][0] == reference[0]
+        assert solved["width"][0] == max(reference[0] - lower[0], 0.0)
 
 
 class TestAdmmOracle:
@@ -1309,10 +1351,10 @@ class TestPropertySuite:
         real_solve = crolab.measures._solve_chois
 
         def one_by_one(chois):
-            runs = list(zip(*(real_solve(choi[None]) for choi in chois)))
-            arrays = [np.concatenate(part) for part in runs[:4]]
-            record = {key: np.concatenate([part[key] for part in runs[4]]) for key in runs[4][0]}
-            return (*arrays, record, [entry for part in runs[5] for entry in part])
+            runs = [real_solve(choi[None]) for choi in chois]
+            solved = {key: np.concatenate([run[key] for run in runs]) for key in runs[0] if key != "failure"}
+            solved["failure"] = [entry for run in runs for entry in run["failure"]]
+            return solved
 
         monkeypatch.setattr(crolab.measures, "_solve_chois", one_by_one)
         alone = [measure_property_suite(channel, seed=seed) for seed in range(5)]
