@@ -34,11 +34,11 @@ the ``upper`` of one stack per dimension.  The CLI sweep builds,
 validates and measures its whole grid as one stack: one array of Choi
 states, checked by ``channels.validate_choi_stack``, one solve (every
 point of the sweep family is a unitary, so the singular-vector point
-settles it) and one batched entropy (``_entropy_gaps``, whose terms are computed over the
-whole stack), with no per-point ``Channel``.  The relative entropy
-measure has a closed form: the entropy gap between the fully dephased and
-the output-dephased Choi states, read off the same output blocks
-(``channels.choi_output_blocks``).
+settles it) and one batched entropy (``_entropy_gaps``, one running sum
+per row of the whole stack's terms), with no per-point ``Channel``.  The
+relative entropy measure has a closed form: the entropy gap between the
+fully dephased and the output-dephased Choi states, read off the same
+output blocks (``channels.choi_output_blocks``).
 Every measure accepts d <= ``channels.MAX_DIM`` = 32; ``robustness_equivalents``
 stops at d = 8, where its d^2 x d^2 block reaches ``sdp.MAX_BLOCK_SIDE``.
 """
@@ -159,7 +159,10 @@ def _diagonals(x):
 
 
 def _running_sum(x):
-    """Sum over the last axis strictly from left to right."""
+    """Sum over the last axis strictly from left to right: the module's rule
+    for a sum whose bits must not depend on the stack.  Its error is at most
+    gamma_n sum |t| for n terms (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., 4.2)."""
     return np.add.accumulate(x, axis=-1)[..., -1]
 
 
@@ -293,9 +296,9 @@ def _hkm_step(s, w):
     s_inv = roots_h[:, :d] @ roots[:, :d]
     h = np.real(s_inv * w.swapaxes(-1, -2))
     bordered = np.ones((n, d + 1, d + 1))
-    # Sums over k strictly in order, as in _running_sum, so that a problem's
-    # step does not depend on the stack around it.
-    bordered[:, :d, :d] = np.add.accumulate(np.linalg.inv(h), axis=1)[:, -1]
+    # Sums over k by _running_sum, so that a problem's step does not depend
+    # on the stack around it.
+    bordered[:, :d, :d] = _running_sum(np.linalg.inv(h).transpose(0, 2, 3, 1))
     bordered[:, d, d] = 0.0
     eye = np.eye(d)
 
@@ -329,7 +332,7 @@ def _hkm_step(s, w):
         dw * dp[:, :, None, :] @ s_inv
     )
     diag = np.real(_diagonals(target))[..., None]
-    top = np.add.accumulate(np.linalg.solve(h, diag), axis=1)[:, -1]
+    top = _running_sum(np.linalg.solve(h, diag).transpose(0, 2, 3, 1))
     dp = np.linalg.solve(h, diag - shared(top))[..., 0]
     _, dw, alpha = direction(dp, target - w)
     return alpha[..., 0] * dp, alpha * dw
@@ -629,21 +632,16 @@ def _entropy_gaps(chois):
 
     The spectra of all output blocks come from one batched ``eigvalsh``;
     the clip to [0, 1], the ``log2`` and the terms p log2 p of the diagonals
-    and the spectra are computed once over the whole stack, and their
-    positive terms are compacted in order into one array.  Each entropy is
-    the sum of its own slice of that array alone: a sum over a row that
-    kept its zeros, or over the whole stack, would group the terms
-    differently and change the last bits.  0 log 0 is 0.
+    and the spectra are computed once over the whole stack, and each row of
+    d^2 terms is summed by ``_running_sum``, so a channel's entropies do not
+    depend on the stack around it.  0 log 0 is 0, and a zero term leaves a
+    running sum as it is.
     """
     d = math.isqrt(chois.shape[-1])
     spectra = np.linalg.eigvalsh(choi_output_blocks(chois, d)).reshape(len(chois), -1)
     p = np.clip(np.stack([chois.diagonal(axis1=1, axis2=2).real, spectra], axis=1), 0.0, 1.0)
-    positive = p > 0.0
-    terms = p * np.log2(np.where(positive, p, 1.0))
-    flat = terms[positive]
-    ends = np.cumsum(positive.sum(axis=-1)).tolist()
-    sums = [float(-flat[start:end].sum()) for start, end in zip([0] + ends[:-1], ends)]
-    return [max(a - b, 0.0) for a, b in zip(sums[0::2], sums[1::2])]
+    h = -_running_sum(p * np.log2(np.where(p > 0.0, p, 1.0)))
+    return np.maximum(h[:, 0] - h[:, 1], 0.0).tolist()
 
 
 def relative_entropy_irreplaceability(channel):
@@ -654,7 +652,8 @@ def relative_entropy_irreplaceability(channel):
     minus that of the spectra of the B_k, from one batched ``eigvalsh``.
     Dephasing more can only raise entropy, so the value is nonnegative;
     rounding noise below zero is clamped.  This is ``_entropy_gaps`` on a
-    stack of one.
+    stack of one, and each entropy is a strict left-to-right sum of its
+    d^2 terms.
     """
     if not isinstance(channel, Channel):
         raise TypeError("relative_entropy_irreplaceability expects a Channel")

@@ -1237,18 +1237,28 @@ def two_mask_verdict(choi, d, kind, tol):
     return False, residual, None, _witness(diff, d)
 
 
+def entropy_terms_one(choi, d):
+    """The terms p log2 p of the entropy measure of one channel, for the
+    positive entries p of the Choi diagonal and of the output blocks'
+    spectra, each clipped to [0, 1]: two arrays, in the order of the
+    diagonal and of the blocks' ascending spectra."""
+
+    def terms(p):
+        p = np.clip(p, 0.0, 1.0)
+        p = p[p > 0.0]
+        return p * np.log2(p)
+
+    blocks = np.einsum("ikjk->kij", choi.reshape(d, d, d, d))
+    return terms(np.diag(choi).real), terms(np.linalg.eigvalsh(blocks).ravel())
+
+
 def entropy_gap_one(choi, d):
     """The replaced per-channel entropy measure: the entropy in bits of the
     Choi diagonal minus that of the output blocks' spectra, each summed as
-    one flat array of its positive entries, clamped at zero."""
-
-    def bits(p):
-        p = np.clip(p, 0.0, 1.0)
-        p = p[p > 0.0]
-        return float(-np.sum(p * np.log2(p)))
-
-    blocks = np.einsum("ikjk->kij", choi.reshape(d, d, d, d))
-    return max(bits(np.diag(choi).real) - bits(np.linalg.eigvalsh(blocks)), 0.0)
+    one flat array of its positive terms by numpy's pairwise ``sum``,
+    clamped at zero."""
+    diagonal, spectra = entropy_terms_one(choi, d)
+    return max(float(-np.sum(diagonal)) - float(-np.sum(spectra)), 0.0)
 
 
 def sweep_per_point(points):

@@ -1197,40 +1197,138 @@ class TestEquivalentFormulations:
         assert built == []
 
 
+def _factor(draw, d):
+    """A channel of dimension d: random of Kraus rank 1, 2 or d^2, or a
+    random qc member."""
+    seed = draw(st.integers(0, 2**31 - 1))
+    rank = draw(st.sampled_from([1, 2, d * d, "qc"]))
+    return random_qccro(d, seed=seed) if rank == "qc" else random_channel(d, rank=rank, seed=seed)
+
+
+@st.composite
+def factor_pairs(draw):
+    """Two channels (``_factor``) of dimensions d1, d2 in 1..4 with d1 d2
+    <= 16."""
+    return tuple(_factor(draw, d) for d in (draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+
+
+@st.composite
+def factors(draw):
+    """A channel (``_factor``) of dimension 1 to 16."""
+    return _factor(draw, draw(st.integers(1, 16)))
+
+
+def _incoherent_unitary(d, rng):
+    """A random permutation after random diagonal phases: a free reversible
+    operation, on either side of a channel."""
+    return np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+
+
 class TestTensorMultiplicativity:
     """1 + R is multiplicative under the tensor product: the Kronecker
     products of the factors' certified points are certified points of the
     product (the output blocks of N1 (x) N2 are B1_k1 (x) B2_k2).  An
     exact relation, so it checks solves above d = 8, where no independent
-    program runs."""
+    program runs.  The product of the factors' intervals [(1 + L1)(1 +
+    L2), (1 + U1)(1 + U2)] must meet [1 + L12, 1 + U12] of the d1 d2 solve,
+    within a room of 1e-9 relative, the solver's target width, which
+    absorbs the rounding of the products."""
 
-    @pytest.mark.parametrize("d1, d2", [(4, 4), (2, 8), (4, 8)])
-    def test_product_interval_meets_the_factors(self, d1, d2):
-        """The product of the factors' intervals [(1 + L1)(1 + L2), (1 +
-        U1)(1 + U2)] meets [1 + L12, 1 + U12] of the d1 d2 solve.  These
-        pairs overlap outright; the room of 1e-9 relative, the solver's
-        target width, absorbs the rounding of the products."""
-        first, second = random_channel(d1, seed=d1), random_channel(d2, seed=d2 + 1)
+    @staticmethod
+    def assert_product_meets_the_factors(first, second):
         ends = [_interval(robustness(c)) for c in (first, second, tensor(first, second))]
         (l1, u1), (l2, u2), (l12, u12) = ((1.0 + low, 1.0 + high) for low, high in ends)
         room = 1e-9 * u12
         assert max(l1 * l2, l12) <= min(u1 * u2, u12) + room
 
+    @pytest.mark.parametrize("d1, d2", [(4, 4), (2, 8), (4, 8)])
+    def test_product_interval_meets_the_factors(self, d1, d2):
+        """These pairs overlap outright."""
+        self.assert_product_meets_the_factors(random_channel(d1, seed=d1), random_channel(d2, seed=d2 + 1))
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=60)
+    @given(factor_pairs())
+    def test_random_pairs(self, pair):
+        self.assert_product_meets_the_factors(*pair)
+
+
+class TestEntropyExactRelations:
+    """Relations of C_rel that hold exactly for every channel, so they check
+    the measure at any d without an oracle, each within a room of 1e-12.
+    Dephasing is a product map and the output blocks of N1 (x) N2 are B1_k1
+    (x) B2_k2, so both entropies add under the tensor product.  An
+    incoherent unitary (a permutation times diagonal phases) before the
+    channel permutes the Choi diagonal and conjugates every output block;
+    one after it permutes the diagonal and the blocks.  After the input
+    dephasing every output block is diagonal, so the two entropies are
+    equal."""
+
+    ROOM = 1e-12
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=100)
+    @given(factor_pairs())
+    def test_additive_under_tensor(self, pair):
+        value = relative_entropy_irreplaceability(tensor(*pair))
+        assert abs(value - sum(map(relative_entropy_irreplaceability, pair))) <= self.ROOM
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(factors(), st.integers(0, 2**31 - 1))
+    def test_invariant_under_free_relabelling(self, channel, seed):
+        d, rng = channel.dim, np.random.default_rng(seed)
+        v_in, v_out = _incoherent_unitary(d, rng), _incoherent_unitary(d, rng)
+        value = relative_entropy_irreplaceability(channel)
+        for relabelled in (
+            Channel(crolab.measures._permute(channel.choi, rng.permutation(d))),
+            compose(unitary_channel(v_out), compose(channel, unitary_channel(v_in))),
+        ):
+            assert abs(relative_entropy_irreplaceability(relabelled) - value) <= self.ROOM
+
+    @settings(derandomize=True, deadline=None, database=None, max_examples=30)
+    @given(factors())
+    def test_vanishes_after_input_dephasing(self, channel):
+        assert relative_entropy_irreplaceability(compose(channel, dephasing(channel.dim))) <= self.ROOM
+
 
 class TestRelativeEntropy:
     """Closed-form entropy gap measure."""
 
-    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8, 16, 32])
     def test_stacked_gaps_equal_the_per_channel_path(self, d):
+        """Each entropy is a left-to-right sum of its row's terms, so a
+        channel's gap is the same, bit for bit, alone, in a stack and in the
+        reversed stack.  numpy's pairwise ``sum``, which the per-channel
+        oracle uses, is a plain left-to-right loop below 8 terms, so a
+        channel whose two rows each hold fewer than 8 positive terms (every
+        d <= 2 channel) gets the oracle's gap bit for bit.  The others are
+        within gamma_n sum |t| per row of the exact sum of the oracle's
+        terms (``math.fsum``), gamma_n = n u / (1 - n u) for n terms and
+        u = eps / 2 (Higham, 2002, 4.2), plus the rounding of the
+        difference."""
         ranks = (1 + (d > 1), d * d)
-        channels = [random_channel(d, rank=r, seed=s) for r in ranks for s in range(4)]
+        seeds = range({16: 2, 32: 1}.get(d, 4))
+        channels = [random_channel(d, rank=r, seed=s) for r in ranks for s in seeds]
         channels += [named_gate("U", t) for t in (0.0, 0.3, np.pi / 4)] if d == 2 else []
         stack = np.stack([channel.choi for channel in channels])
         gaps = crolab.measures._entropy_gaps(stack)
-        expected = [oracles.entropy_gap_one(channel.choi, d) for channel in channels]
-        assert np.array(gaps).tobytes() == np.array(expected).tobytes()
+        reversed_gaps = crolab.measures._entropy_gaps(stack[::-1])[::-1]
+        assert np.array(reversed_gaps).tobytes() == np.array(gaps).tobytes()
+        u = np.finfo(float).eps / 2
+
+        def room(terms):
+            return len(terms) * u / (1 - len(terms) * u) * math.fsum(np.abs(terms))
+
+        short = 0
         for channel, gap in zip(channels, gaps):
             assert relative_entropy_irreplaceability(channel) == gap
+            diagonal, spectra = oracles.entropy_terms_one(channel.choi, d)
+            if max(len(diagonal), len(spectra)) < 8:
+                short += 1
+                expected = oracles.entropy_gap_one(channel.choi, d)
+                assert np.float64(gap).tobytes() == np.float64(expected).tobytes()
+            else:
+                exact = max(math.fsum(np.concatenate([spectra, -diagonal])), 0.0)
+                assert abs(gap - exact) <= room(diagonal) + room(spectra) + 2 * u * exact
+        assert short == (len(channels) if d <= 2 else 0)
 
     def test_hadamard_is_one_bit(self):
         assert relative_entropy_irreplaceability(named_gate("H")) == (
